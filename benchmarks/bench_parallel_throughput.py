@@ -1,40 +1,37 @@
-"""Parallel-executor benchmark: serial vs thread vs process ``match_many``.
+"""Parallel-executor benchmark: serial vs process ``match_many``.
 
 Times a 20-source ``match_many`` batch against one shared prepared target
-through every :class:`~repro.engine.MatchExecutor` backend and transport:
+on both :class:`~repro.engine.MatchExecutor` backends:
 
 * ``serial``: the in-process reference — tasks run sequentially on one
   core, sharing the caller's prepared artifacts directly;
-* ``thread``: a 4-worker ``ThreadPoolExecutor`` sharing the caller's
-  artifact — zero serialization, zero transfer;
-* ``process`` x ``shm``: a 4-worker ``ProcessPoolExecutor`` whose shared
-  artifact ships as a shared-memory segment (typed arrays, zero-copy
-  worker attach) plus a small pickled residue;
-* ``process`` x ``pickle``: the same pool fed the whole artifact through
-  the pool initializer — the PR 5 wire, kept as the transfer baseline.
+* ``process``: a 4-worker ``ProcessPoolExecutor`` whose every chunk
+  carries the prepared artifact's pickle.
 
-All backends must produce identical matches for every source.  Two
-headline numbers:
+Both must produce identical matches for every source.  The two timed
+batches start from equal cache warmth: one untimed ``engine.match`` of an
+extra source (not in the timed batch) first trains the lazily built
+target classifiers into the shared artifact and fills the process-wide
+q-gram cache with the target's values, and the process batch runs before
+the serial one, so its forked workers inherit exactly the state the
+serial batch starts from — never the serial batch's own cache fill.
 
-* **transfer reduction** — the shm residue vs the full pickle for a
-  target big enough that typed columns dominate (48k rows full-scale);
-  asserted >= ``MIN_TRANSFER_REDUCTION`` at full scale, where the
-  committed JSON records it honestly;
-* **speedup** — best parallel backend vs serial, with a floor *scaled to
-  the host*: ``min(2.0, 0.6 * min(workers, effective_parallelism))``,
-  asserted whenever the host can actually run >= 2 workers concurrently
-  (and never under ``BENCH_TINY``).  Single-core hosts still run every
-  backend, verify equivalence, and record their numbers with the host
-  parallelism alongside — the committed JSON always says what hardware
-  produced it.
+The headline number is the process-vs-serial speedup, with a floor
+*scaled to the host*: ``min(2.0, 0.6 * min(workers,
+effective_parallelism))``, asserted whenever the host can actually run
+>= 2 workers concurrently (and never under ``BENCH_TINY``).  Single-core
+hosts still run both backends, verify equivalence, and record their
+numbers with the host parallelism alongside — the committed JSON always
+says what hardware produced it.
 
 Results are persisted to machine-readable ``results/BENCH_parallel.json``
-(version 2: per-mode wall/busy/chunk/transfer numbers, speedups, the
-transfer-reduction ratio and the floor decision).  Modes: ``BENCH_TINY=1``
-for a seconds-scale smoke run (CI — schema and equivalence only);
+(version 3: per-mode wall/busy/chunk numbers, the bytes the process batch
+actually sent — the artifact pickle times the chunks that carried it —,
+the speedup and the floor decision).  Modes: ``BENCH_TINY=1`` for a
+seconds-scale smoke run (CI — schema and equivalence only);
 ``BENCH_PROOF=1`` keeps the full-scale task batch but a small target, so
 CI's multi-core ``parallel-proof`` lane measures the speedup floor without
-paying for the 48k-row transfer workload.
+paying for the 48k-row target.
 """
 
 import os
@@ -51,7 +48,6 @@ BENCH_PROOF = bool(os.environ.get("BENCH_PROOF"))
 
 MIN_SPEEDUP = 2.0
 FLOOR_FACTOR = 0.6
-MIN_TRANSFER_REDUCTION = 10.0
 WORKERS = 4
 N_SOURCES = 4 if BENCH_TINY else 20
 N_ROWS = 150 if BENCH_TINY else 2500
@@ -66,15 +62,16 @@ GAMMA = 4
 
 
 def _batch():
-    """One shared target (N_TARGET rows) plus N_SOURCES independently-
-    seeded sources; the target is generated once, not once per source."""
+    """One shared target (N_TARGET rows), N_SOURCES independently-seeded
+    sources and one more source for the untimed warm-up; the target is
+    generated once, not once per source."""
     target = make_retail_workload(target="ryan", gamma=GAMMA,
                                   n_source=2, n_target=N_TARGET,
                                   seed=100).target
     sources = [make_retail_workload(target="ryan", gamma=GAMMA,
                                     n_source=N_ROWS, seed=100 + i).source
-               for i in range(N_SOURCES)]
-    return sources, target
+               for i in range(N_SOURCES + 1)]
+    return sources[:-1], sources[-1], target
 
 
 def _keys(result):
@@ -90,110 +87,73 @@ def _mode_payload(report):
         "chunks": report.chunks,
     }
     if report.backend == "process":
+        payload["transport"] = report.transport
         payload["prepare_transfer_bytes"] = report.prepare_transfer_bytes
-        payload["shm_bytes"] = report.shm_bytes
     return payload
 
 
 def test_parallel_throughput(benchmark, record_json):
-    sources, target = _batch()
+    sources, warm_source, target = _batch()
     engine = MatchEngine(ContextMatchConfig(**CONFIG))
     prepared = engine.prepare(target)
+    engine.match(warm_source, prepared)  # untimed warm-up (see docstring)
 
+    with MatchExecutor(ExecutorConfig(backend="process",
+                                      max_workers=WORKERS)) as executor:
+        process_batch = run_once(benchmark, executor.match_many,
+                                 engine, sources, prepared)
     serial_batch = MatchExecutor(ExecutorConfig(backend="serial")) \
         .match_many(engine, sources, prepared)
-    with MatchExecutor(ExecutorConfig(backend="thread",
-                                      max_workers=WORKERS)) as executor:
-        thread_batch = executor.match_many(engine, sources, prepared)
-    with MatchExecutor(ExecutorConfig(backend="process", transport="shm",
-                                      max_workers=WORKERS)) as executor:
-        shm_batch = run_once(benchmark, executor.match_many,
-                             engine, sources, prepared)
-    with MatchExecutor(ExecutorConfig(backend="process", transport="pickle",
-                                      max_workers=WORKERS)) as executor:
-        pickle_batch = executor.match_many(engine, sources, prepared)
 
-    # Bit-identical fan-out: every source's matches agree across all
-    # backends and transports.
-    for serial_result, *parallel in zip(serial_batch, thread_batch,
-                                        shm_batch, pickle_batch):
-        expected = _keys(serial_result)
-        assert all(_keys(r) == expected for r in parallel)
+    # Bit-identical fan-out: every source's matches agree across backends.
+    for serial_result, process_result in zip(serial_batch, process_batch):
+        assert _keys(process_result) == _keys(serial_result)
 
     serial = serial_batch.throughput
-    thread = thread_batch.throughput
-    shm = shm_batch.throughput
-    plain = pickle_batch.throughput
-
-    def _speedup(report):
-        return (serial.wall_seconds / report.wall_seconds
-                if report.wall_seconds > 0 else 0.0)
-
-    speedups = {"thread_vs_serial": _speedup(thread),
-                "process_shm_vs_serial": _speedup(shm),
-                "process_pickle_vs_serial": _speedup(plain)}
-    best = max(speedups["thread_vs_serial"],
-               speedups["process_shm_vs_serial"])
-    reduction = (plain.prepare_transfer_bytes / shm.prepare_transfer_bytes
-                 if shm.prepare_transfer_bytes > 0 else 0.0)
+    process = process_batch.throughput
+    speedup = (serial.wall_seconds / process.wall_seconds
+               if process.wall_seconds > 0 else 0.0)
 
     parallelism = effective_parallelism()
     required = min(MIN_SPEEDUP,
                    FLOOR_FACTOR * min(WORKERS, parallelism))
     floor_asserted = not BENCH_TINY and parallelism >= 2
-    reduction_asserted = not BENCH_TINY and not BENCH_PROOF
 
     record_json("BENCH_parallel", {
         "benchmark": "bench_parallel_throughput",
-        "version": 2,
+        "version": 3,
         "config": {**CONFIG, "gamma": GAMMA, "n_rows": N_ROWS,
                    "n_target": N_TARGET, "tiny": BENCH_TINY,
                    "proof": BENCH_PROOF},
         "n_sources": N_SOURCES,
         "workers": WORKERS,
         "host": {"effective_parallelism": parallelism},
+        "warmup": {"untimed_matches": 1},
         "modes": {
             "serial": _mode_payload(serial),
-            "thread": _mode_payload(thread),
-            "process_shm": _mode_payload(shm),
-            "process_pickle": _mode_payload(plain),
+            "process": _mode_payload(process),
         },
-        "speedup": {**speedups, "best_parallel_vs_serial": best},
-        "transfer": {
-            "pickle_bytes": plain.prepare_transfer_bytes,
-            "shm_residue_bytes": shm.prepare_transfer_bytes,
-            "shm_segment_bytes": shm.shm_bytes,
-            "reduction": reduction,
-            "asserted": reduction_asserted,
-        },
+        "speedup": {"process_vs_serial": speedup},
         "floor": {"required": required, "factor": FLOOR_FACTOR,
                   "max_required": MIN_SPEEDUP, "workers": WORKERS,
                   "effective_parallelism": parallelism,
                   "asserted": floor_asserted},
     })
-    print(f"\nserial:         {serial}")
-    print(f"thread:         {thread}")
-    print(f"process/shm:    {shm}")
-    print(f"process/pickle: {plain}")
-    print(f"speedup: best {best:.2f}x at {WORKERS} workers "
+    print(f"\nserial:  {serial}")
+    print(f"process: {process}")
+    print(f"speedup: {speedup:.2f}x at {WORKERS} workers "
           f"(host parallelism {parallelism}, floor {required:.2f} "
-          f"{'asserted' if floor_asserted else 'skipped'}); "
-          f"transfer {plain.prepare_transfer_bytes} -> "
-          f"{shm.prepare_transfer_bytes} bytes ({reduction:.1f}x)")
+          f"{'asserted' if floor_asserted else 'skipped'})")
 
-    assert thread.prepare_transfer_bytes == 0
-    assert shm.transport == "shm" and plain.transport == "pickle"
-    assert shm.shm_bytes > 0 and plain.shm_bytes == 0
-    assert 0 < shm.prepare_transfer_bytes < plain.prepare_transfer_bytes
-    assert shm.workers == plain.workers == WORKERS
-    assert len(shm.task_seconds) == N_SOURCES
-    if reduction_asserted:
-        assert reduction >= MIN_TRANSFER_REDUCTION, (
-            f"shm transport should ship >= {MIN_TRANSFER_REDUCTION}x fewer "
-            f"prepare bytes than pickle at n_target={N_TARGET}, got "
-            f"{reduction:.1f}x")
+    assert serial.prepare_transfer_bytes == 0
+    assert process.transport == "pickle" and process.shm_bytes == 0
+    assert process.workers == WORKERS
+    assert process.chunks >= 1
+    assert process.prepare_transfer_bytes > 0
+    assert process.prepare_transfer_bytes % process.chunks == 0
+    assert len(process.task_seconds) == N_SOURCES
     if floor_asserted:
-        assert best >= required, (
-            f"best parallel backend at {WORKERS} workers should be >= "
+        assert speedup >= required, (
+            f"process backend at {WORKERS} workers should be >= "
             f"{required:.2f}x serial on a {parallelism}-core host, got "
-            f"{best:.2f}x")
+            f"{speedup:.2f}x")

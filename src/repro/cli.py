@@ -22,13 +22,12 @@ Commands
                 match / match-many requests against stored targets kept
                 warm in a token-keyed LRU
 
-Batch commands run on :class:`~repro.MatchExecutor`; ``--jobs N`` picks
-the worker count and ``--backend serial|thread|process`` the backend
-explicitly (default: serial for one job, process otherwise, overridable
-via ``REPRO_EXECUTOR_BACKEND``).  With either flag their ``--json``
-output carries an ``executor`` section (the serialized
-:class:`~repro.ThroughputReport`: backend, transport, workers, tasks,
-wall and per-task seconds, chunk / transfer / worker-cache counters).
+Batch commands run on :class:`~repro.MatchExecutor`, and ``--jobs N``
+alone decides how: serial for ``N == 1``, an N-worker process pool
+otherwise.  With the flag their ``--json`` output carries an
+``executor`` section (the serialized :class:`~repro.ThroughputReport`:
+backend, transport, workers, tasks, wall and per-task seconds, chunk /
+transfer / worker-cache counters).
 
 CSV directories contain one ``<table>.csv`` per table (header row; types
 are inferred).  All knobs of :class:`~repro.ContextMatchConfig` that matter
@@ -85,16 +84,6 @@ def _positive_int(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
     return value
-
-
-def _add_backend_flag(cmd: argparse.ArgumentParser) -> None:
-    """``--backend`` is validated by ``ExecutorConfig.for_jobs`` (the same
-    EngineError its constructor raises), not by argparse choices, so the
-    CLI, env override and library surface reject bad names identically."""
-    cmd.add_argument("--backend", default=None, metavar="NAME",
-                     help="executor backend: serial | thread | process "
-                          "(default: from --jobs, or the "
-                          "REPRO_EXECUTOR_BACKEND environment variable)")
 
 
 def _add_matching_flags(cmd: argparse.ArgumentParser) -> None:
@@ -178,7 +167,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="fan sources out across N workers "
                            "(results are bit-identical to the serial "
                            "default; 1 forces the serial executor)")
-    _add_backend_flag(many)
     many.add_argument("--json", action="store_true",
                       help="emit one JSON document with all results")
 
@@ -196,7 +184,6 @@ def build_parser() -> argparse.ArgumentParser:
     repo.add_argument("--jobs", type=_positive_int, default=None, metavar="N",
                       help="fan the source × hub grid across N workers "
                            "(bit-identical rankings)")
-    _add_backend_flag(repo)
     repo.add_argument("--json", action="store_true",
                       help="emit one JSON document with every ranking; the "
                            "winning hub carries its full match result")
@@ -229,7 +216,6 @@ def build_parser() -> argparse.ArgumentParser:
                           "(bit-identical results; also switches the "
                           "output to the batch shape with executor "
                           "counters)")
-    _add_backend_flag(run)
     run.add_argument("--json", action="store_true",
                      help="emit the full ScenarioResult (metrics, "
                           "counters, per-stage report) as JSON; with "
@@ -278,7 +264,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--jobs", type=_positive_int, default=None,
                        metavar="N",
                        help="workers for /match-many batches")
-    _add_backend_flag(serve)
     serve.add_argument("--max-targets", type=_positive_int, default=8,
                        metavar="N", help="warm-LRU capacity (default: 8)")
     _add_matching_flags(serve)
@@ -402,14 +387,13 @@ def _cmd_match_many(args: argparse.Namespace) -> int:
     config = config_from_args(args)
     engine = MatchEngine(config)
     prepared = engine.prepare(target)
-    if args.jobs is not None or args.backend is not None:
+    if args.jobs is not None:
         # Executor fan-out: the whole batch — every loaded source and
         # every MatchResult — is held in memory at once, trading the
         # sequential loop's flat memory profile for wall-clock; prefer
         # the default (no --jobs) path for very large batches on small
         # machines.  Results are bit-identical either way.
-        executor_config = ExecutorConfig.for_jobs(args.jobs, args.backend)
-        with MatchExecutor(executor_config) as executor:
+        with MatchExecutor(ExecutorConfig.for_jobs(args.jobs)) as executor:
             batch = executor.match_many(
                 engine,
                 [load_database(d, name="source") for d in args.sources],
@@ -464,10 +448,8 @@ def _cmd_match_repo(args: argparse.Namespace) -> int:
         repository = TargetRepository.from_store(
             ArtifactStore(args.store), engine, tokens=args.targets)
         sources = [load_database(d, name=d) for d in args.sources]
-        executor = (MatchExecutor(
-                        ExecutorConfig.for_jobs(args.jobs, args.backend))
-                    if args.jobs is not None or args.backend is not None
-                    else None)
+        executor = (MatchExecutor(ExecutorConfig.for_jobs(args.jobs))
+                    if args.jobs is not None else None)
         try:
             batch = repository.route_many(sources, executor=executor)
         finally:
@@ -558,7 +540,7 @@ def _cmd_scenarios(args: argparse.Namespace) -> int:
     # CLI flags apply uniformly across the batch.
     section_config = scenario_config(specs[0])
 
-    if args.jobs is None and args.backend is None and len(specs) == 1:
+    if args.jobs is None and len(specs) == 1:
         # Single-scenario runs keep the original output shape.
         result = run_scenario(specs[0])
         if args.json:
@@ -572,8 +554,7 @@ def _cmd_scenarios(args: argparse.Namespace) -> int:
         print(result)
         return 0
 
-    with MatchExecutor(
-            ExecutorConfig.for_jobs(args.jobs, args.backend)) as executor:
+    with MatchExecutor(ExecutorConfig.for_jobs(args.jobs)) as executor:
         batch = run_scenarios(specs, executor=executor)
     if args.json:
         print(json.dumps(
@@ -661,22 +642,19 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from .service.http import MatchServer
 
     service = MatchService(args.store, config=config_from_args(args),
-                           jobs=args.jobs, backend=args.backend,
-                           capacity=args.max_targets)
+                           jobs=args.jobs, capacity=args.max_targets)
     try:
         warmed = service.warm()
     except StoreError as exc:
         raise SystemExit(f"repro: error: {exc}")
     server = MatchServer((args.host, args.port), service,
                          verbose=args.verbose)
-    executor_config = service.executor.config
+    executor = service.executor
     startup = {"serving": f"http://{args.host}:{server.port}",
                "targets_warmed": len(warmed),
-               "jobs": executor_config.resolved_workers(),
-               "backend": executor_config.backend,
-               "transport": (executor_config.transport
-                             if executor_config.backend == "process"
-                             else None),
+               "jobs": executor.config.resolved_workers(),
+               "backend": executor.config.backend,
+               "transport": executor.transport,
                "capacity": service.capacity}
     if args.json:
         print(_store_json(startup, service.store), flush=True)
@@ -707,8 +685,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         return handlers[args.command](args)
     except EngineError as exc:
-        # Bad executor flags (--backend/--jobs combinations, env override)
-        # are user errors, not tracebacks.
+        # Engine refusals (an artifact prepared under another
+        # configuration, an empty repository) are user errors, not
+        # tracebacks.
         raise SystemExit(f"repro: error: {exc}")
     except BrokenPipeError:
         # Output was piped into a consumer that stopped reading (head);

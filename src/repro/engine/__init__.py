@@ -13,15 +13,15 @@
 * :class:`RunReport` / :class:`StageReport` — per-run diagnostics,
   including profile/partition cache counters in the stage counts;
 * :class:`MatchExecutor` / :class:`ExecutorConfig` — batch fan-out for
-  ``match_many``, reversed sweeps and scenario runs over a ``serial``,
-  ``thread`` or ``process`` backend (``ExecutorConfig(backend="thread",
-  max_workers=N)``), bit-identical across all three; process pools ship
-  prepared artifacts over shared memory by default (only the non-array
-  pickle residue travels — see :mod:`repro.engine.shm`) and submissions
-  are chunked per worker; every batch returns a :class:`BatchResult`
-  whose :class:`ThroughputReport` records tasks, workers, wall time,
-  per-task elapsed, transport, chunk count, shared-memory bytes,
-  worker-cache evictions and prepared-artifact transfer bytes.
+  ``match_many``, reversed sweeps and scenario runs, either ``serial``
+  (the in-process reference) or on a ``process`` pool
+  (``ExecutorConfig(backend="process", max_workers=N)``, or
+  ``ExecutorConfig.for_jobs(N)``), bit-identical across both; every
+  chunk of a process batch carries the prepared artifact's pickle, so
+  one pool serves every target, and every batch returns a
+  :class:`BatchResult` whose :class:`ThroughputReport` records tasks,
+  workers, wall time, per-task elapsed, chunk count, worker-cache
+  evictions and prepared-artifact transfer bytes.
 """
 
 from .engine import MatchEngine

@@ -1,47 +1,39 @@
-"""Parallel match execution: three backends over prepared artifacts.
+"""Parallel match execution: serial, or a process pool over prepared artifacts.
 
 A single ContextMatch run is sub-second, but every multi-source workload —
 :meth:`~repro.engine.engine.MatchEngine.match_many`, role-reversed sweeps,
 repository ``route_many`` fan-outs, the scenario registry behind the
 golden tier — is a *batch* of independent runs, and the dominant
 enterprise workload is throughput across runs, not latency within one.
-:class:`MatchExecutor` runs such batches through a pluggable backend:
+:class:`MatchExecutor` runs such batches on one of two backends:
 
-* ``"serial"`` (default) — tasks run in-process, in submission order.
-  This is the fallback on hosts without pool support and the equivalence
-  reference: both parallel backends must reproduce its matches,
-  posteriors and metrics bit-for-bit.
-* ``"thread"`` — tasks fan out across a ``ThreadPoolExecutor`` sharing
-  the caller's prepared artifact directly: zero serialization, zero
-  transfer.  The numeric hot paths (batch NB/Gaussian kernels, columnar
-  gathers) release the GIL, and a prepared target is read-mostly — its
-  lazily-populated memos hold pure functions of the prepared side, so
-  concurrent population can duplicate work but never change a result
-  (the same argument that lets ``repro serve`` match concurrently from
-  many server threads).
-* ``"process"`` — tasks fan out across a ``ProcessPoolExecutor``.  The
-  shared prepared artifact crosses the boundary once per pool via a
-  configurable *transport*: ``"shm"`` (default) hoists the typed column
-  arrays, presence masks and partition indices into one named
-  shared-memory segment that every worker attaches read-only
-  (:mod:`repro.engine.shm`), pickling only the small residue;
-  ``"pickle"`` ships the whole artifact through the pool initializer as
-  before.  Either way workers cache the rebuilt artifact per content
-  token — a bounded LRU, with evictions counted on the batch report.
+* ``"serial"`` (default) — tasks run in-process, in submission order, on
+  the caller's objects.  This is the equivalence reference: the process
+  backend must reproduce its matches, posteriors and metrics bit-for-bit.
+* ``"process"`` — tasks fan out across one ``ProcessPoolExecutor``.  A
+  batch's shared prepared artifact has one wire format: its plain pickle,
+  taken once per artifact by the executor's memos (the classes'
+  ``__getstate__`` hooks decide what crosses the boundary).  Every chunk
+  carries that pickle next to its shipping token, so any worker can serve
+  any artifact and one pool serves every target; a worker unpickles only
+  when its bounded artifact LRU misses, and evictions are counted on the
+  batch report.
 
-Batches are *chunked*: ``ExecutorConfig.chunk_size`` (default: about four
-chunks per worker) groups submissions so a ``match_many`` of hundreds of
-sources pays per-chunk, not per-task, IPC.  Results always come back in
-submission order, with every run's
+The hot loops are pure Python, so threads would only contend for the
+interpreter lock: a worker process per core is the one parallel path.
+
+Batches are *chunked*: submissions are grouped into about four chunks per
+worker, so a ``match_many`` of hundreds of sources pays per-chunk, not
+per-task, IPC while small batches still spread.  Results always come back
+in submission order, with every run's
 :class:`~repro.engine.report.RunReport` intact, plus a batch-level
 :class:`~repro.engine.report.ThroughputReport` (tasks, workers, wall
-time, per-task elapsed, transport, chunk and transfer counters).
+time, per-task elapsed, chunk and transfer counters).
 
-Engine observers do not cross the process boundary: the serial and thread
-backends run batches on the caller's engine, so observers fire exactly as
-in a hand-written loop (interleaved across threads), while process
-workers rebuild engines from the shipped configuration (custom stage
-lists are shipped; observer lists are not).
+Engine observers do not cross the process boundary: the serial backend
+runs batches on the caller's engine, so observers fire exactly as in a
+hand-written loop, while process workers rebuild engines from the shipped
+configuration (custom stage lists are shipped; observer lists are not).
 """
 
 from __future__ import annotations
@@ -53,14 +45,12 @@ import os
 import pickle
 import threading
 import time
-import weakref
 from collections import OrderedDict
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator
 
 from ..errors import EngineError
 from .report import ThroughputReport
-from .shm import ShmManifest, attach_payload, export_payload, shm_available
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..context.model import ContextMatchConfig, MatchResult
@@ -71,12 +61,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = ["ExecutorConfig", "BatchResult", "MatchExecutor",
            "effective_parallelism"]
 
-_BACKENDS = ("serial", "thread", "process")
-_TRANSPORTS = ("shm", "pickle")
-
-#: Environment override consulted by :meth:`ExecutorConfig.for_jobs` when
-#: the caller passes no explicit backend.
-BACKEND_ENV = "REPRO_EXECUTOR_BACKEND"
+_BACKENDS = ("serial", "process")
 
 
 def effective_parallelism() -> int:
@@ -98,28 +83,15 @@ class ExecutorConfig:
     Parameters
     ----------
     backend:
-        ``"serial"`` (in-process, the default), ``"thread"``
-        (``ThreadPoolExecutor`` sharing the caller's objects) or
-        ``"process"`` (``ProcessPoolExecutor`` fan-out).
+        ``"serial"`` (in-process, the default) or ``"process"``
+        (``ProcessPoolExecutor`` fan-out).
     max_workers:
-        Workers for the parallel backends; ``None`` uses the host's
+        Workers for the process backend; ``None`` uses the host's
         effective parallelism.  Ignored by the serial backend.
-    transport:
-        How the process backend ships the shared prepared artifact:
-        ``"shm"`` (default — typed arrays via one shared-memory segment,
-        residue via pickle; falls back to ``"pickle"`` on platforms
-        without named shared memory) or ``"pickle"`` (whole artifact
-        through the pool initializer).  Ignored by the other backends.
-    chunk_size:
-        Tasks per submitted chunk for the parallel backends; ``None``
-        (default) targets about four chunks per worker so large batches
-        amortize per-submission IPC while small ones still spread.
     """
 
     backend: str = "serial"
     max_workers: int | None = None
-    transport: str = "shm"
-    chunk_size: int | None = None
 
     def __post_init__(self) -> None:
         if self.backend not in _BACKENDS:
@@ -129,59 +101,18 @@ class ExecutorConfig:
         if self.max_workers is not None and self.max_workers < 1:
             raise EngineError(
                 f"max_workers must be >= 1, got {self.max_workers}")
-        if self.transport not in _TRANSPORTS:
-            raise EngineError(
-                f"unknown executor transport {self.transport!r}; "
-                f"choose one of {list(_TRANSPORTS)}")
-        if self.chunk_size is not None and self.chunk_size < 1:
-            raise EngineError(
-                f"chunk_size must be >= 1, got {self.chunk_size}")
 
     @classmethod
-    def for_jobs(cls, jobs: int | None, backend: str | None = None, *,
-                 transport: str | None = None,
-                 chunk_size: int | None = None) -> "ExecutorConfig":
-        """The configuration the CLI flags mean.
-
-        ``--jobs N`` alone keeps its PR 5 contract: serial for ``N == 1``
-        (or None), an N-worker process pool otherwise.  An explicit
-        *backend* (``--backend``) overrides that mapping; with no
-        explicit backend the ``REPRO_EXECUTOR_BACKEND`` environment
-        variable is consulted.  ``--jobs N`` with ``backend="serial"``
-        and ``N > 1`` is a contradiction and raises; ``N < 1`` is the
+    def for_jobs(cls, jobs: int | None) -> "ExecutorConfig":
+        """The configuration ``--jobs N`` means: serial for ``N == 1``
+        (or None), an N-worker process pool otherwise.  ``N < 1`` is the
         same error the constructor raises — a computed job count of 0 is
-        a caller bug, not a request for serial.
-        """
+        a caller bug, not a request for serial."""
         if jobs is not None and jobs < 1:
             raise EngineError(f"jobs must be >= 1, got {jobs}")
-        if backend is None:
-            env = os.environ.get(BACKEND_ENV)
-            if env:
-                if env not in _BACKENDS:
-                    raise EngineError(
-                        f"{BACKEND_ENV} must be one of {list(_BACKENDS)}, "
-                        f"got {env!r}")
-                backend = env
-        elif backend not in _BACKENDS:
-            raise EngineError(
-                f"unknown executor backend {backend!r}; "
-                f"choose one of {list(_BACKENDS)}")
-        if backend is None:
-            backend = "serial" if jobs is None or jobs == 1 else "process"
-        if backend == "serial":
-            if jobs is not None and jobs > 1:
-                raise EngineError(
-                    f"backend 'serial' runs in-process; jobs={jobs} needs "
-                    f"'thread' or 'process'")
-            workers = None
-        else:
-            workers = jobs
-        kwargs: dict[str, Any] = {}
-        if transport is not None:
-            kwargs["transport"] = transport
-        if chunk_size is not None:
-            kwargs["chunk_size"] = chunk_size
-        return cls(backend=backend, max_workers=workers, **kwargs)
+        if jobs is None or jobs == 1:
+            return cls()
+        return cls(backend="process", max_workers=jobs)
 
     def resolved_workers(self) -> int:
         if self.backend == "serial":
@@ -189,11 +120,9 @@ class ExecutorConfig:
         return self.max_workers or effective_parallelism()
 
     def resolved_chunk_size(self, tasks: int) -> int:
-        """Tasks per chunk for an N-task batch: the configured size, or
-        enough chunks for ~4 scheduling rounds per worker (so stragglers
-        rebalance without paying per-task submission overhead)."""
-        if self.chunk_size is not None:
-            return self.chunk_size
+        """Tasks per chunk for an N-task batch: enough chunks for ~4
+        scheduling rounds per worker, so stragglers rebalance without
+        paying per-task submission overhead."""
         return max(1, -(-tasks // (self.resolved_workers() * 4)))
 
 
@@ -225,81 +154,58 @@ class BatchResult:
 
 #: Artifacts a worker keeps deserialized at once.  A long-lived pool
 #: routing against many hubs cycles tokens through this cache; beyond the
-#: cap the least recently used artifact (and its attached segment
-#: keepalive) is dropped and counted in :data:`_EVICTIONS`.
+#: cap the least recently used artifact is dropped and counted in
+#: :data:`_EVICTIONS`.
 _ARTIFACT_SLOTS = 4
 
 #: Worker-process cache of deserialized prepared artifacts, keyed by
-#: shipping token: ``token -> (artifact, keepalive)`` where the keepalive
-#: pins the attached shared-memory segment (None for pickled payloads).
-#: Bounded LRU — see :data:`_ARTIFACT_SLOTS`.
-_ARTIFACTS: "OrderedDict[str, tuple[Any, Any]]" = OrderedDict()
+#: shipping token.  Bounded LRU — see :data:`_ARTIFACT_SLOTS`.
+_ARTIFACTS: "OrderedDict[str, Any]" = OrderedDict()
 
 #: Artifacts this worker evicted from :data:`_ARTIFACTS` over its
 #: lifetime; chunks report the delta so the batch can sum it.
 _EVICTIONS = 0
 
 
-def _cache_artifact(token: str, artifact: Any, keepalive: Any) -> None:
+def _artifact_for(token: str, blob: bytes) -> Any:
+    """The worker's cached artifact for *token*, unpickling the chunk's
+    *blob* on a cache miss."""
     global _EVICTIONS
-    _ARTIFACTS[token] = (artifact, keepalive)
-    _ARTIFACTS.move_to_end(token)
+    artifact = _ARTIFACTS.get(token)
+    if artifact is not None:
+        _ARTIFACTS.move_to_end(token)
+        return artifact
+    artifact = pickle.loads(blob)
+    _ARTIFACTS[token] = artifact
     while len(_ARTIFACTS) > _ARTIFACT_SLOTS:
         _ARTIFACTS.popitem(last=False)
         _EVICTIONS += 1
-
-
-def _seed_artifact(token: str, payload: bytes) -> None:
-    """Pool initializer (pickle transport): install the shared artifact."""
-    if token not in _ARTIFACTS:
-        _cache_artifact(token, pickle.loads(payload), None)
-
-
-def _artifact_for(token: str, seed: tuple | None) -> Any:
-    """The worker's cached artifact for *token*, deserializing from
-    *seed* — ``(residue blob, manifest)`` — on a cache miss."""
-    entry = _ARTIFACTS.get(token)
-    if entry is not None:
-        _ARTIFACTS.move_to_end(token)
-        return entry[0]
-    if seed is None:
-        raise EngineError(
-            f"worker has no cached artifact for token {token!r} and the "
-            f"chunk carried no seed payload")
-    blob, manifest = seed
-    artifact, keepalive = attach_payload(blob, manifest)
-    _cache_artifact(token, artifact, keepalive)
     return artifact
 
 
-def _run_chunk(fn: Callable, token: str | None, seed: tuple | None,
-               payloads: list) -> tuple[list, int]:
-    """Execute one chunk of tasks, timing each worker-side.
-
-    Returns ``([(result, elapsed), ...], evictions)`` where *evictions*
-    is how many cached artifacts this chunk pushed out of the worker's
-    bounded cache.  ``fn(payload)`` for artifact-free tasks,
-    ``fn(artifact, payload)`` when the batch shipped a shared artifact.
-    """
-    evictions_before = _EVICTIONS
-    artifact = None if token is None else _artifact_for(token, seed)
-    out = []
-    for payload in payloads:
-        started = time.perf_counter()
-        result = fn(payload) if artifact is None else fn(artifact, payload)
-        out.append((result, time.perf_counter() - started))
-    return out, _EVICTIONS - evictions_before
-
-
-def _run_local_chunk(fn: Callable, artifact: Any, payloads: list) -> list:
-    """The serial/thread chunk body: same timing contract as
-    :func:`_run_chunk`, sharing the caller's artifact directly."""
+def _timed_tasks(fn: Callable, artifact: Any, payloads: list) -> list:
+    """``[(result, elapsed), ...]`` of ``fn`` over *payloads*:
+    ``fn(payload)`` for artifact-free tasks, ``fn(artifact, payload)``
+    when the batch has a shared artifact."""
     out = []
     for payload in payloads:
         started = time.perf_counter()
         result = fn(payload) if artifact is None else fn(artifact, payload)
         out.append((result, time.perf_counter() - started))
     return out
+
+
+def _run_chunk(fn: Callable, token: str | None, blob: bytes | None,
+               payloads: list) -> tuple[list, int]:
+    """Execute one chunk of tasks in a worker.
+
+    Returns ``([(result, elapsed), ...], evictions)`` where *evictions*
+    is how many cached artifacts this chunk pushed out of the worker's
+    bounded cache.
+    """
+    evictions_before = _EVICTIONS
+    artifact = None if token is None else _artifact_for(token, blob)
+    return _timed_tasks(fn, artifact, payloads), _EVICTIONS - evictions_before
 
 
 @dataclasses.dataclass
@@ -309,10 +215,10 @@ class EngineArtifact:
 
     ``stages`` ships the caller's (stateless, picklable) stage list so
     custom pipelines survive the fan-out; observers deliberately do not.
-    In-process (the serial and thread backends) the artifact simply holds
-    the caller's engine, so observers fire exactly as in a hand-written
-    loop; the shipped copy drops it and a worker rebuilds an
-    observer-less equivalent once per pool lifetime.
+    In-process (the serial backend) the artifact simply holds the
+    caller's engine, so observers fire exactly as in a hand-written loop;
+    the shipped copy drops it and a worker rebuilds an observer-less
+    equivalent once per cached artifact.
     """
 
     prepared: "PreparedTarget"
@@ -324,7 +230,7 @@ class EngineArtifact:
     #: shipping token that survives object turnover: a prepared target
     #: evicted from a serving LRU and reloaded from the store is a *new*
     #: object, but with the same content token the executor reuses the
-    #: already-exported payload instead of re-shipping.
+    #: already-pickled payload and the workers' cached copies.
     content_token: str | None = None
     _engine: "MatchEngine | None" = dataclasses.field(
         default=None, repr=False, compare=False)
@@ -361,76 +267,16 @@ def _match_reversed_task(artifact: EngineArtifact,
 
 
 # ---------------------------------------------------------------------------
-# Parent-side shipping state
-# ---------------------------------------------------------------------------
-
-@dataclasses.dataclass(frozen=True)
-class _Shipped:
-    """One exported artifact: shipping token, residue blob (the whole
-    pickle under the pickle transport) and the shm manifest (None when
-    nothing was hoisted)."""
-
-    token: str
-    blob: bytes
-    manifest: ShmManifest | None
-
-
-class _SegmentBag:
-    """Shared-memory segments owned by one executor, keyed by shipping
-    token and released exactly once each — on memo eviction, executor
-    close, or garbage-collection finalization.  Kept separate from the
-    executor so a ``weakref.finalize`` hook can hold it without keeping
-    the executor alive."""
-
-    def __init__(self) -> None:
-        self.segments: dict[str, Any] = {}
-
-    def add(self, token: str, segment: Any) -> None:
-        self.release(token)
-        self.segments[token] = segment
-
-    def release(self, token: str) -> None:
-        segment = self.segments.pop(token, None)
-        if segment is not None:
-            _destroy_segment(segment)
-
-    def release_all(self) -> None:
-        for token in list(self.segments):
-            self.release(token)
-
-
-def _destroy_segment(segment: Any) -> None:
-    try:
-        segment.close()
-    except (OSError, BufferError):  # pragma: no cover - exported views
-        pass
-    try:
-        segment.unlink()
-    except (FileNotFoundError, OSError):  # pragma: no cover - already gone
-        pass
-
-
-def _release_segments(bag: _SegmentBag) -> None:
-    """Finalizer target: must be module-level so the weakref.finalize
-    callback references the bag, never the executor."""
-    bag.release_all()
-
-
-# ---------------------------------------------------------------------------
 # The executor
 # ---------------------------------------------------------------------------
 
 class MatchExecutor:
-    """Batch runner for match / scenario tasks with a pluggable backend.
+    """Batch runner for match / scenario tasks, serial or on a process pool.
 
-    The executor is reusable (and closeable): consecutive batches sharing
-    the same prepared artifact reuse the worker pool and the exported
-    payload.  Under the shm transport the pool is artifact-agnostic
-    (chunks carry their own small seed), so even batches over *different*
-    artifacts keep one warm pool; the pickle transport recycles the pool
-    when the artifact changes, as the initializer must re-ship.  Use as a
-    context manager, or call :meth:`close` when done; the serial backend
-    holds no resources.
+    The executor is reusable (and closeable): it keeps one worker pool
+    for its lifetime, whatever artifacts its batches carry, and pickles
+    each shared artifact once.  Use as a context manager, or call
+    :meth:`close` when done; the serial backend holds no resources.
 
     ``counters`` accumulates process-lifetime batch telemetry (batches,
     tasks, chunks, worker-cache evictions) for service ``/report``
@@ -449,13 +295,10 @@ class MatchExecutor:
     1
     """
 
-    #: Entries kept in each per-executor memo (wrapped artifacts, exported
+    #: Entries kept in each per-executor memo (wrapped artifacts, pickled
     #: payloads): enough for alternating batches, bounded so a long-lived
     #: executor cycling through many targets cannot grow without limit.
     _MEMO_SLOTS = 4
-
-    #: Pool token of the artifact-agnostic shm-transport pool.
-    _SHM_POOL = "<shm-pool>"
 
     def __init__(self, config: ExecutorConfig | None = None):
         self.config = config or ExecutorConfig()
@@ -464,43 +307,32 @@ class MatchExecutor:
         self.counters = {"batches": 0, "tasks": 0, "chunks": 0,
                          "artifact_evictions": 0}
         self._pool: ProcessPoolExecutor | None = None
-        self._pool_token: str | None = None
-        self._threads: ThreadPoolExecutor | None = None
         #: (id(engine), id(prepared)) -> (engine, prepared, artifact):
         #: repeated batches over the same pair reuse one EngineArtifact,
         #: which is what lets the payload memo below actually hit.  The
         #: strong references pin the ids against recycling.
         self._artifacts: "OrderedDict[tuple[int, int], tuple]" = OrderedDict()
-        #: Exported-payload memo keyed by artifact identity; values keep a
-        #: strong reference to the artifact so an id() is never recycled
-        #: while its entry is live.
-        self._shipped: "OrderedDict[int, tuple[Any, _Shipped]]" = \
+        #: Pickled-payload memo: shipping key -> (pin, token, blob).  The
+        #: key is the artifact's stable token when it has one (so
+        #: equal-content artifacts hit across object lifetimes), else its
+        #: id(), pinned against recycling by the stored artifact.
+        self._shipped: "OrderedDict[str | int, tuple[Any, str, bytes]]" = \
             OrderedDict()
-        #: Exported-payload memo keyed by *stable shipping token* for
-        #: artifacts carrying a content token: equal-content artifacts
-        #: hit this memo across object lifetimes (LRU evict + store
-        #: reload), keeping the pool and the worker-side caches warm.
-        self._shipped_by_token: "OrderedDict[str, _Shipped]" = OrderedDict()
-        #: Live shared-memory segments, one per exported shm payload;
-        #: released on memo eviction / close, and by the finalizer if the
-        #: executor is dropped without close() (crash-safe cleanup).
-        self._segments = _SegmentBag()
-        self._finalizer = weakref.finalize(
-            self, _release_segments, self._segments)
+
+    @property
+    def transport(self) -> str | None:
+        """How this executor's batches ship their shared artifact
+        (:attr:`ThroughputReport.transport`): ``"pickle"`` for the process
+        backend, None in-process."""
+        return "pickle" if self.config.backend == "process" else None
 
     # -- lifecycle -----------------------------------------------------
     def close(self) -> None:
-        """Shut down the worker pools (if any) and unlink every live
-        shared-memory segment; the executor stays usable and will lazily
-        rebuild (and re-export) on the next parallel batch."""
+        """Shut down the worker pool (if any); the executor stays usable
+        and lazily starts a new pool on the next process batch."""
         if self._pool is not None:
             self._pool.shutdown()
             self._pool = None
-            self._pool_token = None
-        if self._threads is not None:
-            self._threads.shutdown()
-            self._threads = None
-        self._segments.release_all()
 
     def __enter__(self) -> "MatchExecutor":
         return self
@@ -517,24 +349,23 @@ class MatchExecutor:
         ``fn`` must be a module-level callable (workers import it by
         reference).  It is called as ``fn(payload)``, or as
         ``fn(artifact, payload)`` when *artifact* is given — the serial
-        and thread backends pass the caller's object, the process backend
-        a worker-cached rebuilt copy.
+        backend passes the caller's object, the process backend a
+        worker-cached unpickled copy.
         """
         payloads = list(payloads)
         started = time.perf_counter()
         transport: str | None = None
-        chunks = transfer = shm_bytes = evictions = 0
+        chunks = transfer = evictions = 0
         if not payloads:
-            # Nothing to do — don't export the artifact or spin a pool up.
+            # Nothing to do — don't pickle the artifact or spin a pool up.
             results, timings = [], []
         elif self.config.backend == "serial":
-            results, timings = self._run_serial(fn, payloads, artifact)
-        elif self.config.backend == "thread":
-            results, timings, chunks = self._run_thread(
-                fn, payloads, artifact)
+            out = _timed_tasks(fn, artifact, payloads)
+            results, timings = [r for r, _ in out], [t for _, t in out]
         else:
-            (results, timings, transport, chunks, transfer, shm_bytes,
-             evictions) = self._run_process(fn, payloads, artifact)
+            transport = self.transport
+            results, timings, chunks, transfer, evictions = \
+                self._run_process(fn, payloads, artifact)
         report = ThroughputReport(
             backend=self.config.backend,
             workers=self.config.resolved_workers(),
@@ -544,7 +375,6 @@ class MatchExecutor:
             prepare_transfer_bytes=transfer,
             transport=transport,
             chunks=chunks,
-            shm_bytes=shm_bytes,
             artifact_evictions=evictions)
         self.last_throughput = report
         self.counters["batches"] += 1
@@ -553,45 +383,15 @@ class MatchExecutor:
         self.counters["artifact_evictions"] += evictions
         return BatchResult(results=results, throughput=report)
 
-    def _run_serial(self, fn: Callable, payloads: list,
-                    artifact: Any) -> tuple[list, list[float]]:
-        out = _run_local_chunk(fn, artifact, payloads)
-        return [r for r, _ in out], [t for _, t in out]
-
-    def _chunked(self, payloads: list) -> list[list]:
-        size = self.config.resolved_chunk_size(len(payloads))
-        return [payloads[i:i + size]
-                for i in range(0, len(payloads), size)]
-
-    def _run_thread(self, fn: Callable, payloads: list, artifact: Any
-                    ) -> tuple[list, list[float], int]:
-        pool = self._ensure_threads()
-        chunks = self._chunked(payloads)
-        futures = [pool.submit(_run_local_chunk, fn, artifact, chunk)
-                   for chunk in chunks]
-        results: list[Any] = []
-        timings: list[float] = []
-        for future in futures:
-            for result, elapsed in future.result():
-                results.append(result)
-                timings.append(elapsed)
-        return results, timings, len(chunks)
-
     def _run_process(self, fn: Callable, payloads: list, artifact: Any
-                     ) -> tuple:
-        use_shm = self.config.transport == "shm" and shm_available()
-        transport = "shm" if use_shm else "pickle"
-        shipped = self._ship(artifact, use_shm) if artifact is not None \
-            else None
-        pool = self._ensure_pool(shipped, use_shm)
-        token = shipped.token if shipped is not None else None
-        # Under the shm transport every chunk carries the (small) seed, so
-        # any worker can rebuild any artifact mid-pool; the pickle
-        # transport seeded the whole pool via its initializer instead.
-        seed = ((shipped.blob, shipped.manifest)
-                if shipped is not None and use_shm else None)
-        chunks = self._chunked(payloads)
-        futures = [pool.submit(_run_chunk, fn, token, seed, chunk)
+                     ) -> tuple[list, list[float], int, int, int]:
+        token, blob = (self._ship(artifact) if artifact is not None
+                       else (None, None))
+        pool = self._ensure_pool()
+        size = self.config.resolved_chunk_size(len(payloads))
+        chunks = [payloads[i:i + size]
+                  for i in range(0, len(payloads), size)]
+        futures = [pool.submit(_run_chunk, fn, token, blob, chunk)
                    for chunk in chunks]
         results: list[Any] = []
         timings: list[float] = []
@@ -604,16 +404,13 @@ class MatchExecutor:
                     timings.append(elapsed)
                 evictions += chunk_evictions
         except BaseException:
-            # A broken pool (killed worker) cannot run later chunks; tear
-            # everything down — including live segments — before raising.
+            # A broken pool (killed worker) cannot run later chunks; drop
+            # it so the next batch starts a fresh one.
             self.close()
             raise
-        transfer = len(shipped.blob) if shipped is not None else 0
-        shm_bytes = (shipped.manifest.size
-                     if shipped is not None and shipped.manifest is not None
-                     else 0)
-        return (results, timings, transport, len(chunks), transfer,
-                shm_bytes, evictions)
+        # Every chunk carried the whole pickle.
+        transfer = len(blob) * len(chunks) if blob is not None else 0
+        return results, timings, len(chunks), transfer, evictions
 
     def _artifact_for(self, engine: "MatchEngine",
                       prepared: "PreparedTarget",
@@ -623,7 +420,7 @@ class MatchExecutor:
 
         The memo is validated against the engine's live configuration —
         swapping ``engine.stages`` (the advertised pluggable surface)
-        between batches invalidates the entry, so all backends always see
+        between batches invalidates the entry, so both backends always see
         the same pipeline.
         """
         key = (id(engine), id(prepared))
@@ -639,85 +436,43 @@ class MatchExecutor:
         artifact = EngineArtifact.of(engine, prepared, token=token)
         self._artifacts[key] = (engine, prepared, artifact)
         while len(self._artifacts) > self._MEMO_SLOTS:
-            _, _, evicted = self._artifacts.popitem(last=False)[1]
-            stale = self._shipped.pop(id(evicted), None)
-            if stale is not None:
-                self._segments.release(stale[1].token)
+            self._artifacts.popitem(last=False)
         return artifact
 
     # -- process-backend plumbing --------------------------------------
-    def _shipment_live(self, entry: _Shipped) -> bool:
-        """A memoized shipment is reusable only while its segment (if it
-        has one) is still linked — close() unlinks segments but keeps the
-        executor usable, so stale memo entries must re-export."""
-        return (entry.manifest is None
-                or entry.token in self._segments.segments)
+    def _ship(self, artifact: Any) -> tuple[str, bytes]:
+        """``(shipping token, pickle)`` of *artifact*, memoized so
+        repeated batches never re-pickle it.
 
-    def _export(self, artifact: Any, use_shm: bool,
-                token: str | None = None) -> _Shipped:
-        if use_shm:
-            blob, manifest, segment = export_payload(artifact)
-            if token is None:
-                digest = hashlib.sha256(blob).hexdigest()
-                # The residue alone does not cover hoisted array bytes, so
-                # tokenless exports append the (unique) segment name to
-                # make equal-residue-different-arrays collisions
-                # impossible; stable-token artifacts are content-addressed
-                # already.
-                token = (f"{digest}:{segment.name}" if segment is not None
-                         else digest)
-            if segment is not None:
-                self._segments.add(token, segment)
-            return _Shipped(token=token, blob=blob, manifest=manifest)
-        blob = pickle.dumps(artifact, protocol=pickle.HIGHEST_PROTOCOL)
-        if token is None:
-            token = hashlib.sha256(blob).hexdigest()
-        return _Shipped(token=token, blob=blob, manifest=None)
-
-    def _ship(self, artifact: Any, use_shm: bool) -> _Shipped:
-        """The exported payload of *artifact*, memoized so repeated
-        batches neither re-pickle nor re-export it.
-
-        Plain artifacts token by export digest, memoized per object.  An
-        :class:`EngineArtifact` carrying a ``content_token`` ships under
-        a *stable* token instead — a digest of the prepared side's
-        content token plus the engine-side configuration (config, policy,
-        stages, which the content token alone does not cover) — so a
-        different object with equal content hits the token memo: no
-        re-export, and the worker-side artifact caches stay warm.  Two
-        engines with differing configurations sharing one content token
-        still get distinct shipping tokens.
+        Plain artifacts token by the digest of their pickle, memoized per
+        object.  An :class:`EngineArtifact` carrying a ``content_token``
+        ships under a *stable* token instead (see :meth:`_stable_token`),
+        so a different object with equal content hits the memo: no
+        re-pickling, and the worker-side artifact caches stay warm.
         """
-        token = self._stable_token(artifact)
-        if token is not None:
-            entry = self._shipped_by_token.get(token)
-            if entry is not None and self._shipment_live(entry):
-                self._shipped_by_token.move_to_end(token)
-                return entry
-            entry = self._export(artifact, use_shm, token=token)
-            self._shipped_by_token[token] = entry
-            self._shipped_by_token.move_to_end(token)
-            while len(self._shipped_by_token) > self._MEMO_SLOTS:
-                _, evicted = self._shipped_by_token.popitem(last=False)
-                self._segments.release(evicted.token)
-            return entry
-        cached = self._shipped.get(id(artifact))
-        if (cached is not None and cached[0] is artifact
-                and self._shipment_live(cached[1])):
-            self._shipped.move_to_end(id(artifact))
-            return cached[1]
-        entry = self._export(artifact, use_shm)
-        self._shipped[id(artifact)] = (artifact, entry)
-        self._shipped.move_to_end(id(artifact))
+        stable = self._stable_token(artifact)
+        key = stable if stable is not None else id(artifact)
+        entry = self._shipped.get(key)
+        if entry is not None and (stable is not None or entry[0] is artifact):
+            self._shipped.move_to_end(key)
+            return entry[1], entry[2]
+        blob = pickle.dumps(artifact, protocol=pickle.HIGHEST_PROTOCOL)
+        token = stable or hashlib.sha256(blob).hexdigest()
+        self._shipped[key] = (None if stable is not None else artifact,
+                              token, blob)
+        self._shipped.move_to_end(key)
         while len(self._shipped) > self._MEMO_SLOTS:
-            _, (_, evicted) = self._shipped.popitem(last=False)
-            self._segments.release(evicted.token)
-        return entry
+            self._shipped.popitem(last=False)
+        return token, blob
 
     @staticmethod
     def _stable_token(artifact: Any) -> str | None:
-        """Content-derived shipping token of an EngineArtifact, or None
-        for artifacts without one (fall back to export-digest tokening)."""
+        """Content-derived shipping token of an EngineArtifact — a digest
+        of the prepared side's content token plus the engine-side
+        configuration (config, policy, stages), which the content token
+        alone does not cover, so two engines with differing
+        configurations sharing one content token still get distinct
+        shipping tokens.  None for artifacts without a content token."""
         content_token = getattr(artifact, "content_token", None)
         if content_token is None:
             return None
@@ -736,9 +491,8 @@ class MatchExecutor:
         Forking a multi-threaded parent can deadlock the children on
         locks a sibling thread held at fork time, so fork is only chosen
         when this process has a single live thread; threaded callers
-        (servers, or an executor whose thread backend ran first) get
-        forkserver, falling back to the platform default where neither
-        POSIX method exists.
+        (servers) get forkserver, falling back to the platform default
+        where neither POSIX method exists.
         """
         try:
             if threading.active_count() == 1:
@@ -747,41 +501,13 @@ class MatchExecutor:
         except ValueError:  # pragma: no cover - non-POSIX platforms
             return multiprocessing.get_context()
 
-    def _ensure_threads(self) -> ThreadPoolExecutor:
-        if self._threads is None:
-            self._threads = ThreadPoolExecutor(
+    def _ensure_pool(self) -> ProcessPoolExecutor:
+        """The executor's one worker pool; chunks carry their own
+        artifact seed, so the pool never depends on what it runs."""
+        if self._pool is None:
+            self._pool = ProcessPoolExecutor(
                 max_workers=self.config.resolved_workers(),
-                thread_name_prefix="repro-match")
-        return self._threads
-
-    def _ensure_pool(self, shipped: _Shipped | None,
-                     use_shm: bool) -> ProcessPoolExecutor:
-        """The worker pool for this batch.
-
-        The shm-transport pool is keyed by a sentinel: chunks carry their
-        own seed, so one pool serves every artifact and never recycles.
-        The pickle transport keys the pool by shipping token — its
-        initializer is the only delivery channel, so a new artifact means
-        a new pool (the PR 5 behavior).
-        """
-        if use_shm:
-            pool_token = self._SHM_POOL
-        else:
-            pool_token = shipped.token if shipped is not None else None
-        if self._pool is not None and self._pool_token == pool_token:
-            return self._pool
-        if self._pool is not None:
-            self._pool.shutdown()
-            self._pool = None
-        kwargs: dict[str, Any] = {
-            "max_workers": self.config.resolved_workers(),
-            "mp_context": self._mp_context(),
-        }
-        if not use_shm and shipped is not None:
-            kwargs["initializer"] = _seed_artifact
-            kwargs["initargs"] = (shipped.token, shipped.blob)
-        self._pool = ProcessPoolExecutor(**kwargs)
-        self._pool_token = pool_token
+                mp_context=self._mp_context())
         return self._pool
 
     # -- high-level batches --------------------------------------------
@@ -798,10 +524,10 @@ class MatchExecutor:
 
         ``token`` is the prepared target's stable content token (an
         :class:`~repro.store.ArtifactStore` token) when the caller knows
-        one: the process backend then keys its exported payload by
-        content instead of object identity, so serving loops that evict
-        and reload the same target keep their warm pool and worker caches
-        (see :meth:`_ship`).
+        one: the process backend then keys its pickled payload by content
+        instead of object identity, so serving loops that evict and
+        reload the same target keep their worker caches warm (see
+        :meth:`_ship`).
         """
         prepared, _ = engine._resolve(target)
         artifact = self._artifact_for(engine, prepared, token=token)

@@ -31,14 +31,9 @@ tag cache, the profile store and the partition indices, while purely lazy
 memos (compiled Naive Bayes log-probability matrices, Gaussian fits,
 partition row arrays, presence masks) are dropped on pickle and rebuilt
 deterministically worker-side — a restored artifact produces bit-identical
-matches (see the components' ``__getstate__`` hooks).  Under the default
-``"shm"`` transport the executor additionally hoists the artifact's large
-numeric arrays (relation columns, partition-index row ids) into one
-shared-memory segment that workers attach zero-copy, so the pickle stream
-shrinks to the non-array residue (:mod:`repro.engine.shm`); the thread
-backend skips shipping entirely and shares the caller's artifact object,
-which is safe because the lazily-populated caches are pure functions of
-their inputs.
+matches.  The components' ``__getstate__`` hooks are the one place that
+decides what crosses a process boundary; the executor ships nothing but
+this plain pickle.
 """
 
 from __future__ import annotations

@@ -106,7 +106,7 @@ class ThroughputReport:
     Attributes
     ----------
     backend:
-        ``"serial"``, ``"thread"`` or ``"process"`` — which
+        ``"serial"`` or ``"process"`` — which
         :class:`~repro.engine.executor.MatchExecutor` backend ran the batch.
     workers:
         Workers the batch could use (1 for the serial backend).
@@ -122,19 +122,20 @@ class ThroughputReport:
         a single core.
     prepare_transfer_bytes:
         Bytes of pickle stream shipped to the worker pool for the shared
-        prepared artifact: the whole artifact under the ``"pickle"``
-        transport, only the non-array residue under ``"shm"`` (0 for the
-        in-process backends, which share the caller's objects, and for
-        batches without a shared artifact).
+        prepared artifact: its pickle times the chunks that carried it
+        (0 for the serial backend, which shares the caller's objects, and
+        for batches without a shared artifact).
     transport:
-        ``"shm"`` or ``"pickle"`` for process batches; None for the
-        in-process backends (nothing is shipped).
+        ``"pickle"`` for process batches; None for serial ones (nothing
+        is shipped).  Kept, like ``shm_bytes``, because ``--json``
+        ``executor`` sections, ``/match-many`` responses and ``/report``
+        consumers read both keys.
     chunks:
         Chunked-scheduling submissions this batch made (0 for serial,
         which runs the batch as one in-process loop).
     shm_bytes:
-        Bytes hoisted into the shared-memory segment attached by every
-        worker (0 without the shm transport).
+        Always 0: no batch ships arrays through shared memory.  Older
+        payloads may carry a positive value.
     artifact_evictions:
         Artifacts evicted from the workers' bounded caches while running
         this batch — a long-lived pool cycling many targets evicts; a

@@ -157,8 +157,9 @@ class EngineRunner:
         """One batch of engine runs against a shared (LRU-cached) prepared
         target, routed through *executor* (serial in-process when None).
 
-        The process backend ships the prepared target to the worker pool
-        once and matches plain source databases worker-side; results come
+        The process backend pickles the prepared target once, ships it
+        with every chunk and matches plain source databases worker-side
+        (each worker unpickles it at most once); results come
         back in input order, bit-identical to sequential :meth:`run` calls
         over plain (un-prepared) sources.
         """
@@ -168,7 +169,7 @@ class EngineRunner:
             executor = MatchExecutor()
         # Stable-fingerprint engines (always the case for the runner's
         # internally built engines) ship under a content-derived token,
-        # so executor pools stay warm across prepared-LRU turnover.
+        # so worker caches stay warm across prepared-LRU turnover.
         token = (self.database_token(target)
                  if fingerprint_token(engine) is not None else None)
         return executor.match_many(engine, sources, prepared, token=token)

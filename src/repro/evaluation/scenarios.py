@@ -9,7 +9,7 @@ counts, the per-stage :class:`~repro.engine.report.RunReport` and the
 profile-cache counters summed across stages.  :func:`run_scenarios` is the
 batch counterpart: a list of specs routed through a
 :class:`~repro.engine.executor.MatchExecutor` (optionally fanned out
-across threads or worker processes, bit-identically), returning results
+across worker processes, bit-identically), returning results
 in input order plus the batch's throughput counters.
 
 The *golden tier* pins these results per scenario: ``tests/golden/``
@@ -139,9 +139,9 @@ def run_scenarios(specs: Iterable[ScenarioSpec | str], *,
     only the spec and rebuild the workload worker-side.  Results come back
     in input order inside a :class:`~repro.engine.executor.BatchResult`
     whose :class:`~repro.engine.report.ThroughputReport` records workers,
-    per-task elapsed and wall time; both the thread backend
-    (``MatchExecutor(ExecutorConfig(backend="thread"))``) and the process
-    backend are bit-identical to the default in-process serial run.
+    per-task elapsed and wall time; the process backend
+    (``MatchExecutor(ExecutorConfig.for_jobs(N))``) is bit-identical to
+    the default in-process serial run.
     """
     resolved = [get_scenario(spec) if isinstance(spec, str) else spec
                 for spec in specs]

@@ -39,7 +39,6 @@ from __future__ import annotations
 import contextlib
 import math
 import os
-import pickle
 from typing import Any, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -159,25 +158,6 @@ class ColumnStore:
     def nbytes(self) -> int:
         """Approximate storage footprint of the typed arrays."""
         return 0
-
-    # -- shared-memory transport --------------------------------------
-    def export_shm(self) -> "tuple[tuple, tuple] | None":
-        """``(meta, arrays)`` for the shared-memory transport, or None.
-
-        ``arrays`` are the store's numpy buffers (eligible to live in a
-        shared segment); ``meta`` is the small residual state that still
-        pickles.  ``attach_shm(meta, arrays)`` must rebuild an equivalent
-        store around the (possibly segment-backed, read-only) arrays.
-        Stores without a typed representation (:class:`ListColumn`,
-        :class:`ObjectColumn`) return None and take the plain pickle path.
-        """
-        return None
-
-    @classmethod
-    def attach_shm(cls, meta: tuple, arrays: tuple) -> "ColumnStore":
-        """Inverse of :meth:`export_shm` (see there)."""
-        raise NotImplementedError(
-            f"{cls.__name__} has no shared-memory representation")
 
 
 class ListColumn(ColumnStore):
@@ -311,14 +291,6 @@ class NumericColumn(ColumnStore):
     @property
     def nbytes(self) -> int:
         return int(self.data.nbytes + self.mask.nbytes)
-
-    def export_shm(self) -> "tuple[tuple, tuple] | None":
-        return (), (self.data, self.mask)
-
-    @classmethod
-    def attach_shm(cls, meta: tuple, arrays: tuple) -> "NumericColumn":
-        data, mask = arrays
-        return cls(data, mask)
 
 
 class CodedColumn(ColumnStore):
@@ -454,21 +426,6 @@ class CodedColumn(ColumnStore):
     @property
     def nbytes(self) -> int:
         return int(self.codes.nbytes)
-
-    def export_shm(self) -> "tuple[tuple, tuple] | None":
-        # The interned uniques are Python objects, which no segment can
-        # hold as views — but their pickle bytes can ride in the segment
-        # as a uint8 array, so a string-heavy column costs the residue
-        # stream nothing.  Workers unpickle them once per pool lifetime.
-        blob = np.frombuffer(
-            pickle.dumps(self.uniques, protocol=pickle.HIGHEST_PROTOCOL),
-            dtype=np.uint8)
-        return (), (self.codes, blob)
-
-    @classmethod
-    def attach_shm(cls, meta: tuple, arrays: tuple) -> "CodedColumn":
-        codes, blob = arrays
-        return cls(codes, pickle.loads(blob.tobytes()))
 
 
 class ObjectColumn(ColumnStore):

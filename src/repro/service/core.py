@@ -12,12 +12,11 @@ is equally usable in-process).  It owns:
   request is warm.  Counters prove the behavior: ``lru["loads"]`` equals
   the number of distinct targets served, full stop.
 * one :class:`~repro.engine.engine.MatchEngine` and one
-  :class:`~repro.engine.executor.MatchExecutor` (``--jobs N`` selects
-  the process backend, ``--backend`` picks serial/thread/process
-  explicitly) for batch requests.  Batches ship under the target's
-  *stable content token*, so the executor's worker pool and worker-side
-  artifact caches stay warm across LRU turnover — and under the default
-  shared-memory transport the pool itself survives target changes.
+  :class:`~repro.engine.executor.MatchExecutor` (serial, or an N-worker
+  process pool for ``--jobs N``) for batch requests.  Batches ship under
+  the target's *stable content token*, so the worker-side artifact
+  caches stay warm across LRU turnover, and the one pool serves every
+  target (each chunk carries its artifact's pickle).
 
 Concurrency: requests arrive from many server threads.  The LRU and the
 counters are lock-protected; per-token load locks make a cold target
@@ -82,13 +81,9 @@ class MatchService:
         under an incompatible configuration is refused, exactly as in
         direct engine use.
     jobs:
-        Workers for ``/match-many`` batches (None/1 = serial unless
-        *backend* says otherwise).
-    backend:
-        Explicit executor backend (``"serial"`` / ``"thread"`` /
-        ``"process"``); None keeps the ``--jobs`` mapping (and the
-        ``REPRO_EXECUTOR_BACKEND`` override) of
-        :meth:`~repro.engine.executor.ExecutorConfig.for_jobs`.
+        Workers for ``/match-many`` batches: None/1 = serial, N > 1 = an
+        N-worker process pool
+        (:meth:`~repro.engine.executor.ExecutorConfig.for_jobs`).
     capacity:
         Warm-LRU slots; least recently used targets are evicted (and
         transparently reloaded from the store on their next request).
@@ -113,12 +108,11 @@ class MatchService:
 
     def __init__(self, store: ArtifactStore | str, *,
                  config: Any = None, policy: Any = None,
-                 jobs: int | None = None, backend: str | None = None,
-                 capacity: int = 8):
+                 jobs: int | None = None, capacity: int = 8):
         self.store = (store if isinstance(store, ArtifactStore)
                       else ArtifactStore(store))
         self.engine = MatchEngine(config, policy=policy)
-        self.executor = MatchExecutor(ExecutorConfig.for_jobs(jobs, backend))
+        self.executor = MatchExecutor(ExecutorConfig.for_jobs(jobs))
         self.capacity = max(1, capacity)
         self._targets: "OrderedDict[str, PreparedTarget]" = OrderedDict()
         self._lock = threading.Lock()
@@ -379,9 +373,7 @@ class MatchService:
             executor=dict(
                 {"backend": self.executor.config.backend,
                  "workers": self.executor.config.resolved_workers(),
-                 "transport": (self.executor.config.transport
-                               if self.executor.config.backend == "process"
-                               else None)},
+                 "transport": self.executor.transport},
                 **self.executor.counters),
             targets=warm, retrieval=retrieval, repository=repository,
             token_cache=token_cache_counters())

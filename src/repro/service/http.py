@@ -63,11 +63,23 @@ class MatchRequestHandler(BaseHTTPRequestHandler):
         return self.server.service  # type: ignore[attr-defined]
 
     # -- plumbing ------------------------------------------------------
+    def parse_request(self) -> bool:
+        # Per-request state: a kept-alive connection reuses this handler.
+        self._body_read = False
+        return super().parse_request()
+
     def _send_json(self, status: int, payload: dict[str, Any]) -> None:
         body = json.dumps(payload).encode("utf-8")
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
+        if not self._body_read and (
+                self.headers.get("Transfer-Encoding") is not None
+                or (self.headers.get("Content-Length") or "0").strip()
+                != "0"):
+            # The unread request body would be parsed as the next request
+            # on this connection; close it instead.
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
 
@@ -89,6 +101,7 @@ class MatchRequestHandler(BaseHTTPRequestHandler):
                     f"{length - remaining} of {length} declared bytes")
             chunks.append(chunk)
             remaining -= len(chunk)
+        self._body_read = True
         data = json.loads(b"".join(chunks).decode("utf-8"))
         if not isinstance(data, dict):
             raise ValueError("request body must be a JSON object")

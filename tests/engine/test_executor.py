@@ -1,7 +1,9 @@
-"""Tests for the parallel match executor: backend selection (flags and
-environment), submission ordering, chunked scheduling, throughput
-reporting, worker-side artifact caching, and serial/thread/process
-bit-identity."""
+"""Tests for the parallel match executor: backend selection, submission
+ordering, chunked scheduling, throughput reporting, worker-side artifact
+caching, and serial/process bit-identity."""
+
+import os
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
@@ -10,7 +12,7 @@ from repro.context.serialize import (result_to_dict, throughput_from_dict,
                                      throughput_to_dict)
 from repro.engine import (BatchResult, ExecutorConfig, MatchExecutor,
                           ThroughputReport)
-from repro.engine.executor import BACKEND_ENV, effective_parallelism
+from repro.engine.executor import effective_parallelism
 from repro.errors import EngineError
 
 
@@ -72,62 +74,11 @@ class TestExecutorConfig:
         with pytest.raises(EngineError, match="jobs must be >= 1"):
             ExecutorConfig.for_jobs(-2)
 
-    def test_rejects_unknown_transport(self):
-        with pytest.raises(EngineError, match="unknown executor transport"):
-            ExecutorConfig(backend="process", transport="tcp")
-
-    def test_rejects_bad_chunk_size(self):
-        with pytest.raises(EngineError, match="chunk_size must be >= 1"):
-            ExecutorConfig(backend="thread", chunk_size=0)
-
     def test_resolved_chunk_size_targets_four_rounds_per_worker(self):
         config = ExecutorConfig(backend="process", max_workers=2)
         assert config.resolved_chunk_size(80) == 10  # 8 chunks, 4/worker
         assert config.resolved_chunk_size(3) == 1    # small batches spread
         assert config.resolved_chunk_size(0) == 1
-        explicit = ExecutorConfig(backend="process", max_workers=2,
-                                  chunk_size=5)
-        assert explicit.resolved_chunk_size(80) == 5
-
-
-class TestBackendSelection:
-    """``for_jobs``: explicit ``--backend``, the REPRO_EXECUTOR_BACKEND
-    environment override, and their interaction with ``--jobs``."""
-
-    def test_explicit_backend(self):
-        config = ExecutorConfig.for_jobs(3, "thread")
-        assert config.backend == "thread"
-        assert config.resolved_workers() == 3
-        assert ExecutorConfig.for_jobs(None, "process").backend == "process"
-        assert ExecutorConfig.for_jobs(1, "serial").backend == "serial"
-
-    def test_serial_with_multiple_jobs_is_a_contradiction(self):
-        with pytest.raises(EngineError, match="runs in-process"):
-            ExecutorConfig.for_jobs(4, "serial")
-
-    def test_rejects_unknown_explicit_backend(self):
-        with pytest.raises(EngineError, match="unknown executor backend"):
-            ExecutorConfig.for_jobs(2, "fibers")
-
-    def test_env_override_selects_backend(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV, "thread")
-        assert ExecutorConfig.for_jobs(None).backend == "thread"
-        four = ExecutorConfig.for_jobs(4)
-        assert four.backend == "thread"
-        assert four.resolved_workers() == 4
-
-    def test_explicit_backend_beats_env(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV, "thread")
-        assert ExecutorConfig.for_jobs(2, "process").backend == "process"
-
-    def test_empty_env_is_ignored(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV, "")
-        assert ExecutorConfig.for_jobs(None).backend == "serial"
-
-    def test_invalid_env_backend_raises(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV, "cluster")
-        with pytest.raises(EngineError, match=BACKEND_ENV):
-            ExecutorConfig.for_jobs(2)
 
 
 class TestSerialBackend:
@@ -201,106 +152,56 @@ class TestSerialBackend:
         assert executor.last_throughput.tasks == 2
 
 
-class TestThreadBackend:
-    def test_match_many_bit_identical_to_serial(self, retail_batch):
-        sources, target = retail_batch
-        engine = MatchEngine(CONFIG)
-        prepared = engine.prepare(target)
-        serial = MatchExecutor().match_many(engine, sources, prepared)
-        with MatchExecutor(ExecutorConfig(backend="thread",
-                                          max_workers=2)) as executor:
-            threaded = executor.match_many(engine, sources, prepared)
-        assert [_comparable(r) for r in serial] \
-            == [_comparable(r) for r in threaded]
-
-    def test_shares_artifact_with_zero_transfer(self, retail_batch):
-        sources, target = retail_batch
-        engine = MatchEngine(CONFIG)
-        with MatchExecutor(ExecutorConfig(backend="thread",
-                                          max_workers=2)) as executor:
-            batch = executor.match_many(engine, sources, target)
-        report = batch.throughput
-        assert report.backend == "thread"
-        assert report.workers == 2
-        assert report.transport is None
-        assert report.prepare_transfer_bytes == 0
-        assert report.shm_bytes == 0
-        assert report.chunks >= 1
-        assert len(report.task_seconds) == len(sources)
-
-    def test_thread_backend_fires_observers(self, retail_batch):
-        """Thread batches run on the caller's engine, so observers fire
-        (interleaved across worker threads)."""
-        from repro.engine import EngineObserver
-
-        class Recorder(EngineObserver):
-            def __init__(self):
-                self.runs = 0
-
-            def on_run_start(self, source, prepared):
-                self.runs += 1
-
-        sources, target = retail_batch
-        recorder = Recorder()
-        engine = MatchEngine(CONFIG, observers=[recorder])
-        with MatchExecutor(ExecutorConfig(backend="thread",
-                                          max_workers=2)) as executor:
-            executor.match_many(engine, sources, target)
-        assert recorder.runs == len(sources)
-
-    def test_reversed_sweep_bit_identical(self, retail_batch):
-        sources, target = retail_batch
-        engine = MatchEngine(CONFIG)
-        serial = MatchExecutor().match_reversed_many(engine, sources[0],
-                                                     [target])
-        with MatchExecutor(ExecutorConfig(backend="thread",
-                                          max_workers=2)) as executor:
-            threaded = executor.match_reversed_many(engine, sources[0],
-                                                    [target])
-        assert [_comparable(r) for r in serial] \
-            == [_comparable(r) for r in threaded]
-
-    def test_worker_errors_propagate(self):
-        with MatchExecutor(ExecutorConfig(backend="thread",
-                                          max_workers=1)) as executor:
-            with pytest.raises(ZeroDivisionError):
-                executor.run_tasks(_failing_task, [1])
-
-
 class TestChunkedScheduling:
-    """Bit-identity and submission-order stability across chunk sizes."""
+    """Bit-identity, submission order and chunk counts across the derived
+    chunk sizes of the process backend."""
 
-    CHUNK_SIZES = (1, 2, 3, 7)  # 1, mid, == batch, > batch (3 sources)
+    @staticmethod
+    def _check_batch(executor, engine, prepared, sources, reference, tasks):
+        """Match ``tasks`` sources (cycling the batch) and pin results,
+        order and chunk count; returns the derived chunk size."""
+        batch_sources = [sources[i % len(sources)] for i in range(tasks)]
+        batch = executor.match_many(engine, batch_sources, prepared)
+        expected = [reference[i % len(sources)] for i in range(tasks)]
+        assert [_comparable(r) for r in batch] == expected, tasks
+        size = executor.config.resolved_chunk_size(tasks)
+        assert batch.throughput.chunks == -(-tasks // size)
+        return size
 
     def test_match_many_chunk_grid(self, retail_batch):
+        """Batch sizes on one 2-worker pool: 3 tasks run in chunks of 1,
+        9 tasks in chunks of 2 with an uneven last chunk (2*4+1)."""
         sources, target = retail_batch
         engine = MatchEngine(CONFIG)
         prepared = engine.prepare(target)
         reference = [_comparable(r) for r in
                      MatchExecutor().match_many(engine, sources, prepared)]
-        for chunk_size in self.CHUNK_SIZES:
-            config = ExecutorConfig(backend="thread", max_workers=2,
-                                    chunk_size=chunk_size)
-            with MatchExecutor(config) as executor:
-                batch = executor.match_many(engine, sources, prepared)
-            assert [_comparable(r) for r in batch] == reference, chunk_size
-            expected = -(-len(sources) // chunk_size)
-            assert batch.throughput.chunks == expected
+        with MatchExecutor(ExecutorConfig(backend="process",
+                                          max_workers=2)) as executor:
+            sizes = [self._check_batch(executor, engine, prepared, sources,
+                                       reference, tasks)
+                     for tasks in (3, 9)]
+        assert sizes == [1, 2]
 
     def test_match_many_chunk_grid_process(self, retail_batch):
+        """Worker counts at a fixed 5-task batch: one worker runs chunks
+        of 2 (2+2+1), two workers run chunks of 1."""
         sources, target = retail_batch
         engine = MatchEngine(CONFIG)
         prepared = engine.prepare(target)
         reference = [_comparable(r) for r in
                      MatchExecutor().match_many(engine, sources, prepared)]
-        for chunk_size in (1, 7):
-            config = ExecutorConfig(backend="process", max_workers=2,
-                                    chunk_size=chunk_size)
+        sizes = []
+        for workers in (1, 2):
+            config = ExecutorConfig(backend="process", max_workers=workers)
             with MatchExecutor(config) as executor:
-                batch = executor.match_many(engine, sources, prepared)
-            assert [_comparable(r) for r in batch] == reference, chunk_size
+                sizes.append(self._check_batch(executor, engine, prepared,
+                                               sources, reference, 5))
+        assert sizes == [2, 1]
 
     def test_route_many_chunk_grid(self):
+        """``route_many`` on a process pool equals serial routing, with
+        every hub's artifact riding the chunks of one pool."""
         from repro import TargetRepository
         from repro.datagen import build_scenario, get_scenario
         events = build_scenario(get_scenario("events").resized(50))
@@ -309,17 +210,18 @@ class TestChunkedScheduling:
         repo = TargetRepository(engine)
         repo.add(events.target)
         repo.add(retail.target)
-        sources = [events.source, retail.source, events.source]
+        sources = [events.source, retail.source, events.source,
+                   retail.source, events.source]
         reference = [[(s.token, s.score, s.n_matches) for s in r.ranking]
                      for r in repo.route_many(sources)]
-        for chunk_size in self.CHUNK_SIZES:
-            config = ExecutorConfig(backend="thread", max_workers=2,
-                                    chunk_size=chunk_size)
+        for workers in (1, 2):  # chunk sizes 2 (uneven) and 1
+            config = ExecutorConfig(backend="process", max_workers=workers)
             with MatchExecutor(config) as executor:
                 routed = repo.route_many(sources, executor=executor)
+                assert executor.counters["batches"] == 2  # one per hub
             got = [[(s.token, s.score, s.n_matches) for s in r.ranking]
                    for r in routed]
-            assert got == reference, chunk_size
+            assert got == reference, workers
 
 
 def _probe_worker_cache(_payload):
@@ -352,10 +254,14 @@ class TestWorkerCacheBounds:
                 if pool is None:
                     pool = executor._pool
             assert executor._pool is pool  # one pool served every artifact
+            # The most recent artifact is still cached: no unpickle, no
+            # eviction.
+            again = executor.match_many(engine, [workload.source], prepared)
+            assert again.throughput.artifact_evictions == 0
             size, lifetime = executor.run_tasks(
                 _probe_worker_cache, [None]).results[0]
-            # The parent-side memos and segment bag stay bounded too.
-            assert len(executor._segments.segments) <= executor._MEMO_SLOTS
+            # The parent-side memos stay bounded too.
+            assert len(executor._shipped) <= executor._MEMO_SLOTS
         assert size <= mod._ARTIFACT_SLOTS
         assert reported >= 2          # 6 artifacts through 4 slots
         assert lifetime == reported   # every eviction was surfaced
@@ -394,6 +300,8 @@ class TestProcessBackend:
         report = batch.throughput
         assert report.backend == "process"
         assert report.workers == 2
+        assert report.transport == "pickle"
+        assert report.shm_bytes == 0
         assert report.prepare_transfer_bytes > 0
         assert len(report.task_seconds) == 2
 
@@ -481,9 +389,59 @@ class TestProcessBackend:
         assert batch.throughput.tasks == 0
         assert batch.throughput.tasks_per_second == 0.0
 
+    def test_pickle_transport_ships_whole_artifact(self):
+        """Every chunk carries the artifact's whole pickle, and the report
+        counts it once per chunk."""
+        artifact = {"offset": 10, "pad": b"x" * 4096}
+        with MatchExecutor(ExecutorConfig(backend="process",
+                                          max_workers=1)) as executor:
+            batch = executor.run_tasks(_offset_task, [1, 2, 3],
+                                       artifact=artifact)
+            _, blob = executor._ship(artifact)
+        assert batch.results == [11, 12, 13]
+        report = batch.throughput
+        assert report.transport == "pickle"
+        assert report.shm_bytes == 0
+        assert report.chunks == 3  # 3 tasks on 1 worker: chunks of 1
+        assert len(blob) > len(artifact["pad"])
+        assert report.prepare_transfer_bytes == len(blob) * report.chunks
+
+    def test_closed_executor_restarts_pool_on_next_batch(self):
+        artifact = {"offset": 10}
+        with MatchExecutor(ExecutorConfig(backend="process",
+                                          max_workers=1)) as executor:
+            first = executor.run_tasks(_offset_task, [1], artifact=artifact)
+            executor.close()  # stops the pool; the executor stays usable
+            assert executor._pool is None
+            second = executor.run_tasks(_offset_task, [1], artifact=artifact)
+            assert executor._pool is not None
+        assert first.results == second.results == [11]
+        assert (first.throughput.prepare_transfer_bytes
+                == second.throughput.prepare_transfer_bytes > 0)
+
+    def test_broken_pool_is_dropped_and_replaced(self):
+        """A killed worker breaks the pool: the executor drops it, and
+        the next batch runs on a fresh one."""
+        with MatchExecutor(ExecutorConfig(backend="process",
+                                          max_workers=1)) as executor:
+            with pytest.raises(BrokenProcessPool):
+                executor.run_tasks(_exit_task, [0])
+            assert executor._pool is None
+            batch = executor.run_tasks(_offset_task, [2],
+                                       artifact={"offset": 1})
+        assert batch.results == [3]
+
 
 def _failing_task(payload):
     return payload / 0
+
+
+def _offset_task(artifact, payload):
+    return artifact["offset"] + payload
+
+
+def _exit_task(_payload):
+    os._exit(1)
 
 
 class TestThroughputCodec:
@@ -503,10 +461,10 @@ class TestThroughputCodec:
                                   wall_seconds=1.0,
                                   task_seconds=[0.1] * 8,
                                   prepare_transfer_bytes=512,
-                                  transport="shm", chunks=3,
+                                  transport="pickle", chunks=3,
                                   shm_bytes=4096, artifact_evictions=2)
         payload = throughput_to_dict(report)
-        assert payload["transport"] == "shm"
+        assert payload["transport"] == "pickle"
         assert payload["chunks"] == 3
         assert payload["shm_bytes"] == 4096
         assert payload["artifact_evictions"] == 2

@@ -170,7 +170,8 @@ class TestWireRobustness:
         sock.settimeout(10)
         return sock
 
-    def _read_response(self, sock):
+    def _read_raw_response(self, sock):
+        """``(status, lower-cased header lines, body)`` of one response."""
         data = b""
         while b"\r\n\r\n" not in data:
             chunk = sock.recv(65536)
@@ -179,16 +180,21 @@ class TestWireRobustness:
             data += chunk
         header, _, rest = data.partition(b"\r\n\r\n")
         status = int(header.split(b" ", 2)[1])
+        lines = header.lower().split(b"\r\n")
         length = 0
-        for line in header.split(b"\r\n"):
-            if line.lower().startswith(b"content-length:"):
+        for line in lines:
+            if line.startswith(b"content-length:"):
                 length = int(line.split(b":", 1)[1])
         while len(rest) < length:
             chunk = sock.recv(65536)
             if not chunk:
                 break
             rest += chunk
-        return status, json.loads(rest[:length])
+        return status, lines, rest[:length]
+
+    def _read_response(self, sock):
+        status, _, body = self._read_raw_response(sock)
+        return status, json.loads(body)
 
     def test_dribbled_body_is_read_in_full(self, server, workload,
                                            reference):
@@ -239,6 +245,58 @@ class TestWireRobustness:
             sock.close()
         assert status == 400
         assert "premature end of request body" in payload["error"]
+
+    @pytest.mark.parametrize("request_head, body, status", [
+        (b"POST /nope HTTP/1.1", b'{"a": 1}', 404),
+        (b"POST /match HTTP/1.1", b'{"a": 1}', 400),
+    ], ids=["unknown-route", "oversized-length"])
+    def test_unread_body_closes_kept_alive_connection(
+            self, server, request_head, body, status):
+        """A response sent without consuming the declared body must close
+        the connection: left open, the unread bytes would be parsed as the
+        next request on it and answer a valid GET with an HTML 400."""
+        # The oversized case declares more than the server accepts and
+        # sends only a prefix; the server refuses before reading any.
+        declared = (len(body) if status == 404
+                    else 64 * 1024 * 1024 + 1)
+        sock = self._raw_socket(server)
+        try:
+            sock.sendall(request_head + b"\r\nHost: localhost\r\n"
+                         b"Content-Type: application/json\r\n"
+                         b"Content-Length: " + str(declared).encode()
+                         + b"\r\n\r\n" + body)
+            got, headers, _ = self._read_raw_response(sock)
+            assert got == status
+            assert b"connection: close" in headers
+            try:
+                sock.sendall(b"GET /health HTTP/1.1\r\n"
+                             b"Host: localhost\r\n\r\n")
+                follow_up = sock.recv(65536)
+            except OSError:  # reset: the server already closed
+                follow_up = b""
+        finally:
+            sock.close()
+        assert follow_up == b""
+
+    def test_consumed_bad_body_keeps_connection_alive(self, server):
+        """A 400 for a fully read (malformed) body leaves the connection
+        usable: the next request on it is answered normally."""
+        body = b'{"target": '
+        sock = self._raw_socket(server)
+        try:
+            sock.sendall(b"POST /match HTTP/1.1\r\nHost: localhost\r\n"
+                         b"Content-Type: application/json\r\n"
+                         b"Content-Length: " + str(len(body)).encode()
+                         + b"\r\n\r\n" + body)
+            first, headers, _ = self._read_raw_response(sock)
+            sock.sendall(b"GET /health HTTP/1.1\r\n"
+                         b"Host: localhost\r\n\r\n")
+            second, payload = self._read_response(sock)
+        finally:
+            sock.close()
+        assert first == 400
+        assert b"connection: close" not in headers
+        assert second == 200 and payload["status"] == "ok"
 
     def test_unexpected_handler_exception_is_500(self, server, workload):
         """A non-enumerated exception inside a handler must still produce

@@ -1,17 +1,17 @@
-"""Artifact-shipping backend grid (``pytest -m golden``).
+"""Artifact-shipping process grid (``pytest -m golden``).
 
 ``tests/test_golden_parallel.py`` pins the scenario fan-out, whose tasks
 ship no prepared artifact.  This grid pins the other half of the parallel
 executor: ``match_many`` over every registered scenario's *prepared
-target*, fanned through the thread backend (zero-copy sharing) and the
-process backend's shared-memory transport, reproduces the serial engine's
-matches bit-for-bit — every match, score, posterior and deterministic
-stage count.
+target*, fanned through a 2-worker process pool whose chunks each carry
+the artifact's pickle, reproduces the serial engine's matches
+bit-for-bit — every match, score, posterior and deterministic stage
+count.
 
-One executor serves all scenarios per backend, so the process run cycles
-every distinct prepared artifact through one warm pool and the workers'
-bounded caches (evicting past the cache cap), exactly as a long-lived
-routing service would.
+One executor serves all scenarios, so the run cycles every distinct
+prepared artifact through one warm pool and the workers' bounded caches
+(evicting past the cache cap), exactly as a long-lived routing service
+would.
 """
 
 from __future__ import annotations
@@ -25,14 +25,6 @@ from repro.engine import ExecutorConfig, MatchExecutor
 from repro.evaluation.scenarios import scenario_config
 
 pytestmark = pytest.mark.golden
-
-BACKENDS = [
-    pytest.param(ExecutorConfig(backend="thread", max_workers=2),
-                 id="thread"),
-    pytest.param(ExecutorConfig(backend="process", max_workers=2,
-                                transport="shm"),
-                 id="process-shm"),
-]
 
 
 def _comparable(result):
@@ -65,22 +57,21 @@ def serial_reference():
     return reference
 
 
-@pytest.mark.parametrize("config", BACKENDS)
-def test_match_many_bit_identical_across_backends(config, serial_reference):
+def test_match_many_bit_identical_on_one_pool(serial_reference):
     evictions = 0
-    with MatchExecutor(config) as executor:
+    with MatchExecutor(ExecutorConfig(backend="process",
+                                      max_workers=2)) as executor:
+        pool = None
         for name, (engine, workload, prepared,
                    expected) in serial_reference.items():
             batch = executor.match_many(engine, [workload.source], prepared)
-            assert batch.throughput.backend == config.backend
-            if config.backend == "process":
-                assert batch.throughput.transport == "shm"
-                assert batch.throughput.shm_bytes > 0
+            assert batch.throughput.backend == "process"
+            assert batch.throughput.transport == "pickle"
+            assert batch.throughput.shm_bytes == 0
             evictions += batch.throughput.artifact_evictions
             assert _comparable(batch[0]) == expected, name
+            pool = pool or executor._pool
+            assert executor._pool is pool, name  # one pool, every target
         # Cycling more artifacts than the worker cache holds must evict
         # (and stay bit-identical while doing so).
-        if config.backend == "process":
-            assert evictions > 0
-        assert not executor._segments.segments or config.backend == "process"
-    assert not executor._segments.segments  # close() released every segment
+        assert evictions > 0

@@ -1,18 +1,16 @@
 """Parallel-backend equivalence grid (``pytest -m golden``).
 
 The acceptance pin of the parallel executor: fanning every registered
-scenario out across worker processes *or* worker threads reproduces the
-serial backend's matches, posteriors and golden metrics exactly — and
-stays within the committed ``tests/golden/`` baselines (which are *not*
-regenerated by this PR; the parallel backends must meet the pre-existing
-numbers).
+scenario out across worker processes reproduces the serial backend's
+matches, posteriors and golden metrics exactly — and stays within the
+committed ``tests/golden/`` baselines (the process backend must meet the
+serial numbers; the baselines are never regenerated for it).
 
-One pool serves the whole grid per backend (scenario tasks ship no
-prepared artifact, so the pool is reused across every scenario), which
-also exercises the worker-side cache's pool-lifetime behavior at scale.
-The artifact-shipping half of the story — ``match_many`` over prepared
-targets through the shared-memory transport — is pinned by
-``tests/test_golden_backends.py``.
+One pool serves the whole grid (scenario tasks ship no prepared
+artifact, so the pool is reused across every scenario), which also
+exercises the worker-side cache's pool-lifetime behavior at scale.  The
+artifact-shipping half of the story — ``match_many`` over prepared
+targets — is pinned by ``tests/test_golden_backends.py``.
 """
 
 from __future__ import annotations
@@ -32,15 +30,15 @@ GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 pytestmark = pytest.mark.golden
 
 
-@pytest.fixture(scope="module", params=["process", "thread"])
-def parallel_results(request):
-    """Every registered scenario, run once through a 2-worker pool of the
-    parametrized backend."""
+@pytest.fixture(scope="module")
+def parallel_results():
+    """Every registered scenario, run once through a 2-worker process
+    pool."""
     names = scenario_names()
-    with MatchExecutor(ExecutorConfig(backend=request.param,
+    with MatchExecutor(ExecutorConfig(backend="process",
                                       max_workers=2)) as executor:
         batch = run_scenarios(names, executor=executor)
-    assert batch.throughput.backend == request.param
+    assert batch.throughput.backend == "process"
     assert batch.throughput.tasks == len(names)
     assert batch.throughput.chunks >= 1
     return dict(zip(names, batch.results))
