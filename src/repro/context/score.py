@@ -22,6 +22,12 @@ Two equivalent execution paths exist:
 The fast path is bit-identical to the legacy one: the same rows in the same
 order feed the same deterministic sampling and scoring.  The equivalence is
 pinned by tests and switchable via ``ContextMatchConfig.use_profiling``.
+
+Either path hands each (view, attribute) to the matching system once; the
+standard matcher then scores that column against its whole frontier with
+one :meth:`~repro.matching.matchers.base.Matcher.score_block` call per
+matcher over the target index's prepared blocks (numpy CSR kernels for
+the q-gram and overlap matchers), not one call per target attribute.
 """
 
 from __future__ import annotations

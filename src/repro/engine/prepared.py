@@ -8,7 +8,9 @@ configuration, so it can be computed once by
 number of :meth:`~repro.engine.engine.MatchEngine.match` calls:
 
 * the standard matcher's :class:`~repro.matching.standard.TargetIndex`
-  (per-matcher profiles of every target attribute);
+  (per-matcher profiles of every target attribute, plus the scoring
+  blocks derived from them — for the q-gram and overlap matchers, CSR
+  rows over a target vocabulary);
 * the categorical-policy analysis of the target tables;
 * the per-domain target classifiers of ``TgtClassInfer`` (Figure 7) and
   their value -> target-column tag memo.
@@ -29,11 +31,12 @@ Both prepared classes are picklable, which is what lets the
 worker pools: the payload carries the trained classifier statistics, the
 tag cache, the profile store and the partition indices, while purely lazy
 memos (compiled Naive Bayes log-probability matrices, Gaussian fits,
-partition row arrays, presence masks) are dropped on pickle and rebuilt
-deterministically worker-side — a restored artifact produces bit-identical
-matches.  The components' ``__getstate__`` hooks are the one place that
-decides what crosses a process boundary; the executor ships nothing but
-this plain pickle.
+partition row arrays, presence masks) and the target index's scoring
+blocks are dropped on pickle and rebuilt deterministically on load — a
+restored artifact produces bit-identical matches, and the blocks add
+nothing to store blobs or executor chunks.  The components'
+``__getstate__`` hooks are the one place that decides what crosses a
+process boundary; the executor ships nothing but this plain pickle.
 """
 
 from __future__ import annotations

@@ -12,6 +12,15 @@ called once per candidate view per match), matchers expose a two-phase API:
 profiles are cached by :class:`~repro.matching.standard.StandardMatch`),
 and :meth:`Matcher.score_profiles` compares two profiles.
 
+``ScoreMatch`` scores one source profile against many target profiles,
+so matchers also expose a batch form: :meth:`Matcher.target_block` turns
+the target profiles into scoring state once per
+:class:`~repro.matching.standard.TargetIndex`, and
+:meth:`Matcher.score_block` scores one source profile against a subset of
+that block's targets in one call.  The defaults keep the block as the
+profile list and loop :meth:`Matcher.score_profiles`; matchers with a
+vectorized kernel override both and must return exactly the same floats.
+
 Matchers whose profiles are *additive* — token, n-gram or value counts,
 where the profile of a union of disjoint samples is a pure function of the
 member profiles — additionally set :attr:`Matcher.mergeable` and implement
@@ -104,6 +113,21 @@ class Matcher(abc.ABC):
     @abc.abstractmethod
     def score_profiles(self, source: Any, target: Any) -> float:
         """Raw similarity in [0, 1] between two profiles."""
+
+    def target_block(self, profiles: Sequence[Any]) -> Any:
+        """Scoring state derived from one index's target profiles, built
+        once per :class:`~repro.matching.standard.TargetIndex`.  It must
+        be a pure function of *profiles* and hold no reference to the
+        index.  The default is the profile list itself."""
+        return profiles
+
+    def score_block(self, source: Any, block: Any,
+                    positions: Sequence[int]) -> list[float]:
+        """``score_profiles(source, profiles[i])`` for each ``i`` in
+        *positions*, in order, where *block* is
+        ``target_block(profiles)``.  Overrides must return the same
+        floats, bit for bit."""
+        return [self.score_profiles(source, block[i]) for i in positions]
 
     def merge_profiles(self, profiles: Sequence[Any]) -> Any:
         """The profile of the union of the disjoint samples behind

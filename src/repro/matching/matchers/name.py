@@ -4,11 +4,17 @@ Compares attribute names (and a light table-name context) using word-token
 overlap plus Jaro-Winkler on the normalized strings.  This is the classic
 "linguistic" matcher of systems like Cupid; in our zoo it supplies the
 schema-metadata evidence of Section 2.3.
+
+Attribute names do not change from one candidate view to the next, so
+``ScoreMatch`` compares the same name pairs over and over; the pure
+two-name score sits behind a bounded process-wide memo.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
+from typing import Sequence
 
 from ..similarity import jaro_winkler
 from ..tokens import normalize_text, word_tokens
@@ -33,6 +39,21 @@ DEFAULT_SYNONYMS: dict[str, str] = {
 class _NameProfile:
     raw: str
     tokens: frozenset[str]
+
+
+@functools.lru_cache(maxsize=1 << 16)
+def _name_similarity(source_raw: str, source_tokens: frozenset[str],
+                     target_raw: str, target_tokens: frozenset[str],
+                     token_share: float) -> float:
+    """Token Jaccard blended with Jaro-Winkler — a pure function of the
+    two names' profiles, memoized by them."""
+    if source_tokens or target_tokens:
+        union = len(source_tokens | target_tokens)
+        token_sim = len(source_tokens & target_tokens) / union if union else 0.0
+    else:
+        token_sim = 0.0
+    string_sim = jaro_winkler(source_raw, target_raw)
+    return token_share * token_sim + (1 - token_share) * string_sim
 
 
 class NameMatcher(Matcher):
@@ -63,10 +84,12 @@ class NameMatcher(Matcher):
         return next(iter(profiles))
 
     def score_profiles(self, source: _NameProfile, target: _NameProfile) -> float:
-        if source.tokens or target.tokens:
-            union = len(source.tokens | target.tokens)
-            token_sim = len(source.tokens & target.tokens) / union if union else 0.0
-        else:
-            token_sim = 0.0
-        string_sim = jaro_winkler(source.raw, target.raw)
-        return self._token_share * token_sim + (1 - self._token_share) * string_sim
+        return _name_similarity(source.raw, source.tokens, target.raw,
+                                target.tokens, self._token_share)
+
+    def score_block(self, source: _NameProfile,
+                    block: Sequence[_NameProfile],
+                    positions: Sequence[int]) -> list[float]:
+        raw, tokens, share = source.raw, source.tokens, self._token_share
+        return [_name_similarity(raw, tokens, block[i].raw, block[i].tokens,
+                                 share) for i in positions]

@@ -4,13 +4,20 @@ The workhorse instance-based matcher: the bag of values of each attribute is
 rendered to text, decomposed into 3-grams (the granularity the paper uses
 for its Naive Bayes classifier) and compared with TF cosine similarity,
 which is robust to differing sample sizes.  Applicable to textual attributes.
+
+A target block is the index's gram Counters as
+:class:`~repro.matching.similarity.TermRows`, so one source profile is
+scored against every target by :func:`~repro.matching.similarity.cosine_rows`.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from typing import Sequence
 
-from ..similarity import cosine_counts
+import numpy as np
+
+from ..similarity import TermRows, cosine_counts, cosine_rows
 from ..tokens import cached_qgrams
 from .base import AttributeSample, Matcher
 
@@ -47,6 +54,17 @@ class QGramMatcher(Matcher):
         if not source or not target:
             return 0.0
         return cosine_counts(source, target)
+
+    def target_block(self, profiles: Sequence[Counter]) -> TermRows:
+        return TermRows(profiles)
+
+    def score_block(self, source: Counter, block: TermRows,
+                    positions: Sequence[int]) -> list[float]:
+        if not source or not positions:
+            return [0.0] * len(positions)
+        # An empty target row scores 0.0 in cosine_rows, as it does here.
+        scores = cosine_rows(source, block)
+        return scores[np.asarray(positions, dtype=np.intp)].tolist()
 
     def merge_profiles(self, profiles) -> Counter:
         merged: Counter = Counter()

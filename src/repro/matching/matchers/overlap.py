@@ -4,11 +4,19 @@ Measures Jaccard overlap between the *distinct value sets* of the two
 attributes.  Strong evidence for code-like columns (formats, labels,
 identifiers) where whole values recur across schemas; weak (correctly) for
 free text.  Applicable to every type.
+
+A target block is the index's value sets as 0/1
+:class:`~repro.matching.similarity.TermRows`, so one source set is scored
+against every target by :func:`~repro.matching.similarity.jaccard_rows`.
 """
 
 from __future__ import annotations
 
-from ..similarity import jaccard
+from typing import Sequence
+
+import numpy as np
+
+from ..similarity import TermRows, jaccard, jaccard_rows
 from ..tokens import value_to_text
 from .base import AttributeSample, Matcher
 
@@ -35,6 +43,17 @@ class ValueOverlapMatcher(Matcher):
         if not source or not target:
             return 0.0
         return jaccard(source, target)
+
+    def target_block(self, profiles: Sequence[frozenset]) -> TermRows:
+        return TermRows.from_sets(profiles)
+
+    def score_block(self, source: frozenset, block: TermRows,
+                    positions: Sequence[int]) -> list[float]:
+        if not source or not positions:
+            return [0.0] * len(positions)
+        # An empty target set scores 0.0 in jaccard_rows, as it does here.
+        scores = jaccard_rows(source, block)
+        return scores[np.asarray(positions, dtype=np.intp)].tolist()
 
     def merge_profiles(self, profiles) -> frozenset:
         return frozenset().union(*profiles)

@@ -1,14 +1,23 @@
 """String and set similarity measures used by the matcher zoo.
 
 All functions return similarities in ``[0, 1]``; 1 means identical.
+
+:class:`TermRows` with :func:`cosine_rows` and :func:`jaccard_rows` are
+the one-source-against-many-targets forms of :func:`cosine_counts` and
+:func:`jaccard`: the targets are laid out once as integer CSR rows over a
+shared vocabulary, and each row's score is computed with the same exact
+integer sums and the same final IEEE operations as the scalar function,
+so the two agree bit for bit.
 """
 
 from __future__ import annotations
 
 import math
-import weakref
 from collections import Counter
-from typing import Hashable, Iterable, Mapping, Sequence
+from itertools import repeat
+from typing import Collection, Hashable, Iterable, Mapping, Sequence
+
+import numpy as np
 
 __all__ = [
     "levenshtein",
@@ -19,6 +28,9 @@ __all__ = [
     "dice",
     "cosine_counts",
     "containment",
+    "TermRows",
+    "cosine_rows",
+    "jaccard_rows",
 ]
 
 
@@ -137,36 +149,14 @@ def containment(a: Iterable[Hashable], b: Iterable[Hashable]) -> float:
     return len(set_a & set_b) / len(set_a)
 
 
-#: Norms memoized per count-vector object (by id, evicted on GC).  The
-#: q-gram matcher scores each cached profile Counter against hundreds of
-#: candidate pairs; the norm is a pure function of the counts, so it is
-#: computed once per profile.  Callers must treat profiles as immutable
-#: after first scoring (the profiling subsystem already does).
-_NORM_CACHE: dict[int, float] = {}
-
-
-def _cached_norm(counter: Mapping[Hashable, int]) -> float:
-    key = id(counter)
-    cached = _NORM_CACHE.get(key)
-    if cached is not None:
-        return cached
-    norm = math.sqrt(sum(c * c for c in counter.values()))
-    try:
-        # Evict when the object dies so a recycled id never aliases.
-        weakref.finalize(counter, _NORM_CACHE.pop, key, None)
-    except TypeError:
-        return norm  # not weakref-able (e.g. plain dict) — don't cache
-    _NORM_CACHE[key] = norm
-    return norm
-
-
 def cosine_counts(a: Mapping[Hashable, int] | Sequence[Hashable],
                   b: Mapping[Hashable, int] | Sequence[Hashable]) -> float:
     """Cosine similarity between two term-frequency vectors.
 
-    Accepts either Counters/mappings or raw token sequences.  Norms of
-    mapping inputs are cached per object — pass stable (never mutated
-    after scoring) Counters, as the matcher profiles are, to benefit.
+    Accepts either Counters/mappings or raw token sequences.  The scalar
+    reference of :func:`cosine_rows`: the dot product and both squared
+    norms are exact integer sums, so the result is one square root per
+    norm and one IEEE division.
     """
     counter_a = a if isinstance(a, Mapping) else Counter(a)
     counter_b = b if isinstance(b, Mapping) else Counter(b)
@@ -176,8 +166,107 @@ def cosine_counts(a: Mapping[Hashable, int] | Sequence[Hashable],
     if len(counter_a) > len(counter_b):
         counter_a, counter_b = counter_b, counter_a
     dot = sum(count * counter_b.get(term, 0) for term, count in counter_a.items())
-    norm_a = _cached_norm(counter_a)
-    norm_b = _cached_norm(counter_b)
+    norm_a = math.sqrt(sum(c * c for c in counter_a.values()))
+    norm_b = math.sqrt(sum(c * c for c in counter_b.values()))
     if norm_a == 0.0 or norm_b == 0.0:
         return 0.0
     return dot / (norm_a * norm_b)
+
+
+class TermRows:
+    """Term-count rows in CSR layout over one shared vocabulary.
+
+    Row ``i`` is the i-th mapping given to the constructor: its terms'
+    columns are ``indices[indptr[i]:indptr[i + 1]]`` and their counts the
+    same slice of ``counts``.  ``sizes`` holds each row's number of
+    distinct terms and ``norms`` each row's Euclidean norm, the square
+    root of its exact integer sum of squared counts.  Counts must be
+    integers whose products and row sums fit in int64.
+    """
+
+    def __init__(self, rows: Sequence[Mapping[Hashable, int]]):
+        vocabulary: dict[Hashable, int] = {}
+        indices: list[int] = []
+        counts: list[int] = []
+        indptr = [0]
+        for row in rows:
+            for term, count in row.items():
+                indices.append(vocabulary.setdefault(term, len(vocabulary)))
+                counts.append(count)
+            indptr.append(len(indices))
+        self.vocabulary = vocabulary
+        self.indptr = np.asarray(indptr, dtype=np.int64)
+        self.indices = np.asarray(indices, dtype=np.int32)
+        self.counts = np.asarray(counts, dtype=np.int64)
+        self.sizes = np.diff(self.indptr)
+        # np.add.reduceat over the starts of non-empty rows sums each of
+        # them; an empty row would otherwise read its neighbour's element.
+        self._nonempty = self.sizes > 0
+        self._starts = self.indptr[:-1][self._nonempty]
+        self.norms = np.sqrt(self._row_sums(self.counts * self.counts)
+                             .astype(np.float64))
+
+    @classmethod
+    def from_sets(cls, rows: Sequence[Iterable[Hashable]]) -> "TermRows":
+        """Rows of 0/1 counts: one per distinct term of each set."""
+        return cls([dict.fromkeys(row, 1) for row in rows])
+
+    def __len__(self) -> int:
+        return len(self.sizes)
+
+    def _row_sums(self, values: np.ndarray) -> np.ndarray:
+        sums = np.zeros(len(self.sizes), dtype=np.int64)
+        if self._starts.size:
+            sums[self._nonempty] = np.add.reduceat(values, self._starts)
+        return sums
+
+    def dots(self, terms: Collection[Hashable],
+             counts: np.ndarray | int) -> np.ndarray:
+        """Exact integer dot product of every row with the vector that
+        gives each of the distinct *terms* its entry of *counts* (a scalar
+        gives them all the same count).  Terms outside the vocabulary
+        meet no row and add nothing."""
+        oov = len(self.vocabulary)
+        columns = np.fromiter(map(self.vocabulary.get, terms, repeat(oov)),
+                              dtype=np.intp, count=len(terms))
+        dense = np.zeros(oov + 1, dtype=np.int64)
+        dense[columns] = counts
+        return self._row_sums(dense[self.indices] * self.counts)
+
+
+def _empty_source_scores(rows: TermRows) -> np.ndarray:
+    """Score of an empty source: 1 against empty rows, 0 otherwise."""
+    return np.where(rows.sizes == 0, 1.0, 0.0)
+
+
+def cosine_rows(source: Mapping[Hashable, int],
+                rows: TermRows) -> np.ndarray:
+    """``cosine_counts(source, row)`` for every row of *rows*, as float64.
+
+    Bit-identical to the scalar function: integer dot products and
+    squared norms, one ``sqrt`` per norm, the same product of norms and
+    one division per row.
+    """
+    if not source:
+        return _empty_source_scores(rows)
+    counts = np.fromiter(source.values(), dtype=np.int64, count=len(source))
+    norm = math.sqrt(int(counts @ counts))
+    scores = np.zeros(len(rows))
+    if norm == 0.0:
+        return scores
+    scored = rows.norms != 0.0
+    dots = rows.dots(source, counts)
+    scores[scored] = dots[scored] / (norm * rows.norms[scored])
+    return scores
+
+
+def jaccard_rows(source: Collection[Hashable],
+                 rows: TermRows) -> np.ndarray:
+    """``jaccard(source, row)`` for every row of ``TermRows.from_sets``
+    rows, as float64: |A ∩ B| / (|A| + |B| − |A ∩ B|) from exact integer
+    counts, one IEEE division per row."""
+    terms = source if isinstance(source, (set, frozenset)) else set(source)
+    if not terms:
+        return _empty_source_scores(rows)
+    shared = rows.dots(terms, 1)
+    return shared / (len(terms) + rows.sizes - shared)

@@ -107,6 +107,15 @@ class TargetIndex:
 
     Building the index once per ``ContextMatch`` run amortizes target-side
     profiling across the hundreds of candidate-view re-scorings.
+
+    ``blocks`` maps each matcher to its
+    :meth:`~repro.matching.matchers.base.Matcher.target_block` of the
+    profiles (for the q-gram and overlap matchers, CSR rows over a target
+    vocabulary), so ``ScoreMatch`` scores a source column against the
+    whole frontier in one call per matcher.  The blocks are derived data:
+    they are built eagerly, dropped on pickle and rebuilt on load, so a
+    pickled index (a store blob, an executor chunk) carries only the
+    samples and profiles.
     """
 
     def __init__(self, database: Database, matchers: Sequence[Matcher],
@@ -123,6 +132,32 @@ class TargetIndex:
         self.profiles: dict[str, list[object]] = {
             m.name: [m.profile(s) for s in self.samples] for m in self.matchers
         }
+        self._build_blocks()
+
+    @classmethod
+    def from_profiles(cls, database: Database, matchers: Sequence[Matcher],
+                      samples: list[AttributeSample],
+                      profiles: dict[str, list[object]]) -> "TargetIndex":
+        """An index over already-built samples and per-matcher profiles
+        (they must be what ``__init__`` would build for *database*)."""
+        index = cls.__new__(cls)
+        index.__setstate__({"database": database, "matchers": list(matchers),
+                            "samples": samples, "profiles": profiles})
+        return index
+
+    def _build_blocks(self) -> None:
+        self.blocks: dict[str, object] = {
+            m.name: m.target_block(self.profiles[m.name])
+            for m in self.matchers}
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        del state["blocks"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._build_blocks()
 
     def refs(self) -> list[AttributeRef]:
         return [AttributeRef(s.table, s.name) for s in self.samples]
@@ -252,18 +287,16 @@ class StandardMatch:
         """
         target_ids = (list(range(len(index.samples))) if positions is None
                       else list(positions))
+        target_samples = [index.samples[i] for i in target_ids]
         # evidence[slot] collects MatcherEvidence for target_ids[slot].
         evidence: list[list[MatcherEvidence]] = [[] for _ in target_ids]
         for matcher in self.matchers:
-            source_profile = profiles[matcher.name]
-            target_profiles = index.profiles[matcher.name]
-            raw: list[float | None] = []
-            for i in target_ids:
-                if matcher.applicable(sample, index.samples[i]):
-                    raw.append(matcher.score_profiles(source_profile,
-                                                      target_profiles[i]))
-                else:
-                    raw.append(None)
+            applicable = [matcher.applicable(sample, t)
+                          for t in target_samples]
+            scores = iter(matcher.score_block(
+                profiles[matcher.name], index.blocks[matcher.name],
+                [i for i, ok in zip(target_ids, applicable) if ok]))
+            raw = [next(scores) if ok else None for ok in applicable]
             for slot, (raw_score, conf) in enumerate(
                     zip(raw, confidences_from_scores(raw))):
                 if raw_score is None or conf is None:
@@ -273,11 +306,10 @@ class StandardMatch:
                     raw_score=raw_score, confidence=conf))
         matches: list[AttributeMatch] = []
         source_ref = AttributeRef(table, attribute.name)
-        for slot, i in enumerate(target_ids):
+        for slot, target_sample in enumerate(target_samples):
             combined = combine_evidence(evidence[slot])
             if combined is None:
                 continue
-            target_sample = index.samples[i]
             matches.append(AttributeMatch(
                 source=source_ref,
                 target=AttributeRef(target_sample.table, target_sample.name),

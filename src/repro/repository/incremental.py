@@ -30,9 +30,9 @@ database (the golden tier asserts it):
   training on the grown database is already the fresh behavior.
 
 Untouched columns keep their cached samples and profiles verbatim; the
-categorical analysis and the retrieval prefilter are recomputed (both
-are cheap — the retrieval index reuses the q-gram profiles without
-re-tokenizing).
+matchers' scoring blocks, the categorical analysis and the retrieval
+prefilter are recomputed (all cheap — the blocks and the retrieval index
+reuse the q-gram profiles without re-tokenizing).
 """
 
 from __future__ import annotations
@@ -121,12 +121,7 @@ def _grow_index(old: TargetIndex, new_db: Database,
                 if counters is not None:
                     counters["profiles_rebuilt"] += 1
             position += 1
-    index = TargetIndex.__new__(TargetIndex)
-    index.database = new_db
-    index.matchers = list(old.matchers)
-    index.samples = samples
-    index.profiles = profiles
-    return index
+    return TargetIndex.from_profiles(new_db, old.matchers, samples, profiles)
 
 
 def _delta_teach(prepared: PreparedTarget, old_db: Database,

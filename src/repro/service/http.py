@@ -52,6 +52,11 @@ class MatchRequestHandler(BaseHTTPRequestHandler):
 
     protocol_version = "HTTP/1.1"
     server_version = f"repro-serve/{__version__}"
+    # A response goes out as two writes, headers then body.  With Nagle's
+    # algorithm the body waits for the client's (delayed) ACK of the
+    # headers, about 40 ms per response on a kept-alive connection; the
+    # stdlib sets TCP_NODELAY on the socket when this is True.
+    disable_nagle_algorithm = True
 
     # The serve loop is quiet by default; latency lives in /report.
     def log_message(self, format: str, *args: Any) -> None:  # noqa: A002

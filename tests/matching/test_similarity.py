@@ -130,17 +130,19 @@ class TestCosine:
 
 
 class TestCosineNormCache:
+    """Norms are computed inline on every call: the value depends only on
+    the counts, never on which objects carry them."""
+
     def test_cached_counter_norms_do_not_change_results(self):
         from collections import Counter
 
         profile = Counter({"ab": 3, "bc": 1, "cd": 2})
         other = Counter({"ab": 1, "cd": 2, "de": 4})
         first = cosine_counts(profile, other)
-        # Repeated scoring against the same profile objects hits the norm
-        # cache; the value must be identical.
+        # Repeated scoring of the same profile objects gives the same value.
         for _ in range(3):
             assert cosine_counts(profile, other) == first
-        # Fresh-but-equal Counters produce the same value as cached ones.
+        # Fresh-but-equal Counters produce the same value as well.
         assert cosine_counts(Counter(profile), Counter(other)) == first
 
     def test_sequences_still_accepted(self):
@@ -149,7 +151,7 @@ class TestCosineNormCache:
         assert cosine_counts(["a"], []) == 0.0
 
     def test_plain_dicts_bypass_cache(self):
-        # dicts are not weakref-able; the norm is computed but not cached.
+        # Plain dicts score like Counters.
         assert cosine_counts({"a": 1}, {"a": 1}) == pytest.approx(1.0)
 
 

@@ -225,6 +225,25 @@ class TestWireRobustness:
         assert status == 200
         assert _match_key(payload["result"]) == _match_key(reference)
 
+    def test_kept_alive_requests_do_not_stall(self, server):
+        """Ten requests on one kept-alive connection take well under the
+        ~40 ms per response a delayed ACK costs when the server's
+        header and body writes are held back by Nagle's algorithm."""
+        import time
+
+        sock = self._raw_socket(server)
+        try:
+            started = time.perf_counter()
+            for _ in range(10):
+                sock.sendall(b"GET /health HTTP/1.1\r\n"
+                             b"Host: localhost\r\n\r\n")
+                status, payload = self._read_response(sock)
+                assert status == 200 and payload["status"] == "ok"
+            elapsed = time.perf_counter() - started
+        finally:
+            sock.close()
+        assert elapsed < 0.150, f"10 kept-alive requests took {elapsed:.3f}s"
+
     def test_premature_body_eof_is_400(self, server):
         """A client that dies mid-body gets a clean 400 naming the short
         read, not a hung handler or a dropped connection."""
