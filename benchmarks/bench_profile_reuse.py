@@ -1,13 +1,10 @@
-"""Profiling-subsystem benchmark: partition-once vs per-view scoring.
+"""Profiling-subsystem benchmark: cold vs warm ``PreparedSource`` reuse.
 
 Times the ScoreCandidatesStage — the ScoreMatch loop of Figure 5, the
-pipeline's hot path — in three modes over one retail workload with dozens
+pipeline's hot path — in two modes over one retail workload with dozens
 of candidate views:
 
-* ``legacy``: ``use_profiling=False`` — every candidate view is
-  materialized via ``View.evaluate`` and its columns re-profiled from raw
-  values (the pre-profiling code path, kept as equivalence reference);
-* ``cold``: the :mod:`repro.profiling` fast path with an empty
+* ``cold``: a first run with an empty
   :class:`~repro.profiling.ProfileStore` — base relations are partitioned
   once per family attribute and view columns come from partition cells;
 * ``warm``: a second run against the same
@@ -15,11 +12,10 @@ of candidate views:
   hit, so the stage pays for scoring only (the steady state of a service
   re-matching a known source).
 
-All three modes must produce identical matches; the headline assertion is
-the warm (prepared-source) speedup, with the cold speedup reported
-alongside.  Results are persisted both as text and as machine-readable
-``results/BENCH_score_candidates.json`` (ops/sec, elapsed, config) so the
-perf trajectory is trackable across PRs.
+Both modes must produce identical matches; the headline figure is the
+warm-over-cold speedup.  Results are persisted both as text and as
+machine-readable ``results/BENCH_score_candidates.json`` (ops/sec,
+elapsed, config) so the perf trajectory is trackable across PRs.
 
 Set ``BENCH_TINY=1`` for a seconds-scale smoke run (CI): the JSON schema
 and equivalence checks still apply, the speedup floor does not.  Sizing
@@ -45,11 +41,6 @@ def _workload():
     return build_scenario(SPEC)
 
 
-def _engine(use_profiling: bool) -> MatchEngine:
-    return MatchEngine(ContextMatchConfig(use_profiling=use_profiling,
-                                          **CONFIG))
-
-
 def _stage_seconds(result, name="score-candidates") -> float:
     return result.report.stage(name).elapsed_seconds
 
@@ -62,11 +53,7 @@ def _keys(result):
 def test_profile_reuse(benchmark, record_series, record_json):
     workload = _workload()
 
-    legacy_engine = _engine(use_profiling=False)
-    legacy = legacy_engine.match(workload.source,
-                                 legacy_engine.prepare(workload.target))
-
-    engine = _engine(use_profiling=True)
+    engine = MatchEngine(ContextMatchConfig(**CONFIG))
     prepared = engine.prepare(workload.target)
     prepared_src = engine.prepare_source(workload.source)
     cold = run_once(benchmark, engine.match, prepared_src, prepared)
@@ -75,28 +62,24 @@ def test_profile_reuse(benchmark, record_series, record_json):
     n_views = cold.report.stage("infer-views").counts["views"]
     n_candidates = cold.report.stage("score-candidates").counts["candidates"]
     assert n_views >= MIN_VIEWS, f"workload too small: {n_views} views"
-    # Same matches in all three modes — the fast path is bit-identical.
-    assert _keys(legacy) == _keys(cold) == _keys(warm)
+    # Reuse only skips work: the warm run's matches are the cold run's.
+    assert _keys(cold) == _keys(warm)
 
-    elapsed = {"legacy": _stage_seconds(legacy),
-               "cold": _stage_seconds(cold),
-               "warm": _stage_seconds(warm)}
-    speedup = {mode: elapsed["legacy"] / elapsed[mode]
-               for mode in ("cold", "warm")}
+    elapsed = {"cold": _stage_seconds(cold), "warm": _stage_seconds(warm)}
+    speedup = elapsed["cold"] / elapsed["warm"]
     ops = {mode: n_candidates / seconds if seconds > 0 else 0.0
            for mode, seconds in elapsed.items()}
 
     data = {
-        "stage_seconds": {mode: elapsed[mode] for mode in elapsed},
-        "candidates_per_second": {mode: ops[mode] for mode in elapsed},
-        "speedup_vs_legacy": {"legacy": 1.0, **speedup},
+        "stage_seconds": elapsed,
+        "candidates_per_second": ops,
+        "speedup_vs_cold": {"cold": 1.0, "warm": speedup},
     }
     record_series(
         "profile_reuse",
-        f"ScoreCandidatesStage: partition-once profiling vs per-view "
-        f"scoring ({n_views} views, {n_candidates} rescorings)",
-        "measurement",
-        {k: v for k, v in data.items()}, ["legacy", "cold", "warm"])
+        f"ScoreCandidatesStage: cold vs warm PreparedSource "
+        f"({n_views} views, {n_candidates} rescorings)",
+        "measurement", data, ["cold", "warm"])
     record_json("BENCH_score_candidates", {
         "benchmark": "bench_profile_reuse",
         "stage": "score-candidates",
@@ -108,8 +91,7 @@ def test_profile_reuse(benchmark, record_series, record_json):
                    "ops_per_second": ops[mode]}
             for mode in elapsed
         },
-        "speedup": {"cold_vs_legacy": speedup["cold"],
-                    "warm_vs_legacy": speedup["warm"]},
+        "speedup": {"warm_vs_cold": speedup},
         "counters": {
             "cold": dict(cold.report.stage("score-candidates").counts),
             "warm": dict(warm.report.stage("score-candidates").counts),
@@ -117,14 +99,11 @@ def test_profile_reuse(benchmark, record_series, record_json):
     })
 
     # Warm runs reuse every profile/partition; the stage must clear the
-    # acceptance floor comfortably (tiny smoke runs only check plumbing).
+    # floor comfortably (tiny smoke runs only check plumbing).
     if not BENCH_TINY:
-        assert speedup["warm"] >= MIN_WARM_SPEEDUP, (
+        assert speedup >= MIN_WARM_SPEEDUP, (
             f"prepared-source scoring should be >= {MIN_WARM_SPEEDUP}x "
-            f"the per-view path, got {speedup['warm']:.2f}x")
-        assert speedup["cold"] > 1.0, (
-            f"partition-once scoring should beat per-view even cold, got "
-            f"{speedup['cold']:.2f}x")
+            f"the cold run, got {speedup:.2f}x")
     warm_counts = warm.report.stage("score-candidates").counts
     assert warm_counts["profile_misses"] == 0
     assert warm_counts["partitions_built"] == 0

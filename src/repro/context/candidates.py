@@ -21,16 +21,16 @@ well-clustered — producing views over disjunctive conditions
 
 Batch inference
 ---------------
-With ``ContextMatchConfig.use_batch_inference`` (the default) the
-ClusteredViewGen loop runs on a :class:`FamilyAssessor`: the classifier is
-taught *once* per (h, l) attribute pair with the original label values,
-and every family — the base family and each early-disjunct merge — is
-assessed by *regrouping* those sufficient statistics
+The ClusteredViewGen loop runs on a :class:`FamilyAssessor`: the
+classifier is taught *once* per (h, l) attribute pair with the original
+label values, and every family — the base family and each early-disjunct
+merge — is assessed by *regrouping* those sufficient statistics
 (:meth:`~repro.classifiers.base.Classifier.regrouped`: an O(labels)
 count-vector merge, mirroring the profiling subsystem's partition-cell
 merges) and classifying the test column through the classifier's batch
-path.  Results are bit-identical to the legacy per-family retrain path
-(:func:`assess_family`), which stays as the equivalence reference;
+path.  Every built-in classifier supports regrouping.  Results are
+bit-identical to re-teaching a fresh classifier per family
+(:func:`assess_family`), the reference the tests compare against;
 :class:`InferenceStats` counts the work for the engine's stage reports.
 """
 
@@ -380,23 +380,16 @@ class ClusteredViewGenBase(CandidateViewGenerator):
                     test_extractor.pairs(h_attr, label_attr), config.max_test)
                 if len(train_pairs) < 2 or len(test_pairs) < 1:
                     continue
-                classifier = self.make_classifier(dtype, ctx)
-                assessor: FamilyAssessor | None = None
-                if (config.use_batch_inference
-                        and classifier.supports_regrouping):
-                    assessor = FamilyAssessor(classifier, train_pairs,
-                                              test_pairs, stats=ctx.stats)
-                    result = assessor.assess(base_family)
-                else:
-                    result = assess_family(base_family, classifier,
-                                           train_pairs, test_pairs)
+                assessor = FamilyAssessor(self.make_classifier(dtype, ctx),
+                                          train_pairs, test_pairs,
+                                          stats=ctx.stats)
+                result = assessor.assess(base_family)
                 if result.significant(config.significance_threshold):
                     quality = max(best.get(base_family, 0.0), result.confidence)
                     best[base_family] = quality
                 if config.early_disjuncts:
                     for family, conf in self._merged_families(
-                            base_family, result, dtype, ctx,
-                            train_pairs, test_pairs, assessor=assessor):
+                            base_family, result, assessor, ctx):
                         best[family] = max(best.get(family, 0.0), conf)
         return [
             ViewFamily(f.table, f.attribute, f.groups, quality=q)
@@ -404,18 +397,15 @@ class ClusteredViewGenBase(CandidateViewGenerator):
         ]
 
     def _merged_families(self, family: ViewFamily, result: AssessmentResult,
-                         dtype: DataType, ctx: InferenceContext,
-                         train_pairs: Sequence[tuple[Any, Any]],
-                         test_pairs: Sequence[tuple[Any, Any]],
-                         *, assessor: "FamilyAssessor | None" = None,
+                         assessor: FamilyAssessor, ctx: InferenceContext,
                          ) -> Iterator[tuple[ViewFamily, float]]:
         """Early-disjunct error-pair merging loop (Section 3.3).
 
         Merge the most frequent (frequency-normalized) confusion pair,
         retrain and retest; keep merged families that test well-clustered.
         Repeats until the test is error-free or only one group remains.
-        With a :class:`FamilyAssessor` (batch inference) the retrain is a
-        statistics regroup — same results, no re-teaching.
+        The :class:`FamilyAssessor` retrains by regrouping its statistics —
+        the same results as re-teaching a fresh classifier.
         """
         config = ctx.config
         current = family
@@ -432,12 +422,7 @@ class ClusteredViewGenBase(CandidateViewGenerator):
             merged = current.merge(rep_a, rep_b)
             if len(merged.groups) == len(current.groups):
                 break  # already together — cannot make progress
-            if assessor is not None:
-                merged_result = assessor.assess(merged, merged=True)
-            else:
-                merged_result = assess_family(
-                    merged, self.make_classifier(dtype, ctx),
-                    train_pairs, test_pairs)
+            merged_result = assessor.assess(merged, merged=True)
             if (len(merged.groups) > 1
                     and merged_result.significant(config.significance_threshold)):
                 yield (ViewFamily(merged.table, merged.attribute, merged.groups,
@@ -448,7 +433,8 @@ class ClusteredViewGenBase(CandidateViewGenerator):
     @abc.abstractmethod
     def make_classifier(self, dtype: DataType, ctx: InferenceContext) -> Classifier:
         """A fresh classifier ``Ch`` for a non-categorical attribute of type
-        *dtype*."""
+        *dtype*; it must support statistics regrouping
+        (:class:`FamilyAssessor` raises ``TypeError`` otherwise)."""
 
 
 # ---------------------------------------------------------------------------

@@ -85,7 +85,7 @@ def categorical_attributes(relation: Relation,
                            policy: CategoricalPolicy | None = None) -> list[str]:
     """``Cat(R)``: names of the categorical attributes of a sample.
 
-    Counts come from :meth:`Relation.value_counts` — the columnar backend
+    Counts come from :meth:`Relation.value_counts` — the column store
     answers them from interned codes without materializing the column.
     """
     return [

@@ -177,33 +177,13 @@ class ContextMatchConfig:
         (Section 3.5); 1 disables conjunctive search.
     seed:
         Seed for the train/test partitioning RNG.
-    use_profiling:
-        Route candidate-view scoring through the columnar profiling
-        subsystem (:mod:`repro.profiling`): base relations are partitioned
-        once per family attribute and column profiles are cached per
-        (table, attribute, matcher) instead of being rebuilt per view.
-        Results are bit-identical either way — False forces the legacy
-        materialize-and-reprofile path (the equivalence reference).
-    use_batch_inference:
-        Route candidate-view *inference* through the vectorized batch
-        classifier core: classifiers are taught once per (h, l) attribute
-        pair and compiled into dense log-probability tables
-        (:class:`~repro.classifiers.naive_bayes.NaiveBayesClassifier`),
-        target-column tagging batches whole columns, and every
-        early-disjunct merge is an O(labels) statistics regroup instead of
-        a retrain (:class:`~repro.context.candidates.FamilyAssessor`).
-        Posteriors, tags, tie-breaks and candidate families are
-        bit-identical either way — False forces the legacy scalar
-        teach/classify loops (the equivalence reference), exactly like
-        ``use_profiling`` for the scoring stage.
     use_retrieval:
         Gate candidate-view rescoring on the hybrid retrieval frontier
         (:mod:`repro.retrieval`): each source attribute is rescored only
         against its top-``retrieval_top_k`` retrieved target attributes
         (always including its accepted prototype targets), instead of
         against the whole target schema.  False forces exhaustive
-        rescoring — the equivalence reference, exactly like
-        ``use_profiling`` / ``use_batch_inference``.  Pruning shrinks the
+        rescoring — the equivalence reference.  Pruning shrinks the
         Φ-normalization pool of rejected alternatives, so results are
         bit-identical whenever ``retrieval_top_k`` covers the target's
         attribute count (the default does for every golden scenario).
@@ -225,8 +205,6 @@ class ContextMatchConfig:
     min_view_rows: int = 2
     conjunctive_stages: int = 1
     seed: int = 0
-    use_profiling: bool = True
-    use_batch_inference: bool = True
     use_retrieval: bool = True
     retrieval_top_k: int = 16
     standard: StandardMatchConfig = dataclasses.field(

@@ -8,20 +8,25 @@ distribution of the restricted sample's scores across all target attributes,
 exactly as the strawman discussion prescribes ("estimated using the new
 score s'_i and the distribution of scores seen for RS.s across the sample").
 
-Two equivalent execution paths exist:
+Which path scores a view depends on the matching system:
 
-* the legacy per-view path materializes each view via ``View.evaluate``
-  and re-profiles its columns from raw values (``store=None``);
-* the partition-once fast path (``store`` given) buckets the base rows by
+* a system that exposes the profiling interface (``supports_profile_store``,
+  as :class:`~repro.matching.standard.StandardMatch` does) takes the
+  partition-once path: the engine hands it a
+  :class:`~repro.profiling.ProfileStore`, which buckets the base rows by
   the family's categorical attribute exactly once
   (:class:`~repro.profiling.PartitionIndex`), derives every member view's
   column samples from partition cells, and reuses cached
   :class:`~repro.profiling.ColumnProfile` objects — composing merged-group
-  profiles from cell profiles where the matchers are additive.
+  profiles from cell profiles where the matchers are additive;
+* any other :class:`~repro.matching.standard.MatchingSystem` is a black
+  box (§2.3): each view is materialized via ``View.evaluate`` and its
+  columns go through ``score_attribute`` (:func:`score_view_candidates`).
 
-The fast path is bit-identical to the legacy one: the same rows in the same
-order feed the same deterministic sampling and scoring.  The equivalence is
-pinned by tests and switchable via ``ContextMatchConfig.use_profiling``.
+The two paths are bit-identical for a standard matcher: the same rows in
+the same order feed the same deterministic sampling and scoring, which
+the tests pin by running ``StandardMatch`` behind a wrapper that hides
+its profiling interface.
 
 Either path hands each (view, attribute) to the matching system once; the
 standard matcher then scores that column against its whole frontier with

@@ -17,9 +17,10 @@ partitions across runs, so re-matching the same source (sweeps, re-tuned
 thresholds) skips source-side profiling.  Even a plain-database run gets
 a per-run store: candidate views are scored from one partition of the
 base relation instead of being materialized each (the
-:mod:`repro.profiling` fast path, bit-identical to the legacy per-view
-path and switchable via ``ContextMatchConfig.use_profiling``).  Profile
-and partition cache counters appear in each stage's
+:mod:`repro.profiling` path).  A matching system without the profiling
+interface is a black box and gets no store: its candidate views are
+materialized and scored one by one.  Profile and partition cache
+counters appear in each stage's
 :class:`~repro.engine.report.StageReport`.
 
 The pipeline itself is an ordered list of
@@ -236,18 +237,13 @@ class MatchEngine:
 
         A plain database gets a fresh per-run store (intra-run reuse:
         partition-once view scoring, profile sharing across stages) when
-        profiling is enabled and the matcher supports it; a
-        :class:`PreparedSource` contributes its long-lived store.  With
-        ``config.use_profiling`` False no store is used anywhere — the
-        legacy per-view path, kept as the equivalence reference.
+        the matcher supports it, and None otherwise; a
+        :class:`PreparedSource` contributes its long-lived store.
         """
         if isinstance(source, PreparedSource):
             self._check_source_compatible(source)
-            store = source.store if self.config.use_profiling else None
             source.runs += 1
-            return source.source, store, True
-        if not self.config.use_profiling:
-            return source, None, False
+            return source.source, source.store, True
         return source, ProfileStore.for_matcher(self.matcher), False
 
     # ------------------------------------------------------------------

@@ -149,10 +149,9 @@ class StandardMatchStage(Stage):
 class InferViewsStage(Stage):
     """Candidate view families per source relation (``InferCandidateViews``).
 
-    The inference hot path: with ``config.use_batch_inference`` (default)
-    classifier work runs through the vectorized batch core, and the stage
-    counts surface it — ``values_classified`` / ``batch_calls`` /
-    ``merges_without_retrain`` from the run's
+    The inference hot path: classifier work runs through the vectorized
+    batch core, and the stage counts surface it — ``values_classified`` /
+    ``batch_calls`` / ``merges_without_retrain`` from the run's
     :class:`~repro.context.candidates.InferenceStats` plus the shared
     q-gram cache's ``token_cache_hits`` / ``token_cache_misses`` deltas.
     """

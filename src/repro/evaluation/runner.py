@@ -120,13 +120,11 @@ class EngineRunner:
         return prepared
 
     def prepared_source_for(self, engine: MatchEngine,
-                            source: Database) -> PreparedSource | None:
-        """The shared source-side profile store for *source*, or None when
-        profiling is off.  Profiles depend only on the source instance and
-        the matching system's fingerprint, so one entry serves every
-        contextual configuration sharing those."""
-        if not engine.config.use_profiling:
-            return None
+                            source: Database) -> PreparedSource:
+        """The shared source-side profile store for *source*.  Profiles
+        depend only on the source instance and the matching system's
+        fingerprint, so one entry serves every contextual configuration
+        sharing those."""
         matcher_key, _policy = engine.prepared_fingerprint()
         key = (self.database_token(source), matcher_key)
         prepared = self._prepared_sources.get(key)
@@ -145,10 +143,8 @@ class EngineRunner:
         """One engine run; reuses target and source preparation when
         possible."""
         engine = MatchEngine(config, policy=policy)
-        prepared_source = self.prepared_source_for(engine, source)
-        return engine.match(
-            prepared_source if prepared_source is not None else source,
-            self.prepared_for(engine, target))
+        return engine.match(self.prepared_source_for(engine, source),
+                            self.prepared_for(engine, target))
 
     def run_many(self, sources: Iterable[Database], target: Database,
                  config: ContextMatchConfig,

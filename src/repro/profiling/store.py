@@ -172,7 +172,7 @@ class ProfileStore:
     def _view_table(base: str, partition_attr: str, group: frozenset) -> str:
         """The deterministic name of the member view selecting *group* —
         identical to ``ViewFamily.condition_for`` naming, so cached profiles
-        carry the same ``source.table`` the legacy path reports."""
+        carry the same ``source.table`` the per-view path reports."""
         if len(group) == 1:
             condition = Eq(partition_attr, next(iter(group)))
         else:

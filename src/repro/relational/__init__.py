@@ -6,9 +6,8 @@ library (matching, contextual inference, Clio-style mapping) is built on the
 types exported here.
 """
 
-from .columns import (BACKENDS, CodedColumn, ColumnStore, ListColumn,
-                      NumericColumn, ObjectColumn, build_column,
-                      default_backend, set_default_backend, use_backend)
+from .columns import (CodedColumn, ColumnStore, NumericColumn, ObjectColumn,
+                      build_column)
 from .conditions import TRUE, And, Condition, Eq, In, Or, TrueCondition, condition_k
 from .constraints import ContextualForeignKey, ForeignKey, Key
 from .csvio import (dump_database, load_database, read_csv,
@@ -58,13 +57,8 @@ __all__ = [
     "relation_to_dict",
     "relation_from_dict",
     "ColumnStore",
-    "ListColumn",
     "NumericColumn",
     "CodedColumn",
     "ObjectColumn",
     "build_column",
-    "BACKENDS",
-    "default_backend",
-    "set_default_backend",
-    "use_backend",
 ]

@@ -22,23 +22,16 @@ build:
   distinct), which keeps ``tolist`` exactly equal to the input.
 * :class:`ObjectColumn` — an object-dtype array, the fallback for
   unhashable values.  Still numpy-indexed, so slices gather at C speed.
-* :class:`ListColumn` — the legacy plain-list storage, kept as the
-  config-switchable bit-identical equivalence reference (same pattern as
-  ``use_profiling`` / ``use_batch_inference``).
 
 Every store is immutable: numpy arrays are marked read-only, and every
 transformation returns a new store sharing buffers where possible
 (``project``/``rename`` share the store itself; ``take`` gathers with one
-C-level fancy-index).  The active backend is process-wide
-(:func:`set_default_backend`, env ``REPRO_RELATION_BACKEND``) with a
-:func:`use_backend` context manager for equivalence tests.
+C-level fancy-index).
 """
 
 from __future__ import annotations
 
-import contextlib
 import math
-import os
 from typing import Any, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -46,46 +39,9 @@ import numpy as np
 from .types import is_missing
 
 __all__ = [
-    "ColumnStore", "ListColumn", "NumericColumn", "CodedColumn",
-    "ObjectColumn", "build_column", "default_backend",
-    "set_default_backend", "use_backend", "BACKENDS",
+    "ColumnStore", "NumericColumn", "CodedColumn", "ObjectColumn",
+    "build_column",
 ]
-
-#: Recognized storage backends: ``columnar`` (typed numpy stores) and
-#: ``legacy`` (the original list-of-objects reference path).
-BACKENDS = ("columnar", "legacy")
-
-_DEFAULT_BACKEND = os.environ.get("REPRO_RELATION_BACKEND", "columnar")
-if _DEFAULT_BACKEND not in BACKENDS:  # pragma: no cover - env misuse
-    raise ValueError(
-        f"REPRO_RELATION_BACKEND must be one of {BACKENDS}, "
-        f"got {_DEFAULT_BACKEND!r}")
-
-
-def default_backend() -> str:
-    """The backend new relations are built with when none is passed."""
-    return _DEFAULT_BACKEND
-
-
-def set_default_backend(name: str) -> str:
-    """Set the process-wide default backend; returns the previous one."""
-    global _DEFAULT_BACKEND
-    if name not in BACKENDS:
-        raise ValueError(f"unknown relation backend {name!r}; "
-                         f"expected one of {BACKENDS}")
-    previous = _DEFAULT_BACKEND
-    _DEFAULT_BACKEND = name
-    return previous
-
-
-@contextlib.contextmanager
-def use_backend(name: str):
-    """Temporarily switch the default backend (equivalence tests)."""
-    previous = set_default_backend(name)
-    try:
-        yield
-    finally:
-        set_default_backend(previous)
 
 
 def _frozen(array: np.ndarray) -> np.ndarray:
@@ -99,8 +55,8 @@ class ColumnStore:
     Subclasses store the data differently but share one contract:
     :meth:`tolist` reproduces the constructor's value list exactly
     (same values, same order, equal objects), and every derived fact
-    (presence, partitions, counts) matches what the legacy list path
-    computes from that list.
+    (presence, partitions, counts) matches what a plain Python loop over
+    that list computes.
     """
 
     __slots__ = ()
@@ -158,49 +114,6 @@ class ColumnStore:
     def nbytes(self) -> int:
         """Approximate storage footprint of the typed arrays."""
         return 0
-
-
-class ListColumn(ColumnStore):
-    """Legacy storage: the column as a plain ``list[object]``."""
-
-    __slots__ = ("values", "n")
-
-    def __init__(self, values: list):
-        self.values = values
-        self.n = len(values)
-
-    def tolist(self) -> list:
-        return list(self.values)
-
-    def presence_list(self) -> list:
-        """The legacy presence computation, kept verbatim: ``is_missing``
-        runs once per distinct value where the column is hashable."""
-        values = self.values
-        try:
-            missing = {v for v in set(values) if is_missing(v)}
-            return ([True] * len(values) if not missing
-                    else [v not in missing for v in values])
-        except TypeError:  # unhashable values — per-row fallback
-            return [not is_missing(v) for v in values]
-
-    def presence(self) -> np.ndarray:
-        return _frozen(np.array(self.presence_list(), dtype=bool))
-
-    def value_at(self, index: int) -> Any:
-        return self.values[index]
-
-    def gather(self, rows: np.ndarray) -> list:
-        values = self.values
-        return [values[i] for i in rows.tolist()]
-
-    def take(self, rows: np.ndarray) -> "ListColumn":
-        values = self.values
-        return ListColumn([values[i] for i in rows.tolist()])
-
-    def concat(self, other: ColumnStore) -> "ColumnStore | None":
-        if isinstance(other, ListColumn):
-            return ListColumn(self.values + other.values)
-        return None
 
 
 class NumericColumn(ColumnStore):
@@ -380,7 +293,7 @@ class CodedColumn(ColumnStore):
     def _has_cross_type_equal_uniques(self) -> bool:
         """True when two uniques compare equal across types (``1`` vs
         ``True``) — the generic dict-keyed path must handle those to keep
-        first-seen key objects identical to the legacy backend."""
+        first-seen key objects identical to a dict built over the values."""
         seen: dict[Any, None] = {}
         for value in self.uniques:
             seen.setdefault(value, None)
@@ -543,42 +456,32 @@ def _build_typed(values: Sequence[Any]) -> ColumnStore:
 
 
 def _wrap_array(array: np.ndarray) -> ColumnStore:
-    """Wrap an already-typed numpy array without copying its buffer."""
-    if array.dtype == np.int64:
+    """Wrap an already-typed numpy array without copying its buffer.
+
+    A float64 array holding a NaN is classified from its values instead
+    (:func:`_build_typed`): a NaN *value* is not a missing cell, and the
+    numeric store's mask could not tell the two apart on the way back out.
+    """
+    if array.dtype == np.int64 or (array.dtype == np.float64
+                                   and not np.isnan(array).any()):
         return NumericColumn(array, np.ones(len(array), dtype=bool))
-    if array.dtype == np.float64:
-        return NumericColumn(array, ~np.isnan(array))
-    if array.dtype == object:
-        return _build_typed(array.tolist())
     return _build_typed(array.tolist())
 
 
-def build_column(values: Any, *, backend: str | None = None,
-                 copy: bool = True) -> ColumnStore:
+def build_column(values: Any) -> ColumnStore:
     """Build (or pass through) the column store for *values*.
 
     An existing :class:`ColumnStore` is shared as-is (zero-copy — this is
     how ``project``/``take``/``concat`` avoid the per-transformation deep
-    copy); a numpy ``int64``/``float64`` array is wrapped around its own
-    buffer, which is marked read-only to keep the relation's immutability
-    convention; any other sequence is scanned once into the best typed
-    representation (or copied into a :class:`ListColumn` under the legacy
-    backend — pass ``copy=False`` for a list the caller hands over).
+    copy); a numpy ``int64`` or NaN-free ``float64`` array is wrapped
+    around its own buffer, which is marked read-only to keep the
+    relation's immutability convention; any other sequence is scanned
+    once into the best typed representation.
     """
     if isinstance(values, ColumnStore):
         return values
-    backend = backend or _DEFAULT_BACKEND
-    if backend not in BACKENDS:
-        raise ValueError(f"unknown relation backend {backend!r}; "
-                         f"expected one of {BACKENDS}")
     if isinstance(values, np.ndarray):
-        if backend == "legacy":
-            return ListColumn(values.tolist())
         return _wrap_array(values)
-    if backend == "legacy":
-        if isinstance(values, list) and not copy:
-            return ListColumn(values)
-        return ListColumn(list(values))
     if not isinstance(values, (list, tuple)):
         values = list(values)
     return _build_typed(values)

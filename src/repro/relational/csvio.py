@@ -87,8 +87,8 @@ def _parse_stream(name: str, reader: Iterator[list[str]],
             None if is_missing(v) else coerce_value(v, dtype) for v in fields
         ]
         del fields
-        columns[attr] = build_column(values, copy=False)
-    return Relation(TableSchema(name, attrs), columns, copy=False)
+        columns[attr] = build_column(values)
+    return Relation(TableSchema(name, attrs), columns)
 
 
 def read_csv(path: str | pathlib.Path, *, name: str | None = None) -> Relation:

@@ -7,11 +7,9 @@ Column orientation makes the former cheap while rows are materialized on
 demand for the latter.
 
 Columns are held in typed stores (:mod:`repro.relational.columns`): numpy
-arrays plus native presence masks under the default ``columnar`` backend,
-plain Python lists under the bit-identical ``legacy`` reference backend.
-Every transformation shares stores zero-copy where safe; ``column()`` always
-returns the exact Python value objects, so tokens, codecs and golden
-baselines are backend-independent.
+arrays plus native presence masks.  Every transformation shares stores
+zero-copy where safe; ``column()`` always returns the exact Python value
+objects that went in, so tokens, codecs and pickles see plain lists.
 
 A :class:`Database` maps table names to relations and is what experiment
 drivers pass around as "schema with associated sample data" (Figure 5).
@@ -24,7 +22,7 @@ from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 import numpy as np
 
 from ..errors import InstanceError, UnknownTableError
-from .columns import ColumnStore, ListColumn, build_column, default_backend
+from .columns import ColumnStore, build_column
 from .schema import Attribute, Schema, TableSchema
 from .types import infer_column_type, is_missing
 
@@ -48,14 +46,13 @@ class Relation:
 
     Relations are immutable by convention; every transformation
     (:meth:`select`, :meth:`project`, :meth:`sample`) returns a new relation
-    sharing column stores where safe.  Under the columnar backend the
-    underlying numpy arrays are marked read-only, which is what lets a
-    caller-supplied array be adopted without the defensive O(n) copy.
+    sharing column stores where safe.  The underlying numpy arrays are
+    marked read-only, which is what lets a caller-supplied array be
+    adopted without the defensive O(n) copy.
     """
 
     def __init__(self, schema: TableSchema,
-                 columns: Mapping[str, Sequence[Any] | ColumnStore],
-                 *, backend: str | None = None, copy: bool = True):
+                 columns: Mapping[str, Sequence[Any] | ColumnStore]):
         self.schema = schema
         missing = [a for a in schema.attribute_names if a not in columns]
         if missing:
@@ -68,8 +65,7 @@ class Relation:
                 f"ragged columns for {schema.name!r}: lengths {sorted(lengths)}"
             )
         self._stores: dict[str, ColumnStore] = {
-            a: build_column(columns[a], backend=backend, copy=copy)
-            for a in schema.attribute_names
+            a: build_column(columns[a]) for a in schema.attribute_names
         }
         self._nrows = lengths.pop() if lengths else 0
         self._presence_masks: dict[str, list[bool]] = {}
@@ -77,27 +73,20 @@ class Relation:
 
     def __getstate__(self) -> dict:
         """Pickle columns as plain lists without the presence-mask memo — the
-        exact legacy wire format, so artifacts round-trip byte-identically
-        across backends and existing stores stay loadable."""
-        columns: dict[str, list[Any]] = {}
-        for a in self.schema.attribute_names:
-            store = self._stores[a]
-            columns[a] = store.values if isinstance(store, ListColumn) \
-                else store.tolist()
+        wire format every stored artifact uses, so existing stores stay
+        loadable and equal relations pickle to equal bytes."""
         return {
             "schema": self.schema,
-            "_columns": columns,
+            "_columns": {a: self._stores[a].tolist()
+                         for a in self.schema.attribute_names},
             "_nrows": self._nrows,
             "_presence_masks": {},
         }
 
     def __setstate__(self, state: dict) -> None:
         self.schema = state["schema"]
-        backend = default_backend()
-        self._stores = {
-            a: build_column(values, backend=backend, copy=False)
-            for a, values in state["_columns"].items()
-        }
+        self._stores = {a: build_column(values)
+                        for a, values in state["_columns"].items()}
         self._nrows = state["_nrows"]
         self._presence_masks = {}
         self._column_lists = {}
@@ -122,11 +111,11 @@ class Relation:
                     )
                 for a, value in zip(names, row):
                     columns[a].append(value)
-        return cls(schema, columns, copy=False)
+        return cls(schema, columns)
 
     @classmethod
     def empty(cls, schema: TableSchema) -> "Relation":
-        return cls(schema, {a: [] for a in schema.attribute_names}, copy=False)
+        return cls(schema, {a: [] for a in schema.attribute_names})
 
     @classmethod
     def infer_schema(cls, name: str, columns: Mapping[str, Sequence[Any]],
@@ -143,13 +132,6 @@ class Relation:
     def name(self) -> str:
         return self.schema.name
 
-    @property
-    def storage_backend(self) -> str:
-        """``legacy`` when every column is a plain list, else ``columnar``."""
-        if all(isinstance(s, ListColumn) for s in self._stores.values()):
-            return "legacy"
-        return "columnar"
-
     def __len__(self) -> int:
         return self._nrows
 
@@ -162,20 +144,15 @@ class Relation:
         """The bag of values ``v(R.a)`` for an attribute (shared list —
         callers must not mutate)."""
         self.schema.attribute(attribute)  # validate reference
-        store = self._stores[attribute]
-        if isinstance(store, ListColumn):
-            return store.values
         values = self._column_lists.get(attribute)
         if values is None:
-            values = self._column_lists[attribute] = store.tolist()
+            values = self._column_lists[attribute] = \
+                self._stores[attribute].tolist()
         return values
 
     def non_missing(self, attribute: str) -> list[Any]:
         """Column values with NULLs removed."""
-        store = self.column_store(attribute)
-        if isinstance(store, ListColumn):
-            return [v for v in store.values if not is_missing(v)]
-        return store.present_values()
+        return self.column_store(attribute).present_values()
 
     def presence_mask(self, attribute: str) -> list[bool]:
         """Per-row ``not is_missing`` flags for one column, memoized.
@@ -187,12 +164,8 @@ class Relation:
         """
         mask = self._presence_masks.get(attribute)
         if mask is None:
-            store = self.column_store(attribute)
-            if isinstance(store, ListColumn):
-                mask = store.presence_list()
-            else:
-                mask = store.presence().tolist()
-            self._presence_masks[attribute] = mask
+            mask = self._presence_masks[attribute] = \
+                self.column_store(attribute).presence().tolist()
         return mask
 
     def presence_array(self, attribute: str) -> np.ndarray:
@@ -333,7 +306,7 @@ class Relation:
             if joined is None:  # mixed store kinds — rebuild from values
                 joined = self._stores[a].tolist() + other._stores[a].tolist()
             columns[a] = joined
-        return Relation(self.schema, columns, copy=False)
+        return Relation(self.schema, columns)
 
     # ------------------------------------------------------------------
     # Sampling (train/test partitioning for ClusteredViewGen)

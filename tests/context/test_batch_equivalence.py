@@ -1,25 +1,28 @@
-"""Vectorized-vs-legacy inference equivalence.
+"""Vectorized-vs-retraining inference equivalence.
 
-``use_batch_inference`` must be a pure performance knob: the FamilyAssessor
-regroup-instead-of-retrain loop, the compiled Naive Bayes kernel, batch
-target tagging and the batched Gaussian produce bit-identical posteriors,
-tags, tie-breaks and candidate families.  Pinned here at three levels:
+The FamilyAssessor regroup-instead-of-retrain loop, the compiled Naive
+Bayes kernel, batch target tagging and the batched Gaussian must give the
+posteriors, tags, tie-breaks and candidate families that re-teaching a
+fresh classifier per family gives, bit for bit.  Pinned here at three
+levels:
 
 * unit — :class:`FamilyAssessor` against :func:`assess_family` on synthetic
   data, and ``_TgtTagClassifier`` batch teach against scalar teach;
-* engine — full pipeline runs on a handful of scenarios (tier 1);
+* engine — full pipeline runs on a handful of scenarios (tier 1), against
+  a reference run whose assessor re-teaches per family
+  (:class:`RetrainingAssessor`);
 * grid — every registered scenario, engine artifacts plus classifier-level
   posterior/tag sweeps (``pytest -m golden``, alongside the golden tier).
 """
 
-import dataclasses
+import copy
 import struct
 
 import numpy as np
 import pytest
 
 from repro.classifiers import NaiveBayesClassifier
-from repro.context import ContextMatchConfig, InferenceContext
+from repro.context import ContextMatchConfig, InferenceContext, candidates
 from repro.context.candidates import (FamilyAssessor, _TgtTagClassifier,
                                       assess_family)
 from repro.datagen import build_scenario, registered_scenarios, scenario_names
@@ -55,17 +58,38 @@ def engine_artifacts(result):
     }
 
 
-def run_modes(name):
+class RetrainingAssessor:
+    """:class:`FamilyAssessor` stand-in for the reference run: every family
+    re-teaches a deep copy of the fresh classifier through
+    :func:`assess_family` — the per-family retrain of Figure 6, with no
+    statistics regrouping."""
+
+    def __init__(self, classifier, train_pairs, test_pairs, *, stats=None):
+        self._fresh = copy.deepcopy(classifier)
+        self._train_pairs = list(train_pairs)
+        self._test_pairs = list(test_pairs)
+
+    def assess(self, family, *, merged=False):
+        return assess_family(family, copy.deepcopy(self._fresh),
+                             self._train_pairs, self._test_pairs)
+
+
+def run_modes(name, monkeypatch):
+    """The default engine's result and the retraining reference's, keyed
+    ``"batch"`` and ``"retrain"``."""
     workload = build_scenario(name)
-    base = scenario_config(next(s for s in registered_scenarios()
-                                if s.name == name))
-    results = {}
-    for batch in (True, False):
-        config = dataclasses.replace(base, use_batch_inference=batch)
+    config = scenario_config(next(s for s in registered_scenarios()
+                                  if s.name == name))
+
+    def run():
         engine = MatchEngine(config)
-        results[batch] = engine.match(workload.source,
-                                      engine.prepare(workload.target))
-    return workload, results
+        return engine.match(workload.source, engine.prepare(workload.target))
+
+    results = {"batch": run()}
+    with monkeypatch.context() as patch:
+        patch.setattr(candidates, "FamilyAssessor", RetrainingAssessor)
+        results["retrain"] = run()
+    return results
 
 
 class TestFamilyAssessorUnit:
@@ -198,21 +222,22 @@ class TestTgtTagClassifierBatch:
 
 class TestEngineEquivalence:
     @pytest.mark.parametrize("name", TIER1_SCENARIOS)
-    def test_batch_and_legacy_runs_identical(self, name):
-        _, results = run_modes(name)
-        assert engine_artifacts(results[True]) == engine_artifacts(
-            results[False])
+    def test_batch_and_legacy_runs_identical(self, name, monkeypatch):
+        results = run_modes(name, monkeypatch)
+        assert engine_artifacts(results["batch"]) == engine_artifacts(
+            results["retrain"])
 
     def test_infer_stage_reports_batch_counters(self):
-        _, results = run_modes("retail")
-        counts = results[True].report.stage("infer-views").counts
+        spec = next(s for s in registered_scenarios() if s.name == "retail")
+        workload = build_scenario(spec)
+        engine = MatchEngine(scenario_config(spec))
+        result = engine.match(workload.source,
+                              engine.prepare(workload.target))
+        counts = result.report.stage("infer-views").counts
         assert counts["batch_calls"] > 0
         assert counts["values_classified"] > 0
         assert "merges_without_retrain" in counts
         assert "token_cache_hits" in counts
-        legacy_counts = results[False].report.stage("infer-views").counts
-        assert legacy_counts["batch_calls"] == 0
-        assert legacy_counts["values_classified"] == 0
 
 
 def classifier_sweep(workload, config):
@@ -252,10 +277,10 @@ class TestFullScenarioGrid:
     tier (same job, same cadence) — baselines themselves are untouched."""
 
     @pytest.mark.parametrize("name", scenario_names())
-    def test_engine_equivalence(self, name):
-        workload, results = run_modes(name)
-        assert engine_artifacts(results[True]) == engine_artifacts(
-            results[False])
+    def test_engine_equivalence(self, name, monkeypatch):
+        results = run_modes(name, monkeypatch)
+        assert engine_artifacts(results["batch"]) == engine_artifacts(
+            results["retrain"])
 
     @pytest.mark.parametrize("name", scenario_names())
     def test_classifier_posteriors_and_tags(self, name):

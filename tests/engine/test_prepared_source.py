@@ -89,19 +89,6 @@ class TestPrepareSource:
         with pytest.raises(EngineError, match="profiling interface"):
             engine.prepare_source(retail_workload.source)
 
-    def test_use_profiling_off_ignores_the_store(self, retail_workload,
-                                                 engine_and_prepared):
-        engine, _ = engine_and_prepared
-        prepared_src = engine.prepare_source(retail_workload.source)
-        legacy = MatchEngine(ContextMatchConfig(inference="src", seed=5,
-                                                use_profiling=False))
-        result = legacy.match(prepared_src,
-                              legacy.prepare(retail_workload.target))
-        assert result.report.source_prepared
-        assert "profile_misses" not in \
-            result.report.stage("score-candidates").counts
-        assert len(prepared_src.store) == 0
-
 
 class TestReportSerialization:
     def test_source_prepared_roundtrips(self, retail_workload,
