@@ -15,29 +15,80 @@ the scalar loop, while vectorized classifiers
 :class:`~repro.classifiers.numeric.GaussianClassifier`) override them with
 compiled fast paths that produce bit-identical labels.
 
-Classifiers whose training state is a pure function of per-label
-sufficient statistics additionally set :attr:`Classifier.supports_regrouping`
-and implement :meth:`Classifier.regrouped`: given a mapping from taught
-labels to coarser group labels, they return the classifier that teaching
-the same examples under the group labels would have produced — without
-re-teaching.  The early-disjunct merge loop (Section 3.3) uses this to
-turn every group merge into an O(labels) statistics merge.
+Merged label groups
+-------------------
+The early-disjunct loop (Section 3.3) assesses the same taught examples
+under coarser and coarser groupings of their labels.  A classifier whose
+training state is per-label sufficient statistics answers that through
+:meth:`Classifier.group_scorer`: bound to one batch of values, the
+returned :class:`GroupScorer` computes one *group's* column — its score
+for each value, plus its training count — from the summed statistics of
+the group's member labels, exactly as a classifier taught with the group
+label would score them.  Merging two groups changes only the merged
+group's column, so a merge step costs one column instead of a retrain.
 """
 
 from __future__ import annotations
 
 import abc
-from typing import Any, Hashable, Iterable, Mapping, Sequence
+import dataclasses
+from typing import Any, Hashable, Iterable, Sequence
 
-__all__ = ["Classifier"]
+import numpy as np
+
+__all__ = ["Classifier", "GroupColumn", "GroupScorer"]
+
+
+def value_key(value: Any) -> tuple | None:
+    """Memo key of *value* for per-distinct-value work: its concrete class
+    and itself, so 1 / 1.0 / True stay distinct; None when unhashable."""
+    try:
+        key = (value.__class__, value)
+        hash(key)
+    except TypeError:
+        return None
+    return key
+
+
+@dataclasses.dataclass(frozen=True)
+class GroupColumn:
+    """One label group's column of a :class:`GroupScorer`.
+
+    ``scores`` holds the group's score for every scorer row (posterior,
+    or whatever the classifier maximizes).  ``count`` is the group's
+    training count, the first tie-break after the score.  Remaining ties
+    go to the larger ``repr`` of the group label, then to the group first
+    in label order; ``order`` overrides that label order per row (lower
+    first) for classifiers whose candidate order depends on the value.
+    """
+
+    scores: np.ndarray
+    count: int
+    order: np.ndarray | None = None
+
+
+class GroupScorer(abc.ABC):
+    """Scores of label groups over one fixed batch of values.
+
+    ``labels`` are the taught labels in label order (first taught first);
+    the groups a classifier can predict are those holding at least one of
+    them, and they are scanned in the order of their first member.
+    ``rows[i]`` is the score row the batch's *i*-th value reads — values
+    that must score alike (repeats, unparseable input) share a row.
+    """
+
+    labels: tuple[Hashable, ...]
+    rows: np.ndarray
+
+    @abc.abstractmethod
+    def column(self, members: Sequence[Hashable]) -> GroupColumn:
+        """The column of the group made of *members* (taught labels, in
+        label order): what a classifier taught every member's examples
+        under one group label would score, bit for bit."""
 
 
 class Classifier(abc.ABC):
     """Single-label classifier over data values."""
-
-    #: True when :meth:`regrouped` derives the classifier for relabeled
-    #: training data exactly (bit-identically) from this one's statistics.
-    supports_regrouping: bool = False
 
     @abc.abstractmethod
     def teach(self, value: Any, label: Hashable) -> None:
@@ -88,17 +139,12 @@ class Classifier(abc.ABC):
                 f"{type(self).__name__} does not expose log posteriors")
         return [scalar(value) for value in values]
 
-    def regrouped(self, mapping: Mapping[Hashable, Hashable]) -> "Classifier":
-        """The classifier teaching the same examples under mapped labels
-        would have produced.
-
-        *mapping* sends every taught label to its group label.  Only
-        available when :attr:`supports_regrouping` is True; the result
-        must be bit-identical to re-teaching (its statistics are integer
-        or order-preserving merges of this classifier's).
-        """
-        raise NotImplementedError(
-            f"{type(self).__name__} cannot regroup its training statistics")
+    def group_scorer(self, values: Sequence[Any]) -> GroupScorer:
+        """A :class:`GroupScorer` over *values* for this classifier's
+        taught statistics.  Classifiers that cannot derive a label group's
+        scores from their per-label statistics raise ``TypeError``."""
+        raise TypeError(
+            f"{type(self).__name__} cannot score merged label groups")
 
     @property
     @abc.abstractmethod

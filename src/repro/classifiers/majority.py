@@ -9,17 +9,32 @@ hypothesis of no correlation.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Any, Hashable, Mapping
+from typing import Any, Hashable, Sequence
 
-from .base import Classifier
+import numpy as np
+
+from .base import Classifier, GroupColumn, GroupScorer
 
 __all__ = ["MajorityClassifier"]
 
 
+class _MajorityGroupScorer(GroupScorer):
+    """Every value shares one row scored 0.0 by every group, so the tie
+    rule alone — count, then ``repr``, then label order — picks the
+    majority group; a group's count is its members' counts summed."""
+
+    def __init__(self, label_counts: Counter, values: Sequence[Any]):
+        self.labels = tuple(label_counts)
+        self.rows = np.zeros(len(values), dtype=np.intp)
+        self._counts = dict(label_counts)
+
+    def column(self, members: Sequence[Hashable]) -> GroupColumn:
+        return GroupColumn(np.zeros(1),
+                           sum(self._counts[label] for label in members))
+
+
 class MajorityClassifier(Classifier):
     """Predicts the most frequent label seen in training."""
-
-    supports_regrouping = True
 
     def __init__(self):
         self._label_counts: Counter = Counter()
@@ -27,13 +42,8 @@ class MajorityClassifier(Classifier):
     def teach(self, value: Any, label: Hashable) -> None:
         self._label_counts[label] += 1
 
-    def regrouped(self, mapping: Mapping[Hashable, Hashable]
-                  ) -> "MajorityClassifier":
-        """Label counts summed per group — exact (integer) merge."""
-        other = MajorityClassifier()
-        for label, count in self._label_counts.items():
-            other._label_counts[mapping[label]] += count
-        return other
+    def group_scorer(self, values: Sequence[Any]) -> GroupScorer:
+        return _MajorityGroupScorer(self._label_counts, values)
 
     @property
     def labels(self) -> frozenset[Hashable]:

@@ -18,25 +18,42 @@ Two equivalent inference paths exist:
   them with ``np.add.accumulate`` — the same IEEE additions in the same
   left-to-right order as the scalar loop, so posteriors are bit-identical,
   while the ``math.log`` table is built once per compile instead of once
-  per classified value.  Distinct values are tokenized through the shared
+  per classified value.  Values are tokenized through the
   :mod:`~repro.matching.tokens` cache and their posterior rows memoized.
+
+:meth:`~NaiveBayesClassifier.group_scorer` serves the early-disjunct merge
+loop from the same dense statistics: a label group's column sums its
+members' int64 token-count rows, builds its log row with the routine the
+compiled matrix uses (:func:`_log_likelihoods`) and reduces each value
+with a gather + ``np.add.accumulate`` in the same order, so it equals the
+posterior a classifier taught with the group label computes.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter, defaultdict
-from typing import Any, Hashable, Mapping, Sequence
+from typing import Any, Hashable, Sequence
 
 import numpy as np
 
 from ..matching.tokens import cached_qgrams
-from .base import Classifier
+from .base import Classifier, GroupColumn, GroupScorer, value_key
 
 __all__ = ["NaiveBayesClassifier"]
 
 #: Sentinel distinguishing "not cached" from a cached None label.
 _UNRESOLVED = object()
+
+
+def _log_likelihoods(counts: np.ndarray, denom: int) -> np.ndarray:
+    """``math.log((count + 1) / denom)`` for every entry of an int64
+    token-count row: the scalar loop's addend depends only on (count,
+    denom), so ``math.log`` runs once per distinct count value."""
+    present = np.flatnonzero(np.bincount(counts)).tolist()
+    table = np.empty(present[-1] + 1, dtype=np.float64)
+    table[present] = [math.log((count + 1) / denom) for count in present]
+    return table[counts]
 
 
 class _CompiledNB:
@@ -52,67 +69,32 @@ class _CompiledNB:
     """
 
     __slots__ = ("q", "labels", "label_counts", "vocab_index", "unseen",
-                 "log_matrix", "log_prior", "_row_cache", "_label_cache",
-                 "_gram_ids")
+                 "log_matrix", "log_prior", "_row_cache", "_label_cache")
 
     def __init__(self, nb: "NaiveBayesClassifier"):
         self.q = nb.q
-        # value -> token-column memo shared across the classifier's
-        # regroup family (the vocabulary, and hence the column index, is
-        # identical for every regrouping of the same taught statistics).
-        self._gram_ids = nb._gram_ids
-        self.labels: list[Hashable] = list(nb._label_counts)
+        self.labels, self.vocab_index, counts, totals = nb._dense_counts()
         self.label_counts: list[int] = [nb._label_counts[label]
                                         for label in self.labels]
-        vocabulary = sorted(nb._vocabulary)
-        self.vocab_index: dict[str, int] = {
-            token: i for i, token in enumerate(vocabulary)}
-        self.unseen = len(vocabulary)
-        vocab_size = len(vocabulary) or 1
-        n_labels = len(self.labels)
-        self.log_matrix = np.empty((n_labels, len(vocabulary) + 1),
-                                   dtype=np.float64)
-        self.log_prior = np.empty(n_labels, dtype=np.float64)
-        examples = nb._examples
-        for li, label in enumerate(self.labels):
-            counts = nb._token_counts.get(label, ())
-            denom = nb._token_totals.get(label, 0) + vocab_size
-            # math.log per *distinct count value*, not per (token, label):
-            # the scalar loop's addend depends only on (count, denom).
-            log_for_count: dict[int, float] = {0: math.log((0 + 1) / denom)}
-            row = self.log_matrix[li]
-            row.fill(log_for_count[0])
-            for token, count in counts.items() if counts else ():
-                addend = log_for_count.get(count)
-                if addend is None:
-                    addend = log_for_count[count] = math.log(
-                        (count + 1) / denom)
-                row[self.vocab_index[token]] = addend
-            self.log_prior[li] = math.log(nb._label_counts[label] / examples)
+        self.unseen = len(self.vocab_index)
+        vocab_size = len(self.vocab_index) or 1
+        self.log_matrix = np.empty(counts.shape, dtype=np.float64)
+        for li, total in enumerate(totals):
+            self.log_matrix[li] = _log_likelihoods(counts[li],
+                                                   total + vocab_size)
+        self.log_prior = np.array(
+            [math.log(count / nb._examples) for count in self.label_counts],
+            dtype=np.float64)
         #: Posterior rows / decisions memoized per distinct value (keyed by
         #: concrete class + value, so 1 / 1.0 / True stay distinct).
         self._row_cache: dict[tuple, np.ndarray] = {}
         self._label_cache: dict[tuple, Hashable] = {}
 
-    def _value_key(self, value: Any) -> tuple | None:
-        try:
-            key = (value.__class__, value)
-            hash(key)
-        except TypeError:
-            return None
-        return key
-
-    def _columns_for(self, key: tuple | None, value: Any) -> list[int]:
-        """Token columns of *value*, memoized per distinct value."""
-        if key is not None:
-            cached = self._gram_ids.get(key)
-            if cached is not None:
-                return cached
-        columns = [self.vocab_index.get(token, self.unseen)
-                   for token in cached_qgrams(value, self.q)]
-        if key is not None:
-            self._gram_ids[key] = columns
-        return columns
+    def _columns_for(self, value: Any) -> list[int]:
+        """Token columns of *value* (out-of-vocabulary tokens read the
+        trailing ``unseen`` column)."""
+        return [self.vocab_index.get(token, self.unseen)
+                for token in cached_qgrams(value, self.q)]
 
     def posterior_row(self, value: Any) -> np.ndarray:
         """Per-label posteriors of *value*, ordered like :attr:`labels`.
@@ -121,12 +103,12 @@ class _CompiledNB:
         log prior and adds one table entry per token occurrence, left to
         right, via ``np.add.accumulate`` (a strictly sequential reduction).
         """
-        key = self._value_key(value)
+        key = value_key(value)
         if key is not None:
             cached = self._row_cache.get(key)
             if cached is not None:
                 return cached
-        columns = self._columns_for(key, value)
+        columns = self._columns_for(value)
         block = np.empty((len(self.labels), len(columns) + 1),
                          dtype=np.float64)
         block[:, 0] = self.log_prior
@@ -154,7 +136,7 @@ class _CompiledNB:
         """argmax with the scalar path's exact tie-breaking."""
         if not self.labels:
             return None
-        key = self._value_key(value)
+        key = value_key(value)
         if key is not None and key in self._label_cache:
             return self._label_cache[key]
         label = self._pick_label(self.posterior_row(value))
@@ -179,7 +161,7 @@ class _CompiledNB:
         by_key: dict[tuple, list[int]] = {}
         loose: list[int] = []  # unhashable values — computed individually
         for position, value in enumerate(values):
-            key = self._value_key(value)
+            key = value_key(value)
             if key is None:
                 loose.append(position)
                 continue
@@ -196,7 +178,7 @@ class _CompiledNB:
         # Bucket distinct values by token count for rectangular batches.
         buckets: dict[int, tuple[list[tuple], list[list[int]]]] = {}
         for key, positions in by_key.items():
-            columns = self._columns_for(key, values[positions[0]])
+            columns = self._columns_for(values[positions[0]])
             keys, column_rows = buckets.setdefault(len(columns), ([], []))
             keys.append(key)
             column_rows.append(columns)
@@ -228,8 +210,6 @@ class _CompiledNB:
 class NaiveBayesClassifier(Classifier):
     """Laplace-smoothed multinomial NB on q-gram tokens."""
 
-    supports_regrouping = True
-
     def __init__(self, *, q: int = 3):
         if q < 1:
             raise ValueError(f"q must be >= 1, got {q}")
@@ -240,10 +220,6 @@ class NaiveBayesClassifier(Classifier):
         self._vocabulary: set[str] = set()
         self._examples = 0
         self._compiled: _CompiledNB | None = None
-        #: value -> token-column memo for the compiled path, shared across
-        #: regroup copies (same vocabulary, same column index); replaced —
-        #: not mutated — on teach, so copies keep their valid view.
-        self._gram_ids: dict[tuple, list[int]] = {}
 
     def _tokens(self, value: Any) -> tuple[str, ...]:
         return cached_qgrams(value, self.q)
@@ -258,7 +234,6 @@ class NaiveBayesClassifier(Classifier):
             self._vocabulary.add(token)
         self._token_totals[label] += len(tokens)
         self._compiled = None
-        self._gram_ids = {}
 
     def teach_many(self, values: Sequence[Any],
                    labels: Sequence[Hashable]) -> None:
@@ -278,7 +253,6 @@ class NaiveBayesClassifier(Classifier):
             vocabulary.update(tokens)
         self._examples += len(values)
         self._compiled = None
-        self._gram_ids = {}
 
     @property
     def labels(self) -> frozenset[Hashable]:
@@ -314,6 +288,25 @@ class NaiveBayesClassifier(Classifier):
     # ------------------------------------------------------------------
     # Batch path
     # ------------------------------------------------------------------
+    def _dense_counts(self) -> tuple[list[Hashable], dict[str, int],
+                                     np.ndarray, list[int]]:
+        """(labels, vocabulary index, int64 count matrix, token totals):
+        ``counts[l, t]`` is token *t*'s count under label *l* over the
+        sorted vocabulary plus a trailing all-zero column for unseen
+        tokens; labels keep teach order."""
+        labels = list(self._label_counts)
+        vocab_index = {token: i
+                       for i, token in enumerate(sorted(self._vocabulary))}
+        counts = np.zeros((len(labels), len(vocab_index) + 1),
+                          dtype=np.int64)
+        for li, label in enumerate(labels):
+            label_counts = self._token_counts.get(label)
+            if label_counts:
+                counts[li, [vocab_index[token] for token in label_counts]] = \
+                    list(label_counts.values())
+        totals = [self._token_totals.get(label, 0) for label in labels]
+        return labels, vocab_index, counts, totals
+
     def compiled(self) -> _CompiledNB:
         """The dense log-probability view of the current counts (lazy;
         invalidated by :meth:`teach`)."""
@@ -345,35 +338,79 @@ class NaiveBayesClassifier(Classifier):
     def __getstate__(self) -> dict:
         """Pickle the taught statistics only.
 
-        The compiled log-probability matrix and the value -> token-column
-        memo are lazy, pure functions of the counts; dropping them keeps
-        worker-bound payloads small and the first worker-side
-        :meth:`classify_many` recompiles from the restored counts —
-        producing the exact same ``math.log`` table, so posteriors are
-        bit-identical across the process boundary.
+        The compiled log-probability matrix is a lazy, pure function of
+        the counts; dropping it keeps worker-bound payloads small and the
+        first worker-side :meth:`classify_many` recompiles from the
+        restored counts — producing the exact same ``math.log`` table, so
+        posteriors are bit-identical across the process boundary.
         """
         state = self.__dict__.copy()
         state["_compiled"] = None
-        state["_gram_ids"] = {}
         return state
 
-    def regrouped(self, mapping: Mapping[Hashable, Hashable]
-                  ) -> "NaiveBayesClassifier":
-        """The classifier teaching the same examples under group labels
-        would have produced: token-count rows summed per group.
+    def group_scorer(self, values: Sequence[Any]) -> GroupScorer:
+        """Posteriors of label groups over *values*: one row per distinct
+        value, each group's column summed from its members' counts."""
+        return _NBGroupScorer(self, values)
 
-        All statistics are integers, so the merge is exact — classifying
-        with the regrouped classifier equals re-teaching from scratch with
-        ``mapping[label]`` in place of each label.
-        """
-        other = NaiveBayesClassifier(q=self.q)
-        for label, count in self._label_counts.items():
-            other._label_counts[mapping[label]] += count
-        for label, counts in self._token_counts.items():
-            other._token_counts[mapping[label]].update(counts)
-        for label, total in self._token_totals.items():
-            other._token_totals[mapping[label]] += total
-        other._vocabulary = set(self._vocabulary)
-        other._examples = self._examples
-        other._gram_ids = self._gram_ids  # same vocabulary, same columns
-        return other
+
+class _NBGroupScorer(GroupScorer):
+    """:class:`GroupScorer` over one batch for Naive Bayes.
+
+    Merging labels leaves the vocabulary — and so every denominator's
+    vocabulary term — unchanged, and each label's posterior accumulates on
+    its own: a group's column needs only its summed count row, token total
+    and example count.  Distinct values are tokenized once into one token
+    column matrix, right-padded to the longest value with an index whose
+    log entry is 0.0, so a column costs one log row and one gather +
+    ``np.add.accumulate`` — per value the scalar loop's sequential chain
+    of IEEE additions, followed by exact ``+ 0.0`` steps (no partial sum
+    is ``-0.0``: the log prior is ``+0.0`` or negative, and so is every
+    addend).
+    """
+
+    def __init__(self, nb: NaiveBayesClassifier, values: Sequence[Any]):
+        labels, vocab_index, self._counts, self._totals = nb._dense_counts()
+        self.labels = tuple(labels)
+        self._index = {label: i for i, label in enumerate(labels)}
+        self._label_counts = [nb._label_counts[label] for label in labels]
+        self._examples = nb._examples
+        self._vocab_size = len(vocab_index) or 1
+        unseen = len(vocab_index)
+        row_of: dict[tuple, int] = {}
+        rows: list[int] = []
+        token_columns: list[list[int]] = []
+        for value in values:
+            key = value_key(value)
+            row = row_of.get(key) if key is not None else None
+            if row is None:
+                row = len(token_columns)
+                if key is not None:
+                    row_of[key] = row
+                token_columns.append(
+                    [vocab_index.get(token, unseen)
+                     for token in cached_qgrams(value, nb.q)])
+            rows.append(row)
+        self.rows = np.array(rows, dtype=np.intp)
+        width = max(map(len, token_columns), default=0)
+        #: Index of the 0.0 entry appended to every log row.
+        self._padding = unseen + 1
+        self._token_columns = np.full((len(token_columns), width),
+                                      self._padding, dtype=np.intp)
+        for row, columns in enumerate(token_columns):
+            self._token_columns[row, :len(columns)] = columns
+
+    def column(self, members: Sequence[Hashable]) -> GroupColumn:
+        indices = [self._index[label] for label in members]
+        total = sum(self._totals[i] for i in indices)
+        count = sum(self._label_counts[i] for i in indices)
+        log_row = np.zeros(self._padding + 1, dtype=np.float64)
+        log_row[:-1] = _log_likelihoods(self._counts[indices].sum(axis=0),
+                                        total + self._vocab_size)
+        block = np.empty((len(self._token_columns),
+                          self._token_columns.shape[1] + 1),
+                         dtype=np.float64)
+        block[:, 0] = math.log(count / self._examples)
+        block[:, 1:] = log_row[self._token_columns]
+        np.add.accumulate(block, axis=1, out=block)
+        return GroupColumn(block[:, -1].copy(), count)

@@ -11,18 +11,22 @@ floating-point exponentiation (``** 2``) is not reproducible across numpy
 and libm at the ulp level, and the equivalence contract is bit-identity —
 and instead amortizes: the per-label fit happens once per batch and each
 *distinct* value is evaluated once (numeric columns repeat values heavily).
-:meth:`~GaussianClassifier.regrouped` merges per-label value lists back
-into original teach order (positions are recorded at teach time), so a
-merged group's fit equals a from-scratch retrain bit-for-bit.
+:meth:`~GaussianClassifier.group_scorer` fits a label group from its
+members' values re-interleaved into teach order (positions are recorded at
+teach time), with the same fit and kernel, so a merged group's column
+equals a from-scratch retrain bit-for-bit.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter, defaultdict
-from typing import Any, Hashable, Mapping, Sequence
+from operator import itemgetter
+from typing import Any, Hashable, Sequence
 
-from .base import Classifier
+import numpy as np
+
+from .base import Classifier, GroupColumn, GroupScorer, value_key
 
 __all__ = ["GaussianClassifier"]
 
@@ -30,16 +34,53 @@ __all__ = ["GaussianClassifier"]
 _VARIANCE_FLOOR_FRACTION = 1e-4
 
 
+def _variance_floor(all_values: list[float]) -> float:
+    """The variance floor for training values listed label by label."""
+    if all_values:
+        lo, hi = min(all_values), max(all_values)
+        global_spread = (hi - lo) or max(abs(hi), 1.0)
+    else:
+        global_spread = 1.0
+    return max(global_spread * _VARIANCE_FLOOR_FRACTION, 1e-9)
+
+
+def _fit_values(values: list[float], floor: float) -> tuple[float, float]:
+    """(mean, floored variance) of one label's values, in teach order."""
+    n = len(values)
+    mean = sum(values) / n
+    variance = sum((v - mean) ** 2 for v in values) / n
+    return mean, max(variance, floor)
+
+
+def _normal_terms(mean: float, variance: float, count: int,
+                  total: int) -> tuple[float, float, float]:
+    """(2·variance, normal log-norm term, log prior) of one fitted label:
+    the constants of :func:`_log_posterior`."""
+    return (2.0 * variance, -0.5 * math.log(2.0 * math.pi * variance),
+            math.log(count / total))
+
+
+def _log_posterior(number: float, mean: float, twice_var: float,
+                   log_norm: float, log_prior: float) -> float:
+    """The scalar kernel: log prior plus the normal log likelihood."""
+    return log_prior + (log_norm - (number - mean) ** 2 / twice_var)
+
+
+def _as_number(value: Any) -> float | None:
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        return None
+
+
 class GaussianClassifier(Classifier):
     """Per-label univariate Gaussian, maximum a-posteriori prediction."""
-
-    supports_regrouping = True
 
     def __init__(self):
         self._values: dict[Hashable, list[float]] = defaultdict(list)
         #: Global teach-order index of each stored value, parallel to
-        #: ``_values`` — lets :meth:`regrouped` interleave merged lists in
-        #: the exact order a retrain would have taught them.
+        #: ``_values`` — lets :meth:`group_scorer` interleave merged lists
+        #: in the exact order a retrain would have taught them.
         self._positions: dict[Hashable, list[int]] = defaultdict(list)
         self._label_counts: Counter = Counter()
         self._taught = 0
@@ -50,9 +91,8 @@ class GaussianClassifier(Classifier):
         self._terms: list[tuple[Hashable, float, float, float, float, int]] | None = None
 
     def teach(self, value: Any, label: Hashable) -> None:
-        try:
-            number = float(value)
-        except (TypeError, ValueError):
+        number = _as_number(value)
+        if number is None:
             return  # non-numeric garbage carries no signal for this model
         self._values[label].append(number)
         self._positions[label].append(self._taught)
@@ -68,21 +108,11 @@ class GaussianClassifier(Classifier):
     def _fit(self) -> dict[Hashable, tuple[float, float]]:
         if self._fitted is not None:
             return self._fitted
-        all_values = [v for vs in self._values.values() for v in vs]
-        if all_values:
-            lo, hi = min(all_values), max(all_values)
-            global_spread = (hi - lo) or max(abs(hi), 1.0)
-        else:
-            global_spread = 1.0
-        floor = max(global_spread * _VARIANCE_FLOOR_FRACTION, 1e-9)
-        fitted: dict[Hashable, tuple[float, float]] = {}
-        for label, values in self._values.items():
-            n = len(values)
-            mean = sum(values) / n
-            variance = sum((v - mean) ** 2 for v in values) / n
-            fitted[label] = (mean, max(variance, floor))
-        self._fitted = fitted
-        return fitted
+        floor = _variance_floor(
+            [v for vs in self._values.values() for v in vs])
+        self._fitted = {label: _fit_values(values, floor)
+                        for label, values in self._values.items()}
+        return self._fitted
 
     def _posterior_terms(self) -> list[tuple[Hashable, float, float, float,
                                              float, int]]:
@@ -95,30 +125,27 @@ class GaussianClassifier(Classifier):
             fitted = self._fit()
             total = sum(self._label_counts.values())
             self._terms = [
-                (label, mean, 2.0 * variance,
-                 -0.5 * math.log(2.0 * math.pi * variance),
-                 math.log(self._label_counts[label] / total),
+                (label, mean,
+                 *_normal_terms(mean, variance, self._label_counts[label],
+                                total),
                  self._label_counts[label])
                 for label, (mean, variance) in fitted.items()
             ]
         return self._terms
 
     def log_posteriors(self, value: Any) -> dict[Hashable, float]:
-        try:
-            number = float(value)
-        except (TypeError, ValueError):
+        number = _as_number(value)
+        if number is None:
             return {}
         return {
-            label: log_prior + (log_norm - (number - mean) ** 2 / twice_var)
+            label: _log_posterior(number, mean, twice_var, log_norm,
+                                  log_prior)
             for label, mean, twice_var, log_norm, log_prior, _
             in self._posterior_terms()
         }
 
     def classify(self, value: Any) -> Hashable | None:
-        try:
-            number = float(value)
-        except (TypeError, ValueError):
-            number = None
+        number = _as_number(value)
         terms = self._posterior_terms()
         if number is None or not terms:
             # Fall back to the prior for unparseable inputs, if trained.
@@ -132,7 +159,8 @@ class GaussianClassifier(Classifier):
         best_posterior: float | None = None
         ties: list[tuple[Hashable, int]] = []
         for label, mean, twice_var, log_norm, log_prior, count in terms:
-            posterior = log_prior + (log_norm - (number - mean) ** 2 / twice_var)
+            posterior = _log_posterior(number, mean, twice_var, log_norm,
+                                       log_prior)
             if best_posterior is None or posterior > best_posterior:
                 best_posterior = posterior
                 ties = [(label, count)]
@@ -145,17 +173,6 @@ class GaussianClassifier(Classifier):
     # ------------------------------------------------------------------
     # Batch path
     # ------------------------------------------------------------------
-    def _memo_key(self, value: Any) -> tuple | None:
-        # classify/log_posteriors depend on value only through float(value)
-        # (or its unparseability), but key on the concrete class + value so
-        # the memo never has to reason about cross-type equality.
-        try:
-            key = (value.__class__, value)
-            hash(key)
-        except TypeError:
-            return None
-        return key
-
     def log_posteriors_many(self, values: Sequence[Any]
                             ) -> list[dict[Hashable, float]]:
         """Batch log posteriors: one fit, one evaluation per distinct
@@ -164,7 +181,7 @@ class GaussianClassifier(Classifier):
         memo: dict[tuple, dict[Hashable, float]] = {}
         out: list[dict[Hashable, float]] = []
         for value in values:
-            key = self._memo_key(value)
+            key = value_key(value)
             if key is None:
                 out.append(self.log_posteriors(value))
                 continue
@@ -180,7 +197,7 @@ class GaussianClassifier(Classifier):
         memo: dict[tuple, Hashable | None] = {}
         out: list[Hashable | None] = []
         for value in values:
-            key = self._memo_key(value)
+            key = value_key(value)
             if key is None:
                 out.append(self.classify(value))
                 continue
@@ -202,24 +219,64 @@ class GaussianClassifier(Classifier):
         state["_terms"] = None
         return state
 
-    def regrouped(self, mapping: Mapping[Hashable, Hashable]
-                  ) -> "GaussianClassifier":
-        """The classifier teaching the same examples under group labels
-        would have produced.
+    def group_scorer(self, values: Sequence[Any]) -> GroupScorer:
+        """Posteriors of label groups over *values*: one row per distinct
+        value, plus one shared row for unparseable values."""
+        return _GaussianGroupScorer(self, values)
 
-        Merged value lists are re-interleaved by recorded teach position,
-        so the (order-sensitive) mean/variance accumulations of
-        :meth:`_fit` see exactly the sequence a retrain would have."""
-        other = GaussianClassifier()
-        merged: dict[Hashable, list[tuple[int, float]]] = {}
-        for label, values in self._values.items():
-            merged.setdefault(mapping[label], []).extend(
-                zip(self._positions[label], values))
-        for group, tagged in merged.items():
-            tagged.sort(key=lambda pair: pair[0])
-            other._values[group] = [value for _, value in tagged]
-            other._positions[group] = [position for position, _ in tagged]
-        for label, count in self._label_counts.items():
-            other._label_counts[mapping[label]] += count
-        other._taught = self._taught
-        return other
+
+class _GaussianGroupScorer(GroupScorer):
+    """:class:`GroupScorer` over one batch for the Gaussian classifier.
+
+    A group's column refits the group from its members' values merged back
+    into teach order, so the order-sensitive sums of :func:`_fit_values`
+    see the sequence a retrain would.  The variance floor is the taught
+    classifier's: a retrain lists its values group by group, but the first
+    value listed is always the first one taught and ``min`` / ``max`` are
+    otherwise order-free, so the floor does not depend on the grouping.
+    Unparseable values share the last row, scored 0.0 by every group, so
+    the tie rule picks the prior's choice exactly as :meth:`classify`
+    does.
+    """
+
+    def __init__(self, gaussian: GaussianClassifier,
+                 values: Sequence[Any]):
+        self.labels = tuple(gaussian._label_counts)
+        self._taught = {label: list(zip(gaussian._positions[label],
+                                        gaussian._values[label]))
+                        for label in self.labels}
+        self._floor = _variance_floor(
+            [v for vs in gaussian._values.values() for v in vs])
+        self._total = sum(gaussian._label_counts.values())
+        row_of: dict[tuple, int] = {}
+        self._numbers: list[float] = []
+        unparseable: list[int] = []
+        rows: list[int] = []
+        for i, value in enumerate(values):
+            key = value_key(value)
+            row = row_of.get(key) if key is not None else None
+            if row is None:
+                number = _as_number(value)
+                if number is None:
+                    unparseable.append(i)
+                    rows.append(-1)
+                    continue
+                row = len(self._numbers)
+                self._numbers.append(number)
+                if key is not None:
+                    row_of[key] = row
+            rows.append(row)
+        self.rows = np.array(rows, dtype=np.intp)
+        self.rows[unparseable] = len(self._numbers)
+
+    def column(self, members: Sequence[Hashable]) -> GroupColumn:
+        taught = sorted((pair for label in members
+                         for pair in self._taught[label]), key=itemgetter(0))
+        values = [value for _, value in taught]
+        mean, variance = _fit_values(values, self._floor)
+        twice_var, log_norm, log_prior = _normal_terms(
+            mean, variance, len(values), self._total)
+        scores = [_log_posterior(number, mean, twice_var, log_norm, log_prior)
+                  for number in self._numbers]
+        scores.append(0.0)
+        return GroupColumn(np.array(scores, dtype=np.float64), len(values))

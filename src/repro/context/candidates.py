@@ -23,15 +23,16 @@ Batch inference
 ---------------
 The ClusteredViewGen loop runs on a :class:`FamilyAssessor`: the
 classifier is taught *once* per (h, l) attribute pair with the original
-label values, and every family — the base family and each early-disjunct
-merge — is assessed by *regrouping* those sufficient statistics
-(:meth:`~repro.classifiers.base.Classifier.regrouped`: an O(labels)
-count-vector merge, mirroring the profiling subsystem's partition-cell
-merges) and classifying the test column through the classifier's batch
-path.  Every built-in classifier supports regrouping.  Results are
-bit-identical to re-teaching a fresh classifier per family
-(:func:`assess_family`), the reference the tests compare against;
-:class:`InferenceStats` counts the work for the engine's stage reports.
+label values, and keeps one score matrix — distinct test value × family
+group with training rows — whose columns come from the classifier's
+:meth:`~repro.classifiers.base.Classifier.group_scorer` (a group's column
+is computed from its member labels' summed statistics).  The base family
+fills the matrix once; an early-disjunct merge changes only the merged
+group's column, so a merge step computes that one column and re-takes the
+argmax under the classifiers' exact tie rule.  Results are bit-identical
+to re-teaching a fresh classifier per family (:func:`assess_family`), the
+reference the tests compare against; :class:`InferenceStats` counts the
+work for the engine's stage reports.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from typing import Any, Callable, Hashable, Iterator, Sequence
 
 import numpy as np
 
-from ..classifiers.base import Classifier
+from ..classifiers.base import Classifier, GroupColumn, GroupScorer
 from ..classifiers.majority import MajorityClassifier
 from ..classifiers.metrics import (ConfusionMatrix, evaluate_classifier,
                                    normalized_error_pairs)
@@ -77,8 +78,8 @@ class InferenceStats:
     ``values_classified`` counts individual value classifications issued
     through the batch entry points, ``batch_calls`` the number of batched
     invocations carrying them, and ``merges_without_retrain`` the
-    early-disjunct group merges assessed by statistics regrouping instead
-    of re-teaching a fresh classifier.
+    early-disjunct group merges assessed from the taught statistics
+    instead of re-teaching a fresh classifier.
     """
 
     values_classified: int = 0
@@ -113,8 +114,8 @@ class InferenceContext:
     policy: CategoricalPolicy = dataclasses.field(default_factory=CategoricalPolicy)
     _target_classifiers: TargetClassifierSet | None = None
     #: Shared memo of target-column tags keyed by (type family, value):
-    #: the disjunct-merge loop builds a fresh classifier per retraining, but
-    #: the expensive value -> target-column tagging never changes.
+    #: every (h, l) pair builds a fresh tag classifier, but the expensive
+    #: value -> target-column tagging never changes.
     tag_cache: dict = dataclasses.field(default_factory=dict)
     #: Per-run inference work counters (batch calls, classified values,
     #: retrain-free merges), surfaced by the infer-views stage report.
@@ -263,59 +264,136 @@ def assess_family(family: ViewFamily, classifier: Classifier,
     return AssessmentResult(matrix, significance.confidence)
 
 
+def _pick_columns(columns: Sequence[GroupColumn],
+                  labels: Sequence[Any]) -> np.ndarray:
+    """Winning column per row, under the classifiers' exact tie rule.
+
+    *columns* are in label order.  The classifiers scan them left to
+    right, keeping the best score so far and the columns tying it, with
+    Python's comparison semantics: a NaN never beats or ties, and a NaN
+    in the first column wins outright (``GaussianClassifier.classify``;
+    on NaN-free scores the scan finds the plain maximum).  So the tied
+    columns are those equal to the largest non-NaN score, or the first
+    column alone when its score is NaN.  Rows left with several ties go
+    to the larger count, then the larger ``repr`` of the group label
+    (*labels*, parallel to *columns*), then the lower tie order — the
+    column's own ``order`` row when it has one, its label-order position
+    otherwise.
+    """
+    scores = np.column_stack([column.scores for column in columns])
+    tied = scores == np.fmax.reduce(scores, axis=1)[:, None]
+    first_nan = np.isnan(scores[:, 0])
+    tied[first_nan] = False
+    tied[first_nan, 0] = True
+    winners = tied.argmax(axis=1)
+    for row in np.flatnonzero(tied.sum(axis=1) > 1).tolist():
+        def rank(j: int) -> tuple:
+            order = columns[j].order
+            return (columns[j].count, repr(labels[j]),
+                    -(j if order is None else int(order[row])))
+        winners[row] = max(np.flatnonzero(tied[row]).tolist(), key=rank)
+    return winners
+
+
 class FamilyAssessor:
     """Batch ``doTraining`` + ``doTesting`` for every family over one
     (h, l) attribute pair.
 
     The classifier (and the ``CNaive`` baseline) is taught exactly once,
-    with the *original* label values.  Assessing a family then regroups
-    those sufficient statistics to the family's groups — for Naive Bayes
-    an O(labels) sum of token-count rows, for the Gaussian an
-    order-preserving merge of value lists — and classifies the test column
-    through the classifier's batch path.  Both steps are bit-identical to
-    :func:`assess_family` with a freshly retrained classifier, so the
-    early-disjunct merge loop (Section 3.3) walks the same trajectory with
-    no re-teaching.
+    with the *original* label values.  The assessor then keeps one score
+    matrix: a row per distinct test value (as the classifier's
+    :class:`~repro.classifiers.base.GroupScorer` defines it), a column per
+    family group that has training rows.  Assessing a family reuses the
+    columns of groups it shares with the previous family and asks the
+    scorer only for the new ones — after an early-disjunct merge, just the
+    merged group's — then re-takes the argmax (:func:`_pick_columns`).
+    The confusion matrix and the majority baseline are tallied from group
+    indices.  Both are bit-identical to :func:`assess_family` with a
+    freshly retrained classifier, so the early-disjunct merge loop
+    (Section 3.3) walks the same trajectory with no re-teaching.
     """
 
     def __init__(self, classifier: Classifier,
                  train_pairs: Sequence[tuple[Any, Any]],
                  test_pairs: Sequence[tuple[Any, Any]],
                  *, stats: InferenceStats | None = None):
-        if not classifier.supports_regrouping:
-            raise TypeError(
-                f"{type(classifier).__name__} does not support statistics "
-                "regrouping; use assess_family instead")
-        self._test_pairs = list(test_pairs)
-        self._test_values = [value for value, _ in self._test_pairs]
-        self._stats = stats
         values = [value for value, _ in train_pairs]
         labels = [label for _, label in train_pairs]
         classifier.teach_many(values, labels)
-        self._classifier = classifier
+        self._scorer = classifier.group_scorer(
+            [value for value, _ in test_pairs])
         naive = MajorityClassifier()
         naive.teach_many(values, labels)
-        self._naive = naive
-        self._label_values = (set(labels)
-                              | {label for _, label in self._test_pairs})
+        self._naive = naive.group_scorer(())
+        self._n_train = len(labels)
+        self._n_test = len(test_pairs)
+        codes: dict[Any, int] = {}
+        self._test_codes = np.array(
+            [codes.setdefault(label, len(codes)) for _, label in test_pairs],
+            dtype=np.intp)
+        self._test_labels = list(codes)
+        self._stats = stats
+        #: The current family's columns, keyed by group.
+        self._columns: dict[frozenset, GroupColumn] = {}
+
+    @staticmethod
+    def _members(scorer: GroupScorer, group_index: Callable[[Any], int]
+                 ) -> dict[int, list[Any]]:
+        """Group index -> taught member labels, groups in label order."""
+        members: dict[int, list[Any]] = {}
+        for label in scorer.labels:
+            members.setdefault(group_index(label), []).append(label)
+        return members
 
     def assess(self, family: ViewFamily, *,
                merged: bool = False) -> AssessmentResult:
         """Assess one family grouping; *merged* marks early-disjunct merge
         steps for the ``merges_without_retrain`` counter."""
-        mapping = {label: family.group_label(label)
-                   for label in self._label_values}
-        grouped = self._classifier.regrouped(mapping)
-        naive = self._naive.regrouped(mapping)
-        predictions = grouped.classify_many(self._test_values)
+        groups = family.groups
+        index_of = {value: i for i, group in enumerate(groups)
+                    for value in group}
+
+        def group_index(label: Any) -> int:
+            try:
+                return index_of[label]
+            except KeyError:
+                family.group_label(label)  # raises the ConditionError
+                raise
+
+        members = self._members(self._scorer, group_index)
+        columns = {}
+        for i, labels in members.items():
+            group = groups[i]
+            column = self._columns.get(group)
+            columns[group] = (column if column is not None
+                              else self._scorer.column(labels))
+        self._columns = columns
+        absent = len(groups)  # predicted-index code for "no prediction"
+        if columns:
+            trained = np.array(list(members), dtype=np.intp)
+            winners = _pick_columns(list(columns.values()),
+                                    [groups[i] for i in trained])
+            predicted = trained[winners][self._scorer.rows]
+        else:
+            predicted = np.full(self._n_test, absent, dtype=np.intp)
+        truth = np.array([group_index(label) for label in self._test_labels],
+                         dtype=np.intp)[self._test_codes]
+        cells, first, counts = np.unique(truth * (absent + 1) + predicted,
+                                         return_index=True,
+                                         return_counts=True)
         matrix = ConfusionMatrix()
-        for (_, label), predicted in zip(self._test_pairs, predictions):
-            matrix.record(mapping[label], predicted)
+        for i in np.argsort(first).tolist():
+            t, p = divmod(int(cells[i]), absent + 1)
+            matrix.counts[(groups[t], groups[p] if p < absent else None)] = \
+                int(counts[i])
+        naive_counts = [self._naive.column(labels).count for labels
+                        in self._members(self._naive, group_index).values()]
+        p_null = (max(naive_counts) / self._n_train) if self._n_train else 0.0
         significance = classifier_significance(
-            matrix.correct, matrix.total, naive.majority_fraction)
+            matrix.correct, matrix.total, p_null)
         if self._stats is not None:
             self._stats.batch_calls += 1
-            self._stats.values_classified += len(self._test_values)
+            self._stats.values_classified += self._n_test
             if merged:
                 self._stats.merges_without_retrain += 1
         return AssessmentResult(matrix, significance.confidence)
@@ -404,7 +482,7 @@ class ClusteredViewGenBase(CandidateViewGenerator):
         Merge the most frequent (frequency-normalized) confusion pair,
         retrain and retest; keep merged families that test well-clustered.
         Repeats until the test is error-free or only one group remains.
-        The :class:`FamilyAssessor` retrains by regrouping its statistics —
+        The :class:`FamilyAssessor` scores only the merged group's column —
         the same results as re-teaching a fresh classifier.
         """
         config = ctx.config
@@ -433,7 +511,8 @@ class ClusteredViewGenBase(CandidateViewGenerator):
     @abc.abstractmethod
     def make_classifier(self, dtype: DataType, ctx: InferenceContext) -> Classifier:
         """A fresh classifier ``Ch`` for a non-categorical attribute of type
-        *dtype*; it must support statistics regrouping
+        *dtype*; it must provide
+        :meth:`~repro.classifiers.base.Classifier.group_scorer`
         (:class:`FamilyAssessor` raises ``TypeError`` otherwise)."""
 
 
@@ -459,8 +538,6 @@ class _TgtTagClassifier(Classifier):
     """bestCAT ∘ C_D^T: tag source values with target columns, then map tags
     to categorical values by the acc·prec score of Section 3.2.4."""
 
-    supports_regrouping = True
-
     def __init__(self, tagger: TargetClassifierSet, dtype: DataType,
                  tag_cache: dict | None = None,
                  stats: InferenceStats | None = None):
@@ -472,12 +549,6 @@ class _TgtTagClassifier(Classifier):
         self._best: dict[Any, Hashable] | None = None
         self._tag_cache: dict = tag_cache if tag_cache is not None else {}
         self._stats = stats
-        #: Flat value -> tag view of ``_tag_cache`` for this classifier's
-        #: (dtype, tagger), shared across :meth:`regrouped` copies — the
-        #: batch path's per-value lookup skips the qualified-key tuple.
-        #: Keyed by raw value, with the same ==/hash collision semantics
-        #: as the qualified key (the family component is fixed here).
-        self._value_tags: dict = {}
 
     def _tag_key(self, value: Any) -> tuple:
         return (self._dtype.family,
@@ -492,47 +563,27 @@ class _TgtTagClassifier(Classifier):
     def _tag_many(self, values: Sequence[Any]) -> list[str | None]:
         """Tags for *values*, bulk-filling the shared tag cache.
 
-        Uncached distinct values go through the tagger's batch path in
-        first-appearance order, so cache contents (including the legacy
+        Unhashable values are tagged one by one, as :meth:`_tag` does;
+        the other uncached distinct keys go through the tagger's batch
+        path in first-appearance order, so cache contents (including the
         key-collision semantics of :meth:`_tag`) match per-value tagging.
         """
-        value_tags = self._value_tags
-        tags: list[str | None] = [None] * len(values)
-        missing_positions: list[int] = []
-        for i, value in enumerate(values):
-            try:
-                tags[i] = value_tags[value]
-            except KeyError:
-                missing_positions.append(i)
-            except TypeError:  # unhashable — resolve via the slow path
-                tags[i] = self._tag(values[i])
-        if not missing_positions:
-            return tags
-        queued: set = set()
-        batch_keys: list = []
-        batch_values: list[Any] = []
-        resolve: list[int] = []
-        for i in missing_positions:
-            key = self._tag_key(values[i])
-            if key in self._tag_cache or key in queued:
-                resolve.append(i)
-                continue
-            queued.add(key)
-            batch_keys.append(key)
-            batch_values.append(values[i])
-            resolve.append(i)
-        if batch_values:
-            predicted = self._tagger.classify_many(batch_values, self._dtype)
-            for key, tag in zip(batch_keys, predicted):
-                self._tag_cache[key] = tag
+        for value in values:
+            if not isinstance(value, Hashable):
+                self._tag(value)
+        keys = [self._tag_key(value) for value in values]
+        queued: dict = {}
+        for key, value in zip(keys, values):
+            if key not in self._tag_cache and key not in queued:
+                queued[key] = value
+        if queued:
+            predicted = self._tagger.classify_many(list(queued.values()),
+                                                   self._dtype)
+            self._tag_cache.update(zip(queued, predicted))
             if self._stats is not None:
                 self._stats.batch_calls += 1
-                self._stats.values_classified += len(batch_values)
-        for i in resolve:
-            tag = self._tag_cache[self._tag_key(values[i])]
-            tags[i] = tag
-            value_tags[values[i]] = tag
-        return tags
+                self._stats.values_classified += len(queued)
+        return [self._tag_cache[key] for key in keys]
 
     def teach(self, value: Any, label: Hashable) -> None:
         tag = self._tag(value)
@@ -597,27 +648,61 @@ class _TgtTagClassifier(Classifier):
             return self._arbitrary_label()
         return best[tag]
 
-    def classify_many(self, values: Sequence[Any]) -> list[Hashable | None]:
-        """Batch classification: one bulk tag pass, one ``bestCAT`` table."""
-        tags = self._tag_many(values)
-        best = self._best_cat()
-        fallback = self._arbitrary_label()
-        return [best[tag] if tag is not None and tag in best else fallback
-                for tag in tags]
+    def group_scorer(self, values: Sequence[Any]) -> GroupScorer:
+        """acc·prec scores of label groups over *values*: one row per
+        distinct trained tag, plus one shared row for the rest."""
+        return _TgtGroupScorer(self, values)
 
-    def regrouped(self, mapping) -> "_TgtTagClassifier":
-        """The classifier teaching the same values under group labels would
-        have produced: (tag, label) joint counts summed per group."""
-        other = _TgtTagClassifier(self._tagger, self._dtype,
-                                  tag_cache=self._tag_cache,
-                                  stats=self._stats)
-        for (tag, label), count in self._tbag.items():
-            other._tbag[(tag, mapping[label])] += count
-        for label, count in self._label_counts.items():
-            other._label_counts[mapping[label]] += count
-        other._tag_counts = Counter(self._tag_counts)
-        other._value_tags = self._value_tags  # same (tagger, dtype) view
-        return other
+
+class _TgtGroupScorer(GroupScorer):
+    """:class:`GroupScorer` over one batch for :class:`_TgtTagClassifier`.
+
+    A value's label depends only on its tag, so rows are the distinct
+    tags that have training rows.  A group's joint tag counts and label
+    count are its members' sums, and its score under a tag is acc·prec as
+    :meth:`_TgtTagClassifier._best_cat` computes it; groups never seen
+    with the tag score 0.0 and so never win.  ``bestCAT`` scans a tag's
+    groups in the order they first met the tag, which the per-row
+    ``order`` carries.  Untagged values and tags without training rows
+    share the last row, scored 0.0 by every group in label order, so the
+    tie rule picks :meth:`_TgtTagClassifier._arbitrary_label`.
+    """
+
+    def __init__(self, classifier: _TgtTagClassifier, values: Sequence[Any]):
+        tags = classifier._tag_many(values)
+        tag_counts = classifier._tag_counts
+        row_of: dict[Any, int] = {}
+        for tag in tags:
+            if tag is not None and tag in tag_counts:
+                row_of.setdefault(tag, len(row_of))
+        fallback = len(row_of)
+        self.rows = np.array([row_of.get(tag, fallback) for tag in tags],
+                             dtype=np.intp)
+        self.labels = tuple(classifier._label_counts)
+        self._label_counts = dict(classifier._label_counts)
+        self._tag_totals = [tag_counts[tag] for tag in row_of]
+        first_met = {pair: i for i, pair in enumerate(classifier._tbag)}
+        self._joint: dict[Hashable, np.ndarray] = {}
+        self._order: dict[Hashable, np.ndarray] = {}
+        for index, label in enumerate(self.labels):
+            joint = np.zeros(fallback + 1, dtype=np.int64)
+            order = np.full(fallback + 1, len(first_met), dtype=np.int64)
+            order[fallback] = index
+            for tag, row in row_of.items():
+                joint[row] = classifier._tbag.get((tag, label), 0)
+                order[row] = first_met.get((tag, label), len(first_met))
+            self._joint[label] = joint
+            self._order[label] = order
+
+    def column(self, members: Sequence[Hashable]) -> GroupColumn:
+        joint = sum(self._joint[label] for label in members).tolist()
+        count = sum(self._label_counts[label] for label in members)
+        scores = [(j / count) * (j / total) if j else 0.0
+                  for j, total in zip(joint, self._tag_totals)]
+        scores.append(0.0)
+        return GroupColumn(
+            np.array(scores, dtype=np.float64), count,
+            np.minimum.reduce([self._order[label] for label in members]))
 
 
 class TgtClassInfer(ClusteredViewGenBase):

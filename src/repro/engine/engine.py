@@ -45,6 +45,7 @@ from ..context.categorical import CategoricalPolicy
 from ..context.model import ContextMatchConfig, MatchResult
 from ..errors import EngineError
 from ..matching.standard import MatchingSystem, StandardMatch
+from ..matching.tokens import token_cache_scope
 from ..profiling import ProfileStore
 from ..relational.instance import Database
 from .hooks import EngineObserver
@@ -278,18 +279,21 @@ class MatchEngine:
 
         for observer in self.observers:
             observer.on_run_start(source_db, prepared)
-        for stage in self.stages:
-            for observer in self.observers:
-                observer.on_stage_start(stage.name, state)
-            stage_started = time.perf_counter()
-            counts = stage.run(state) or {}
-            stage_report = StageReport(
-                name=stage.name,
-                elapsed_seconds=time.perf_counter() - stage_started,
-                counts=dict(counts))
-            report.stages.append(stage_report)
-            for observer in self.observers:
-                observer.on_stage_end(stage_report, state)
+        # The run tokenizes through its own q-gram cache: its source
+        # values are dropped with it, and its stage counts are its own.
+        with token_cache_scope():
+            for stage in self.stages:
+                for observer in self.observers:
+                    observer.on_stage_start(stage.name, state)
+                stage_started = time.perf_counter()
+                counts = stage.run(state) or {}
+                stage_report = StageReport(
+                    name=stage.name,
+                    elapsed_seconds=time.perf_counter() - stage_started,
+                    counts=dict(counts))
+                report.stages.append(stage_report)
+                for observer in self.observers:
+                    observer.on_stage_end(stage_report, state)
 
         # Keep lazily-trained target classifiers for the next run against
         # this prepared target (training is deterministic, so sharing only

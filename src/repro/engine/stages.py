@@ -44,7 +44,7 @@ from .prepared import PreparedTarget
 
 
 def _token_counters_since(before: dict[str, int]) -> dict[str, int]:
-    """Shared q-gram cache deltas for one stage's work."""
+    """The run's q-gram cache deltas for one stage's work."""
     now = token_cache_counters()
     return {key: now[key] - before.get(key, 0) for key in now}
 
@@ -152,7 +152,7 @@ class InferViewsStage(Stage):
     The inference hot path: classifier work runs through the vectorized
     batch core, and the stage counts surface it — ``values_classified`` /
     ``batch_calls`` / ``merges_without_retrain`` from the run's
-    :class:`~repro.context.candidates.InferenceStats` plus the shared
+    :class:`~repro.context.candidates.InferenceStats` plus the run's
     q-gram cache's ``token_cache_hits`` / ``token_cache_misses`` deltas.
     """
 

@@ -8,20 +8,31 @@ Tokenization is the innermost loop of both instance matching and
 classifier inference, and the same data values flow through it many times
 — once per matcher during profiling, once per Naive Bayes teach/classify,
 once per target-column tagging.  :class:`QGramCache` memoizes the
-``value_to_text`` + ``qgrams`` composition per distinct value so that work
-happens once per value process-wide; :func:`cached_qgrams` is the shared
-entry point and :func:`token_cache_counters` exposes hit/miss telemetry
-for the engine's stage reports.
+``value_to_text`` + ``qgrams`` composition per distinct value;
+:func:`cached_qgrams` is the shared entry point and
+:func:`token_cache_counters` exposes hit/miss telemetry for the engine's
+stage reports.
+
+Which cache :func:`cached_qgrams` uses is held in a
+:class:`contextvars.ContextVar`.  Outside a match run it is the process
+cache :data:`TOKEN_CACHE`, so ``prepare()`` calls over hubs that share
+values tokenize each value once.  A match run enters
+:func:`token_cache_scope`, which swaps in a fresh cache for that run (and
+that thread) only: a request's source values are dropped with the run
+instead of accumulating in a long-lived server, and concurrent runs
+count only their own hits and misses.
 """
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import re
-from typing import Any, Iterable
+from typing import Any, Iterable, Iterator
 
 __all__ = ["qgrams", "qgram_set", "word_tokens", "normalize_text",
            "value_to_text", "QGramCache", "cached_qgrams",
-           "token_cache_counters", "clear_token_cache"]
+           "token_cache_counters", "clear_token_cache", "token_cache_scope"]
 
 _CAMEL_RE = re.compile(r"(?<=[a-z0-9])(?=[A-Z])")
 _NON_ALNUM_RE = re.compile(r"[^a-z0-9]+")
@@ -133,22 +144,37 @@ class QGramCache:
         return len(self._grams)
 
 
-#: The process-wide cache shared by matchers, the target-column tagger and
-#: the Naive Bayes classifier.  Pure-function memoization: sharing it across
-#: runs never changes results, only the hit/miss telemetry.
+#: The process cache: tokenization outside a match run (``prepare()``,
+#: direct classifier and matcher use) goes through it.  Pure-function
+#: memoization: sharing it never changes results, only the telemetry.
 TOKEN_CACHE = QGramCache()
+
+_ACTIVE: contextvars.ContextVar[QGramCache] = contextvars.ContextVar(
+    "repro_token_cache", default=TOKEN_CACHE)
+
+
+@contextlib.contextmanager
+def token_cache_scope() -> Iterator[QGramCache]:
+    """Route :func:`cached_qgrams` through a fresh :class:`QGramCache` for
+    the body of the ``with`` block, in the current context only."""
+    cache = QGramCache()
+    token = _ACTIVE.set(cache)
+    try:
+        yield cache
+    finally:
+        _ACTIVE.reset(token)
 
 
 def cached_qgrams(value: Any, q: int = 3) -> tuple[str, ...]:
-    """q-grams of ``value_to_text(value)`` through the shared cache."""
-    return TOKEN_CACHE.qgrams(value, q)
+    """q-grams of ``value_to_text(value)`` through the active cache."""
+    return _ACTIVE.get().qgrams(value, q)
 
 
 def token_cache_counters() -> dict[str, int]:
-    """Snapshot of the shared cache's cumulative hit/miss counters."""
-    return TOKEN_CACHE.counters()
+    """Snapshot of the active cache's cumulative hit/miss counters."""
+    return _ACTIVE.get().counters()
 
 
 def clear_token_cache() -> None:
-    """Reset the shared cache's entries (benchmarks isolate runs with it)."""
-    TOKEN_CACHE.clear()
+    """Reset the active cache's entries (benchmarks isolate runs with it)."""
+    _ACTIVE.get().clear()

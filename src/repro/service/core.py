@@ -41,7 +41,6 @@ from ..engine.engine import MatchEngine
 from ..engine.executor import BatchResult, ExecutorConfig, MatchExecutor
 from ..engine.prepared import PreparedTarget
 from ..errors import ArtifactNotFoundError
-from ..matching.tokens import token_cache_counters
 from ..relational.instance import Database
 from ..relational.jsonio import database_from_dict
 from ..store.artifacts import KIND_TARGET, ArtifactStore, StoreEntry
@@ -54,6 +53,9 @@ __all__ = ["MatchService"]
 
 #: Sliding-window size of the per-endpoint latency series.
 _LATENCY_WINDOW = 8192
+
+#: Stage-count keys summed into the service's q-gram cache telemetry.
+_TOKEN_CACHE_KEYS = ("token_cache_hits", "token_cache_misses")
 
 #: Stage-count keys summed into the service's retrieval telemetry
 #: (stage key -> report key).
@@ -125,6 +127,7 @@ class MatchService:
         self._errors = 0
         self._latencies: dict[str, deque] = {}
         self.retrieval_counters = {key: 0 for key in _RETRIEVAL_KEYS.values()}
+        self.token_cache_counters = {key: 0 for key in _TOKEN_CACHE_KEYS}
         self.repository_counters = {"requests": 0, "pairs": 0}
 
     # -- warm cache ----------------------------------------------------
@@ -214,20 +217,26 @@ class MatchService:
             return source
         return database_from_dict(source)
 
-    def _absorb_retrieval(self, *results: Any) -> None:
-        """Accumulate the runs' retrieval stage counts into the service's
-        process-lifetime telemetry (surfaced by ``/report``)."""
-        totals = {key: 0 for key in _RETRIEVAL_KEYS.values()}
+    def _absorb_runs(self, *results: Any) -> None:
+        """Accumulate the runs' retrieval and q-gram cache stage counts
+        into the service's process-lifetime telemetry (surfaced by
+        ``/report``)."""
+        retrieval = {key: 0 for key in _RETRIEVAL_KEYS.values()}
+        tokens = {key: 0 for key in _TOKEN_CACHE_KEYS}
         for result in results:
             report = getattr(result, "report", None)
             if report is None:
                 continue
             for stage in report.stages:
                 for stage_key, report_key in _RETRIEVAL_KEYS.items():
-                    totals[report_key] += stage.counts.get(stage_key, 0)
+                    retrieval[report_key] += stage.counts.get(stage_key, 0)
+                for key in _TOKEN_CACHE_KEYS:
+                    tokens[key] += stage.counts.get(key, 0)
         with self._lock:
-            for key, value in totals.items():
+            for key, value in retrieval.items():
                 self.retrieval_counters[key] += value
+            for key, value in tokens.items():
+                self.token_cache_counters[key] += value
 
     def match(self, source: Database | Mapping[str, Any],
               target_ref: str) -> tuple[Any, str]:
@@ -236,7 +245,7 @@ class MatchService:
         token = self.resolve(target_ref)
         prepared = self._target_for(token)
         result = self.engine.match(self._as_database(source), prepared)
-        self._absorb_retrieval(result)
+        self._absorb_runs(result)
         return result, token
 
     def match_many(self, sources: Iterable[Database | Mapping[str, Any]],
@@ -251,7 +260,7 @@ class MatchService:
         with self._executor_lock:
             batch = self.executor.match_many(self.engine, databases,
                                              prepared, token=token)
-        self._absorb_retrieval(*batch.results)
+        self._absorb_runs(*batch.results)
         return batch, token
 
     def match_repository(self, source: Database | Mapping[str, Any],
@@ -291,7 +300,7 @@ class MatchService:
             results.append(result)
             scores.append(score_hub(database, result, token=token,
                                     database=prepared.target.name))
-        self._absorb_retrieval(*results)
+        self._absorb_runs(*results)
         with self._lock:
             self.repository_counters["requests"] += 1
             self.repository_counters["pairs"] += len(tokens)
@@ -361,6 +370,7 @@ class MatchService:
                     for token, prepared in reversed(self._targets.items())]
             retrieval = dict(self.retrieval_counters)
             repository = dict(self.repository_counters)
+            token_cache = dict(self.token_cache_counters)
         prunable = retrieval["hits"] + retrieval["missed"]
         retrieval["recall"] = (retrieval["hits"] / prunable if prunable
                                else 1.0)
@@ -376,7 +386,7 @@ class MatchService:
                  "transport": self.executor.transport},
                 **self.executor.counters),
             targets=warm, retrieval=retrieval, repository=repository,
-            token_cache=token_cache_counters())
+            token_cache=token_cache)
 
     def close(self) -> None:
         """Release the executor's worker pool (if any)."""

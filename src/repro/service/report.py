@@ -93,9 +93,11 @@ class ServiceReport:
         ``requests`` (sources routed) and ``pairs`` (source × hub match
         runs those requests fanned out to).
     token_cache:
-        The shared :class:`~repro.matching.tokens.QGramCache` hit/miss
-        counters (process-wide), so tokenization-cache efficacy is
-        observable over HTTP next to the retrieval counters.
+        Process-lifetime q-gram cache totals over every run this service
+        answered: the runs' summed ``token_cache_hits`` /
+        ``token_cache_misses`` stage counts.  Each run tokenizes through
+        its own :class:`~repro.matching.tokens.QGramCache`, so these are
+        the hits within runs, not across them.
     """
 
     version: str

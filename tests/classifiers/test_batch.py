@@ -1,9 +1,9 @@
 """Batch classifier core: bit-identity with the scalar paths.
 
-The vectorized paths (compiled Naive Bayes, Gaussian batch, statistics
-regrouping) must reproduce the scalar teach/classify loops *exactly* —
-same posterior floats, same tie-breaks, same labels — because the golden
-tier compares the two pipeline modes with zero tolerance.
+The vectorized paths (compiled Naive Bayes, Gaussian batch, label-group
+scorers) must reproduce the scalar teach/classify loops *exactly* — same
+posterior floats, same tie-breaks, same labels — because the golden tier
+compares the two pipeline modes with zero tolerance.
 """
 
 import math
@@ -24,6 +24,19 @@ def bit_pattern(posteriors: dict) -> dict:
     """Posteriors with values replaced by their raw float bits — exact
     comparison that also treats equal NaNs as equal."""
     return {k: struct.pack("<d", v) for k, v in posteriors.items()}
+
+
+def group_posteriors(scorer, members):
+    """Per-value bit patterns of one label group's column."""
+    column = scorer.column(members)
+    return [struct.pack("<d", column.scores[row]) for row in scorer.rows]
+
+
+def retrained_posteriors(classifier, group, values):
+    """Per-value bit patterns of *group*'s posterior in a classifier
+    re-taught with group labels (the scalar path)."""
+    return [struct.pack("<d", classifier.log_posteriors(v)[group])
+            for v in values]
 
 
 def taught_nb(pairs, q=3):
@@ -107,16 +120,22 @@ class TestNaiveBayesBatch:
                 == [bit_pattern(p) for p in many.log_posteriors_many(probes)])
 
     def test_regrouped_equals_retrained(self):
+        """A label group's column from the taught statistics equals the
+        posterior of a classifier re-taught with the group label."""
         pairs = text_pairs(200, seed=5)
         mapping = {"A": frozenset({"A", "B"}), "B": frozenset({"A", "B"}),
                    "C": frozenset({"C"})}
-        regrouped = taught_nb(pairs).regrouped(mapping)
+        probes = [v for v, _ in text_pairs(80, seed=6)] + ["zzz", "", None]
+        taught = taught_nb(pairs)
+        scorer = taught.group_scorer(probes)
         retrained = taught_nb([(v, mapping[l]) for v, l in pairs])
-        probes = [v for v, _ in text_pairs(80, seed=6)] + ["zzz"]
-        assert ([bit_pattern(p) for p in regrouped.log_posteriors_many(probes)]
-                == [bit_pattern(p) for p in retrained.log_posteriors_many(probes)])
-        assert (regrouped.classify_many(probes)
-                == [retrained.classify(v) for v in probes])
+        assert scorer.labels == tuple(taught._label_counts)  # teach order
+        for members in (["A", "B"], ["C"]):
+            group = mapping[members[0]]
+            assert (group_posteriors(scorer, members)
+                    == retrained_posteriors(retrained, group, probes))
+            assert (scorer.column(members).count
+                    == retrained._label_counts[group])
 
     def test_batch_tie_break_matches_scalar(self):
         # Symmetric training data forces exact posterior ties.
@@ -162,21 +181,32 @@ class TestGaussianBatch:
         mapping = {"lo": frozenset({"lo", "mid"}),
                    "mid": frozenset({"lo", "mid"}),
                    "hi": frozenset({"hi"})}
-        regrouped = self.taught(pairs).regrouped(mapping)
-        retrained = self.taught([(v, mapping[l]) for v, l in pairs])
-        assert regrouped._fit() == retrained._fit()
         probes = [v for v, _ in self.numeric_pairs(50, seed=3)]
-        assert ([bit_pattern(p) for p in regrouped.log_posteriors_many(probes)]
-                == [bit_pattern(retrained.log_posteriors(v)) for v in probes])
+        scorer = self.taught(pairs).group_scorer(probes)
+        retrained = self.taught([(v, mapping[l]) for v, l in pairs])
+        for members in (["lo", "mid"], ["hi"]):
+            group = mapping[members[0]]
+            assert (group_posteriors(scorer, members)
+                    == retrained_posteriors(retrained, group, probes))
+            assert (scorer.column(members).count
+                    == retrained._label_counts[group])
 
     def test_unparseable_values_keep_positions_aligned(self):
-        g = GaussianClassifier()
-        for value, label in [(1.0, "a"), ("junk", "a"), (2.0, "b"),
-                             (3.0, "a"), (None, "b"), (4.0, "b")]:
-            g.teach(value, label)
-        mapping = {"a": "ab", "b": "ab"}
-        merged = g.regrouped(mapping)
-        assert merged._values["ab"] == [1.0, 2.0, 3.0, 4.0]
+        pairs = [(1.0, "a"), ("junk", "a"), (2.0, "b"), (3.0, "a"),
+                 (None, "b"), (4.0, "b")]
+        probes = [2.5, "junk", None, 2.5, [1.0]]
+        scorer = self.taught(pairs).group_scorer(probes)
+        retrained = self.taught([(v, "ab") for v, _ in pairs])
+        assert retrained._values["ab"] == [1.0, 2.0, 3.0, 4.0]
+        column = scorer.column(["a", "b"])
+        assert column.count == 4
+        assert (struct.pack("<d", column.scores[scorer.rows[0]])
+                == struct.pack("<d", retrained.log_posteriors(2.5)["ab"]))
+        # Repeats share a row; unparseable values share the last one,
+        # scored 0.0 so the tie rule falls back to the prior.
+        assert scorer.rows[3] == scorer.rows[0]
+        assert set(scorer.rows[[1, 2, 4]].tolist()) == {len(column.scores) - 1}
+        assert column.scores[-1] == 0.0
 
     def test_reference_formula_unchanged(self):
         """The cached-terms fast path must reproduce the textbook
@@ -199,9 +229,17 @@ class TestMajorityRegroup:
         m = MajorityClassifier()
         for label in ["a", "a", "b", "c", "c", "c"]:
             m.teach("v", label)
-        merged = m.regrouped({"a": "ab", "b": "ab", "c": "c"})
-        assert merged._label_counts == {"ab": 3, "c": 3}
-        assert merged.majority_fraction == 0.5
+        scorer = m.group_scorer(["x", "y"])
+        assert scorer.labels == ("a", "b", "c")
+        assert scorer.rows.tolist() == [0, 0]
+        merged = scorer.column(["a", "b"])
+        assert merged.count == 3
+        assert scorer.column(["c"]).count == 3
+        assert merged.scores.tolist() == [0.0]
+        retaught = MajorityClassifier()
+        for label in ["ab", "ab", "ab", "c", "c", "c"]:
+            retaught.teach("v", label)
+        assert retaught.majority_fraction == merged.count / 6
 
 
 class TestTargetClassifierSetBatch:

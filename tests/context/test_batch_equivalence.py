@@ -1,13 +1,14 @@
 """Vectorized-vs-retraining inference equivalence.
 
-The FamilyAssessor regroup-instead-of-retrain loop, the compiled Naive
-Bayes kernel, batch target tagging and the batched Gaussian must give the
-posteriors, tags, tie-breaks and candidate families that re-teaching a
-fresh classifier per family gives, bit for bit.  Pinned here at three
-levels:
+The FamilyAssessor's incremental merge loop (one new score column per
+merge), the compiled Naive Bayes kernel, batch target tagging and the
+batched Gaussian must give the posteriors, tags, tie-breaks and candidate
+families that re-teaching a fresh classifier per family gives, bit for
+bit.  Pinned here at three levels:
 
 * unit — :class:`FamilyAssessor` against :func:`assess_family` on synthetic
-  data, and ``_TgtTagClassifier`` batch teach against scalar teach;
+  data and on random merge sequences (Hypothesis), and
+  ``_TgtTagClassifier`` batch teach against scalar teach;
 * engine — full pipeline runs on a handful of scenarios (tier 1), against
   a reference run whose assessor re-teaches per family
   (:class:`RetrainingAssessor`);
@@ -16,12 +17,16 @@ levels:
 """
 
 import copy
+import dataclasses
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from repro.classifiers import NaiveBayesClassifier
+from repro.classifiers import (GaussianClassifier, NaiveBayesClassifier,
+                               TargetClassifierSet)
 from repro.context import ContextMatchConfig, InferenceContext, candidates
 from repro.context.candidates import (FamilyAssessor, _TgtTagClassifier,
                                       assess_family)
@@ -31,9 +36,14 @@ from repro.evaluation.scenarios import scenario_config
 from repro.relational import Database, Relation, ViewFamily
 from repro.relational.types import DataType
 
-#: Scenarios exercised in tier 1 (one per family keeps the run fast); the
+#: (scenario, inference) runs exercised in tier 1 (one scenario per family
+#: keeps the run fast; every registered scenario runs ``src``, so retail
+#: also runs ``tgt``, the CLI's and ``repro serve``'s default); the
 #: golden-marked grid covers all registered scenarios.
-TIER1_SCENARIOS = ("retail", "grades", "clinical")
+TIER1_RUNS = (pytest.param("retail", None, id="retail"),
+              pytest.param("grades", None, id="grades"),
+              pytest.param("clinical", None, id="clinical"),
+              pytest.param("retail", "tgt", id="retail-tgt"))
 
 
 def engine_artifacts(result):
@@ -74,12 +84,15 @@ class RetrainingAssessor:
                              self._train_pairs, self._test_pairs)
 
 
-def run_modes(name, monkeypatch):
+def run_modes(name, monkeypatch, inference=None):
     """The default engine's result and the retraining reference's, keyed
-    ``"batch"`` and ``"retrain"``."""
+    ``"batch"`` and ``"retrain"``; *inference* overrides the scenario's
+    generator."""
     workload = build_scenario(name)
     config = scenario_config(next(s for s in registered_scenarios()
                                   if s.name == name))
+    if inference is not None:
+        config = dataclasses.replace(config, inference=inference)
 
     def run():
         engine = MatchEngine(config)
@@ -148,6 +161,127 @@ class TestFamilyAssessorUnit:
         assert stats.merges_without_retrain == 1
 
 
+WORDS = ["garden", "road", "kings", "neon", "soul", "war"]
+NAN, INF = float("nan"), float("inf")
+
+#: Text h-values: word phrases (repeats are likely), odd scalars, NaN and
+#: ±inf, and unhashable lists.
+TEXT_VALUES = st.one_of(
+    st.lists(st.sampled_from(WORDS), min_size=1, max_size=3).map(" ".join),
+    st.sampled_from(["", "nan", None, 7, 2.5, True, NAN, INF, -INF]),
+    st.lists(st.sampled_from(WORDS), max_size=2))
+
+#: Numeric h-values: repeating small floats (so constant groups occur),
+#: NaN and ±inf, numeric and unparseable strings, None, bools and
+#: unhashable lists.
+NUMERIC_VALUES = st.one_of(
+    st.integers(-6, 6).map(float),
+    st.floats(min_value=-1e3, max_value=1e3),
+    st.sampled_from([NAN, INF, -INF, "12.5", "nan", "-inf", "abc", "",
+                     None, True, 0, -0.0]),
+    st.lists(st.floats(min_value=-5, max_value=5), max_size=1))
+
+LABELS = st.sampled_from(["p", "q", "r", "s"])
+
+
+def tagger_target():
+    return Database.from_relations("T", [
+        Relation.infer_schema("book", {
+            "title": ["the lost road", "garden of kings", "hidden war"]}),
+        Relation.infer_schema("cd", {
+            "name": ["electric soul", "neon parade", "soul war"]}),
+    ])
+
+
+#: One tagger for every example: training it is the slow part, and
+#: tagging is a pure function of (tagger, value).
+TAGGER = TargetClassifierSet.train(tagger_target())
+
+CLASSIFIERS = {
+    "nb": (TEXT_VALUES, NaiveBayesClassifier),
+    "gaussian": (NUMERIC_VALUES, GaussianClassifier),
+    "tgt": (TEXT_VALUES,
+            lambda: _TgtTagClassifier(TAGGER, DataType.STRING)),
+}
+
+
+def outcome(assess):
+    """Confusion cells (in recording order) and confidence bits of one
+    assessment, or the arithmetic error type it raised."""
+    try:
+        result = assess()
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc)
+    return (list(result.matrix.counts.items()),
+            struct.pack("<d", result.confidence))
+
+
+class TestIncrementalMerges:
+    """Random taught pairs and random merge sequences: at every step the
+    assessor's confusion matrix and confidence equal :func:`assess_family`
+    run on a fresh classifier.  Labels include test-only values and a
+    group (``"u"``) with no rows at all."""
+
+    @pytest.mark.parametrize("kind", sorted(CLASSIFIERS))
+    @given(data=st.data())
+    @settings(max_examples=80, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    def test_every_merge_step_matches_assess_family(self, kind, data):
+        values, make = CLASSIFIERS[kind]
+        pairs = st.tuples(values, LABELS)
+        train = data.draw(st.lists(pairs, min_size=2, max_size=30))
+        test = data.draw(st.lists(pairs, min_size=1, max_size=25))
+        merges = data.draw(st.lists(st.tuples(st.integers(0, 9),
+                                              st.integers(0, 9)),
+                                    max_size=6))
+        labels = {label for _, label in train + test} | {"u"}
+        family = ViewFamily.simple("t", "l", sorted(labels))
+        assessor = FamilyAssessor(make(), train, test)
+        steps = [family]
+        for a, b in merges:
+            groups = family.groups
+            if len(groups) < 2 or a % len(groups) == b % len(groups):
+                continue
+            family = family.merge(next(iter(groups[a % len(groups)])),
+                                  next(iter(groups[b % len(groups)])))
+            steps.append(family)
+        for step, family in enumerate(steps):
+            expected = outcome(lambda: assess_family(family, make(), train,
+                                                     test))
+            assert outcome(lambda: assessor.assess(
+                family, merged=step > 0)) == expected, (step, family)
+            if not isinstance(expected, tuple):
+                break  # both raised: the fit has no finite posterior
+
+
+class _Twin:
+    """A label whose ``repr`` collides with its twin's (equality is
+    identity), so only label order can break a tie between the two."""
+
+    def __repr__(self) -> str:
+        return "twin"
+
+
+class TestTieOrder:
+    def test_tgt_ties_follow_bestcat_candidate_order(self):
+        """``bestCAT`` breaks a full tie (score, count and ``repr``) by the
+        order in which the groups first met the tag, not by label order:
+        here ``second`` is taught first but meets the tag last."""
+        first, second = _Twin(), _Twin()
+        train = [("neon parade", first), ("garden kings", second),
+                 ("garden kings", first), ("neon parade", second)]
+        test = [("garden kings", first), ("neon parade", second)]
+        _, make = CLASSIFIERS["tgt"]
+        tags = make()._tag_many(["garden kings", "neon parade"])
+        assert tags[0] != tags[1]
+        family = ViewFamily("t", "l", [[first], [second]])
+        expected = assess_family(family, make(), train, test)
+        result = FamilyAssessor(make(), train, test).assess(family)
+        assert (list(result.matrix.counts.items())
+                == list(expected.matrix.counts.items()))
+        assert expected.matrix.correct == 0  # the tag order decided both
+
+
 class TestTgtTagClassifierBatch:
     @pytest.fixture()
     def parts(self):
@@ -203,29 +337,43 @@ class TestTgtTagClassifierBatch:
         assert classifier._best_cat() is not first
 
     def test_regrouped_equals_retaught(self, parts):
+        """A label group's acc·prec column from the taught statistics
+        equals the score a classifier re-taught with the group label
+        gives each tagged value."""
         ctx, values, labels = parts
         dtype = DataType.STRING
         taught = _TgtTagClassifier(ctx.target_classifiers, dtype,
                                    tag_cache=ctx.tag_cache)
         taught.teach_many(values, labels)
-        mapping = {"x": frozenset({"x", "y"}), "y": frozenset({"x", "y"})}
-        regrouped = taught.regrouped(mapping)
+        group = frozenset({"x", "y"})
         retaught = _TgtTagClassifier(ctx.target_classifiers, dtype,
                                      tag_cache=ctx.tag_cache)
-        retaught.teach_many(values, [mapping[l] for l in labels])
-        assert regrouped._tbag == retaught._tbag
-        assert regrouped._label_counts == retaught._label_counts
+        retaught.teach_many(values, [group for _ in labels])
         probes = values + ["other probe"]
-        assert regrouped.classify_many(probes) == [retaught.classify(v)
-                                                   for v in probes]
+        scorer = taught.group_scorer(probes)
+        column = scorer.column(["x", "y"])
+        assert column.count == retaught._label_counts[group]
+        tags = retaught._tag_many(probes)
+        for tag, row in zip(tags, scorer.rows):
+            joint = retaught._tbag.get((tag, group), 0)
+            if joint:
+                expected = ((joint / retaught._label_counts[group])
+                            * (joint / retaught._tag_counts[tag]))
+            else:  # untagged: the shared last row every group scores 0.0
+                assert row == len(column.scores) - 1
+                expected = 0.0
+            assert (struct.pack("<d", column.scores[row])
+                    == struct.pack("<d", expected))
 
 
 class TestEngineEquivalence:
-    @pytest.mark.parametrize("name", TIER1_SCENARIOS)
-    def test_batch_and_legacy_runs_identical(self, name, monkeypatch):
-        results = run_modes(name, monkeypatch)
+    @pytest.mark.parametrize("name,inference", TIER1_RUNS)
+    def test_batch_and_legacy_runs_identical(self, name, inference,
+                                             monkeypatch):
+        results = run_modes(name, monkeypatch, inference)
         assert engine_artifacts(results["batch"]) == engine_artifacts(
             results["retrain"])
+        assert results["batch"].families
 
     def test_infer_stage_reports_batch_counters(self):
         spec = next(s for s in registered_scenarios() if s.name == "retail")

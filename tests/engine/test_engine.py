@@ -313,3 +313,68 @@ class TestDeterminism:
         again = engine.match(sources[0], prepared)
         assert ([match_to_dict(m) for m in first.matches]
                 == [match_to_dict(m) for m in again.matches])
+
+
+def token_counts(result):
+    """Per-stage q-gram cache counts of one run."""
+    return {stage.name: (stage.counts.get("token_cache_hits"),
+                         stage.counts.get("token_cache_misses"))
+            for stage in result.report.stages}
+
+
+class TestRunTokenCache:
+    """Each run tokenizes through its own q-gram cache: its stage counts
+    are its own, and the process cache does not grow with requests."""
+
+    def test_concurrent_runs_report_their_solo_counts(self,
+                                                      retail_sources):
+        import sys
+        import threading
+
+        sources, target = retail_sources
+        engine = MatchEngine(CONFIG)
+        prepared = engine.prepare(target)
+        solo = [token_counts(engine.match(source, prepared))
+                for source in sources[:2]]
+        assert solo[0] != solo[1]  # different sources, different counts
+        barrier = threading.Barrier(2, timeout=30)
+        results: dict[int, dict] = {}
+        errors: list[BaseException] = []
+
+        def run(i):
+            try:
+                barrier.wait()
+                results[i] = token_counts(engine.match(sources[i],
+                                                       prepared))
+            except BaseException as exc:  # reported by the main thread
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=run, args=(i,))
+                       for i in range(2)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors, errors[0]
+        assert [results[0], results[1]] == solo
+
+    def test_runs_leave_the_process_cache_unchanged(self, retail_sources):
+        from repro.datagen import make_retail_workload
+        from repro.matching.tokens import TOKEN_CACHE
+
+        _, target = retail_sources
+        engine = MatchEngine(CONFIG)
+        prepared = engine.prepare(target)
+        size = len(TOKEN_CACHE)
+        for seed in (71, 72, 73):
+            source = make_retail_workload(target="ryan", gamma=2,
+                                          n_source=120, seed=seed).source
+            result = engine.match(source, prepared)
+            assert token_counts(result)["infer-views"][0] > 0
+        assert len(TOKEN_CACHE) == size

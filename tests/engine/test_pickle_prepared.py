@@ -87,7 +87,6 @@ class TestPreparedTargetRoundTrip:
             if isinstance(classifier, NaiveBayesClassifier):
                 compiled_seen += 1
                 assert classifier._compiled is None
-                assert classifier._gram_ids == {}
             elif isinstance(classifier, GaussianClassifier):
                 fitted_seen += 1
                 assert classifier._fitted is None
