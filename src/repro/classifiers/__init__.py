@@ -9,7 +9,8 @@ micro-averaged P/R/Fβ metrics and the binomial significance test.
 from .base import Classifier
 from .majority import MajorityClassifier
 from .metrics import (ConfusionMatrix, evaluate_classifier, micro_fbeta,
-                      normalized_error_pairs, per_label_precision_recall)
+                      normalized_error_pairs, per_label_precision_recall,
+                      top_error_pair)
 from .naive_bayes import NaiveBayesClassifier
 from .numeric import GaussianClassifier
 from .significance import (DEFAULT_THRESHOLD, SignificanceResult,
@@ -28,6 +29,7 @@ __all__ = [
     "micro_fbeta",
     "per_label_precision_recall",
     "normalized_error_pairs",
+    "top_error_pair",
     "SignificanceResult",
     "classifier_significance",
     "DEFAULT_THRESHOLD",

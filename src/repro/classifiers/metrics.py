@@ -12,12 +12,13 @@ from __future__ import annotations
 
 import dataclasses
 from collections import Counter
-from typing import Any, Hashable, Iterable
+from typing import Any, Hashable, Iterable, Iterator
 
 from .base import Classifier
 
 __all__ = ["ConfusionMatrix", "evaluate_classifier", "micro_fbeta",
-           "per_label_precision_recall", "normalized_error_pairs"]
+           "per_label_precision_recall", "normalized_error_pairs",
+           "top_error_pair"]
 
 
 @dataclasses.dataclass
@@ -102,6 +103,28 @@ def micro_fbeta(matrix: ConfusionMatrix, beta: float = 1.0) -> float:
     return (1 + beta_sq) * precision * recall / (beta_sq * precision + recall)
 
 
+def _normalized_counts(matrix: ConfusionMatrix) -> Iterator[tuple[frozenset, float]]:
+    """(undirected error pair, count / combined label frequency), in the
+    order the pairs first occur among the matrix's errors."""
+    truth_counts = matrix.true_label_counts()
+    undirected: Counter = Counter()
+    for (truth, predicted), n in matrix.errors().items():
+        if predicted is None:
+            continue
+        undirected[frozenset((truth, predicted))] += n
+    for pair, n in undirected.items():
+        if len(pair) != 2:
+            continue  # self-confusion artifacts cannot be merged
+        freq = sum(truth_counts.get(label, 0) for label in pair)
+        if freq == 0:
+            continue
+        yield pair, n / freq
+
+
+def _rank_key(item: tuple[frozenset, float]) -> tuple:
+    return (-item[1], sorted(map(repr, item[0])))
+
+
 def normalized_error_pairs(matrix: ConfusionMatrix) -> list[tuple[frozenset, float]]:
     """Undirected error pairs ranked for the early-disjunct merge step.
 
@@ -109,21 +132,24 @@ def normalized_error_pairs(matrix: ConfusionMatrix) -> list[tuple[frozenset, flo
     is grouped together with (v, v')...  we simply note the pair (v, v')
     that appears most often as an error during testing (after normalizing
     for the frequency of v and v')" (Section 3.3).  The normalizer is the
-    combined frequency of the two labels in the test set.
+    combined frequency of the two labels in the test set.  Ties go to the
+    smaller sorted label ``repr``s, then to the pair seen first.
     """
-    truth_counts = matrix.true_label_counts()
-    undirected: Counter = Counter()
-    for (truth, predicted), n in matrix.errors().items():
-        if predicted is None:
-            continue
-        undirected[frozenset((truth, predicted))] += n
-    ranked: list[tuple[frozenset, float]] = []
-    for pair, n in undirected.items():
-        if len(pair) != 2:
-            continue  # self-confusion artifacts cannot be merged
-        freq = sum(truth_counts.get(label, 0) for label in pair)
-        if freq == 0:
-            continue
-        ranked.append((pair, n / freq))
-    ranked.sort(key=lambda item: (-item[1], sorted(map(repr, item[0]))))
-    return ranked
+    return sorted(_normalized_counts(matrix), key=_rank_key)
+
+
+def top_error_pair(matrix: ConfusionMatrix) -> frozenset | None:
+    """The first pair of :func:`normalized_error_pairs`, or None when it
+    is empty — in one pass, building the ``repr`` tie key only for the
+    pairs that tie at the best normalized count."""
+    best = -1.0
+    tied: list[tuple[frozenset, float]] = []
+    for item in _normalized_counts(matrix):
+        if item[1] > best:
+            best = item[1]
+            tied = [item]
+        elif item[1] == best:
+            tied.append(item)
+    if len(tied) > 1:
+        return min(tied, key=_rank_key)[0]  # first of equal keys, as sort
+    return tied[0][0] if tied else None

@@ -47,7 +47,7 @@ import numpy as np
 from ..classifiers.base import Classifier, GroupColumn, GroupScorer
 from ..classifiers.majority import MajorityClassifier
 from ..classifiers.metrics import (ConfusionMatrix, evaluate_classifier,
-                                   normalized_error_pairs)
+                                   top_error_pair)
 from ..classifiers.naive_bayes import NaiveBayesClassifier
 from ..classifiers.numeric import GaussianClassifier
 from ..classifiers.significance import classifier_significance
@@ -458,21 +458,38 @@ class ClusteredViewGenBase(CandidateViewGenerator):
                     test_extractor.pairs(h_attr, label_attr), config.max_test)
                 if len(train_pairs) < 2 or len(test_pairs) < 1:
                     continue
-                assessor = FamilyAssessor(self.make_classifier(dtype, ctx),
-                                          train_pairs, test_pairs,
-                                          stats=ctx.stats)
-                result = assessor.assess(base_family)
-                if result.significant(config.significance_threshold):
-                    quality = max(best.get(base_family, 0.0), result.confidence)
-                    best[base_family] = quality
-                if config.early_disjuncts:
-                    for family, conf in self._merged_families(
-                            base_family, result, assessor, ctx):
-                        best[family] = max(best.get(family, 0.0), conf)
+                try:
+                    found = self._pair_families(base_family, train_pairs,
+                                                test_pairs, dtype, ctx)
+                except OverflowError:
+                    # A fit or posterior beyond float range (h-values near
+                    # 1e200): the pair has no usable classifier.
+                    continue
+                for family, conf in found:
+                    best[family] = max(best.get(family, 0.0), conf)
         return [
             ViewFamily(f.table, f.attribute, f.groups, quality=q)
             for f, q in best.items()
         ]
+
+    def _pair_families(self, base_family: ViewFamily,
+                       train_pairs: Sequence[tuple[Any, Any]],
+                       test_pairs: Sequence[tuple[Any, Any]],
+                       dtype: DataType, ctx: InferenceContext,
+                       ) -> list[tuple[ViewFamily, float]]:
+        """The well-clustered families of one (h, l) pair with their
+        confidences: the base family, then the early-disjunct merges."""
+        config = ctx.config
+        assessor = FamilyAssessor(self.make_classifier(dtype, ctx),
+                                  train_pairs, test_pairs, stats=ctx.stats)
+        result = assessor.assess(base_family)
+        found = []
+        if result.significant(config.significance_threshold):
+            found.append((base_family, result.confidence))
+        if config.early_disjuncts:
+            found.extend(self._merged_families(base_family, result,
+                                               assessor, ctx))
+        return found
 
     def _merged_families(self, family: ViewFamily, result: AssessmentResult,
                          assessor: FamilyAssessor, ctx: InferenceContext,
@@ -489,10 +506,9 @@ class ClusteredViewGenBase(CandidateViewGenerator):
         current = family
         current_result = result
         while len(current.groups) > 1:
-            ranked = normalized_error_pairs(current_result.matrix)
-            if not ranked:
+            pair = top_error_pair(current_result.matrix)
+            if pair is None:
                 break
-            pair = next(iter(ranked))[0]
             group_a, group_b = tuple(pair)
             # Merge via representative raw values of the two groups.
             rep_a = next(iter(group_a))

@@ -31,7 +31,9 @@ C-level fancy-index).
 
 from __future__ import annotations
 
+import itertools
 import math
+from collections import defaultdict
 from typing import Any, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -224,15 +226,12 @@ class CodedColumn(ColumnStore):
         self.codes = _frozen(codes)
         self.uniques = uniques
         if uniq_arr is None:
-            uniq_arr = np.empty(len(uniques), dtype=object)
-            for i, value in enumerate(uniques):
-                uniq_arr[i] = value
-            _frozen(uniq_arr)
+            uniq_arr = _frozen(np.fromiter(uniques, dtype=object,
+                                           count=len(uniques)))
         self._uniq_arr = uniq_arr
         if uniq_missing is None:
             uniq_missing = _frozen(np.fromiter(
-                (is_missing(u) for u in uniques), dtype=bool,
-                count=len(uniques)))
+                map(is_missing, uniques), dtype=bool, count=len(uniques)))
         self._uniq_missing = uniq_missing
         self.n = len(codes)
         self._mask: np.ndarray | None = None
@@ -396,21 +395,24 @@ def _build_object(values: Sequence[Any]) -> ObjectColumn:
     return ObjectColumn(data)
 
 
+def code_table() -> defaultdict:
+    """An empty dict that numbers each new key with the next code when
+    the key is looked up, so ``map(table.__getitem__, keys)`` interns the
+    keys in C; ``list(table)`` is then the keys in first-seen order.  The
+    counter holds no reference back to the table, so a table is freed as
+    soon as it is dropped, not at the next cyclic collection."""
+    return defaultdict(itertools.count().__next__)
+
+
 def _build_coded(values: Sequence[Any]) -> ColumnStore:
-    interned: dict[Any, int] = {}
-    uniques: list = []
-    codes = np.empty(len(values), dtype=np.int32)
+    table = code_table()
     try:
-        for i, value in enumerate(values):
-            key = _intern_key(value)
-            code = interned.get(key)
-            if code is None:
-                code = interned[key] = len(uniques)
-                uniques.append(value)
-            codes[i] = code
+        codes = np.fromiter(map(table.__getitem__, map(_intern_key, values)),
+                            dtype=np.int32, count=len(values))
     except TypeError:  # unhashable value — object fallback
         return _build_object(values)
-    return CodedColumn(codes, tuple(uniques))
+    # Each key holds the first-seen value object it was built from.
+    return CodedColumn(codes, tuple(key[1] for key in table))
 
 
 def _build_typed(values: Sequence[Any]) -> ColumnStore:

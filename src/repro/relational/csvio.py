@@ -3,30 +3,45 @@
 Experiment drivers persist generated workloads so runs are inspectable and
 re-playable; this module provides the plain-text format.  Types are inferred
 on read via :func:`~repro.relational.types.infer_column_type` and values are
-coerced into their Python representations.
+coerced into their Python representations by
+:func:`~repro.relational.types.coerce_value`.
 
-Reading is streamed: records go straight from the ``csv`` reader into
-per-column field lists (no materialized row list, no second raw copy), and
-each column is inferred, coerced and handed to its typed store one at a
-time — the transient per-column buffers are released as soon as the store
-owns the data, so a 10⁶-row file loads in one pass at bounded overhead.
+Reading interns each column as it goes.  Records come off the ``csv``
+reader in chunks of :data:`CHUNK_RECORDS`, are transposed in C
+(``zip(*chunk)``), and every field is looked up in its column's dict of
+distinct texts, which numbers a new text with the next ``int32`` code on
+sight.  So the reader holds one chunk of field strings at a time, plus
+each column's distinct texts and four bytes per cell: memory grows with
+the distinct texts, not with the rows.  Once the file is read, the
+missing test, type inference and coercion run once per distinct text (a
+1500-row category column holds a handful), and the typed store is built
+from the coerced distinct values and the codes: a numeric column is one
+numpy gather, a coded column keeps the codes and the first-seen uniques.
+The result equals typing and coercing every field one by one.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import itertools
 import pathlib
 from typing import Iterable, Iterator
 
+import numpy as np
+
 from ..errors import InstanceError
-from .columns import build_column
+from .columns import ColumnStore, build_column, code_table
 from .instance import Database, Relation
 from .schema import Attribute, TableSchema
-from .types import coerce_value, infer_column_type, is_missing
+from .types import DataType, coerce_value, infer_column_type
 
 __all__ = ["write_csv", "read_csv", "dump_database", "load_database",
            "relation_to_csv_text", "relation_from_csv_text"]
+
+#: Records read and transposed at a time; the reader holds at most one
+#: chunk of field strings beside the columns' distinct texts and codes.
+CHUNK_RECORDS = 4096
 
 
 def _render(value: object) -> str:
@@ -59,6 +74,22 @@ def relation_to_csv_text(relation: Relation) -> str:
     return buffer.getvalue()
 
 
+def _typed_column(texts: list[str], codes: np.ndarray
+                  ) -> tuple[DataType, ColumnStore]:
+    """The dtype and store of one column, from its distinct *texts* (in
+    first-seen order) and each row's index into them.
+
+    Inference and coercion see each distinct text once; the store built
+    over the coerced distinct values is then gathered by *codes*, which
+    is the store the per-row value list would build (missing texts all
+    coerce to ``None``, equal values of different texts share one
+    unique, in first-seen order).
+    """
+    dtype = infer_column_type(texts)
+    values = [coerce_value(text, dtype) for text in texts]
+    return dtype, build_column(values).take(codes)
+
+
 def _parse_stream(name: str, reader: Iterator[list[str]],
                   empty_message: str) -> Relation:
     header = next(reader, None)
@@ -67,27 +98,28 @@ def _parse_stream(name: str, reader: Iterator[list[str]],
     if not header:
         raise InstanceError(f"CSV for {name!r} has no header row")
     n_fields = len(header)
-    raw: list[list[str] | None] = [[] for _ in header]
-    for lineno, record in enumerate(reader, start=2):
-        if len(record) != n_fields:
+    tables = [code_table() for _ in header]  # per column: text -> code
+    codes: list[list[np.ndarray]] = [[] for _ in header]
+    lineno = 2
+    while chunk := list(itertools.islice(reader, CHUNK_RECORDS)):
+        if set(map(len, chunk)) != {n_fields}:
+            offset, record = next((i, r) for i, r in enumerate(chunk)
+                                  if len(r) != n_fields)
             raise InstanceError(
-                f"CSV for {name!r}: line {lineno} has {len(record)} fields, "
-                f"expected {n_fields}"
+                f"CSV for {name!r}: line {lineno + offset} has "
+                f"{len(record)} fields, expected {n_fields}"
             )
-        for column, field in zip(raw, record):
-            column.append(field)
+        for table, parts, fields in zip(tables, codes, zip(*chunk)):
+            parts.append(np.fromiter(map(table.__getitem__, fields),
+                                     dtype=np.int32, count=len(fields)))
+        lineno += len(chunk)
     attrs = []
-    columns: dict[str, object] = {}
-    for position, attr in enumerate(header):
-        fields = raw[position]
-        raw[position] = None  # release the raw strings column by column
-        dtype = infer_column_type(fields)
+    columns: dict[str, ColumnStore] = {}
+    for attr, table, parts in zip(header, tables, codes):
+        dtype, columns[attr] = _typed_column(
+            list(table),
+            np.concatenate(parts) if parts else np.empty(0, dtype=np.int32))
         attrs.append(Attribute(attr, dtype))
-        values = [
-            None if is_missing(v) else coerce_value(v, dtype) for v in fields
-        ]
-        del fields
-        columns[attr] = build_column(values)
     return Relation(TableSchema(name, attrs), columns)
 
 

@@ -22,11 +22,16 @@ __all__ = [
     "is_missing",
 ]
 
-_INT_RE = re.compile(r"^[+-]?\d+$")
-_FLOAT_RE = re.compile(r"^[+-]?(\d+\.\d*|\.\d+|\d+)([eE][+-]?\d+)?$")
+#: The FLOAT (group 1) and DATE (group 2) spellings of a stripped text.
+#: FLOAT takes decimal spellings plus exactly the non-finite ones
+#: ``str(float)`` writes, so a FLOAT column holding them round-trips
+#: through CSV; ``NaN`` or ``INF`` stay labels.
+_FLOAT_OR_DATE_RE = re.compile(
+    r"([+-]?(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?|nan|inf|-inf)"
+    r"|(\d{4}-\d{2}-\d{2})")
+_SIGNS = ("+", "-")
 _BOOL_TOKENS = {"true": True, "false": False, "y": True, "n": False,
                 "yes": True, "no": False, "t": True, "f": False}
-_DATE_RE = re.compile(r"^\d{4}-\d{2}-\d{2}$")
 
 #: Values treated as SQL NULL when reading data or evaluating conditions.
 MISSING_TOKENS = frozenset({"", "null", "none", "na", "n/a"})
@@ -78,6 +83,16 @@ class DataType(enum.Enum):
         return self.value
 
 
+#: The members as module constants: the per-value paths below run once
+#: per field or distinct text, and a module global is read several times
+#: faster than an enum class attribute.
+_STRING, _TEXT, _INTEGER, _FLOAT, _BOOLEAN, _DATE = (
+    DataType.STRING, DataType.TEXT, DataType.INTEGER, DataType.FLOAT,
+    DataType.BOOLEAN, DataType.DATE)
+
+#: The types a column may mix and still infer as FLOAT.
+_NUMERIC_MIX = frozenset({_INTEGER, _FLOAT, _BOOLEAN})
+
 #: Longest missing-marker token ("null" / "none") — the string fast path
 #: below can reject longer unpadded strings without allocating.
 _MAX_MISSING_TOKEN_LEN = max(len(token) for token in MISSING_TOKENS)
@@ -106,72 +121,80 @@ def is_missing(value: Any) -> bool:
 
 def infer_type(value: Any) -> DataType:
     """Infer the :class:`DataType` of a single non-missing value."""
-    if isinstance(value, bool):
-        return DataType.BOOLEAN
-    if isinstance(value, int):
-        return DataType.INTEGER
-    if isinstance(value, float):
-        return DataType.FLOAT
-    text = str(value).strip()
-    low = text.lower()
-    if low in _BOOL_TOKENS:
-        return DataType.BOOLEAN
-    if _INT_RE.match(text):
+    if isinstance(value, str):  # the common case: a CSV field
+        text = value.strip()
+    elif isinstance(value, bool):
+        return _BOOLEAN
+    elif isinstance(value, int):
+        return _INTEGER
+    elif isinstance(value, float):
+        return _FLOAT
+    else:
+        text = str(value).strip()
+    if text.lower() in _BOOL_TOKENS:
+        return _BOOLEAN
+    digits = text[1:] if text[:1] in _SIGNS else text
+    if digits.isdecimal():  # [+-]?\d+: \d is a Unicode decimal digit
         # A digit string with a leading zero ("0195128") is an identifier
         # (ISBN, zip code), not a number — treat it as a code-like string.
-        digits = text.lstrip("+-")
         if len(digits) > 1 and digits.startswith("0"):
-            return DataType.STRING
-        return DataType.INTEGER
-    if _FLOAT_RE.match(text):
-        return DataType.FLOAT
-    if _DATE_RE.match(text):
-        return DataType.DATE
+            return _STRING
+        return _INTEGER
+    match = _FLOAT_OR_DATE_RE.fullmatch(text)
+    if match is not None:
+        return _FLOAT if match.lastindex == 1 else _DATE
     # Free text vs code-like string: free text has internal whitespace.
     if " " in text or len(text) > 32:
-        return DataType.TEXT
-    return DataType.STRING
+        return _TEXT
+    return _STRING
 
 
 def infer_column_type(values: Iterable[Any]) -> DataType:
     """Infer the type of a column from a sample of its values.
 
     Missing values are skipped.  The result is the most general type that
-    covers every observed value (INTEGER widens to FLOAT, STRING widens to
-    TEXT, any textual/other mix collapses to TEXT).  An all-missing column
-    defaults to STRING.
+    covers every observed value (INTEGER and BOOLEAN widen to FLOAT,
+    STRING widens to TEXT, any textual/other mix collapses to TEXT).  An
+    all-missing column defaults to STRING.  The scan stops at the first
+    value that leaves TEXT the only possible result.
     """
-    seen: set[DataType] = set()
+    seen: list[DataType] = []  # compared by identity: no enum hashing
     for value in values:
         if is_missing(value):
             continue
-        seen.add(infer_type(value))
+        dtype = infer_type(value)
+        if dtype not in seen:
+            seen.append(dtype)
+            if dtype is _TEXT or (len(seen) > 1
+                                  and not _NUMERIC_MIX.issuperset(seen)):
+                return _TEXT  # no further value can change the result
     if not seen:
-        return DataType.STRING
+        return _STRING
     if len(seen) == 1:
-        return next(iter(seen))
-    if seen <= {DataType.INTEGER, DataType.FLOAT}:
-        return DataType.FLOAT
-    if seen <= {DataType.INTEGER, DataType.FLOAT, DataType.BOOLEAN}:
-        return DataType.FLOAT
-    if seen <= {DataType.STRING, DataType.TEXT}:
-        return DataType.TEXT
-    return DataType.TEXT
+        return seen[0]
+    return _FLOAT  # a mix of INTEGER, FLOAT and BOOLEAN
 
 
 def coerce_value(value: Any, dtype: DataType) -> Any:
     """Coerce *value* to the Python representation of *dtype*.
 
-    Missing values coerce to ``None``.  Raises :class:`ValueError` when the
-    value cannot represent the target type (e.g. ``"abc"`` as INTEGER).
+    Missing values coerce to ``None``; boolean tokens coerce to ``1.0`` /
+    ``0.0`` as FLOAT.  Raises :class:`ValueError` when the value cannot
+    represent the target type (e.g. ``"abc"`` as INTEGER).
     """
     if is_missing(value):
         return None
-    if dtype is DataType.INTEGER:
+    if dtype is _INTEGER:
         return int(float(value)) if not isinstance(value, bool) else int(value)
-    if dtype is DataType.FLOAT:
+    if dtype is _FLOAT:
+        if isinstance(value, str):
+            # Boolean tokens widen to FLOAT with numbers (see
+            # infer_column_type), as ``float(True)`` does for bools.
+            token = _BOOL_TOKENS.get(value.strip().lower())
+            if token is not None:
+                return float(token)
         return float(value)
-    if dtype is DataType.BOOLEAN:
+    if dtype is _BOOLEAN:
         if isinstance(value, bool):
             return value
         if isinstance(value, (int, float)):

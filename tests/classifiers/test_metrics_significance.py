@@ -1,13 +1,13 @@
 """Unit tests for classification metrics and the significance test."""
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.classifiers import (ConfusionMatrix, MajorityClassifier,
                                classifier_significance, evaluate_classifier,
                                micro_fbeta, normalized_error_pairs,
-                               per_label_precision_recall)
+                               per_label_precision_recall, top_error_pair)
 
 
 def matrix_from(pairs):
@@ -93,6 +93,43 @@ class TestErrorPairs:
     def test_none_predictions_skipped(self):
         ranked = normalized_error_pairs(matrix_from([("a", None)]))
         assert ranked == []
+        assert top_error_pair(matrix_from([("a", None)])) is None
+
+
+class _Twin:
+    """A label whose ``repr`` collides with its twin's (equality is
+    identity), so only insertion order can break a tie between them."""
+
+    def __repr__(self) -> str:
+        return "twin"
+
+
+_FIRST, _SECOND = _Twin(), _Twin()
+#: Labels as families name them: raw values, merged groups, and twins.
+LABELS = st.sampled_from(["a", "b", "c", 1, 2.5, _FIRST, _SECOND,
+                          frozenset({"a", "b"}), frozenset({_FIRST}),
+                          frozenset({_SECOND})])
+
+
+class TestTopErrorPair:
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(st.tuples(LABELS, st.one_of(LABELS, st.none())),
+                    max_size=14))
+    def test_equals_first_of_full_ranking(self, pairs):
+        matrix = matrix_from(pairs)
+        ranked = normalized_error_pairs(matrix)
+        picked = top_error_pair(matrix)
+        if not ranked:
+            assert picked is None
+        else:
+            assert picked == ranked[0][0]
+
+    def test_repr_twins_tie_to_the_first_seen_pair(self):
+        pairs = [("a", _SECOND), (_SECOND, "a"), ("a", _FIRST),
+                 (_FIRST, "a")]
+        matrix = matrix_from(pairs)
+        assert top_error_pair(matrix) == frozenset({"a", _SECOND})
+        assert top_error_pair(matrix) == normalized_error_pairs(matrix)[0][0]
 
 
 class TestSignificance:

@@ -172,13 +172,14 @@ TEXT_VALUES = st.one_of(
     st.lists(st.sampled_from(WORDS), max_size=2))
 
 #: Numeric h-values: repeating small floats (so constant groups occur),
-#: NaN and ±inf, numeric and unparseable strings, None, bools and
-#: unhashable lists.
+#: NaN and ±inf, huge magnitudes whose squared spread leaves float range,
+#: numeric and unparseable strings, None, bools and unhashable lists.
 NUMERIC_VALUES = st.one_of(
     st.integers(-6, 6).map(float),
     st.floats(min_value=-1e3, max_value=1e3),
     st.sampled_from([NAN, INF, -INF, "12.5", "nan", "-inf", "abc", "",
                      None, True, 0, -0.0]),
+    st.sampled_from([1e200, -1e200, 1e160, 1.7e308, "1e200"]),
     st.lists(st.floats(min_value=-5, max_value=5), max_size=1))
 
 LABELS = st.sampled_from(["p", "q", "r", "s"])
@@ -437,3 +438,66 @@ class TestFullScenarioGrid:
         for kind, table, attr, same in classifier_sweep(
                 workload, scenario_config(spec)):
             assert same, f"{kind} diverged on {name}:{table}.{attr}"
+
+
+def huge_price_workload():
+    """The retail scenario with ``ListPrice = 1e200`` in every third
+    source row: a Gaussian fit over it squares past float range."""
+    workload = build_scenario("retail")
+    relations = []
+    for relation in workload.source:
+        columns = {a: relation.column(a)
+                   for a in relation.schema.attribute_names}
+        if "ListPrice" in columns:
+            columns["ListPrice"] = [1e200 if i % 3 == 0 else value
+                                    for i, value
+                                    in enumerate(columns["ListPrice"])]
+        relations.append(Relation(relation.schema, columns))
+    source = Database.from_relations(workload.source.name, relations)
+    return dataclasses.replace(workload, source=source)
+
+
+class TestOverflowingPairs:
+    """An (h, l) pair whose Gaussian fit or posterior leaves float range
+    yields no family; the match completes, and the batch run still equals
+    the retraining reference."""
+
+    @pytest.mark.parametrize("inference", ["src", "tgt"])
+    def test_pair_yields_no_family(self, inference):
+        workload = huge_price_workload()
+        relation = workload.source.relation("items")
+        spec = next(s for s in registered_scenarios() if s.name == "retail")
+        config = dataclasses.replace(scenario_config(spec),
+                                     inference=inference)
+        generator = candidates.make_generator(inference)
+
+        def families(rel):
+            ctx = InferenceContext(config=config,
+                                   rng=np.random.default_rng(3),
+                                   target=workload.target)
+            return [(f.attribute, f.groups, struct.pack("<d", f.quality))
+                    for f in generator.infer(rel, ["accepted"], ctx)]
+
+        without = relation.project([a for a in relation.schema.attribute_names
+                                    if a != "ListPrice"])
+        assert families(relation) == families(without)
+
+    @pytest.mark.parametrize("inference", ["src", "tgt"])
+    def test_match_completes_and_equals_retraining(self, inference,
+                                                   monkeypatch):
+        workload = huge_price_workload()
+        spec = next(s for s in registered_scenarios() if s.name == "retail")
+        config = dataclasses.replace(scenario_config(spec),
+                                     inference=inference)
+
+        def run():
+            engine = MatchEngine(config)
+            return engine.match(workload.source,
+                                engine.prepare(workload.target))
+
+        batch = run()
+        with monkeypatch.context() as patch:
+            patch.setattr(candidates, "FamilyAssessor", RetrainingAssessor)
+            retrain = run()
+        assert batch.matches
+        assert engine_artifacts(batch) == engine_artifacts(retrain)

@@ -1,8 +1,11 @@
 """Tests for the messy-CSV ingestion family (repro.datagen.ingestion)."""
 
 import json
+import string
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cli import main
 from repro.datagen import (FEED_HEADERS, TAG_VOCABULARY, build_scenario,
@@ -11,9 +14,11 @@ from repro.datagen import (FEED_HEADERS, TAG_VOCABULARY, build_scenario,
                            normalize_feed, normalize_header,
                            normalize_product_name, scenario_names,
                            singularize)
-from repro.datagen.ingestion import parse_currency, parse_quantity, parse_sku
+from repro.datagen.ingestion import (NO_STRIP_WORDS, PLURAL_MAP,
+                                    parse_currency, parse_quantity, parse_sku)
 from repro.errors import ReproError
-from repro.relational import dump_database
+from repro.relational import (Relation, dump_database,
+                              relation_from_csv_text, relation_to_csv_text)
 
 
 class TestNormalizeHelpers:
@@ -69,6 +74,72 @@ class TestNormalizeHelpers:
         assert normalize_product_name("THE_SILENT_GARDEN") == \
             "the silent garden"
         assert normalize_product_name(None) is None
+
+
+WORDS = st.sampled_from(["silent", "garden", "road", "kings", "neon",
+                         "war", "orchard"])
+
+
+def _column(data, n, values):
+    return data.draw(st.lists(values, min_size=n, max_size=n))
+
+
+class TestNormalizeInvertsRenderings:
+    """Each normalize helper inverts the rendering ``make_messy_feed``
+    gives its column, and the whole feed survives the CSV codec."""
+
+    @given(st.integers(0, 10**9))
+    def test_parse_sku(self, item_id):
+        assert parse_sku(f"SKU-{item_id:06d}") == item_id
+
+    @given(st.integers(-10**9, 10**9))
+    def test_parse_currency(self, cents):
+        price = cents / 100
+        assert parse_currency(f"${price:.2f}") == price
+        assert parse_currency(f"${price:,.2f}") == price
+
+    @given(st.integers(-10**6, 10**6))
+    def test_parse_quantity(self, quantity):
+        assert parse_quantity(f"{quantity} pcs") == quantity
+
+    @given(st.lists(st.text(alphabet=string.ascii_lowercase + "0123456789'&",
+                            min_size=1, max_size=8),
+                    min_size=1, max_size=4).map(" ".join))
+    def test_normalize_product_name(self, name):
+        assert normalize_product_name(name.upper().replace(" ", "_")) == name
+
+    @given(st.text(alphabet=string.ascii_uppercase, min_size=1, max_size=8))
+    def test_singularize_strips_a_regular_plural(self, stem):
+        for plural, singular in ((stem + "S", stem),
+                                 (stem + "IES", stem + "Y")):
+            if (plural in PLURAL_MAP or plural in NO_STRIP_WORDS
+                    or singular.endswith(("S", "IE"))):
+                continue  # the overrides and guards decide these
+            assert singularize(plural) == singular
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_normalize_feed_inverts_the_csv_feed(self, data):
+        n = data.draw(st.integers(1, 12))
+        name = st.lists(WORDS, min_size=1, max_size=3).map(" ".join)
+        columns = {
+            "ItemID": data.draw(st.lists(st.integers(0, 10**6), min_size=n,
+                                         max_size=n, unique=True)),
+            "Name": _column(data, n, st.none() | name),
+            "Creator": _column(data, n, st.none() | name),
+            "ItemType": _column(data, n, WORDS),
+            "StockStatus": _column(data, n, st.none() | WORDS),
+            "Code": _column(data, n, WORDS.map(str.upper)),
+            "ListPrice": _column(data, n, st.none() | st.integers(
+                0, 10**7).map(lambda cents: cents / 100)),
+            "Qty": _column(data, n, st.none() | st.integers(0, 500)),
+        }
+        feed = make_messy_feed(Relation.infer_schema("items", columns))
+        parsed = relation_from_csv_text(relation_to_csv_text(feed),
+                                        feed.name)
+        clean = normalize_feed(parsed)
+        for attr, values in columns.items():
+            assert clean.column(attr) == values, attr
 
 
 class TestMessyFeed:

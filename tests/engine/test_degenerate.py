@@ -2,6 +2,8 @@
 relations on either side of a match, under both inference sides, run
 through :meth:`MatchEngine.match` and a 2-worker process ``match_many``
 without raising, and the pool reproduces the serial result exactly.
+A source column with 10⁴ distinct values runs through the engine under
+the default categorical policy and with the cardinality guard off.
 
 Match counts are deliberately not pinned: what an empty or constant
 relation *should* match is a semantic question of its own.
@@ -12,10 +14,13 @@ from __future__ import annotations
 import pytest
 
 from repro import ContextMatchConfig, MatchEngine
+from repro.context.categorical import CategoricalPolicy, categorical_attributes
 from repro.context.serialize import result_to_dict
 from repro.datagen import make_retail_workload
 from repro.engine import ExecutorConfig, MatchExecutor
 from repro.relational.instance import Database, Relation
+from repro.relational.schema import Attribute, TableSchema
+from repro.relational.types import DataType
 
 KINDS = ("empty", "one-row", "all-null", "single-value")
 
@@ -86,3 +91,25 @@ def test_degenerate_side_matches_serially_and_in_pool(workload, pool, kind,
     batch = pool.match_many(engine, [source, source], prepared)
     assert batch.throughput.backend == "process"
     assert [_comparable(r) for r in batch] == [serial, serial]
+
+
+@pytest.mark.parametrize("policy", [CategoricalPolicy(),
+                                    CategoricalPolicy(max_cardinality=None)],
+                         ids=["default", "unbounded"])
+def test_ten_thousand_distinct_values(policy):
+    base = make_retail_workload(target="ryan", gamma=2, n_source=10_000,
+                                n_target=200, seed=3)
+    items = base.source.relation(base.source_table)
+    serials = [f"S{i:05d}" for i in range(len(items))]
+    schema = TableSchema(items.name, list(items.schema)
+                         + [Attribute("Serial", DataType.STRING)])
+    columns = {a: items.column_store(a)
+               for a in items.schema.attribute_names}
+    relation = Relation(schema, {**columns, "Serial": serials})
+    source = Database.from_relations(base.source.name, [relation])
+    assert len(relation.distinct("Serial")) == 10_000
+    assert "Serial" not in categorical_attributes(relation, policy)
+    engine = MatchEngine(ContextMatchConfig(inference="src"), policy=policy)
+    result = engine.match(source, engine.prepare(base.target))
+    assert result.matches
+    assert result.report.stage("infer-views").counts["values_classified"]

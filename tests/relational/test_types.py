@@ -1,9 +1,10 @@
 """Unit tests for data types and type inference."""
 
 import math
+import re
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.relational.types import (DataType, coerce_value, infer_column_type,
@@ -103,6 +104,32 @@ class TestCoerce:
     def test_coerce_string(self):
         assert coerce_value(12, DataType.STRING) == "12"
 
+    @pytest.mark.parametrize("token,expected", [
+        ("yes", 1.0), ("n", 0.0), (" T ", 1.0), ("FALSE", 0.0)])
+    def test_boolean_tokens_coerce_to_float(self, token, expected):
+        value = coerce_value(token, DataType.FLOAT)
+        assert type(value) is float and value == expected
+
+    @pytest.mark.parametrize("text", ["nan", "inf", "-inf", " inf "])
+    def test_non_finite_spellings_coerce_to_float(self, text):
+        value = coerce_value(text, DataType.FLOAT)
+        assert type(value) is float and repr(value) == repr(float(text))
+
+
+class TestNonFiniteSpellings:
+    @pytest.mark.parametrize("text", ["nan", "inf", "-inf", " nan "])
+    def test_str_float_spellings_infer_float(self, text):
+        assert infer_type(text) is DataType.FLOAT
+
+    @pytest.mark.parametrize("text", ["NaN", "INF", "+inf", "-nan",
+                                      "Infinity", "infinity"])
+    def test_other_spellings_are_labels(self, text):
+        assert infer_type(text) is DataType.STRING
+
+    def test_float_column_with_non_finite_values(self):
+        assert infer_column_type(
+            ["1.0", "nan", "", "inf", "-inf"]) is DataType.FLOAT
+
 
 class TestCompatibility:
     def test_numeric_family(self):
@@ -139,3 +166,72 @@ def test_floats_always_infer_float(value):
 @given(st.lists(st.integers(min_value=0, max_value=10**6), min_size=1))
 def test_column_of_ints_is_numeric(values):
     assert infer_column_type(values) is DataType.INTEGER
+
+
+# The scalar rules spelled out one pattern per type, as the reference for
+# infer_type's single combined pattern.
+_INT = re.compile(r"^[+-]?\d+$")
+_FLOAT = re.compile(r"^([+-]?(\d+\.\d*|\.\d+|\d+)([eE][+-]?\d+)?|nan|inf|-inf)$")
+_DATE = re.compile(r"^\d{4}-\d{2}-\d{2}$")
+_BOOL = {"true", "false", "y", "n", "yes", "no", "t", "f"}
+
+
+def reference_infer_type(text: str) -> DataType:
+    text = text.strip()
+    if text.lower() in _BOOL:
+        return DataType.BOOLEAN
+    if _INT.match(text):
+        digits = text.lstrip("+-")
+        if len(digits) > 1 and digits.startswith("0"):
+            return DataType.STRING
+        return DataType.INTEGER
+    if _FLOAT.match(text):
+        return DataType.FLOAT
+    if _DATE.match(text):
+        return DataType.DATE
+    if " " in text or len(text) > 32:
+        return DataType.TEXT
+    return DataType.STRING
+
+
+def reference_column_type(values) -> DataType:
+    """The widening rule applied to every value's type, no early exit."""
+    seen = {infer_type(v) for v in values if not is_missing(v)}
+    if not seen:
+        return DataType.STRING
+    if len(seen) == 1:
+        return seen.pop()
+    if seen <= {DataType.INTEGER, DataType.FLOAT, DataType.BOOLEAN}:
+        return DataType.FLOAT
+    return DataType.TEXT
+
+
+_PAD = st.sampled_from(["", " ", "\t", "\n", "\u2003"])
+SCALAR_TEXTS = st.one_of(
+    st.integers(-10**6, 10**6).map(str),
+    st.integers(0, 999).map(lambda n: f"0{n}"),
+    st.floats().map(repr),
+    st.sampled_from(["nan", "inf", "-inf", "NaN", "+inf", ".5", "5.",
+                     "1e5", "1E+5", "+-1", "2006-09-12", "true", "No",
+                     "y", "", "NA", "two words", "x" * 40, "٣٤", "٠١",
+                     "²", "1²", "+", "-", "+-1", "-0", "+00", "٠", "१२.५",
+                     "2006-09-1²"]),
+    st.text(alphabet="0123456789+-.eE :ny", max_size=8),
+    st.text(max_size=5),
+)
+PADDED = st.builds(lambda left, text, right: left + text + right, _PAD,
+                   SCALAR_TEXTS, _PAD)
+
+
+@settings(max_examples=500)
+@given(PADDED)
+def test_infer_type_matches_per_type_patterns(text):
+    if not is_missing(text):
+        assert infer_type(text) is reference_infer_type(text)
+
+
+@settings(max_examples=300)
+@given(st.lists(st.one_of(PADDED, st.integers(-5, 5), st.floats(),
+                          st.booleans(), st.none()), max_size=12))
+def test_column_type_equals_the_rule_over_every_value(values):
+    assert infer_column_type(values) is reference_column_type(values)

@@ -1,11 +1,13 @@
 """End-to-end tests for the ``python -m repro`` CLI."""
 
+import csv
 import json
 
 import pytest
 
 from repro import __version__
 from repro.cli import build_parser, config_from_args, main
+from repro.relational import DataType, load_database
 
 
 class TestParser:
@@ -138,6 +140,33 @@ class TestEndToEnd:
             "conjunctive-refine"]
         assert all(s["elapsed_seconds"] >= 0.0 for s in report["stages"])
         assert payload["standard_matches"]
+
+    @pytest.mark.parametrize("inference", ["src", "tgt"])
+    def test_match_over_non_finite_and_huge_floats(self, tmp_path, capsys,
+                                                   inference):
+        """A CSV FLOAT column holding ``inf``, ``-inf`` and ``1e200``
+        loads as FLOAT, and matching over it completes."""
+        out = tmp_path / "wl"
+        main(["generate", "retail", str(out), "--rows", "200",
+              "--gamma", "2", "--seed", "3"])
+        capsys.readouterr()
+        path = out / "src" / "items.csv"
+        with path.open(newline="", encoding="utf-8") as handle:
+            header, *rows = list(csv.reader(handle))
+        price = header.index("ListPrice")
+        for i, row in enumerate(rows):
+            row[price] = {0: "1e200", 1: "inf", 2: "-inf"}.get(
+                i % 5, row[price])
+        with path.open("w", newline="", encoding="utf-8") as handle:
+            csv.writer(handle).writerows([header] + rows)
+        items = load_database(out / "src").relation("items")
+        assert items.schema.dtype("ListPrice") is DataType.FLOAT
+        assert items.column("ListPrice")[:3] == [1e200, float("inf"),
+                                                 float("-inf")]
+        rc = main(["match", str(out / "src"), str(out / "tgt"),
+                   "--inference", inference, "--seed", "2", "--json"])
+        assert rc == 0
+        assert json.loads(capsys.readouterr().out)["matches"]
 
     def test_match_many(self, tmp_path, capsys):
         out1 = tmp_path / "wl1"
