@@ -3,7 +3,7 @@
 Each benchmark runs the matching experiment driver for one figure of the
 paper exactly once under ``pytest-benchmark`` timing, prints the series the
 figure plots, and persists it under ``benchmarks/results/`` so the output
-survives non-verbose runs (EXPERIMENTS.md quotes these files).
+survives non-verbose runs.
 
 Performance benchmarks additionally persist machine-readable JSON via
 ``record_json`` (ops/sec, elapsed seconds, workload config) so the perf

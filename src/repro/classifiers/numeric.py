@@ -67,9 +67,11 @@ def _log_posterior(number: float, mean: float, twice_var: float,
 
 
 def _as_number(value: Any) -> float | None:
+    """*value* as a float; None for garbage and for an int too large for
+    any float (an exactly read 400-digit INTEGER field)."""
     try:
         return float(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         return None
 
 

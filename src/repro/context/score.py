@@ -33,6 +33,9 @@ standard matcher then scores that column against its whole frontier with
 one :meth:`~repro.matching.matchers.base.Matcher.score_block` call per
 matcher over the target index's prepared blocks (numpy CSR kernels for
 the q-gram and overlap matchers), not one call per target attribute.
+Every frontier target's raw score enters the Φ fit, but only the
+prototype targets' rescorings enter RL, so the partition-once path names
+those targets (``keep``) and the matcher builds evidence for them alone.
 """
 
 from __future__ import annotations
@@ -76,6 +79,15 @@ def _pair_candidates(view: View, family: ViewFamily,
             view=view, family=family, base_match=match,
             rescored=rescored, view_rows=view_rows))
     return results
+
+
+def _prototype_positions(matches: Sequence[AttributeMatch],
+                         index: TargetIndex) -> list[int]:
+    """The target-index positions of *matches*' targets — the only
+    rescorings :func:`_pair_candidates` reads.  Prototype matches were
+    scored against this index, so every target has a position."""
+    return [index.positions[(m.target.table, m.target.attribute)]
+            for m in matches]
 
 
 def _frontier_positions(frontier: "ScoringFrontier | None",
@@ -136,11 +148,12 @@ def _score_group_candidates(view: View, group: frozenset,
     for attr_name, matches in by_attr.items():
         profile = store.view_profile(base, family.attribute, group, attr_name)
         positions = _frontier_positions(frontier, attr_name)
+        keep = _prototype_positions(matches, index)
         if positions is None:
-            scored = matcher.score_column_profile(profile, index)
+            scored = matcher.score_column_profile(profile, index, keep=keep)
         else:
-            scored = matcher.score_column_profile(profile, index,
-                                                  positions=positions)
+            scored = matcher.score_column_profile(
+                profile, index, positions=positions, keep=keep)
         results.extend(_pair_candidates(view, family, matches, scored,
                                         view_rows))
     return results

@@ -7,7 +7,8 @@ single low-cardinality attribute ``ItemType``, plus an added
 *Barrett Arney* (separate book / music tables) as the target, populated with
 data scraped from commercial web sites.  Offline we re-create the schemas
 from the paper's description and populate them from the deterministic corpus
-in :mod:`repro.datagen.text` (see DESIGN.md for the substitution argument).
+in :mod:`repro.datagen.text`: the experiments depend on the schemas and on
+how each category shapes its values, not on the scraped records themselves.
 
 Experiment knobs, exactly as Section 5 uses them:
 

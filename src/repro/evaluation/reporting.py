@@ -1,8 +1,8 @@
 """Plain-text rendering of experiment results.
 
 Benchmarks print the same rows/series the paper's figures plot; these
-helpers keep that output consistent and diffable (EXPERIMENTS.md quotes
-them verbatim).
+helpers keep that output consistent and diffable, so the series of two
+runs compare line by line.
 """
 
 from __future__ import annotations

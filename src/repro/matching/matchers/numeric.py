@@ -6,6 +6,12 @@ This is the "statistical classifier" evidence the paper uses for numeric
 attributes, adapted to pairwise matching: two columns drawn from similar
 distributions (e.g. ``price`` vs ``price``) score high even when no exact
 values coincide.
+
+Only numeric columns are summarized: :meth:`NumericMatcher.applicable`
+requires a numeric dtype on both sides, so a text column's summary would
+never be read.  A summary covers the finite values only, and a sample
+whose statistics overflow a float (values near 1e308) has none, so a
+score is always finite.
 """
 
 from __future__ import annotations
@@ -36,26 +42,27 @@ class NumericSummary:
 
     @classmethod
     def from_values(cls, values: Sequence[Any]) -> "NumericSummary | None":
+        """The summary of the finite numbers among *values*; None when
+        there are none, or when a statistic of them overflows."""
         numbers = []
         for v in values:
             try:
-                numbers.append(float(v))
-            except (TypeError, ValueError):
+                number = float(v)
+            except (TypeError, ValueError, OverflowError):
                 continue
+            if math.isfinite(number):
+                numbers.append(number)
         if not numbers:
             return None
         arr = np.asarray(numbers, dtype=float)
-        q1, median, q3 = np.percentile(arr, [25, 50, 75])
-        return cls(
-            count=len(arr),
-            mean=float(arr.mean()),
-            std=float(arr.std()),
-            minimum=float(arr.min()),
-            q1=float(q1),
-            median=float(median),
-            q3=float(q3),
-            maximum=float(arr.max()),
-        )
+        with np.errstate(over="ignore", invalid="ignore"):
+            q1, median, q3 = map(float, np.percentile(arr, [25, 50, 75]))
+            mean, std = float(arr.mean()), float(arr.std())
+        if not all(map(math.isfinite, (mean, std, q1, median, q3))):
+            return None
+        return cls(count=len(arr), mean=mean, std=std,
+                   minimum=float(arr.min()), q1=q1, median=median, q3=q3,
+                   maximum=float(arr.max()))
 
 
 def _location_similarity(a: float, b: float, scale: float) -> float:
@@ -90,6 +97,8 @@ class NumericMatcher(Matcher):
                 and len(source) > 0 and len(target) > 0)
 
     def profile(self, sample: AttributeSample) -> NumericSummary | None:
+        if not sample.attribute.dtype.is_numeric:
+            return None  # never read: applicable() needs numeric dtypes
         return NumericSummary.from_values(sample.values)
 
     def score_profiles(self, source: NumericSummary | None,

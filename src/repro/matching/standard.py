@@ -26,7 +26,7 @@ from ..relational.instance import Database, Relation
 from ..relational.schema import AttributeRef
 from .combiner import MatcherEvidence, combine_evidence
 from .matchers import AttributeSample, Matcher, default_matchers
-from .normalize import confidences_from_scores
+from .normalize import confidence_under, confidences_from_scores, fit_normal
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (profiling sits above)
     from ..profiling import ColumnProfile, ProfileStore
@@ -112,10 +112,12 @@ class TargetIndex:
     :meth:`~repro.matching.matchers.base.Matcher.target_block` of the
     profiles (for the q-gram and overlap matchers, CSR rows over a target
     vocabulary), so ``ScoreMatch`` scores a source column against the
-    whole frontier in one call per matcher.  The blocks are derived data:
-    they are built eagerly, dropped on pickle and rebuilt on load, so a
-    pickled index (a store blob, an executor chunk) carries only the
-    samples and profiles.
+    whole frontier in one call per matcher.  ``positions`` maps each
+    target attribute's ``(table, attribute)`` to its position in
+    ``samples``, so a caller can name the targets whose matches it reads.
+    Both are derived data: they are built eagerly, dropped on pickle and
+    rebuilt on load, so a pickled index (a store blob, an executor chunk)
+    carries only the samples and profiles.
     """
 
     def __init__(self, database: Database, matchers: Sequence[Matcher],
@@ -132,7 +134,7 @@ class TargetIndex:
         self.profiles: dict[str, list[object]] = {
             m.name: [m.profile(s) for s in self.samples] for m in self.matchers
         }
-        self._build_blocks()
+        self._derive()
 
     @classmethod
     def from_profiles(cls, database: Database, matchers: Sequence[Matcher],
@@ -145,19 +147,21 @@ class TargetIndex:
                             "samples": samples, "profiles": profiles})
         return index
 
-    def _build_blocks(self) -> None:
+    def _derive(self) -> None:
         self.blocks: dict[str, object] = {
             m.name: m.target_block(self.profiles[m.name])
             for m in self.matchers}
+        self.positions: dict[tuple[str, str], int] = {
+            (s.table, s.name): i for i, s in enumerate(self.samples)}
 
     def __getstate__(self) -> dict:
         state = self.__dict__.copy()
-        del state["blocks"]
+        del state["blocks"], state["positions"]
         return state
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
-        self._build_blocks()
+        self._derive()
 
     def refs(self) -> list[AttributeRef]:
         return [AttributeRef(s.table, s.name) for s in self.samples]
@@ -168,9 +172,9 @@ class MatchingSystem(Protocol):
 
     Implementations may additionally opt into the profiling fast path by
     setting ``supports_profile_store = True`` and providing
-    ``score_column_profile(profile, index)`` plus ``matchers`` / ``config``
-    attributes (see :class:`StandardMatch`); the contextual layer falls
-    back to :meth:`score_attribute` per view otherwise.  Setting
+    ``score_column_profile(profile, index, *, keep)`` plus ``matchers`` /
+    ``config`` attributes (see :class:`StandardMatch`); the contextual
+    layer falls back to :meth:`score_attribute` per view otherwise.  Setting
     ``supports_target_subset = True`` additionally opts into the retrieval
     frontier: the scoring entry points then accept a ``positions`` keyword
     restricting the target side.  Systems without the flag are always
@@ -259,9 +263,15 @@ class StandardMatch:
     def score_column_profile(self, profile: "ColumnProfile",
                              index: TargetIndex,
                              *, positions: Sequence[int] | None = None,
+                             keep: Sequence[int] | None = None,
                              ) -> list[AttributeMatch]:
         """Batch entry point: score a prepared column profile against every
         target attribute (or the frontier subset in ``positions``).
+
+        ``keep`` names the target positions whose matches the caller
+        reads; None keeps every scored position.  Every scored position
+        still enters each matcher's Φ fit, so a kept match equals, bit for
+        bit, the match an all-positions call returns for that target.
 
         The profile (from a :class:`~repro.profiling.ProfileStore`) must
         have been built under this scorer's matchers and sample limit; the
@@ -270,11 +280,12 @@ class StandardMatch:
         """
         return self._score_profiled(profile.table, profile.attribute,
                                     profile.sample_view(), profile.profiles,
-                                    index, positions=positions)
+                                    index, positions=positions, keep=keep)
 
     def _score_profiled(self, table: str, attribute, sample,
                         profiles, index: TargetIndex,
                         *, positions: Sequence[int] | None = None,
+                        keep: Sequence[int] | None = None,
                         ) -> list[AttributeMatch]:
         """Shared scoring half: matcher raws -> Φ confidences -> combined
         evidence, for one source column whose profiles are already built.
@@ -283,13 +294,21 @@ class StandardMatch:
         Φ normalization then runs over that subset's score distribution
         (the whole point of pruning).  With ``positions=None`` — or a
         frontier covering every position — the arithmetic is exactly the
-        historical exhaustive loop.
+        historical exhaustive loop.  Raw scores are computed for every
+        scored position, since each one enters the fit, but confidences,
+        evidence and matches only for those in ``keep`` (None = all).
         """
-        target_ids = (list(range(len(index.samples))) if positions is None
-                      else list(positions))
+        target_ids = (range(len(index.samples)) if positions is None
+                      else positions)
         target_samples = [index.samples[i] for i in target_ids]
-        # evidence[slot] collects MatcherEvidence for target_ids[slot].
-        evidence: list[list[MatcherEvidence]] = [[] for _ in target_ids]
+        if keep is None:
+            slots = range(len(target_samples))
+        else:
+            wanted = set(keep)
+            slots = [slot for slot, i in enumerate(target_ids)
+                     if i in wanted]
+        # evidence[n] collects MatcherEvidence for target_ids[slots[n]].
+        evidence: list[list[MatcherEvidence]] = [[] for _ in slots]
         for matcher in self.matchers:
             applicable = [matcher.applicable(sample, t)
                           for t in target_samples]
@@ -297,19 +316,21 @@ class StandardMatch:
                 profiles[matcher.name], index.blocks[matcher.name],
                 [i for i, ok in zip(target_ids, applicable) if ok]))
             raw = [next(scores) if ok else None for ok in applicable]
-            for slot, (raw_score, conf) in enumerate(
-                    zip(raw, confidences_from_scores(raw))):
-                if raw_score is None or conf is None:
-                    continue
-                evidence[slot].append(MatcherEvidence(
-                    matcher=matcher.name, weight=matcher.weight,
-                    raw_score=raw_score, confidence=conf))
+            fit = fit_normal(raw)
+            for found, slot in zip(evidence, slots):
+                raw_score = raw[slot]
+                if raw_score is not None:
+                    found.append(MatcherEvidence(
+                        matcher=matcher.name, weight=matcher.weight,
+                        raw_score=raw_score,
+                        confidence=confidence_under(raw_score, fit)))
         matches: list[AttributeMatch] = []
         source_ref = AttributeRef(table, attribute.name)
-        for slot, target_sample in enumerate(target_samples):
-            combined = combine_evidence(evidence[slot])
+        for found, slot in zip(evidence, slots):
+            combined = combine_evidence(found)
             if combined is None:
                 continue
+            target_sample = target_samples[slot]
             matches.append(AttributeMatch(
                 source=source_ref,
                 target=AttributeRef(target_sample.table, target_sample.name),

@@ -74,10 +74,10 @@ def relation_to_csv_text(relation: Relation) -> str:
     return buffer.getvalue()
 
 
-def _typed_column(texts: list[str], codes: np.ndarray
-                  ) -> tuple[DataType, ColumnStore]:
-    """The dtype and store of one column, from its distinct *texts* (in
-    first-seen order) and each row's index into them.
+def _typed_column(name: str, attr: str, texts: list[str],
+                  codes: np.ndarray) -> tuple[DataType, ColumnStore]:
+    """The dtype and store of column *attr* of table *name*, from its
+    distinct *texts* (in first-seen order) and each row's index into them.
 
     Inference and coercion see each distinct text once; the store built
     over the coerced distinct values is then gathered by *codes*, which
@@ -86,7 +86,12 @@ def _typed_column(texts: list[str], codes: np.ndarray
     unique, in first-seen order).
     """
     dtype = infer_column_type(texts)
-    values = [coerce_value(text, dtype) for text in texts]
+    try:
+        values = [coerce_value(text, dtype) for text in texts]
+    except ValueError as exc:
+        raise InstanceError(
+            f"CSV for {name!r}: column {attr!r} does not read as "
+            f"{dtype.value}: {exc}") from exc
     return dtype, build_column(values).take(codes)
 
 
@@ -117,7 +122,7 @@ def _parse_stream(name: str, reader: Iterator[list[str]],
     columns: dict[str, ColumnStore] = {}
     for attr, table, parts in zip(header, tables, codes):
         dtype, columns[attr] = _typed_column(
-            list(table),
+            name, attr, list(table),
             np.concatenate(parts) if parts else np.empty(0, dtype=np.int32))
         attrs.append(Attribute(attr, dtype))
     return Relation(TableSchema(name, attrs), columns)

@@ -179,13 +179,23 @@ def coerce_value(value: Any, dtype: DataType) -> Any:
     """Coerce *value* to the Python representation of *dtype*.
 
     Missing values coerce to ``None``; boolean tokens coerce to ``1.0`` /
-    ``0.0`` as FLOAT.  Raises :class:`ValueError` when the value cannot
-    represent the target type (e.g. ``"abc"`` as INTEGER).
+    ``0.0`` as FLOAT.  A decimal integer text reads exactly, at any size
+    ``int()`` parses.  Raises :class:`ValueError` when the value cannot
+    represent the target type (e.g. ``"abc"`` as INTEGER, or a text past
+    ``int()``'s digit limit).
     """
     if is_missing(value):
         return None
     if dtype is _INTEGER:
-        return int(float(value)) if not isinstance(value, bool) else int(value)
+        if isinstance(value, str):
+            try:
+                return int(value)
+            except ValueError as exc:
+                try:
+                    return int(float(value))  # "1e3", "2.0"
+                except (ValueError, OverflowError):
+                    raise exc from None
+        return int(value)
     if dtype is _FLOAT:
         if isinstance(value, str):
             # Boolean tokens widen to FLOAT with numbers (see

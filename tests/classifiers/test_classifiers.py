@@ -98,6 +98,15 @@ class TestGaussian:
         g.teach(1.0, "a")
         assert g.classify("garbage") == "a"
 
+    def test_ints_no_float_holds_are_not_numbers(self):
+        """An exactly read 400-digit INTEGER value carries no signal, as
+        garbage does, instead of raising ``OverflowError``."""
+        g = GaussianClassifier()
+        g.teach_many([1.0, 10 ** 400, 2.0], ["a", "b", "a"])
+        assert g.labels == frozenset({"a"})
+        assert g.classify(10 ** 400) == "a"
+        assert g.classify_many([10 ** 400, 1.5]) == ["a", "a"]
+
     def test_constant_class_usable(self):
         g = GaussianClassifier()
         g.teach(5.0, "five")

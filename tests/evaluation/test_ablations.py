@@ -1,4 +1,4 @@
-"""Ablation tests for the calibrated design choices of DESIGN.md §7.
+"""Ablation tests for the engine's calibrated design choices.
 
 Each test disables one mechanism and shows the failure mode it guards
 against — executable documentation of why the mechanism exists.
@@ -12,7 +12,8 @@ from repro.matching import StandardMatch, StandardMatchConfig
 
 
 class TestScoreFloorAblation:
-    """DESIGN.md §7.1: acceptance needs absolute evidence."""
+    """Acceptance needs absolute evidence: Φ confidences grade on a
+    curve, so ``score_floor`` also asks for a high raw score."""
 
     def test_no_floor_admits_more_junk(self, retail_workload):
         with_floor = StandardMatch(StandardMatchConfig(score_floor=0.25))
@@ -36,7 +37,7 @@ class TestScoreFloorAblation:
 
 
 class TestOmegaAblation:
-    """DESIGN.md §7.3: ω separates semantic from random conditions."""
+    """ω separates semantic from random conditions."""
 
     def test_zero_omega_hurts_precision(self, retail_workload):
         def run(omega):
@@ -53,7 +54,7 @@ class TestOmegaAblation:
 
 
 class TestSignificanceAblation:
-    """DESIGN.md: the well-clustered test filters spurious families."""
+    """The well-clustered test filters spurious families."""
 
     def test_lower_threshold_admits_more_families(self, retail_workload):
         def families(threshold):
@@ -72,7 +73,8 @@ class TestSignificanceAblation:
 
 
 class TestSampleCapAblation:
-    """DESIGN.md §7.5: the significance test runs on modest partitions."""
+    """The significance test runs on modest partitions: the
+    ``max_train`` / ``max_test`` caps bound its cost."""
 
     def test_smaller_caps_weaken_high_sigma_inference(self):
         """At σ=25 the default caps still find the exam views; tiny caps
@@ -94,7 +96,7 @@ class TestSampleCapAblation:
 
 
 class TestSampleSizeAblation:
-    """DESIGN.md §7 context: Figure 14's slope steepens on small samples."""
+    """Figure 14's slope steepens on small samples."""
 
     def test_small_samples_degrade_high_gamma(self):
         from repro.evaluation.experiments import run_retail

@@ -1,6 +1,10 @@
 """Unit tests for the matcher zoo."""
 
+import math
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.matching import (AttributeSample, NameMatcher, NumericMatcher,
                             QGramMatcher, TypeMatcher, ValueOverlapMatcher,
@@ -135,6 +139,38 @@ class TestNumericMatcher:
         summary = NumericSummary.from_values(list(rng.normal(0, 1, 500)))
         assert summary.minimum <= summary.q1 <= summary.median \
             <= summary.q3 <= summary.maximum
+
+    def test_text_columns_are_not_summarized(self):
+        """``applicable`` never lets a text column's summary be read, so
+        none is built, even from number-like codes."""
+        m = NumericMatcher()
+        assert m.profile(sample("isbn", ["0195128", "0312"])) is None
+        assert m.profile(sample("n", ["0195128", "0312"],
+                                DataType.INTEGER)) is not None
+
+    def test_summary_skips_non_finite_values(self):
+        finite = NumericSummary.from_values([1.0, 2.0, 4.0])
+        assert NumericSummary.from_values(
+            [float("inf"), 1.0, float("-inf"), 2.0, 4.0]) == finite
+        assert NumericSummary.from_values([float("inf")]) is None
+
+    @pytest.mark.parametrize("values", [[1e308, 1.7e308], [-1e308, 1e308],
+                                        [1e200, -1e200, 3.0]])
+    def test_overflowing_summary_is_empty(self, values):
+        assert NumericSummary.from_values(values) is None
+
+    def test_ints_beyond_float_range_are_skipped(self):
+        assert NumericSummary.from_values([10 ** 400, 2, 4]) \
+            == NumericSummary.from_values([2, 4])
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(allow_nan=False), max_size=12),
+           st.lists(st.floats(allow_nan=False), max_size=12))
+    def test_scores_of_any_float_summaries_are_finite(self, left, right):
+        m = NumericMatcher()
+        score = m.score_profiles(NumericSummary.from_values(left),
+                                 NumericSummary.from_values(right))
+        assert math.isfinite(score) and 0.0 <= score <= 1.0
 
 
 class TestTypeMatcher:

@@ -1,7 +1,10 @@
 """Unit and integration tests for the standard matching system."""
 
+import math
+
 import pytest
 
+from repro.datagen.inventory import make_retail_workload
 from repro.errors import MatchingError
 from repro.matching import StandardMatch, StandardMatchConfig
 from repro.relational import Database, Relation
@@ -117,6 +120,27 @@ class TestNoNameEvidence:
     def test_needs_at_least_one_matcher(self):
         with pytest.raises(MatchingError):
             StandardMatch(matchers=[])
+
+
+def test_an_infinite_price_keeps_the_price_matches():
+    """One ``inf`` in a FLOAT column (a CSV ``inf`` field) must not turn
+    the numeric matcher's scores NaN and erase the column's matches."""
+    workload = make_retail_workload(target="ryan", seed=7)
+    items = workload.source.relation("items")
+    columns = {a.name: items.column(a.name) for a in items.schema}
+    columns["ListPrice"][0] = float("inf")
+    source = Database.from_relations(
+        workload.source.name, [Relation(items.schema, columns)])
+    matcher = StandardMatch()
+    for match in matcher.score_all(source, workload.target):
+        assert not math.isnan(match.score)
+        assert not math.isnan(match.confidence)
+        assert all(not math.isnan(e.raw_score)
+                   and not math.isnan(e.confidence)
+                   for e in match.evidence)
+    assert {str(m.target) for m in matcher.match(source, workload.target)
+            if m.source.attribute == "ListPrice"} \
+        >= {"books.price", "cds.price"}
 
 
 from hypothesis import given, settings

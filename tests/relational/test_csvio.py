@@ -132,6 +132,36 @@ class TestNonFiniteAndBooleanFloats:
         assert loaded.column("x") == expected
 
 
+class TestExactIntegers:
+    """Regressions: an INTEGER field reads as the integer it spells, not
+    through a float."""
+
+    def test_integers_above_two_to_the_53_read_exactly(self):
+        loaded = relation_from_csv_text("x\n9007199254740993\n1\n", "t")
+        assert loaded.schema.dtype("x") is DataType.INTEGER
+        assert loaded.column("x") == [9007199254740993, 1]
+
+    def test_a_400_digit_integer_reads_exactly(self):
+        big = int("9" * 400)
+        loaded = relation_from_csv_text(f"x\n{big}\n-3\n", "t")
+        assert loaded.schema.dtype("x") is DataType.INTEGER
+        assert loaded.column("x") == [big, -3]
+
+    def test_big_integers_round_trip(self, tmp_path):
+        values = [2 ** 63, -2 ** 63 - 1, 2 ** 53 + 1, int("7" * 400), None]
+        relation = Relation.infer_schema("t", {"x": values})
+        loaded = relation_from_csv_text(relation_to_csv_text(relation), "t")
+        assert loaded.schema.dtype("x") is DataType.INTEGER
+        assert loaded.column("x") == values
+        write_csv(relation, tmp_path / "t.csv")
+        assert read_csv(tmp_path / "t.csv").column("x") == values
+
+    def test_an_uncoercible_integer_names_table_and_column(self):
+        text = "id,x\n1,2\n2," + "9" * 5000 + "\n"
+        with pytest.raises(InstanceError, match="'items'.*'x'"):
+            relation_from_csv_text(text, "items")
+
+
 # ---------------------------------------------------------------------------
 # The interning reader against the per-field reference
 # ---------------------------------------------------------------------------

@@ -168,6 +168,33 @@ class TestEndToEnd:
         assert rc == 0
         assert json.loads(capsys.readouterr().out)["matches"]
 
+    @pytest.mark.parametrize("inference", ["src", "tgt"])
+    def test_match_over_integers_no_float_holds(self, tmp_path, capsys,
+                                                inference):
+        """INTEGER columns holding 400-digit integers, on both sides,
+        load exactly, and matching over them completes."""
+        out = tmp_path / "wl"
+        main(["generate", "retail", str(out), "--rows", "200",
+              "--gamma", "2", "--seed", "3"])
+        capsys.readouterr()
+        big = "9" * 400
+        for path, column in ((out / "src" / "items.csv", "Qty"),
+                             (out / "tgt" / "books.csv", "book_id")):
+            with path.open(newline="", encoding="utf-8") as handle:
+                header, *rows = list(csv.reader(handle))
+            at = header.index(column)
+            for i, row in enumerate(rows[::3]):
+                row[at] = big if i % 2 else str(2 ** 64 + i)
+            with path.open("w", newline="", encoding="utf-8") as handle:
+                csv.writer(handle).writerows([header] + rows)
+        items = load_database(out / "src").relation("items")
+        assert items.schema.dtype("Qty") is DataType.INTEGER
+        assert items.column("Qty")[3] == int(big)
+        rc = main(["match", str(out / "src"), str(out / "tgt"),
+                   "--inference", inference, "--seed", "2", "--json"])
+        assert rc == 0
+        assert json.loads(capsys.readouterr().out)["matches"]
+
     def test_match_many(self, tmp_path, capsys):
         out1 = tmp_path / "wl1"
         out2 = tmp_path / "wl2"
