@@ -35,9 +35,13 @@ _VARIANCE_FLOOR_FRACTION = 1e-4
 
 
 def _variance_floor(all_values: list[float]) -> float:
-    """The variance floor for training values listed label by label."""
-    if all_values:
-        lo, hi = min(all_values), max(all_values)
+    """The variance floor for a classifier's training values: a fraction
+    of the spread of the finite ones.  A NaN or an infinity must not make
+    it NaN or infinite: ``max(0.0, nan)`` is 0.0, so a NaN floor would
+    hand a zero-variance label to ``math.log(0)``."""
+    finite = [v for v in all_values if math.isfinite(v)]
+    if finite:
+        lo, hi = min(finite), max(finite)
         global_spread = (hi - lo) or max(abs(hi), 1.0)
     else:
         global_spread = 1.0
@@ -233,9 +237,9 @@ class _GaussianGroupScorer(GroupScorer):
     A group's column refits the group from its members' values merged back
     into teach order, so the order-sensitive sums of :func:`_fit_values`
     see the sequence a retrain would.  The variance floor is the taught
-    classifier's: a retrain lists its values group by group, but the first
-    value listed is always the first one taught and ``min`` / ``max`` are
-    otherwise order-free, so the floor does not depend on the grouping.
+    classifier's: a retrain lists its values group by group, but ``min``
+    / ``max`` over the finite values are order-free, so the floor does
+    not depend on the grouping.
     Unparseable values share the last row, scored 0.0 by every group, so
     the tie rule picks the prior's choice exactly as :meth:`classify`
     does.

@@ -189,6 +189,8 @@ class ContextMatchConfig:
         attribute count (the default does for every golden scenario).
     retrieval_top_k:
         Frontier size per source attribute when ``use_retrieval`` is on.
+        ``MatchEngine.prepare`` builds a retrieval index only for a
+        target with more attributes than this.
     standard:
         Configuration of the underlying standard matching system.
     """

@@ -130,7 +130,8 @@ class MatchEngine:
         return PreparedTarget.build(
             target, self.matcher.build_target_index(target),
             standard_config=standard_config, policy=self.policy,
-            matcher=self.matcher)
+            matcher=self.matcher,
+            retrieval_top_k=self.config.retrieval_top_k)
 
     def _resolve(self, target: Database | PreparedTarget
                  ) -> tuple[PreparedTarget, bool]:

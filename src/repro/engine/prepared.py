@@ -96,24 +96,28 @@ class PreparedTarget:
     #: Shared (type family, value) -> target-column tag memo.
     tag_cache: dict = dataclasses.field(default_factory=dict)
     #: Hybrid candidate-retrieval prefilter over ``index``
-    #: (:mod:`repro.retrieval`); None when the matching system does not
-    #: support target subsets.  Built unconditionally of the run-time
-    #: ``use_retrieval`` switch so one prepared artifact serves both
-    #: pruned and exhaustive runs (and store tokens stay config-agnostic).
+    #: (:mod:`repro.retrieval`).  Built only where it can prune: the
+    #: matching system supports target subsets and the target has more
+    #: attributes than the preparing engine's ``retrieval_top_k``.  None
+    #: otherwise; a run whose own ``retrieval_top_k`` is below the
+    #: attribute count then builds a run-local index and leaves this
+    #: field None.
     retrieval: RetrievalIndex | None = None
 
     @classmethod
     def build(cls, target: Database, index: TargetIndex,
               standard_config: StandardMatchConfig,
               policy: CategoricalPolicy,
-              matcher: MatchingSystem | None = None) -> "PreparedTarget":
+              matcher: MatchingSystem | None = None, *,
+              retrieval_top_k: int) -> "PreparedTarget":
         categorical = {
             relation.name: tuple(categorical_attributes(relation, policy))
             for relation in target
         }
         retrieval = (RetrievalIndex.build(index, target)
                      if matcher is not None
-                     and RetrievalIndex.supports(matcher, index) else None)
+                     and RetrievalIndex.supports(matcher, index)
+                     and len(index.samples) > retrieval_top_k else None)
         return cls(target=target, index=index,
                    standard_config=standard_config, policy=policy,
                    categorical=categorical, matcher=matcher,

@@ -190,10 +190,15 @@ class ScoreCandidatesStage(Stage):
     frontier: each source attribute is queried once per relation and its
     retrieved top-k positions — always widened by the attribute's accepted
     prototype targets, so no RL entry is lost — bound the Φ-normalization
-    pool.  The pruning economics land in the stage counts
-    (``pairs_considered`` / ``pairs_pruned`` / ``retrieval_queries`` /
-    ``retrieval_hits`` / ``retrieval_missed`` / ``retrieval_recall``);
-    exhaustive runs report the same keys with zero pruning.
+    pool.  Where ``retrieval_top_k`` covers the target every frontier is
+    the identity, built from the target index's positions without an
+    index.  Where it does not and the prepared target carries no index
+    (it was prepared at a k that covered it), the run builds its own
+    index and never writes it onto the shared artifact.  The pruning
+    economics land in the stage counts (``pairs_considered`` /
+    ``pairs_pruned`` / ``retrieval_queries`` / ``retrieval_hits`` /
+    ``retrieval_missed`` / ``retrieval_recall``); exhaustive runs report
+    the same keys with zero pruning.
     """
 
     name = "score-candidates"
@@ -222,10 +227,13 @@ class ScoreCandidatesStage(Stage):
         return qgram_matcher.profile(sample)
 
     def _build_frontier(self, state: PipelineState,
-                        retrieval: RetrievalIndex, relation: Relation,
+                        retrieval: RetrievalIndex | None, relation: Relation,
                         ) -> tuple[ScoringFrontier, int, int, int]:
-        """(frontier, queries, hits, missed) for one source relation."""
-        top_k = state.config.retrieval_top_k
+        """(frontier, queries, hits, missed) for one source relation;
+        without *retrieval* (k covers the target) every attribute's
+        retrieved set is the whole target."""
+        index = state.prepared.index
+        n_targets = len(index.samples)
         by_attr: dict[str, set[tuple[str, str]]] = {}
         for match in state.accepted.get(relation.name, []):
             by_attr.setdefault(match.source.attribute, set()).add(
@@ -236,32 +244,37 @@ class ScoreCandidatesStage(Stage):
             targets = by_attr.get(attribute.name)
             if targets is None:
                 continue
-            # The identity fast path (k >= n_targets) never reads the
-            # grams — skip profiling the column in that case.
-            grams = (self._source_qgrams(state, relation, attribute.name)
-                     if top_k < retrieval.n_targets else None)
-            retrieved = set(retrieval.query(attribute, grams, top_k))
+            if retrieval is None:
+                retrieved = set(range(n_targets))
+            else:
+                grams = self._source_qgrams(state, relation, attribute.name)
+                retrieved = set(retrieval.query(
+                    attribute, grams, state.config.retrieval_top_k))
             queries += 1
-            accepted_positions = set()
-            for table, attr in targets:
-                position = retrieval.position_of(table, attr)
-                if position is not None:
-                    accepted_positions.add(position)
+            accepted_positions = {index.positions[target]
+                                  for target in targets
+                                  if target in index.positions}
             hits += len(accepted_positions & retrieved)
             missed += len(accepted_positions - retrieved)
             positions[attribute.name] = tuple(
                 sorted(retrieved | accepted_positions))
-        return (ScoringFrontier(retrieval.n_targets, positions),
+        return (ScoringFrontier(n_targets, positions),
                 queries, hits, missed)
 
     def run(self, state: PipelineState) -> dict[str, int]:
         before = state.store_counters()
-        retrieval = getattr(state.prepared, "retrieval", None)
+        index = state.prepared.index
+        n_targets = len(index.samples)
         use_retrieval = (state.config.use_retrieval
-                         and retrieval is not None
-                         and getattr(state.matcher,
-                                     "supports_target_subset", False))
-        n_targets = len(state.prepared.index.samples)
+                         and RetrievalIndex.supports(state.matcher, index))
+        retrieval = None
+        if use_retrieval and state.config.retrieval_top_k < n_targets:
+            retrieval = state.prepared.retrieval
+            if retrieval is None:
+                # Prepared at a k that covers the target: a run-local
+                # index, never written onto the shared artifact.
+                retrieval = RetrievalIndex.build(index,
+                                                 state.prepared.target)
         queries = hits = missed = 0
         pairs_considered = pairs_pruned = 0
         for relation in state.source:

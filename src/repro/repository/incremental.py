@@ -29,10 +29,14 @@ database (the golden tier asserts it):
   a fresh train.  Cold (never-trained) artifacts stay cold — lazy
   training on the grown database is already the fresh behavior.
 
-Untouched columns keep their cached samples and profiles verbatim; the
-matchers' scoring blocks, the categorical analysis and the retrieval
-prefilter are recomputed (all cheap — the blocks and the retrieval index
-reuse the q-gram profiles without re-tokenizing).
+Untouched columns keep their cached samples and profiles verbatim.  The
+grown artifact is assembled by
+:meth:`~repro.engine.prepared.PreparedTarget.build`, as a fresh prepare
+assembles it: the matchers' scoring blocks, the categorical analysis and
+— where the engine's ``retrieval_top_k`` is below the target's attribute
+count — the retrieval prefilter are recomputed (all cheap — the blocks
+and the retrieval index reuse the q-gram profiles without
+re-tokenizing).
 """
 
 from __future__ import annotations
@@ -40,14 +44,12 @@ from __future__ import annotations
 import pickle
 from typing import Any, Mapping, MutableMapping, Sequence
 
-from ..context.categorical import categorical_attributes
 from ..engine.prepared import PreparedTarget
 from ..matching.matchers.base import AttributeSample
 from ..matching.standard import TargetIndex
 from ..relational.instance import Database, Relation
 from ..relational.schema import AttributeRef
 from ..relational.types import is_missing
-from ..retrieval import RetrievalIndex
 
 __all__ = ["append_rows_prepared"]
 
@@ -181,7 +183,9 @@ def append_rows_prepared(prepared: PreparedTarget,
     and profiles, same match results — to ``engine.prepare`` of the
     grown database.  ``engine`` supplies the lazy classifier-training
     cap (``config.standard.sample_limit``), mirroring what a match run
-    against the fresh artifact would train under.
+    against the fresh artifact would train under, and the
+    ``config.retrieval_top_k`` that decides, as in its ``prepare``,
+    whether the grown artifact carries a retrieval index.
     """
     deltas = _delta_relations(prepared.target, rows)
     new_relations = [relation.concat(deltas[relation.name])
@@ -193,17 +197,9 @@ def append_rows_prepared(prepared: PreparedTarget,
                         prepared.standard_config.sample_limit, counters)
     classifiers = _delta_teach(prepared, prepared.target, deltas,
                                engine.config.standard.sample_limit, counters)
-    categorical = {
-        relation.name: tuple(categorical_attributes(relation,
-                                                    prepared.policy))
-        for relation in new_db
-    }
-    retrieval = (RetrievalIndex.build(index, new_db)
-                 if prepared.matcher is not None
-                 and RetrievalIndex.supports(prepared.matcher, index)
-                 else None)
-    return PreparedTarget(
-        target=new_db, index=index,
-        standard_config=prepared.standard_config, policy=prepared.policy,
-        categorical=categorical, matcher=prepared.matcher,
-        target_classifiers=classifiers, retrieval=retrieval)
+    grown = PreparedTarget.build(
+        new_db, index, standard_config=prepared.standard_config,
+        policy=prepared.policy, matcher=prepared.matcher,
+        retrieval_top_k=engine.config.retrieval_top_k)
+    grown.target_classifiers = classifiers
+    return grown

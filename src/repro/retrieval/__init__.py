@@ -19,8 +19,9 @@ Module index
 :mod:`repro.retrieval.index`
     :class:`RetrievalIndex` — the fused index built inside
     ``MatchEngine.prepare()`` (reciprocal rank fusion + name/type
-    tie-breaks), carried on every ``PreparedTarget`` and persistable as
-    its own artifact kind; :class:`ScoringFrontier` — the per-relation
+    tie-breaks) for every target wider than ``retrieval_top_k``, carried
+    on its ``PreparedTarget`` and persistable as its own artifact kind;
+    :class:`ScoringFrontier` — the per-relation
     position map + pruning counters the scoring stage consumes.
 
 Guarantees

@@ -53,12 +53,16 @@ def _name_overlap(query_tokens: frozenset, target_tokens: frozenset) -> float:
 class RetrievalIndex:
     """Prefilter over one prepared target's column profiles.
 
-    Built once inside :meth:`~repro.engine.engine.MatchEngine.prepare`
-    (when the matching system exposes a ``qgram`` channel) and carried on
-    the :class:`~repro.engine.prepared.PreparedTarget`; picklable and
-    persistable in the :class:`~repro.store.ArtifactStore` under its own
-    artifact kind.  Query counters are diagnostics only and are zeroed on
-    pickle so stored blobs stay content-deterministic.
+    Built by :meth:`~repro.engine.engine.MatchEngine.prepare` only where
+    it can prune — the matching system supports target subsets and
+    exposes a ``qgram`` channel, and the target has more attributes than
+    the engine's ``retrieval_top_k`` — and carried on the
+    :class:`~repro.engine.prepared.PreparedTarget`.  A run whose own k is
+    below the attribute count of a target prepared without one builds a
+    run-local index that is never written onto the artifact.  Picklable
+    and persistable in the :class:`~repro.store.ArtifactStore` under its
+    own artifact kind.  Query counters are diagnostics only and are
+    zeroed on pickle so stored blobs stay content-deterministic.
     """
 
     def __init__(self, refs: Sequence[tuple[str, str]],

@@ -23,7 +23,12 @@ content token — but the artifacts still died with the process.
 * **Lookup.**  Entries whose engine fingerprint is stable also carry a
   ``lookup_key`` — a digest of (kind, database content token, engine
   fingerprint) — so :meth:`find` can answer "is *this* database already
-  prepared for *this* engine?" without touching any blob.
+  prepared for *this* engine?" without touching any blob.  A handle
+  parses each manifest once: :meth:`entries` lists the directory on
+  every call, so saves and removals by other handles and processes are
+  seen, but parses only manifests this handle has not parsed yet — the
+  lookup-key dedup of :meth:`save`, :meth:`find` and the serving layer's
+  resolution by name read the kept manifests.
   :meth:`prepared_target` builds on it: load on hit, prepare-and-save on
   miss — the get-or-build primitive behind store-aware
   :meth:`~repro.engine.engine.MatchEngine.prepare` and the serving
@@ -45,6 +50,7 @@ import json
 import os
 import pathlib
 import pickle
+import threading
 import time
 from typing import Any, Iterable, Mapping
 
@@ -121,9 +127,10 @@ class ArtifactStore:
     """A directory of prepared artifacts addressable by content token.
 
     Thread-safe for the operations the serving layer performs
-    concurrently (token-addressed loads and reads): entries are immutable
-    once their manifest exists, saves are atomic renames, and counters
-    are simple integer bumps.  ``counters`` tracks ``saves`` (new blobs
+    concurrently (token-addressed loads and reads, saves, listings):
+    entries are immutable once their manifest exists, saves are atomic
+    renames, the kept manifests sit behind a lock, and counters are
+    simple integer bumps.  ``counters`` tracks ``saves`` (new blobs
     written), ``dedup_hits`` (saves that found their token already
     present), ``loads`` (verified blob deserializations), ``find_hits`` /
     ``find_misses`` (lookup-key probes).
@@ -149,6 +156,9 @@ class ArtifactStore:
             "saves": 0, "dedup_hits": 0, "loads": 0,
             "find_hits": 0, "find_misses": 0,
         }
+        #: The manifests this handle has parsed or written, by token.
+        self._manifests: dict[str, StoreEntry] = {}
+        self._manifests_lock = threading.Lock()
 
     # -- paths ---------------------------------------------------------
     def _manifest_path(self, token: str) -> pathlib.Path:
@@ -234,12 +244,31 @@ class ArtifactStore:
         _atomic_write(self._manifest_path(token),
                       (json.dumps(entry.to_dict(), indent=2, sort_keys=True)
                        + "\n").encode("utf-8"))
+        self._keep(entry)
         self.counters["saves"] += 1
         return entry
 
     # -- manifests -----------------------------------------------------
+    def _keep(self, entry: StoreEntry) -> None:
+        with self._manifests_lock:
+            self._manifests[entry.token] = entry
+
+    def _forget(self, token: str) -> None:
+        with self._manifests_lock:
+            self._manifests.pop(token, None)
+
     def entry(self, token: str) -> StoreEntry:
-        """The verified manifest of *token* (no blob access)."""
+        """The verified manifest of *token* (no blob access), read from
+        disk; the parse replaces the one this handle kept."""
+        try:
+            entry = self._read_manifest(token)
+        except StoreError:
+            self._forget(token)
+            raise
+        self._keep(entry)
+        return entry
+
+    def _read_manifest(self, token: str) -> StoreEntry:
         path = self._manifest_path(token)
         if not path.is_file():
             raise ArtifactNotFoundError(token, str(self.root))
@@ -260,13 +289,27 @@ class ArtifactStore:
     def entries(self) -> list[StoreEntry]:
         """Every readable manifest, newest first.  Unreadable manifests
         are skipped here (listing is a maintenance view); :meth:`load`
-        and :meth:`gc` are where damage turns into errors/cleanup."""
+        and :meth:`gc` are where damage turns into errors/cleanup.
+
+        The directory is listed on every call; only manifests this
+        handle has not parsed before are parsed, and tokens no longer
+        listed are forgotten.
+        """
+        tokens = [path.stem
+                  for path in self.root.glob(f"*{_MANIFEST_SUFFIX}")]
+        with self._manifests_lock:
+            for gone in self._manifests.keys() - set(tokens):
+                del self._manifests[gone]
+            kept = dict(self._manifests)
         found = []
-        for path in self.root.glob(f"*{_MANIFEST_SUFFIX}"):
-            try:
-                found.append(self.entry(path.stem))
-            except StoreError:
-                continue
+        for token in tokens:
+            entry = kept.get(token)
+            if entry is None:
+                try:
+                    entry = self.entry(token)
+                except StoreError:
+                    continue
+            found.append(entry)
         found.sort(key=lambda e: e.created_at, reverse=True)
         return found
 
@@ -392,6 +435,7 @@ class ArtifactStore:
             for path in (self._manifest_path(token), self._blob_path(token)):
                 if path.is_file():
                     path.unlink()
+            self._forget(token)
             removed[token] = reason
 
         manifests = {p.stem for p in self.root.glob(f"*{_MANIFEST_SUFFIX}")}
@@ -429,6 +473,7 @@ class ArtifactStore:
         for path in (self._manifest_path(token), self._blob_path(token)):
             if path.is_file():
                 path.unlink()
+        self._forget(token)
 
     def total_bytes(self) -> int:
         """Bytes of blob payload currently stored."""

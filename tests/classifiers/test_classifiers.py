@@ -114,6 +114,17 @@ class TestGaussian:
         g.teach(100.0, "hundred")
         assert g.classify(5.1) == "five"
 
+    def test_nan_leaves_the_variance_floor_finite(self):
+        """The floor comes from the finite training values, so a NaN
+        taught first cannot turn it NaN and leave the constant label's
+        variance at zero for ``math.log``."""
+        g = GaussianClassifier()
+        g.teach_many([float("nan"), 5.0, 5.0, 100.0],
+                     ["n", "five", "five", "hundred"])
+        assert g.classify(5.1) in g.labels
+        assert g.classify_many([5.1, 99.0]) \
+            == [g.classify(5.1), g.classify(99.0)]
+
     def test_string_numbers_accepted(self):
         g = GaussianClassifier()
         g.teach("2.5", "a")

@@ -254,6 +254,19 @@ class TestIncrementalMerges:
             if not isinstance(expected, tuple):
                 break  # both raised: the fit has no finite posterior
 
+    def test_nan_beside_an_overflowing_label_raises_alike(self):
+        """A NaN made the variance floor NaN, so the assessor's column of
+        the constant group "r" reached ``math.log(0)`` (ValueError) before
+        the retrain's fit of "p" overflowed (OverflowError)."""
+        train = [(NAN, "q"), (0.0, "r"), (0.0, "p"), (1e200, "p")]
+        test = [(0.0, "p")]
+        family = ViewFamily.simple("t", "l", ["p", "q", "r", "u"])
+        expected = outcome(lambda: assess_family(
+            family, GaussianClassifier(), train, test))
+        assert expected is OverflowError
+        assert outcome(lambda: FamilyAssessor(
+            GaussianClassifier(), train, test).assess(family)) is expected
+
 
 class _Twin:
     """A label whose ``repr`` collides with its twin's (equality is

@@ -114,9 +114,12 @@ class TestMinHashLSH:
 
 @pytest.fixture(scope="module")
 def prepared_retail():
+    """The 12-attribute retail target prepared at k = 4: prepare builds
+    the index only where k is below the attribute count."""
     workload = make_retail_workload(target="ryan", gamma=2, n_source=200,
                                     seed=3)
-    engine = MatchEngine(ContextMatchConfig(inference="src", seed=2))
+    engine = MatchEngine(ContextMatchConfig(inference="src", seed=2,
+                                            retrieval_top_k=4))
     return engine.prepare(workload.target)
 
 
@@ -126,6 +129,11 @@ class TestRetrievalIndex:
         assert isinstance(retrieval, RetrievalIndex)
         assert retrieval.n_targets == len(prepared_retail.index.samples)
         assert retrieval.database_name == prepared_retail.target.name
+        # At the default k (16) the frontier is the whole target, so a
+        # default prepare of the same target carries no index.
+        default = MatchEngine(ContextMatchConfig(inference="src", seed=2))
+        assert default.config.retrieval_top_k >= retrieval.n_targets
+        assert default.prepare(prepared_retail.target).retrieval is None
 
     def test_query_k_at_or_above_n_is_identity(self, prepared_retail):
         retrieval = prepared_retail.retrieval

@@ -2,7 +2,10 @@
 
 The hybrid :class:`~repro.retrieval.RetrievalIndex` built during
 ``MatchEngine.prepare`` is store-persistable in its own right (a service
-can rebuild a frontier without shipping the whole prepared target).  The
+can rebuild a frontier without shipping the whole prepared target).
+Prepare builds it only for a target with more attributes than the
+engine's ``retrieval_top_k``, so the engine here runs at k = 4 against
+the 12-attribute events target.  The
 contract mirrors the prepared-artifact kinds: bit-stable round trips,
 content dedup, and the same typed corruption grid — damage surfaces as a
 :class:`~repro.errors.StoreError` subclass before pickle runs."""
@@ -13,7 +16,7 @@ import json
 
 import pytest
 
-from repro import MatchEngine
+from repro import ContextMatchConfig, MatchEngine
 from repro.datagen import build_scenario, get_scenario
 from repro.errors import (ArtifactIntegrityError, ArtifactVersionError,
                           StoreError)
@@ -27,7 +30,7 @@ def workload():
 
 @pytest.fixture(scope="module")
 def engine():
-    return MatchEngine()
+    return MatchEngine(ContextMatchConfig(retrieval_top_k=4))
 
 
 @pytest.fixture(scope="module")
