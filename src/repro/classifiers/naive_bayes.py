@@ -5,21 +5,17 @@ with the values tokenized into 3-grams" (Section 3.2.3).  Laplace-smoothed,
 log-space, deterministic tie-breaking (more frequent label first, then
 stable lexicographic order) per Section 3.2.4's tie rules.
 
-Two equivalent inference paths exist:
-
-* the scalar path (:meth:`NaiveBayesClassifier.log_posteriors` /
-  :meth:`~NaiveBayesClassifier.classify`) walks the raw count dictionaries
-  and calls ``math.log`` per (token, label) — the original implementation,
-  kept verbatim as the equivalence reference;
-* the batch path (:meth:`~NaiveBayesClassifier.log_posteriors_many` /
-  :meth:`~NaiveBayesClassifier.classify_many`) lazily compiles the counts
-  into a vocabulary index plus a dense numpy log-probability matrix
-  (invalidated on teach), gathers each value's token columns and reduces
-  them with ``np.add.accumulate`` — the same IEEE additions in the same
-  left-to-right order as the scalar loop, so posteriors are bit-identical,
-  while the ``math.log`` table is built once per compile instead of once
-  per classified value.  Values are tokenized through the
-  :mod:`~repro.matching.tokens` cache and their posterior rows memoized.
+Tokens are integer gram codes (:mod:`repro.matching.grams`), read through
+the :mod:`~repro.matching.tokens` cache in each value's gram order.
+Teaching counts each label's codes into a
+:class:`~repro.matching.grams.GramBag`.  Inference lazily compiles the
+bags (invalidated on teach) into a sorted code vocabulary and a dense
+numpy log-probability matrix, gathers each value's token columns and
+reduces them with ``np.add.accumulate`` — for each label the prior
+followed by one ``math.log((count + 1) / denom)`` addend per token
+occurrence, left to right, the textbook sequential loop — while the
+``math.log`` table is built once per compile instead of once per
+classified value.  Posterior rows are memoized per distinct value.
 
 :meth:`~NaiveBayesClassifier.group_scorer` serves the early-disjunct merge
 loop from the same dense statistics: a label group's column sums its
@@ -32,12 +28,14 @@ posterior a classifier taught with the group label computes.
 from __future__ import annotations
 
 import math
-from collections import Counter, defaultdict
+from collections import Counter
 from typing import Any, Hashable, Sequence
 
 import numpy as np
 
-from ..matching.tokens import cached_qgrams
+from ..matching import grams
+from ..matching.grams import CodeColumns, GramBag
+from ..matching.tokens import cached_codes, cached_codes_many
 from .base import Classifier, GroupColumn, GroupScorer, value_key
 
 __all__ = ["NaiveBayesClassifier"]
@@ -68,16 +66,16 @@ class _CompiledNB:
     scalar result bit-for-bit.
     """
 
-    __slots__ = ("q", "labels", "label_counts", "vocab_index", "unseen",
+    __slots__ = ("q", "labels", "label_counts", "columns", "unseen",
                  "log_matrix", "log_prior", "_row_cache", "_label_cache")
 
     def __init__(self, nb: "NaiveBayesClassifier"):
         self.q = nb.q
-        self.labels, self.vocab_index, counts, totals = nb._dense_counts()
+        self.labels, self.columns, counts, totals = nb._dense_counts()
         self.label_counts: list[int] = [nb._label_counts[label]
                                         for label in self.labels]
-        self.unseen = len(self.vocab_index)
-        vocab_size = len(self.vocab_index) or 1
+        self.unseen = len(self.columns)
+        vocab_size = len(self.columns) or 1
         self.log_matrix = np.empty(counts.shape, dtype=np.float64)
         for li, total in enumerate(totals):
             self.log_matrix[li] = _log_likelihoods(counts[li],
@@ -90,32 +88,28 @@ class _CompiledNB:
         self._row_cache: dict[tuple, np.ndarray] = {}
         self._label_cache: dict[tuple, Hashable] = {}
 
-    def _columns_for(self, value: Any) -> list[int]:
-        """Token columns of *value* (out-of-vocabulary tokens read the
-        trailing ``unseen`` column)."""
-        return [self.vocab_index.get(token, self.unseen)
-                for token in cached_qgrams(value, self.q)]
+    def row_of(self, codes: np.ndarray) -> np.ndarray:
+        """Per-label posteriors of a value with gram *codes*, ordered like
+        :attr:`labels`: the log prior plus one table entry per token
+        occurrence, left to right, via ``np.add.accumulate`` (a strictly
+        sequential reduction)."""
+        columns = self.columns.columns(codes)
+        block = np.empty((len(self.labels), len(columns) + 1),
+                         dtype=np.float64)
+        block[:, 0] = self.log_prior
+        if len(columns):
+            block[:, 1:] = self.log_matrix[:, columns]
+        np.add.accumulate(block, axis=1, out=block)
+        return block[:, -1].copy()
 
     def posterior_row(self, value: Any) -> np.ndarray:
-        """Per-label posteriors of *value*, ordered like :attr:`labels`.
-
-        Reproduces the scalar accumulation exactly: the row starts at the
-        log prior and adds one table entry per token occurrence, left to
-        right, via ``np.add.accumulate`` (a strictly sequential reduction).
-        """
+        """:meth:`row_of` *value*'s codes, memoized per distinct value."""
         key = value_key(value)
         if key is not None:
             cached = self._row_cache.get(key)
             if cached is not None:
                 return cached
-        columns = self._columns_for(value)
-        block = np.empty((len(self.labels), len(columns) + 1),
-                         dtype=np.float64)
-        block[:, 0] = self.log_prior
-        if columns:
-            block[:, 1:] = self.log_matrix[:, columns]
-        np.add.accumulate(block, axis=1, out=block)
-        row = block[:, -1].copy()
+        row = self.row_of(cached_codes(value, self.q))
         if key is not None:
             self._row_cache[key] = row
         return row
@@ -176,21 +170,22 @@ class _CompiledNB:
         if not by_key:
             return out
         # Bucket distinct values by token count for rectangular batches.
-        buckets: dict[int, tuple[list[tuple], list[list[int]]]] = {}
-        for key, positions in by_key.items():
-            columns = self._columns_for(values[positions[0]])
-            keys, column_rows = buckets.setdefault(len(columns), ([], []))
+        codes = cached_codes_many(
+            [values[positions[0]] for positions in by_key.values()], self.q)
+        buckets: dict[int, tuple[list[tuple], list[np.ndarray]]] = {}
+        for key, value_codes in zip(by_key, codes):
+            keys, code_rows = buckets.setdefault(len(value_codes), ([], []))
             keys.append(key)
-            column_rows.append(columns)
-        for width, (keys, column_rows) in buckets.items():
+            code_rows.append(value_codes)
+        for width, (keys, code_rows) in buckets.items():
             batch = len(keys)
             block = np.empty((batch, len(self.labels), width + 1),
                              dtype=np.float64)
             block[:, :, 0] = self.log_prior
             if width:
-                gathered = self.log_matrix[
-                    :, np.asarray(column_rows, dtype=np.intp)]
-                block[:, :, 1:] = gathered.transpose(1, 0, 2)
+                columns = self.columns.columns(np.stack(code_rows))
+                block[:, :, 1:] = self.log_matrix[:, columns].transpose(
+                    1, 0, 2)
             np.add.accumulate(block, axis=2, out=block)
             rows = block[:, :, -1]
             maxima = rows.max(axis=1)
@@ -208,49 +203,43 @@ class _CompiledNB:
 
 
 class NaiveBayesClassifier(Classifier):
-    """Laplace-smoothed multinomial NB on q-gram tokens."""
+    """Laplace-smoothed multinomial NB on q-gram tokens.
+
+    ``q`` must lie in [1, :data:`~repro.matching.grams.MAX_Q`], the range
+    where gram codes are exact.
+    """
 
     def __init__(self, *, q: int = 3):
-        if q < 1:
-            raise ValueError(f"q must be >= 1, got {q}")
+        grams.check_q(q)
         self.q = q
-        self._token_counts: dict[Hashable, Counter] = defaultdict(Counter)
-        self._token_totals: dict[Hashable, int] = defaultdict(int)
+        #: Per label (in teach order), the bag of its examples' grams.
+        self._bags: dict[Hashable, GramBag] = {}
         self._label_counts: Counter = Counter()
-        self._vocabulary: set[str] = set()
         self._examples = 0
         self._compiled: _CompiledNB | None = None
 
-    def _tokens(self, value: Any) -> tuple[str, ...]:
-        return cached_qgrams(value, self.q)
-
     def teach(self, value: Any, label: Hashable) -> None:
-        tokens = self._tokens(value)
-        self._label_counts[label] += 1
-        self._examples += 1
-        counts = self._token_counts[label]
-        for token in tokens:
-            counts[token] += 1
-            self._vocabulary.add(token)
-        self._token_totals[label] += len(tokens)
-        self._compiled = None
+        self.teach_many((value,), (label,))
 
     def teach_many(self, values: Sequence[Any],
                    labels: Sequence[Hashable]) -> None:
-        """Bulk teach: per-value Counter/set updates run at C speed and the
-        compiled representation is invalidated once.  Counts are integer
-        sums, so the result is identical to per-value :meth:`teach`."""
+        """Bulk teach: each label's new grams are counted into one bag and
+        added to its bag, and the compiled representation is invalidated
+        once.  Counts are integer sums, so the result is identical to
+        per-value :meth:`teach`."""
         if len(values) != len(labels):
             raise ValueError(
                 f"teach_many needs parallel sequences, got {len(values)} "
                 f"values vs {len(labels)} labels")
-        vocabulary = self._vocabulary
-        for value, label in zip(values, labels):
-            tokens = self._tokens(value)
+        taught: dict[Hashable, list[np.ndarray]] = {}
+        for codes, label in zip(cached_codes_many(values, self.q), labels):
             self._label_counts[label] += 1
-            self._token_counts[label].update(tokens)
-            self._token_totals[label] += len(tokens)
-            vocabulary.update(tokens)
+            taught.setdefault(label, []).append(codes)
+        for label, arrays in taught.items():
+            bag = grams.count(arrays, self.q)
+            known = self._bags.get(label)
+            self._bags[label] = (bag if known is None
+                                 else grams.merge((known, bag)))
         self._examples += len(values)
         self._compiled = None
 
@@ -259,53 +248,40 @@ class NaiveBayesClassifier(Classifier):
         return frozenset(self._label_counts)
 
     def log_posteriors(self, value: Any) -> dict[Hashable, float]:
-        """Unnormalized log posterior for every label (scalar path)."""
+        """Unnormalized log posterior for every label."""
         if not self._label_counts:
             return {}
-        tokens = self._tokens(value)
-        vocab_size = len(self._vocabulary) or 1
-        posteriors: dict[Hashable, float] = {}
-        for label, label_count in self._label_counts.items():
-            log_p = math.log(label_count / self._examples)
-            counts = self._token_counts[label]
-            denom = self._token_totals[label] + vocab_size
-            for token in tokens:
-                log_p += math.log((counts[token] + 1) / denom)
-            posteriors[label] = log_p
-        return posteriors
+        compiled = self.compiled()
+        return dict(zip(compiled.labels,
+                        compiled.row_of(cached_codes(value, self.q))
+                        .tolist()))
 
     def classify(self, value: Any) -> Hashable | None:
-        posteriors = self.log_posteriors(value)
-        if not posteriors:
+        """Best posterior; ties break toward the more common label, then
+        the larger ``repr``."""
+        if not self._label_counts:
             return None
-        # Best posterior; ties break toward the more common label, then a
-        # stable deterministic order.
-        return max(
-            posteriors,
-            key=lambda lab: (posteriors[lab], self._label_counts[lab], repr(lab)),
-        )
+        compiled = self.compiled()
+        return compiled._pick_label(
+            compiled.row_of(cached_codes(value, self.q)))
 
     # ------------------------------------------------------------------
     # Batch path
     # ------------------------------------------------------------------
-    def _dense_counts(self) -> tuple[list[Hashable], dict[str, int],
+    def _dense_counts(self) -> tuple[list[Hashable], CodeColumns,
                                      np.ndarray, list[int]]:
-        """(labels, vocabulary index, int64 count matrix, token totals):
+        """(labels, vocabulary lookup, int64 count matrix, token totals):
         ``counts[l, t]`` is token *t*'s count under label *l* over the
-        sorted vocabulary plus a trailing all-zero column for unseen
+        sorted code vocabulary plus a trailing all-zero column for unseen
         tokens; labels keep teach order."""
         labels = list(self._label_counts)
-        vocab_index = {token: i
-                       for i, token in enumerate(sorted(self._vocabulary))}
-        counts = np.zeros((len(labels), len(vocab_index) + 1),
+        bags = [self._bags[label] for label in labels]
+        rows = grams.bag_rows(bags)
+        counts = np.zeros((len(labels), len(rows.lookup) + 1),
                           dtype=np.int64)
-        for li, label in enumerate(labels):
-            label_counts = self._token_counts.get(label)
-            if label_counts:
-                counts[li, [vocab_index[token] for token in label_counts]] = \
-                    list(label_counts.values())
-        totals = [self._token_totals.get(label, 0) for label in labels]
-        return labels, vocab_index, counts, totals
+        counts[np.repeat(np.arange(len(labels)), rows.sizes),
+               rows.indices] = rows.counts
+        return labels, rows.lookup, counts, [bag.total() for bag in bags]
 
     def compiled(self) -> _CompiledNB:
         """The dense log-probability view of the current counts (lazy;
@@ -341,7 +317,7 @@ class NaiveBayesClassifier(Classifier):
         The compiled log-probability matrix is a lazy, pure function of
         the counts; dropping it keeps worker-bound payloads small and the
         first worker-side :meth:`classify_many` recompiles from the
-        restored counts — producing the exact same ``math.log`` table, so
+        restored bags — producing the exact same ``math.log`` table, so
         posteriors are bit-identical across the process boundary.
         """
         state = self.__dict__.copy()
@@ -370,35 +346,36 @@ class _NBGroupScorer(GroupScorer):
     """
 
     def __init__(self, nb: NaiveBayesClassifier, values: Sequence[Any]):
-        labels, vocab_index, self._counts, self._totals = nb._dense_counts()
+        labels, lookup, self._counts, self._totals = nb._dense_counts()
         self.labels = tuple(labels)
         self._index = {label: i for i, label in enumerate(labels)}
         self._label_counts = [nb._label_counts[label] for label in labels]
         self._examples = nb._examples
-        self._vocab_size = len(vocab_index) or 1
-        unseen = len(vocab_index)
+        self._vocab_size = len(lookup) or 1
         row_of: dict[tuple, int] = {}
         rows: list[int] = []
-        token_columns: list[list[int]] = []
+        distinct: list[Any] = []
         for value in values:
             key = value_key(value)
             row = row_of.get(key) if key is not None else None
             if row is None:
-                row = len(token_columns)
+                row = len(distinct)
                 if key is not None:
                     row_of[key] = row
-                token_columns.append(
-                    [vocab_index.get(token, unseen)
-                     for token in cached_qgrams(value, nb.q)])
+                distinct.append(value)
             rows.append(row)
         self.rows = np.array(rows, dtype=np.intp)
-        width = max(map(len, token_columns), default=0)
+        codes = cached_codes_many(distinct, nb.q)
+        lengths = np.fromiter(map(len, codes), dtype=np.intp,
+                              count=len(codes))
+        width = int(lengths.max()) if len(codes) else 0
         #: Index of the 0.0 entry appended to every log row.
-        self._padding = unseen + 1
-        self._token_columns = np.full((len(token_columns), width),
-                                      self._padding, dtype=np.intp)
-        for row, columns in enumerate(token_columns):
-            self._token_columns[row, :len(columns)] = columns
+        self._padding = len(lookup) + 1
+        self._token_columns = np.full((len(codes), width), self._padding,
+                                      dtype=np.intp)
+        if width:
+            self._token_columns[np.arange(width) < lengths[:, None]] = \
+                lookup.columns(np.concatenate(codes))
 
     def column(self, members: Sequence[Hashable]) -> GroupColumn:
         indices = [self._index[label] for label in members]

@@ -27,6 +27,8 @@ from __future__ import annotations
 
 import abc
 import dataclasses
+import threading
+import weakref
 
 from ..context.candidates import CandidateViewGenerator, InferenceContext
 from ..context.conjunctive import refine_conjunctive
@@ -47,6 +49,25 @@ def _token_counters_since(before: dict[str, int]) -> dict[str, int]:
     """The run's q-gram cache deltas for one stage's work."""
     now = token_cache_counters()
     return {key: now[key] - before.get(key, 0) for key in now}
+
+
+#: Run-local retrieval indexes of artifacts prepared without one, keyed by
+#: the artifact's TargetIndex (a PreparedTarget is an unhashable
+#: dataclass); an entry lives as long as that index does.
+_RUN_LOCAL_RETRIEVAL: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+_RUN_LOCAL_LOCK = threading.Lock()
+
+
+def _run_local_retrieval(prepared: PreparedTarget) -> RetrievalIndex:
+    """The retrieval index of an artifact prepared without one: built
+    once per artifact, under a lock so concurrent runs build it once, and
+    never written onto the shared artifact."""
+    with _RUN_LOCAL_LOCK:
+        retrieval = _RUN_LOCAL_RETRIEVAL.get(prepared.index)
+        if retrieval is None:
+            retrieval = RetrievalIndex.build(prepared.index, prepared.target)
+            _RUN_LOCAL_RETRIEVAL[prepared.index] = retrieval
+        return retrieval
 
 __all__ = ["PipelineState", "Stage", "StandardMatchStage",
            "InferViewsStage", "ScoreCandidatesStage", "SelectStage",
@@ -193,9 +214,10 @@ class ScoreCandidatesStage(Stage):
     pool.  Where ``retrieval_top_k`` covers the target every frontier is
     the identity, built from the target index's positions without an
     index.  Where it does not and the prepared target carries no index
-    (it was prepared at a k that covered it), the run builds its own
-    index and never writes it onto the shared artifact.  The pruning
-    economics land in the stage counts (``pairs_considered`` /
+    (it was prepared at a k that covered it), the first such run builds
+    one for the artifact, kept for later runs in a weak map keyed by the
+    artifact's target index and never written onto the artifact.  The
+    pruning economics land in the stage counts (``pairs_considered`` /
     ``pairs_pruned`` / ``retrieval_queries`` / ``retrieval_hits`` /
     ``retrieval_missed`` / ``retrieval_recall``); exhaustive runs report
     the same keys with zero pruning.
@@ -206,8 +228,8 @@ class ScoreCandidatesStage(Stage):
     @staticmethod
     def _source_qgrams(state: PipelineState, relation: Relation,
                        attr_name: str):
-        """The q-gram frequency profile of one source column for frontier
-        queries — from the run's profile store when already built (via the
+        """The q-gram bag of one source column for frontier queries —
+        from the run's profile store when already built (via the
         counter-neutral peek, keeping golden counter baselines stable),
         re-profiled from the raw column otherwise."""
         if state.store is not None:
@@ -271,10 +293,8 @@ class ScoreCandidatesStage(Stage):
         if use_retrieval and state.config.retrieval_top_k < n_targets:
             retrieval = state.prepared.retrieval
             if retrieval is None:
-                # Prepared at a k that covers the target: a run-local
-                # index, never written onto the shared artifact.
-                retrieval = RetrievalIndex.build(index,
-                                                 state.prepared.target)
+                # Prepared at a k that covers the target.
+                retrieval = _run_local_retrieval(state.prepared)
         queries = hits = missed = 0
         pairs_considered = pairs_pruned = 0
         for relation in state.source:

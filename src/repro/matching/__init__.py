@@ -14,8 +14,8 @@ from .similarity import (containment, cosine_counts, dice, jaccard, jaro,
                          jaro_winkler, levenshtein, levenshtein_similarity)
 from .standard import (AttributeMatch, MatchingSystem, StandardMatch,
                        StandardMatchConfig, TargetIndex)
-from .tokens import (QGramCache, cached_qgrams, clear_token_cache,
-                     normalize_text, qgram_set, qgrams, token_cache_counters,
+from .tokens import (QGramCache, cached_codes, clear_token_cache,
+                     normalize_text, qgrams, token_cache_counters,
                      value_to_text, word_tokens)
 
 __all__ = [
@@ -45,12 +45,11 @@ __all__ = [
     "containment",
     "cosine_counts",
     "qgrams",
-    "qgram_set",
     "word_tokens",
     "normalize_text",
     "value_to_text",
     "QGramCache",
-    "cached_qgrams",
+    "cached_codes",
     "token_cache_counters",
     "clear_token_cache",
 ]

@@ -5,37 +5,46 @@ rendered to text, decomposed into 3-grams (the granularity the paper uses
 for its Naive Bayes classifier) and compared with TF cosine similarity,
 which is robust to differing sample sizes.  Applicable to textual attributes.
 
-A target block is the index's gram Counters as
-:class:`~repro.matching.similarity.TermRows`, so one source profile is
-scored against every target by :func:`~repro.matching.similarity.cosine_rows`.
+A profile is a :class:`~repro.matching.grams.GramBag` — distinct integer
+gram codes and their counts — counted from the values' cached code arrays.
+Cell bags merge by one concatenation and one sort, and a target block is
+the index's bags as CSR :class:`~repro.matching.similarity.TermRows`, so
+one source profile is scored against every target by
+:func:`~repro.matching.similarity.cosine_rows` with exact integer dot
+products and norms.
 """
 
 from __future__ import annotations
 
-from collections import Counter
+import math
 from typing import Sequence
 
 import numpy as np
 
-from ..similarity import TermRows, cosine_counts, cosine_rows
-from ..tokens import cached_qgrams
+from .. import grams
+from ..grams import GramBag
+from ..similarity import TermRows, cosine_rows
+from ..tokens import cached_codes_many
 from .base import AttributeSample, Matcher
 
 __all__ = ["QGramMatcher"]
 
 
 class QGramMatcher(Matcher):
-    """TF-cosine over character q-grams of instance values."""
+    """TF-cosine over character q-grams of instance values.
+
+    ``q`` must lie in [1, :data:`~repro.matching.grams.MAX_Q`], the range
+    where gram codes are exact.
+    """
 
     name = "qgram"
     #: Gram counts are additive over disjoint value bags, and the cosine
     #: score is exact integer arithmetic under the square roots — summing
-    #: cell Counters reproduces the union profile bit-identically.
+    #: cell bags reproduces the union profile bit-identically.
     mergeable = True
 
     def __init__(self, *, q: int = 3, weight: float = 1.0):
-        if q < 1:
-            raise ValueError(f"q must be >= 1, got {q}")
+        grams.check_q(q)
         self.q = q
         self.weight = weight
 
@@ -44,30 +53,32 @@ class QGramMatcher(Matcher):
                 and target.attribute.dtype.is_textual
                 and len(source) > 0 and len(target) > 0)
 
-    def profile(self, sample: AttributeSample) -> Counter:
-        counts: Counter = Counter()
-        for value in sample.values:
-            counts.update(cached_qgrams(value, self.q))
-        return counts
+    def profile(self, sample: AttributeSample) -> GramBag:
+        return grams.count(cached_codes_many(sample.values, self.q), self.q)
 
-    def score_profiles(self, source: Counter, target: Counter) -> float:
+    def score_profiles(self, source: GramBag, target: GramBag) -> float:
         if not source or not target:
             return 0.0
-        return cosine_counts(source, target)
+        _, at_source, at_target = np.intersect1d(
+            source.codes, target.codes, assume_unique=True,
+            return_indices=True)
+        dot = int(source.counts[at_source].astype(np.int64)
+                  @ target.counts[at_target].astype(np.int64))
+        norms = [math.sqrt(int(np.dot(bag.counts.astype(np.int64),
+                                      bag.counts.astype(np.int64))))
+                 for bag in (source, target)]
+        return dot / (norms[0] * norms[1])
 
-    def target_block(self, profiles: Sequence[Counter]) -> TermRows:
-        return TermRows(profiles)
+    def target_block(self, profiles: Sequence[GramBag]) -> TermRows:
+        return grams.bag_rows(profiles)
 
-    def score_block(self, source: Counter, block: TermRows,
+    def score_block(self, source: GramBag, block: TermRows,
                     positions: Sequence[int]) -> list[float]:
         if not source or not positions:
             return [0.0] * len(positions)
         # An empty target row scores 0.0 in cosine_rows, as it does here.
-        scores = cosine_rows(source, block)
+        scores = cosine_rows(source.codes, source.counts, block)
         return scores[np.asarray(positions, dtype=np.intp)].tolist()
 
-    def merge_profiles(self, profiles) -> Counter:
-        merged: Counter = Counter()
-        for counts in profiles:
-            merged.update(counts)
-        return merged
+    def merge_profiles(self, profiles: Sequence[GramBag]) -> GramBag:
+        return grams.merge(profiles)

@@ -7,7 +7,10 @@ the one-source-against-many-targets forms of :func:`cosine_counts` and
 :func:`jaccard`: the targets are laid out once as integer CSR rows over a
 shared vocabulary, and each row's score is computed with the same exact
 integer sums and the same final IEEE operations as the scalar function,
-so the two agree bit for bit.
+so the two agree bit for bit.  The overlap matcher's rows hold value
+strings behind a dict lookup (:meth:`TermRows.from_sets`); the q-gram
+matcher's hold integer gram codes behind a sorted-array lookup
+(:func:`repro.matching.grams.bag_rows`).
 """
 
 from __future__ import annotations
@@ -176,28 +179,26 @@ def cosine_counts(a: Mapping[Hashable, int] | Sequence[Hashable],
 class TermRows:
     """Term-count rows in CSR layout over one shared vocabulary.
 
-    Row ``i`` is the i-th mapping given to the constructor: its terms'
-    columns are ``indices[indptr[i]:indptr[i + 1]]`` and their counts the
-    same slice of ``counts``.  ``sizes`` holds each row's number of
-    distinct terms and ``norms`` each row's Euclidean norm, the square
-    root of its exact integer sum of squared counts.  Counts must be
-    integers whose products and row sums fit in int64.
+    Row ``i``'s terms sit in columns ``indices[indptr[i]:indptr[i + 1]]``
+    and their counts in the same slice of ``counts``.  ``lookup`` maps
+    query terms to columns: its ``columns(terms)`` returns one column per
+    term, ``len(lookup)`` for terms outside the vocabulary.  ``sizes``
+    holds each row's number of distinct terms and ``norms`` each row's
+    Euclidean norm, the square root of its exact integer sum of squared
+    counts.  Counts are widened to int64; their products and row sums
+    must fit in it.
+
+    :meth:`from_sets` builds rows of hashable terms (the overlap matcher's
+    value sets) with a dict lookup;
+    :func:`~repro.matching.grams.bag_rows` builds rows of q-gram codes.
     """
 
-    def __init__(self, rows: Sequence[Mapping[Hashable, int]]):
-        vocabulary: dict[Hashable, int] = {}
-        indices: list[int] = []
-        counts: list[int] = []
-        indptr = [0]
-        for row in rows:
-            for term, count in row.items():
-                indices.append(vocabulary.setdefault(term, len(vocabulary)))
-                counts.append(count)
-            indptr.append(len(indices))
-        self.vocabulary = vocabulary
-        self.indptr = np.asarray(indptr, dtype=np.int64)
-        self.indices = np.asarray(indices, dtype=np.int32)
-        self.counts = np.asarray(counts, dtype=np.int64)
+    def __init__(self, indptr: np.ndarray, indices: np.ndarray,
+                 counts: np.ndarray, lookup):
+        self.indptr = indptr
+        self.indices = indices
+        self.counts = counts.astype(np.int64)
+        self.lookup = lookup
         self.sizes = np.diff(self.indptr)
         # np.add.reduceat over the starts of non-empty rows sums each of
         # them; an empty row would otherwise read its neighbour's element.
@@ -209,7 +210,17 @@ class TermRows:
     @classmethod
     def from_sets(cls, rows: Sequence[Iterable[Hashable]]) -> "TermRows":
         """Rows of 0/1 counts: one per distinct term of each set."""
-        return cls([dict.fromkeys(row, 1) for row in rows])
+        vocabulary: dict[Hashable, int] = {}
+        indices: list[int] = []
+        indptr = [0]
+        for row in rows:
+            for term in dict.fromkeys(row):
+                indices.append(vocabulary.setdefault(term, len(vocabulary)))
+            indptr.append(len(indices))
+        return cls(np.asarray(indptr, dtype=np.int64),
+                   np.asarray(indices, dtype=np.intp),
+                   np.ones(len(indices), dtype=np.int64),
+                   _TermColumns(vocabulary))
 
     def __len__(self) -> int:
         return len(self.sizes)
@@ -220,18 +231,31 @@ class TermRows:
             sums[self._nonempty] = np.add.reduceat(values, self._starts)
         return sums
 
-    def dots(self, terms: Collection[Hashable],
-             counts: np.ndarray | int) -> np.ndarray:
+    def dots(self, terms, counts: np.ndarray | int) -> np.ndarray:
         """Exact integer dot product of every row with the vector that
         gives each of the distinct *terms* its entry of *counts* (a scalar
         gives them all the same count).  Terms outside the vocabulary
         meet no row and add nothing."""
-        oov = len(self.vocabulary)
-        columns = np.fromiter(map(self.vocabulary.get, terms, repeat(oov)),
-                              dtype=np.intp, count=len(terms))
-        dense = np.zeros(oov + 1, dtype=np.int64)
-        dense[columns] = counts
+        dense = np.zeros(len(self.lookup) + 1, dtype=np.int64)
+        dense[self.lookup.columns(terms)] = counts
         return self._row_sums(dense[self.indices] * self.counts)
+
+
+class _TermColumns:
+    """Dict lookup of hashable terms for :meth:`TermRows.from_sets`."""
+
+    __slots__ = ("vocabulary",)
+
+    def __init__(self, vocabulary: dict[Hashable, int]):
+        self.vocabulary = vocabulary
+
+    def __len__(self) -> int:
+        return len(self.vocabulary)
+
+    def columns(self, terms: Collection[Hashable]) -> np.ndarray:
+        oov = len(self.vocabulary)
+        return np.fromiter(map(self.vocabulary.get, terms, repeat(oov)),
+                           dtype=np.intp, count=len(terms))
 
 
 def _empty_source_scores(rows: TermRows) -> np.ndarray:
@@ -239,23 +263,24 @@ def _empty_source_scores(rows: TermRows) -> np.ndarray:
     return np.where(rows.sizes == 0, 1.0, 0.0)
 
 
-def cosine_rows(source: Mapping[Hashable, int],
-                rows: TermRows) -> np.ndarray:
-    """``cosine_counts(source, row)`` for every row of *rows*, as float64.
+def cosine_rows(terms, counts: np.ndarray, rows: TermRows) -> np.ndarray:
+    """Cosine similarity of the source vector that gives each of the
+    distinct *terms* its entry of *counts* with every row of *rows*, as
+    float64.
 
-    Bit-identical to the scalar function: integer dot products and
-    squared norms, one ``sqrt`` per norm, the same product of norms and
-    one division per row.
+    The same arithmetic as :func:`cosine_counts`: integer dot products
+    and squared norms, one ``sqrt`` per norm, the same product of norms
+    and one division per row, so the two agree bit for bit.
     """
-    if not source:
+    if not len(terms):
         return _empty_source_scores(rows)
-    counts = np.fromiter(source.values(), dtype=np.int64, count=len(source))
+    counts = np.asarray(counts, dtype=np.int64)
     norm = math.sqrt(int(counts @ counts))
     scores = np.zeros(len(rows))
     if norm == 0.0:
         return scores
     scored = rows.norms != 0.0
-    dots = rows.dots(source, counts)
+    dots = rows.dots(terms, counts)
     scores[scored] = dots[scored] / (norm * rows.norms[scored])
     return scores
 

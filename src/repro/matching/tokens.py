@@ -7,13 +7,16 @@ name matcher works on word tokens split at case and punctuation boundaries.
 Tokenization is the innermost loop of both instance matching and
 classifier inference, and the same data values flow through it many times
 — once per matcher during profiling, once per Naive Bayes teach/classify,
-once per target-column tagging.  :class:`QGramCache` memoizes the
-``value_to_text`` + ``qgrams`` composition per distinct value;
-:func:`cached_qgrams` is the shared entry point and
-:func:`token_cache_counters` exposes hit/miss telemetry for the engine's
-stage reports.
+once per target-column tagging.  :class:`QGramCache` memoizes, per
+distinct value, the integer codes (:mod:`repro.matching.grams`) of
+``qgrams(value_to_text(value), q)``: one code array per value, in gram
+order.  :func:`cached_codes_many` is the shared entry point — it looks up
+each value once and encodes a batch's misses in one numpy pass — and
+:func:`token_cache_counters` exposes hit/miss telemetry (one lookup per
+value) for the engine's stage reports.  :func:`qgrams` remains the
+string-level definition the codes encode.
 
-Which cache :func:`cached_qgrams` uses is held in a
+Which cache :func:`cached_codes_many` uses is held in a
 :class:`contextvars.ContextVar`.  Outside a match run it is the process
 cache :data:`TOKEN_CACHE`, so ``prepare()`` calls over hubs that share
 values tokenize each value once.  A match run enters
@@ -28,10 +31,14 @@ from __future__ import annotations
 import contextlib
 import contextvars
 import re
-from typing import Any, Iterable, Iterator
+from typing import Any, Iterator, Sequence
 
-__all__ = ["qgrams", "qgram_set", "word_tokens", "normalize_text",
-           "value_to_text", "QGramCache", "cached_qgrams",
+import numpy as np
+
+from . import grams
+
+__all__ = ["qgrams", "word_tokens", "normalize_text", "value_to_text",
+           "QGramCache", "cached_codes", "cached_codes_many",
            "token_cache_counters", "clear_token_cache", "token_cache_scope"]
 
 _CAMEL_RE = re.compile(r"(?<=[a-z0-9])(?=[A-Z])")
@@ -85,50 +92,77 @@ def qgrams(text: str, q: int = 3, *, pad: bool = True) -> list[str]:
     return [text[i:i + q] for i in range(len(text) - q + 1)]
 
 
-def qgram_set(values: Iterable[Any], q: int = 3) -> frozenset[str]:
-    """Union of q-grams over the text renderings of *values*."""
-    grams: set[str] = set()
-    for value in values:
-        grams.update(cached_qgrams(value, q))
-    return frozenset(grams)
-
-
 class QGramCache:
-    """Memo of ``qgrams(value_to_text(value), q)`` keyed by distinct value.
+    """Memo of the gram codes of ``qgrams(value_to_text(value), q)``,
+    keyed by distinct value.
 
-    The key includes the value's concrete class: ``1``, ``1.0`` and ``True``
-    hash equal but render to different texts (``"1"`` vs ``"true"``), so a
-    plain value key would alias them.  Unhashable values bypass the cache.
-    The cache is cleared wholesale when it reaches ``max_entries`` — a
-    simple, deterministic bound that never changes results (the cached
-    function is pure).
+    The key includes the value's concrete class: ``1``, ``1.0`` and
+    ``True`` hash equal but render to different texts (``"1"`` vs
+    ``"true"``), so a plain value key would alias them.  Unhashable values
+    bypass the cache.  Each value looked up counts one hit or one miss,
+    in order, so a value repeated within a batch of misses counts one
+    miss and then hits.  The cache is cleared wholesale when it reaches
+    ``max_entries`` — a simple, deterministic bound that never changes
+    results (the cached function is pure).
     """
 
     def __init__(self, max_entries: int = 1 << 20):
         if max_entries < 1:
             raise ValueError(f"max_entries must be >= 1, got {max_entries}")
         self.max_entries = max_entries
-        self._grams: dict[tuple, tuple[str, ...]] = {}
+        self._codes: dict[tuple, np.ndarray] = {}
         self.hits = 0
         self.misses = 0
 
-    def qgrams(self, value: Any, q: int = 3) -> tuple[str, ...]:
-        """Cached q-grams of *value*'s canonical text rendering."""
+    def codes(self, value: Any, q: int = 3) -> np.ndarray:
+        """Cached gram codes of *value*'s canonical text rendering."""
         try:
-            key = (q, value.__class__, value)
-            cached = self._grams.get(key)
-        except TypeError:  # unhashable value — compute without caching
-            self.misses += 1
-            return tuple(qgrams(value_to_text(value), q))
+            cached = self._codes.get((q, value.__class__, value))
+        except TypeError:
+            cached = None
         if cached is not None:
             self.hits += 1
             return cached
-        self.misses += 1
-        grams = tuple(qgrams(value_to_text(value), q))
-        if len(self._grams) >= self.max_entries:
-            self._grams.clear()
-        self._grams[key] = grams
-        return grams
+        return self.codes_many((value,), q)[0]
+
+    def codes_many(self, values: Sequence[Any],
+                   q: int = 3) -> list[np.ndarray]:
+        """:meth:`codes` of each of *values*; the misses are encoded
+        together."""
+        cache = self._codes
+        out: list[Any] = []
+        missed: dict[tuple, list[int]] = {}
+        loose: list[int] = []  # unhashable values: encoded, never kept
+        for position, value in enumerate(values):
+            key = (q, value.__class__, value)
+            try:
+                cached = cache.get(key)
+            except TypeError:
+                loose.append(position)
+                out.append(None)
+                continue
+            if cached is None:
+                missed.setdefault(key, []).append(position)
+            out.append(cached)
+        if not missed and not loose:
+            self.hits += len(values)
+            return out
+        self.misses += len(missed) + len(loose)
+        self.hits += len(values) - len(missed) - len(loose)
+        keys = list(missed)
+        firsts = [missed[key][0] for key in keys] + loose
+        encoded = grams.encode_texts(
+            [normalize_text(value_to_text(values[position]))
+             for position in firsts], q)
+        for key, codes in zip(keys, encoded):
+            if len(cache) >= self.max_entries:
+                cache.clear()
+            cache[key] = codes
+            for position in missed[key]:
+                out[position] = codes
+        for position, codes in zip(loose, encoded[len(keys):]):
+            out[position] = codes
+        return out
 
     def counters(self) -> dict[str, int]:
         """Cumulative hit/miss counts (snapshot/delta like the profile
@@ -138,10 +172,10 @@ class QGramCache:
 
     def clear(self) -> None:
         """Drop every cached tokenization (counters keep accumulating)."""
-        self._grams.clear()
+        self._codes.clear()
 
     def __len__(self) -> int:
-        return len(self._grams)
+        return len(self._codes)
 
 
 #: The process cache: tokenization outside a match run (``prepare()``,
@@ -155,7 +189,7 @@ _ACTIVE: contextvars.ContextVar[QGramCache] = contextvars.ContextVar(
 
 @contextlib.contextmanager
 def token_cache_scope() -> Iterator[QGramCache]:
-    """Route :func:`cached_qgrams` through a fresh :class:`QGramCache` for
+    """Route :func:`cached_codes_many` through a fresh :class:`QGramCache` for
     the body of the ``with`` block, in the current context only."""
     cache = QGramCache()
     token = _ACTIVE.set(cache)
@@ -165,9 +199,15 @@ def token_cache_scope() -> Iterator[QGramCache]:
         _ACTIVE.reset(token)
 
 
-def cached_qgrams(value: Any, q: int = 3) -> tuple[str, ...]:
-    """q-grams of ``value_to_text(value)`` through the active cache."""
-    return _ACTIVE.get().qgrams(value, q)
+def cached_codes(value: Any, q: int = 3) -> np.ndarray:
+    """Gram codes of ``value_to_text(value)`` through the active cache."""
+    return _ACTIVE.get().codes(value, q)
+
+
+def cached_codes_many(values: Sequence[Any],
+                      q: int = 3) -> list[np.ndarray]:
+    """Gram codes of each of *values* through the active cache."""
+    return _ACTIVE.get().codes_many(values, q)
 
 
 def token_cache_counters() -> dict[str, int]:

@@ -11,11 +11,12 @@ Module index
 ------------
 :mod:`repro.retrieval.sparse`
     :class:`BM25Index` — Okapi BM25 ranked retrieval over the q-gram
-    frequency profiles the target index already computed.
+    bags (integer gram codes and counts) the target index already
+    computed, with CSR postings keyed by gram code.
 :mod:`repro.retrieval.minhash`
     :class:`MinHashLSH` — stable (blake2b-based) MinHash signatures with
-    banded LSH buckets, catching near-duplicate value distributions by
-    estimated Jaccard.
+    banded LSH buckets over the same bags, catching near-duplicate value
+    distributions by estimated Jaccard.
 :mod:`repro.retrieval.index`
     :class:`RetrievalIndex` — the fused index built inside
     ``MatchEngine.prepare()`` (reciprocal rank fusion + name/type

@@ -3,9 +3,14 @@
 :class:`RetrievalIndex` fuses the two channels over one prepared target:
 
 * :class:`~repro.retrieval.sparse.BM25Index` — tf-weighted sparse ranking
-  over q-gram profiles (distribution-aware);
+  over q-gram profiles (distribution-aware): CSR postings keyed by gram
+  code;
 * :class:`~repro.retrieval.minhash.MinHashLSH` — Jaccard-estimating
-  near-duplicate buckets over the same grams (set-aware).
+  near-duplicate buckets over the same grams (set-aware): signatures
+  from the memoized blake2b hash of each gram code's gram.
+
+Both take the ``qgram`` matcher's :class:`~repro.matching.grams.GramBag`
+profiles as documents and a source column's bag as the query.
 
 Channel rankings are blended with reciprocal rank fusion and ties broken
 by cheap schema-level signals (attribute-name token overlap, then type
@@ -25,6 +30,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Mapping, Sequence
 
+from ..matching.grams import GramBag
 from ..matching.tokens import word_tokens
 from .minhash import MinHashLSH
 from .sparse import BM25Index
@@ -58,11 +64,13 @@ class RetrievalIndex:
     exposes a ``qgram`` channel, and the target has more attributes than
     the engine's ``retrieval_top_k`` — and carried on the
     :class:`~repro.engine.prepared.PreparedTarget`.  A run whose own k is
-    below the attribute count of a target prepared without one builds a
-    run-local index that is never written onto the artifact.  Picklable
+    below the attribute count of a target prepared without one uses a
+    run-local index, built once per artifact and never written onto
+    it.  Picklable
     and persistable in the :class:`~repro.store.ArtifactStore` under its
-    own artifact kind.  Query counters are diagnostics only and are
-    zeroed on pickle so stored blobs stay content-deterministic.
+    own artifact kind.  Querying never changes the index, so
+    concurrent runs may share it, and its pickle is a pure function of its
+    content.  The stage counts tally each run's queries.
     """
 
     def __init__(self, refs: Sequence[tuple[str, str]],
@@ -79,9 +87,6 @@ class RetrievalIndex:
         self.database_token = database_token
         self._position: dict[tuple[str, str], int] = {
             ref: i for i, ref in enumerate(self.refs)}
-        self.counters: dict[str, int] = {
-            "retrieval_queries": 0, "sparse_candidates": 0,
-            "lsh_candidates": 0}
 
     # ------------------------------------------------------------------
     # Construction
@@ -112,7 +117,7 @@ class RetrievalIndex:
         name_tokens = [frozenset(word_tokens(s.name)) for s in index.samples]
         return cls(refs=refs, dtypes=dtypes, name_tokens=name_tokens,
                    sparse=BM25Index(gram_profiles),
-                   lsh=MinHashLSH([tuple(p.keys()) for p in gram_profiles]),
+                   lsh=MinHashLSH(gram_profiles),
                    database_name=database.name,
                    n_tables=len(tuple(database)),
                    database_token=database_token(database))
@@ -129,18 +134,17 @@ class RetrievalIndex:
         return self._position.get((table, attribute))
 
     def query(self, attribute: "Attribute",
-              grams: Mapping[str, int] | None, k: int) -> list[int]:
+              grams: GramBag | None, k: int) -> list[int]:
         """The top-``min(k, n_targets)`` target positions for one source
         attribute, ascending — a deterministic pure function of the index
         content and the query.
 
-        ``grams`` is the source column's q-gram frequency profile (the
-        ``qgram`` matcher's profile; None degrades to schema-signal-only
-        ranking).  Fusion: reciprocal-rank blend of the BM25 and LSH
-        channel rankings, ties broken by name-token overlap with the
-        query attribute, then type compatibility, then position.
+        ``grams`` is the source column's q-gram bag (the ``qgram``
+        matcher's profile; None degrades to schema-signal-only ranking).
+        Fusion: reciprocal-rank blend of the BM25 and LSH channel
+        rankings, ties broken by name-token overlap with the query
+        attribute, then type compatibility, then position.
         """
-        self.counters["retrieval_queries"] += 1
         n = self.n_targets
         if k >= n:
             # Identity frontier: pruning disabled by construction, and the
@@ -148,9 +152,7 @@ class RetrievalIndex:
             return list(range(n))
         fused = [0.0] * n
         sparse_ranked = self.sparse.query(grams)
-        lsh_ranked = self.lsh.query(grams.keys() if grams else ())
-        self.counters["sparse_candidates"] += len(sparse_ranked)
-        self.counters["lsh_candidates"] += len(lsh_ranked)
+        lsh_ranked = self.lsh.query(grams)
         for channel in (sparse_ranked, lsh_ranked):
             for rank, (doc_id, _score) in enumerate(channel):
                 fused[doc_id] += 1.0 / (RRF_K + rank + 1)
@@ -173,21 +175,9 @@ class RetrievalIndex:
                            -type_compat(i), i))
         return sorted(order[:k])
 
-    # ------------------------------------------------------------------
-    # Pickling / diagnostics
-    # ------------------------------------------------------------------
-    def __getstate__(self):
-        # Query counters are per-process diagnostics; zeroing them keeps
-        # the pickled payload a pure function of the index content (the
-        # store's dedup-by-digest and golden round-trips rely on it).
-        state = dict(self.__dict__)
-        state["counters"] = {key: 0 for key in self.counters}
-        return state
-
     def __repr__(self) -> str:
         return (f"<RetrievalIndex {self.database_name!r} "
-                f"{self.n_targets} targets, "
-                f"queries={self.counters['retrieval_queries']}>")
+                f"{self.n_targets} targets>")
 
 
 class ScoringFrontier:

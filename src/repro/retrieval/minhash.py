@@ -10,18 +10,21 @@ it in at least one band.
 
 Determinism matters here because the index is pickled into the artifact
 store and must rank identically across processes: Python's builtin
-``hash`` is salted per process, so base gram hashes come from blake2b
-digests, and the permutation family is multiply-shift over ``uint64``
-(numpy wraps unsigned overflow with C semantics — intended, that *is* the
-mod-2^64 arithmetic).
+``hash`` is salted per process, so base gram hashes are blake2b digests
+of the gram strings (:func:`~repro.matching.grams.gram_hash`, read per
+gram code through :func:`~repro.matching.grams.gram_hashes`' memo), and
+the permutation family is multiply-shift over ``uint64`` (numpy wraps
+unsigned overflow with C semantics — intended, that *is* the mod-2^64
+arithmetic).
 """
 
 from __future__ import annotations
 
-import hashlib
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
+
+from ..matching.grams import GramBag, gram_hash, gram_hashes
 
 __all__ = ["MinHashLSH", "gram_hash"]
 
@@ -30,21 +33,15 @@ __all__ = ["MinHashLSH", "gram_hash"]
 _EMPTY_SLOT = np.uint64(0xFFFFFFFFFFFFFFFF)
 
 
-def gram_hash(gram: str) -> int:
-    """Stable 64-bit hash of one gram (process-independent, unlike
-    builtin ``hash``)."""
-    digest = hashlib.blake2b(gram.encode("utf-8"), digest_size=8).digest()
-    return int.from_bytes(digest, "big")
-
-
 class MinHashLSH:
     """MinHash signatures + banded LSH buckets over gram-set documents.
 
     Parameters
     ----------
     documents:
-        One iterable of grams per document (frequencies are irrelevant to
-        Jaccard); document ids are list positions.
+        One :class:`~repro.matching.grams.GramBag` per document (only its
+        distinct grams matter to Jaccard); document ids are list
+        positions.
     num_perm:
         Signature length; more permutations = lower estimator variance.
     bands:
@@ -57,7 +54,7 @@ class MinHashLSH:
         indexes built with equal inputs and seed are bit-equal).
     """
 
-    def __init__(self, documents: Sequence[Iterable[str]],
+    def __init__(self, documents: Sequence[GramBag],
                  *, num_perm: int = 64, bands: int = 16, seed: int = 7):
         if num_perm < 1 or bands < 1 or num_perm % bands:
             raise ValueError(
@@ -84,12 +81,12 @@ class MinHashLSH:
         self.buckets = buckets
 
     # ------------------------------------------------------------------
-    def signature(self, grams: Iterable[str]) -> np.ndarray:
-        """The ``num_perm``-slot MinHash signature of one gram set."""
-        hashes = np.array(sorted({gram_hash(g) for g in grams}),
-                          dtype=np.uint64)
-        if hashes.size == 0:
+    def signature(self, grams: GramBag | None) -> np.ndarray:
+        """The ``num_perm``-slot MinHash signature of one gram set (None
+        reads as the empty set)."""
+        if not grams:
             return np.full(self.num_perm, _EMPTY_SLOT, dtype=np.uint64)
+        hashes = np.unique(gram_hashes(grams))
         with np.errstate(over="ignore"):
             permuted = self.mult[:, None] * hashes[None, :] \
                 + self.add[:, None]
@@ -101,7 +98,7 @@ class MinHashLSH:
             yield band, chunk.tobytes()
 
     # ------------------------------------------------------------------
-    def query(self, grams: Iterable[str]) -> list[tuple[int, float]]:
+    def query(self, grams: GramBag | None) -> list[tuple[int, float]]:
         """Documents sharing at least one LSH bucket with the query,
         ranked by estimated Jaccard (signature agreement fraction), ties
         by ascending document id."""

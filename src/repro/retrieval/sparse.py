@@ -1,23 +1,30 @@
 """Sparse BM25 channel over q-gram profiles.
 
 The target side of a prepared schema already carries one q-gram
-:class:`collections.Counter` per attribute (the ``qgram`` matcher's
-profile, built once by :class:`~repro.matching.standard.TargetIndex`
-through the shared :class:`~repro.matching.tokens.QGramCache`).  Treating
-those counters as bag-of-grams documents turns candidate retrieval into
-classic sparse ranked retrieval: an inverted postings list per gram and
-Okapi BM25 scoring, which rewards rare shared grams (high idf) and
-saturates on repeated ones.
+:class:`~repro.matching.grams.GramBag` per attribute (the ``qgram``
+matcher's profile: integer gram codes and their counts, built once by
+:class:`~repro.matching.standard.TargetIndex` through the shared
+:class:`~repro.matching.tokens.QGramCache`).  Treating those bags as
+bag-of-grams documents turns candidate retrieval into classic sparse
+ranked retrieval: an inverted postings list per gram code and Okapi BM25
+scoring, which rewards rare shared grams (high idf) and saturates on
+repeated ones.
 
-Scoring is pure integer/float arithmetic over a fixed postings layout, so
-rankings are deterministic across processes — ties break by ascending
-document id.
+The postings are CSR arrays keyed by a sorted code vocabulary.  A query
+scores every (query gram, document) posting at once and adds each
+document's contributions in the query bag's order (ascending code) with
+``np.add.accumulate``, a sequential sum.  Rankings are deterministic
+across processes — ties break by ascending document id.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Mapping, Sequence
+from typing import Sequence
+
+import numpy as np
+
+from ..matching.grams import CodeColumns, GramBag
 
 __all__ = ["BM25Index"]
 
@@ -28,35 +35,44 @@ class BM25Index:
     Parameters
     ----------
     documents:
-        One ``gram -> term frequency`` mapping per document; document ids
-        are list positions.  Empty documents are allowed (they simply never
-        score).
+        One :class:`~repro.matching.grams.GramBag` per document; document
+        ids are list positions.  Empty documents are allowed (they simply
+        never score).
     k1, b:
         The standard Okapi saturation / length-normalization constants.
     """
 
-    def __init__(self, documents: Sequence[Mapping[str, int]],
+    def __init__(self, documents: Sequence[GramBag],
                  *, k1: float = 1.2, b: float = 0.75):
         self.k1 = k1
         self.b = b
         self.n_docs = len(documents)
-        self.doc_lengths = [sum(doc.values()) for doc in documents]
-        total = sum(self.doc_lengths)
+        self.doc_lengths = np.array([doc.total() for doc in documents],
+                                    dtype=np.int64)
+        total = int(self.doc_lengths.sum())
         self.avg_length = (total / self.n_docs) if self.n_docs else 0.0
-        postings: dict[str, list[tuple[int, int]]] = {}
-        for doc_id, doc in enumerate(documents):
-            for gram, tf in doc.items():
-                postings.setdefault(gram, []).append((doc_id, tf))
-        self.postings = postings
+        codes = (np.concatenate([doc.codes for doc in documents])
+                 if documents else np.empty(0, dtype=np.int64))
+        docs = np.repeat(np.arange(self.n_docs, dtype=np.int32),
+                         [len(doc) for doc in documents])
+        tfs = (np.concatenate([doc.counts for doc in documents])
+               if documents else np.empty(0, dtype=np.int32))
+        # A stable sort by code keeps each posting list in document order.
+        order = np.argsort(codes, kind="stable")
+        vocabulary, df = np.unique(codes, return_counts=True)
+        self.lookup = CodeColumns(vocabulary)
+        self.indptr = np.concatenate(([0], np.cumsum(df))).astype(np.int64)
+        self.posting_docs = docs[order]
+        self.posting_tfs = tfs[order]
         # idf with the +1 inside the log (always positive, even for grams
-        # present in more than half the documents).
-        self.idf = {
-            gram: math.log(1.0 + (self.n_docs - len(plist) + 0.5)
-                           / (len(plist) + 0.5))
-            for gram, plist in postings.items()
-        }
+        # present in more than half the documents); math.log once per
+        # distinct document frequency.
+        by_df = {int(n): math.log(1.0 + (self.n_docs - n + 0.5) / (n + 0.5))
+                 for n in np.unique(df).tolist()}
+        self.idf = np.array([by_df[n] for n in df.tolist()],
+                            dtype=np.float64)
 
-    def query(self, grams: Mapping[str, int] | None,
+    def query(self, grams: GramBag | None,
               limit: int | None = None) -> list[tuple[int, float]]:
         """Ranked ``(doc_id, score)`` pairs for a gram-frequency query.
 
@@ -67,19 +83,30 @@ class BM25Index:
         """
         if not grams or not self.n_docs or self.avg_length == 0.0:
             return []
-        scores: dict[int, float] = {}
-        for gram in grams:
-            plist = self.postings.get(gram)
-            if plist is None:
-                continue
-            idf = self.idf[gram]
-            for doc_id, tf in plist:
-                denom = tf + self.k1 * (
-                    1.0 - self.b
-                    + self.b * self.doc_lengths[doc_id] / self.avg_length)
-                scores[doc_id] = scores.get(doc_id, 0.0) \
-                    + idf * tf * (self.k1 + 1.0) / denom
-        ranked = sorted(scores.items(), key=lambda kv: (-kv[1], kv[0]))
+        columns = self.lookup.columns(grams.codes)
+        columns = columns[columns < len(self.lookup)]
+        if not len(columns):
+            return []
+        starts = self.indptr[columns]
+        sizes = self.indptr[columns + 1] - starts
+        rows = np.repeat(np.arange(len(columns)), sizes)
+        entries = (np.repeat(starts - (np.cumsum(sizes) - sizes), sizes)
+                   + np.arange(len(rows)))
+        docs = self.posting_docs[entries]
+        tfs = self.posting_tfs[entries]
+        lengths = self.k1 * (1.0 - self.b + self.b * self.doc_lengths
+                             / self.avg_length)
+        contributions = np.zeros((len(columns), self.n_docs))
+        contributions[rows, docs] = (self.idf[columns][rows] * tfs
+                                     * (self.k1 + 1.0)
+                                     / (tfs + lengths[docs]))
+        # Each document's contributions, added in query order; a zero
+        # entry (a gram the document lacks) adds nothing.
+        np.add.accumulate(contributions, axis=0, out=contributions)
+        scores = contributions[-1].tolist()
+        ranked = sorted(((doc, scores[doc]) for doc in
+                         np.unique(docs).tolist()),
+                        key=lambda kv: (-kv[1], kv[0]))
         return ranked if limit is None else ranked[:limit]
 
     def __len__(self) -> int:
@@ -87,4 +114,4 @@ class BM25Index:
 
     def __repr__(self) -> str:
         return (f"<BM25Index {self.n_docs} docs, "
-                f"{len(self.postings)} grams>")
+                f"{len(self.lookup)} grams>")

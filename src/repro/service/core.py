@@ -196,7 +196,7 @@ class MatchService:
     def resolve(self, ref: str) -> str:
         """Resolve a target reference — a content token or a database
         name — to a token.  Names resolve to the newest stored target of
-        that name; unknown references raise
+        that name that this library can load; unknown references raise
         :class:`~repro.errors.ArtifactNotFoundError`."""
         if ref in self._targets:
             return ref
@@ -206,7 +206,8 @@ class MatchService:
         if ref in self.store and self.store.entry(ref).kind == KIND_TARGET:
             return ref
         for entry in self.store.entries():
-            if entry.kind == KIND_TARGET and entry.database == ref:
+            if (entry.kind == KIND_TARGET and entry.database == ref
+                    and entry.loadable):
                 return entry.token
         raise ArtifactNotFoundError(ref, str(self.store.root))
 

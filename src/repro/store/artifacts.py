@@ -28,7 +28,10 @@ content token — but the artifacts still died with the process.
   every call, so saves and removals by other handles and processes are
   seen, but parses only manifests this handle has not parsed yet — the
   lookup-key dedup of :meth:`save`, :meth:`find` and the serving layer's
-  resolution by name read the kept manifests.
+  resolution by name read the kept manifests, and consider only
+  :attr:`StoreEntry.loadable` entries (this store format and library
+  version), so an entry this library would refuse to load never stands
+  in for a fresh one.
   :meth:`prepared_target` builds on it: load on hit, prepare-and-save on
   miss — the get-or-build primitive behind store-aware
   :meth:`~repro.engine.engine.MatchEngine.prepare` and the serving
@@ -62,9 +65,12 @@ from .tokens import blob_token, database_token, fingerprint_token
 __all__ = ["ArtifactStore", "StoreEntry", "STORE_FORMAT",
            "KIND_TARGET", "KIND_SOURCE", "KIND_RETRIEVAL"]
 
-#: On-disk format revision.  Bumped when the layout or manifest schema
-#: changes incompatibly; loads refuse other revisions with a typed error.
-STORE_FORMAT = 1
+#: On-disk format revision.  Bumped when the layout, the manifest schema
+#: or the pickled artifacts change incompatibly; loads refuse other
+#: revisions with a typed error.  Format 2: q-gram profiles, Naive Bayes
+#: statistics and BM25 postings hold integer gram codes
+#: (:mod:`repro.matching.grams`) where format 1 held gram strings.
+STORE_FORMAT = 2
 
 KIND_TARGET = "prepared-target"
 KIND_SOURCE = "prepared-source"
@@ -97,6 +103,12 @@ class StoreEntry:
     fingerprint: str | None = None
     database_token: str | None = None
     lookup_key: str | None = None
+
+    @property
+    def loadable(self) -> bool:
+        """Whether this library can load the entry: its store format and
+        library version are this library's."""
+        return self.format == STORE_FORMAT and self.version == __version__
 
     def to_dict(self) -> dict[str, Any]:
         return dataclasses.asdict(self)
@@ -198,7 +210,7 @@ class ArtifactStore:
         """Persist a prepared artifact; returns its manifest.
 
         The blob is pickled once; its sha256 is the entry's token.
-        Saving the same content twice lands on one entry
+        Saving the same content twice lands on one loadable entry
         (``dedup_hits``): by blob digest when the bytes repeat exactly,
         and otherwise by the (kind, database token, engine fingerprint)
         lookup key — pickle bytes are *not* canonical across interpreter
@@ -214,8 +226,12 @@ class ArtifactStore:
         blob = pickle.dumps(artifact, protocol=pickle.HIGHEST_PROTOCOL)
         token = blob_token(blob)
         if token in self:
-            self.counters["dedup_hits"] += 1
-            return self.entry(token)
+            existing = self.entry(token)
+            if existing.loadable:
+                self.counters["dedup_hits"] += 1
+                return existing
+            # The same bytes under a manifest this library refuses: write
+            # a current manifest over it.
         fingerprint = fingerprint_token(engine) if engine is not None \
             else None
         if database is not None:
@@ -229,7 +245,7 @@ class ArtifactStore:
         if fingerprint is not None:
             lookup = _lookup_key(kind, db_token, fingerprint)
             for existing in self.entries():
-                if existing.lookup_key == lookup:
+                if existing.lookup_key == lookup and existing.loadable:
                     self.counters["dedup_hits"] += 1
                     return existing
         entry = StoreEntry(
@@ -376,8 +392,9 @@ class ArtifactStore:
 
     # -- lookup --------------------------------------------------------
     def find(self, kind: str, database: Any, engine: Any) -> str | None:
-        """Token of the stored *kind* artifact for (database, engine), or
-        None — including when the engine's fingerprint is unstable."""
+        """Token of the stored, loadable *kind* artifact for (database,
+        engine), or None — including when the engine's fingerprint is
+        unstable."""
         if kind not in _KINDS:
             raise StoreError(f"unknown artifact kind {kind!r}; "
                              f"choose one of {list(_KINDS)}")
@@ -386,7 +403,7 @@ class ArtifactStore:
             return None
         wanted = _lookup_key(kind, database_token(database), fingerprint)
         for entry in self.entries():
-            if entry.lookup_key == wanted:
+            if entry.lookup_key == wanted and entry.loadable:
                 self.counters["find_hits"] += 1
                 return entry.token
         self.counters["find_misses"] += 1

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qgram_reference import ReferenceNB
 from repro.classifiers import (GaussianClassifier, MajorityClassifier,
                                NaiveBayesClassifier, TargetClassifierSet)
 from repro.relational import Database, Relation
@@ -39,8 +40,8 @@ def retrained_posteriors(classifier, group, values):
             for v in values]
 
 
-def taught_nb(pairs, q=3):
-    nb = NaiveBayesClassifier(q=q)
+def taught_nb(pairs, q=3, cls=NaiveBayesClassifier):
+    nb = cls(q=q)
     for value, label in pairs:
         nb.teach(value, label)
     return nb
@@ -84,18 +85,26 @@ class TestAccumulateIsSequential:
 
 
 class TestNaiveBayesBatch:
+    """The coded classifier against the string-token reference
+    (``tests/qgram_reference.py``)."""
+
     def test_posteriors_bit_identical(self):
         nb = taught_nb(text_pairs())
+        reference = taught_nb(text_pairs(), cls=ReferenceNB)
         probes = [v for v, _ in text_pairs(80, seed=1)] + [
             "", "unseen words entirely", 42, 3.5, True, None]
-        scalar = [bit_pattern(nb.log_posteriors(v)) for v in probes]
+        scalar = [bit_pattern(reference.log_posteriors(v)) for v in probes]
         batch = [bit_pattern(p) for p in nb.log_posteriors_many(probes)]
         assert scalar == batch
+        assert [bit_pattern(nb.log_posteriors(v)) for v in probes] == scalar
 
     def test_classify_identical(self):
         nb = taught_nb(text_pairs())
+        reference = taught_nb(text_pairs(), cls=ReferenceNB)
         probes = [v for v, _ in text_pairs(120, seed=2)] + ["", None, 9]
-        assert nb.classify_many(probes) == [nb.classify(v) for v in probes]
+        expected = [reference.classify(v) for v in probes]
+        assert nb.classify_many(probes) == expected
+        assert [nb.classify(v) for v in probes] == expected
 
     def test_untrained(self):
         nb = NaiveBayesClassifier()
@@ -128,22 +137,26 @@ class TestNaiveBayesBatch:
         probes = [v for v, _ in text_pairs(80, seed=6)] + ["zzz", "", None]
         taught = taught_nb(pairs)
         scorer = taught.group_scorer(probes)
-        retrained = taught_nb([(v, mapping[l]) for v, l in pairs])
+        retrained = taught_nb([(v, mapping[l]) for v, l in pairs],
+                              cls=ReferenceNB)
         assert scorer.labels == tuple(taught._label_counts)  # teach order
         for members in (["A", "B"], ["C"]):
             group = mapping[members[0]]
             assert (group_posteriors(scorer, members)
                     == retrained_posteriors(retrained, group, probes))
             assert (scorer.column(members).count
-                    == retrained._label_counts[group])
+                    == retrained.label_counts[group])
 
     def test_batch_tie_break_matches_scalar(self):
         # Symmetric training data forces exact posterior ties.
         nb = NaiveBayesClassifier()
+        reference = ReferenceNB()
         for label in ("x", "y", "y"):
             nb.teach("same text", label)
+            reference.teach("same text", label)
         assert nb.classify_many(["same text", "other"]) == [
-            nb.classify("same text"), nb.classify("other")]
+            nb.classify("same text"), nb.classify("other")] == [
+            reference.classify("same text"), reference.classify("other")]
 
 
 class TestGaussianBatch:

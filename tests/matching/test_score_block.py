@@ -11,32 +11,38 @@ artifact pickles do not move.
 from __future__ import annotations
 
 import pickle
-from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qgram_reference import reference_profile
 from repro import ContextMatchConfig, MatchEngine
 from repro.datagen import build_scenario, get_scenario
 from repro.datagen.inventory import make_retail_workload, pad_workload
 from repro.matching import (AttributeSample, Matcher, NameMatcher,
                             QGramMatcher, ValueOverlapMatcher, cosine_counts,
-                            default_matchers, jaccard)
+                            default_matchers, grams, jaccard)
 from repro.matching.similarity import TermRows, cosine_rows, jaccard_rows
 from repro.relational import Attribute, DataType
 from repro.repository import append_rows_prepared
 
 KERNEL_MATCHERS = (QGramMatcher, ValueOverlapMatcher, NameMatcher)
 
-#: Target grams come from "abc"; sources may also draw "xy", so some
-#: sources share nothing with any target (out of vocabulary only).
-target_counters = st.dictionaries(
-    st.text(alphabet="abc", min_size=1, max_size=3), st.integers(1, 60),
-    max_size=8).map(Counter)
-source_counters = st.dictionaries(
-    st.text(alphabet="abcxy", min_size=1, max_size=3), st.integers(1, 60),
-    max_size=8).map(Counter)
+
+def _qgram_profile(values, q=3):
+    return QGramMatcher(q=q).profile(
+        AttributeSample("t", Attribute("a", DataType.TEXT), tuple(values)))
+
+
+#: Target values come from "abc"; source values may also draw "xy", so
+#: some sources share no gram with any target (out of vocabulary only).
+target_values = st.lists(st.text(alphabet="abc", min_size=1, max_size=4),
+                         max_size=8)
+source_values = st.lists(st.text(alphabet="abcxy", min_size=1, max_size=4),
+                         max_size=8)
+target_counters = target_values.map(_qgram_profile)
+source_counters = source_values.map(_qgram_profile)
 target_sets = st.frozensets(st.text(alphabet="abc", max_size=3), max_size=8)
 source_sets = st.frozensets(st.text(alphabet="abcxy", max_size=3),
                             max_size=8)
@@ -91,16 +97,16 @@ class TestBlockEqualsLoop:
             == _reference(matcher, _name_profile(source), profiles,
                           positions)
 
-    @pytest.mark.parametrize("source, targets", [
-        (Counter(), [Counter({"abc": 2}), Counter()]),
-        (Counter({"abc": 1}), [Counter(), Counter()]),
-        (Counter({"zzz": 3, "yyy": 1}), [Counter({"abc": 2}),
-                                         Counter({"bcd": 1, "abc": 4})]),
-        (Counter({"abc": 7}), [Counter({"abc": 1}), Counter({"bcd": 1}),
-                               Counter({"abc": 3})]),
+    @pytest.mark.parametrize("q, source, targets", [
+        (3, [], [["abc", "abc"], []]),
+        (3, ["abc"], [[], []]),
+        (3, ["zzz", "zzz", "yyy"], [["abc", "abc"], ["bcd", "abc"]]),
+        (1, ["aaaaaaa"], [["a"], ["b"], ["aaa"]]),
     ], ids=["empty-source", "empty-targets", "oov-only", "single-gram"])
-    def test_qgram_edges(self, source, targets):
-        matcher = QGramMatcher()
+    def test_qgram_edges(self, q, source, targets):
+        matcher = QGramMatcher(q=q)
+        source = _qgram_profile(source, q)
+        targets = [_qgram_profile(values, q) for values in targets]
         positions = list(range(len(targets)))
         assert _block(matcher, source, targets, positions) \
             == _reference(matcher, source, targets, positions)
@@ -139,12 +145,14 @@ class TestRowKernels:
     semantics, empty inputs included."""
 
     @settings(max_examples=100, deadline=None)
-    @given(st.one_of(st.just(Counter()), source_counters),
-           st.lists(st.one_of(st.just(Counter()), target_counters),
-                    max_size=6))
+    @given(st.one_of(st.just([]), source_values),
+           st.lists(st.one_of(st.just([]), target_values), max_size=6))
     def test_cosine_rows(self, source, rows):
-        assert cosine_rows(source, TermRows(rows)).tolist() \
-            == [cosine_counts(source, row) for row in rows]
+        bag = _qgram_profile(source)
+        block = grams.bag_rows([_qgram_profile(row) for row in rows])
+        assert cosine_rows(bag.codes, bag.counts, block).tolist() \
+            == [cosine_counts(reference_profile(source),
+                              reference_profile(row)) for row in rows]
 
     @settings(max_examples=100, deadline=None)
     @given(source_sets, st.lists(target_sets, max_size=6))

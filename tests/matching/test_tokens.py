@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.matching import normalize_text, qgrams, value_to_text, word_tokens
-from repro.matching.tokens import qgram_set
+from repro.matching import (grams, normalize_text, qgrams, value_to_text,
+                            word_tokens)
 
 
 class TestValueToText:
@@ -61,10 +61,6 @@ class TestQgrams:
         with pytest.raises(ValueError):
             qgrams("abc", 0)
 
-    def test_qgram_set_unions_values(self):
-        grams = qgram_set(["ab", "bc"], 2)
-        assert "ab" in grams and "bc" in grams
-
 
 @given(st.text(alphabet="abcdefgh ", max_size=30))
 def test_qgram_count_matches_length(text):
@@ -90,16 +86,16 @@ class TestQGramCache:
 
         cache = QGramCache()
         for value in ["hello world", 42, 3.5, 7.0, True, None, "N/A", ""]:
-            assert cache.qgrams(value, 3) == tuple(
+            assert grams.decode(cache.codes(value, 3), 3) == tuple(
                 qgrams(value_to_text(value), 3))
 
     def test_hits_and_misses_counted(self):
         from repro.matching.tokens import QGramCache
 
         cache = QGramCache()
-        cache.qgrams("abc")
-        cache.qgrams("abc")
-        cache.qgrams("xyz")
+        cache.codes("abc")
+        cache.codes("abc")
+        cache.codes("xyz")
         assert cache.hits == 1 and cache.misses == 2
         assert cache.counters() == {"token_cache_hits": 1,
                                     "token_cache_misses": 2}
@@ -110,15 +106,18 @@ class TestQGramCache:
         from repro.matching.tokens import QGramCache
 
         cache = QGramCache()
-        assert cache.qgrams(1) == cache.qgrams(1.0)  # both render "1"
-        assert cache.qgrams(True) != cache.qgrams(1)  # "true" vs "1"
+        # both render "1"
+        assert cache.codes(1).tolist() == cache.codes(1.0).tolist()
+        # "true" vs "1"
+        assert cache.codes(True).tolist() != cache.codes(1).tolist()
 
     def test_unhashable_values_bypass_cache(self):
         from repro.matching.tokens import QGramCache, qgrams, value_to_text
 
         cache = QGramCache()
         value = ["a", "list"]
-        assert cache.qgrams(value) == tuple(qgrams(value_to_text(value), 3))
+        assert grams.decode(cache.codes(value), 3) \
+            == tuple(qgrams(value_to_text(value), 3))
         assert len(cache) == 0 and cache.misses == 1
 
     def test_bounded_by_max_entries(self):
@@ -126,25 +125,25 @@ class TestQGramCache:
 
         cache = QGramCache(max_entries=4)
         for i in range(10):
-            cache.qgrams(f"value {i}")
+            cache.codes(f"value {i}")
         assert len(cache) <= 4
 
     def test_clear_keeps_counters(self):
         from repro.matching.tokens import QGramCache
 
         cache = QGramCache()
-        cache.qgrams("abc")
+        cache.codes("abc")
         cache.clear()
         assert len(cache) == 0 and cache.misses == 1
-        cache.qgrams("abc")
+        cache.codes("abc")
         assert cache.misses == 2  # re-tokenized after clear
 
     def test_shared_cache_counters_snapshot(self):
-        from repro.matching.tokens import cached_qgrams, token_cache_counters
+        from repro.matching.tokens import cached_codes, token_cache_counters
 
         before = token_cache_counters()
-        cached_qgrams("snapshot-test-value")
-        cached_qgrams("snapshot-test-value")
+        cached_codes("snapshot-test-value")
+        cached_codes("snapshot-test-value")
         after = token_cache_counters()
         assert after["token_cache_hits"] >= before["token_cache_hits"] + 1
         assert after["token_cache_misses"] >= before["token_cache_misses"]

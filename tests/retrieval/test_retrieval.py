@@ -11,18 +11,19 @@ import pytest
 
 from repro import ContextMatchConfig, MatchEngine
 from repro.datagen import make_retail_workload
+from repro.matching import QGramMatcher
+from repro.matching.grams import GramBag
+from repro.matching.matchers import AttributeSample
+from repro.relational import Attribute, DataType
 from repro.retrieval import (BM25Index, MinHashLSH, RetrievalIndex,
                              ScoringFrontier)
 from repro.retrieval.minhash import gram_hash
 
 
-def _grams(text: str, q: int = 3) -> dict[str, int]:
-    counts: dict[str, int] = {}
-    padded = f" {text} "
-    for i in range(len(padded) - q + 1):
-        gram = padded[i:i + q]
-        counts[gram] = counts.get(gram, 0) + 1
-    return counts
+def _grams(text: str, q: int = 3) -> GramBag:
+    """The q-gram bag of one value, as the ``qgram`` matcher profiles it."""
+    return QGramMatcher(q=q).profile(
+        AttributeSample("t", Attribute("a", DataType.TEXT), (text,)))
 
 
 class TestBM25Index:
@@ -44,13 +45,14 @@ class TestBM25Index:
     def test_empty_query_and_empty_index(self):
         index = BM25Index([_grams("abc")])
         assert index.query(None) == []
-        assert index.query({}) == []
+        assert index.query(GramBag.empty(3)) == []
         empty = BM25Index([])
         assert empty.query(_grams("abc")) == []
         assert len(empty) == 0
 
     def test_empty_documents_never_score(self):
-        index = BM25Index([{}, _grams("abc"), {}])
+        index = BM25Index([GramBag.empty(3), _grams("abc"),
+                           GramBag.empty(3)])
         ranked = index.query(_grams("abc"))
         assert [doc_id for doc_id, _ in ranked] == [1]
 
@@ -77,34 +79,34 @@ class TestMinHashLSH:
             "big")
 
     def test_identical_documents_collide_with_estimate_one(self):
-        grams = tuple(_grams("hardcover paperback").keys())
-        lsh = MinHashLSH([grams, tuple(_grams("audio cd").keys())])
+        grams = _grams("hardcover paperback")
+        lsh = MinHashLSH([grams, _grams("audio cd")])
         ranked = lsh.query(grams)
         assert ranked[0] == (0, 1.0)
 
     def test_disjoint_documents_do_not_collide(self):
-        lsh = MinHashLSH([tuple(_grams("aaaa bbbb cccc").keys())])
-        ranked = lsh.query(tuple(_grams("xxxx yyyy zzzz").keys()))
+        lsh = MinHashLSH([_grams("aaaa bbbb cccc")])
+        ranked = lsh.query(_grams("xxxx yyyy zzzz"))
         assert ranked == []
 
     def test_cross_instance_determinism(self):
-        docs = [tuple(_grams(f"value number {i}").keys()) for i in range(6)]
+        docs = [_grams(f"value number {i}") for i in range(6)]
         first = MinHashLSH(docs)
         second = MinHashLSH(docs)
         np.testing.assert_array_equal(first.signatures, second.signatures)
         assert first.buckets.keys() == second.buckets.keys()
-        query = tuple(_grams("value number 3").keys())
+        query = _grams("value number 3")
         assert first.query(query) == second.query(query)
 
     def test_pickle_round_trip_preserves_rankings(self):
-        docs = [tuple(_grams(f"row {i}").keys()) for i in range(4)]
+        docs = [_grams(f"row {i}") for i in range(4)]
         lsh = MinHashLSH(docs)
         restored = pickle.loads(pickle.dumps(lsh))
-        query = tuple(_grams("row 2").keys())
+        query = _grams("row 2")
         assert restored.query(query) == lsh.query(query)
 
     def test_empty_document_gets_sentinel_signature(self):
-        lsh = MinHashLSH([(), tuple(_grams("abc").keys())])
+        lsh = MinHashLSH([GramBag.empty(3), _grams("abc")])
         assert (lsh.signatures[0] == np.uint64(0xFFFFFFFFFFFFFFFF)).all()
 
     def test_bands_must_divide_num_perm(self):
@@ -162,20 +164,18 @@ class TestRetrievalIndex:
             assert retrieval.position_of(table, attr) == position
         assert retrieval.position_of("nope", "nothing") is None
 
-    def test_pickle_zeroes_counters_and_is_deterministic(
-            self, prepared_retail):
+    def test_pickle_is_deterministic(self, prepared_retail):
         retrieval = prepared_retail.retrieval
         sample = prepared_retail.index.samples[0]
         profiles = prepared_retail.index.profiles["qgram"]
         before = pickle.dumps(retrieval)
         retrieval.query(sample.attribute, profiles[0], 2)
-        assert retrieval.counters["retrieval_queries"] > 0
         after = pickle.dumps(retrieval)
-        # Query counters are diagnostics: the payload is a pure function
-        # of the index content (store dedup-by-digest relies on this).
+        # Querying leaves the index unchanged: the payload is a pure
+        # function of the index content (store dedup-by-digest relies on
+        # this).
         assert before == after
         restored = pickle.loads(after)
-        assert restored.counters["retrieval_queries"] == 0
         assert restored.query(sample.attribute, profiles[0], 2) \
             == retrieval.query(sample.attribute, profiles[0], 2)
 

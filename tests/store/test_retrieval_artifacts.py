@@ -64,16 +64,6 @@ class TestSaveLoad:
             assert loaded.query(sample.attribute, profiles[position], k) \
                 == retrieval.query(sample.attribute, profiles[position], k)
 
-    def test_loaded_counters_start_at_zero(self, store, engine, workload,
-                                           retrieval):
-        prepared = engine.prepare(workload.target)
-        sample = prepared.index.samples[0]
-        retrieval.query(sample.attribute,
-                        prepared.index.profiles["qgram"][0], 1)
-        entry = store.save(retrieval, engine=engine)
-        loaded = store.load_retrieval_index(entry.token)
-        assert all(v == 0 for v in loaded.counters.values())
-
     def test_dedup_by_digest(self, store, engine, retrieval):
         first = store.save(retrieval, engine=engine)
         second = store.save(retrieval, engine=engine)
