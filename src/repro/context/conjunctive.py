@@ -18,7 +18,7 @@ from ..relational.schema import AttributeRef
 from ..relational.views import View, ViewFamily
 from .candidates import CandidateViewGenerator, InferenceContext
 from .model import CandidateScore, ContextualMatch
-from .score import score_family_candidates
+from .score import score_relation_candidates
 from .select import qual_table
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -78,13 +78,9 @@ def refine_conjunctive(matches: Sequence[ContextualMatch], source: Database,
         families = generator.infer(restricted, prototypes, ctx,
                                    exclude_attributes=exclude)
         families_out.extend(families)
-        stage_candidates: list[CandidateScore] = []
-        seen_views: set[View] = set()
-        for family in families:
-            stage_candidates.extend(score_family_candidates(
-                family, restricted, prototypes, matcher, index,
-                min_view_rows=config.min_view_rows,
-                seen_views=seen_views, store=store))
+        stage_candidates = score_relation_candidates(
+            families, restricted, prototypes, matcher, index,
+            min_view_rows=config.min_view_rows, store=store)
         candidates_out.extend(stage_candidates)
         selected = qual_table(prototypes, stage_candidates,
                               omega=config.omega,

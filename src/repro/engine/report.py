@@ -31,8 +31,10 @@ class StageReport:
     Stages that consume a :class:`~repro.profiling.ProfileStore` add that
     stage's cache deltas: ``profile_hits`` / ``profile_misses``,
     ``partitions_built`` / ``partition_hits`` and ``profiles_merged``.
-    Stages that tokenize values add the deltas of the run's own q-gram
-    cache (``token_cache_hits`` / ``token_cache_misses``), and the infer-views
+    Every stage that tokenizes values (standard-match, infer-views,
+    score-candidates and conjunctive-refine) adds the deltas of the run's
+    own q-gram cache (``token_cache_hits`` / ``token_cache_misses``), so
+    their sum is the run's whole cache traffic; and the infer-views
     stage reports the batch classifier core's work:
     ``values_classified``, ``batch_calls`` and ``merges_without_retrain``
     (see :class:`~repro.context.candidates.InferenceStats`).

@@ -33,14 +33,14 @@ import weakref
 from ..context.candidates import CandidateViewGenerator, InferenceContext
 from ..context.conjunctive import refine_conjunctive
 from ..context.model import ContextMatchConfig, MatchResult
-from ..context.score import score_family_candidates
+from ..context.score import score_relation_candidates
 from ..context.select import select_matches
 from ..matching.matchers import AttributeSample
 from ..matching.standard import AttributeMatch, MatchingSystem
 from ..matching.tokens import token_cache_counters
 from ..profiling import ProfileStore
 from ..relational.instance import Database, Relation
-from ..relational.views import View, ViewFamily
+from ..relational.views import ViewFamily
 from ..retrieval import RetrievalIndex, ScoringFrontier
 from .prepared import PreparedTarget
 
@@ -198,9 +198,12 @@ class ScoreCandidatesStage(Stage):
     """Re-score every prototype match against the candidate views (RL).
 
     The ScoreMatch hot path: with a profile store each base relation is
-    partitioned once per family attribute and member views are scored from
-    partition cells (merged groups composing additive profiles from cell
-    profiles), instead of materializing and re-profiling every view.  The
+    partitioned once per family attribute, and the unseen member views of
+    all its families are scored as blocks — per (partition attribute,
+    source attribute), every view's profile is built from partition cells
+    in one batch (merged groups composing additive profiles from cell
+    profiles) and scored against the attribute's frontier at once —
+    instead of materializing and re-profiling every view.  The
     stage's counts surface the cache economics: ``partitions_built`` /
     ``partition_hits`` and ``profile_hits`` / ``profile_misses`` /
     ``profiles_merged``.
@@ -220,7 +223,9 @@ class ScoreCandidatesStage(Stage):
     pruning economics land in the stage counts (``pairs_considered`` /
     ``pairs_pruned`` / ``retrieval_queries`` / ``retrieval_hits`` /
     ``retrieval_missed`` / ``retrieval_recall``); exhaustive runs report
-    the same keys with zero pruning.
+    the same keys with zero pruning.  The run's q-gram cache deltas
+    (``token_cache_hits`` / ``token_cache_misses``) credit the stage's
+    view profiling and frontier queries.
     """
 
     name = "score-candidates"
@@ -285,6 +290,7 @@ class ScoreCandidatesStage(Stage):
 
     def run(self, state: PipelineState) -> dict[str, int]:
         before = state.store_counters()
+        tokens_before = token_cache_counters()
         index = state.prepared.index
         n_targets = len(index.samples)
         use_retrieval = (state.config.use_retrieval
@@ -298,7 +304,6 @@ class ScoreCandidatesStage(Stage):
         queries = hits = missed = 0
         pairs_considered = pairs_pruned = 0
         for relation in state.source:
-            seen_views: set[View] = set()
             if use_retrieval:
                 frontier, q, h, m = self._build_frontier(
                     state, retrieval, relation)
@@ -309,13 +314,12 @@ class ScoreCandidatesStage(Stage):
                 # Counting-only frontier: exhaustive scoring with the same
                 # pairs_considered accounting, zero pruning.
                 frontier = ScoringFrontier(n_targets)
-            for family in state.families.get(relation.name, []):
-                state.result.candidates.extend(score_family_candidates(
-                    family, relation, state.accepted.get(relation.name, []),
-                    state.matcher, state.prepared.index,
-                    min_view_rows=state.config.min_view_rows,
-                    seen_views=seen_views, store=state.store,
-                    frontier=frontier))
+            state.result.candidates.extend(score_relation_candidates(
+                state.families.get(relation.name, []), relation,
+                state.accepted.get(relation.name, []), state.matcher,
+                state.prepared.index,
+                min_view_rows=state.config.min_view_rows,
+                store=state.store, frontier=frontier))
             pairs_considered += frontier.pairs_considered
             pairs_pruned += frontier.pairs_pruned
         recall = hits / (hits + missed) if (hits + missed) else 1.0
@@ -326,7 +330,8 @@ class ScoreCandidatesStage(Stage):
                 "retrieval_hits": hits,
                 "retrieval_missed": missed,
                 "retrieval_recall": recall,
-                **state.store_counters_since(before)}
+                **state.store_counters_since(before),
+                **_token_counters_since(tokens_before)}
 
 
 class SelectStage(Stage):
@@ -357,13 +362,16 @@ class ConjunctiveRefineStage(Stage):
     stage-scoped :class:`~repro.profiling.ProfileStore` rather than the
     run's (possibly :class:`~repro.engine.prepared.PreparedSource`-backed)
     store, whose lifetime would pin every materialized stage relation.
-    The stage-local cache counters are reported in the stage counts.
+    A stage that iterates reports the stage-local cache counters and the
+    run's q-gram cache deltas of the refinement's inference and rescoring
+    in its counts.
     """
 
     name = "conjunctive-refine"
 
     def run(self, state: PipelineState) -> dict[str, int]:
         iterations = 0
+        tokens_before = token_cache_counters()
         store = None
         if state.store is not None:
             store = ProfileStore(state.store.matchers,
@@ -379,8 +387,10 @@ class ConjunctiveRefineStage(Stage):
             iterations += 1
         counts = {"iterations": iterations,
                   "matches": len(state.result.matches)}
-        if store is not None and iterations:
-            counts.update(store.counters())
+        if iterations:
+            if store is not None:
+                counts.update(store.counters())
+            counts.update(_token_counters_since(tokens_before))
         return counts
 
 

@@ -12,8 +12,10 @@ format; no other module computes or decodes a code:
 * :func:`encode_texts` encodes a batch of normalized texts in one numpy
   pass, one code array per text, in gram order;
 * :class:`GramBag` holds a multiset of grams as ascending distinct codes
-  and their counts; :func:`count` counts a sample's code arrays into one,
-  and :func:`merge` adds bags with one concatenation and one sort;
+  and their counts; :func:`count` counts a sample's code arrays into one
+  (:func:`count_many` the samples of a whole view block in one
+  ``np.unique``), and :func:`merge` adds bags with one concatenation and
+  one sort;
 * :func:`bag_rows` lays bags out as CSR
   :class:`~repro.matching.similarity.TermRows` whose code → column lookup
   (:class:`CodeColumns`) is one ``searchsorted`` per query;
@@ -38,8 +40,8 @@ import numpy as np
 from .similarity import TermRows
 
 __all__ = ["ALPHABET", "MAX_Q", "check_q", "code_dtype", "encode_texts",
-           "decode", "GramBag", "count", "merge", "CodeColumns", "bag_rows",
-           "gram_hash", "gram_hashes"]
+           "decode", "GramBag", "count", "count_many", "merge",
+           "CodeColumns", "bag_rows", "gram_hash", "gram_hashes"]
 
 #: The characters a padded normalized text holds, in digit order.
 ALPHABET = "#0123456789 abcdefghijklmnopqrstuvwxyz"
@@ -157,10 +159,37 @@ class GramBag:
 
 def count(arrays: Sequence[np.ndarray], q: int) -> GramBag:
     """The bag of every gram in *arrays* (code arrays of one q)."""
+    return count_many(arrays, [len(arrays)], q)[0]
+
+
+def count_many(arrays: Sequence[np.ndarray], sizes: Sequence[int],
+               q: int) -> list[GramBag]:
+    """``count`` of each consecutive run of ``sizes[n]`` of *arrays*, in
+    one ``np.unique``: each run's codes are offset by ``n * 38**q`` so
+    the runs sort apart, then split at the offsets."""
     if not arrays:
-        return GramBag.empty(q)
-    codes, counts = np.unique(np.concatenate(arrays), return_counts=True)
-    return GramBag(q, codes, counts.astype(np.int32))
+        return [GramBag.empty(q) for _ in sizes]
+    codes = np.concatenate(arrays)
+    if len(sizes) == 1:
+        codes, counts = np.unique(codes, return_counts=True)
+        return [GramBag(q, codes, counts.astype(np.int32))]
+    span = BASE ** q
+    if span * len(sizes) > np.iinfo(np.int64).max:
+        bounds = np.cumsum([0, *sizes]).tolist()
+        return [count(arrays[a:b], q) for a, b in zip(bounds, bounds[1:])]
+    # Grams per run: the code-array lengths summed over each run.
+    ends = np.concatenate(([0], np.cumsum(
+        np.fromiter(map(len, arrays), dtype=np.int64, count=len(arrays)))))
+    grams_per_run = np.diff(ends[np.cumsum([0, *sizes])])
+    offsets = np.arange(len(sizes), dtype=np.int64) * span
+    keys, counts = np.unique(
+        codes.astype(np.int64) + np.repeat(offsets, grams_per_run),
+        return_counts=True)
+    bounds = np.searchsorted(keys, np.append(offsets, span * len(sizes)))
+    codes = (keys % span).astype(code_dtype(q))
+    counts = counts.astype(np.int32)
+    return [GramBag(q, codes[a:b], counts[a:b])
+            for a, b in zip(bounds[:-1].tolist(), bounds[1:].tolist())]
 
 
 def merge(bags: Sequence[GramBag]) -> GramBag:

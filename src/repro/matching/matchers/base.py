@@ -28,6 +28,26 @@ member profiles — additionally set :attr:`Matcher.mergeable` and implement
 (:mod:`repro.profiling`) uses the hook to compose the profile of a merged
 view (a union of partition cells) from cached cell profiles without
 touching raw rows.
+
+``ScoreMatch`` rescores one source attribute in many candidate views (the
+member views of a partition) against the same frontier, so matchers also
+work on a *view block*: :meth:`Matcher.profile_many` profiles the views'
+samples of one attribute together and :meth:`Matcher.score_views` scores
+their profiles against one target subset.  The defaults loop
+:meth:`Matcher.profile` and :meth:`Matcher.score_block`, so a matcher
+without a view kernel scores exactly as it would one view at a time.
+A matcher whose profile reads only the attribute (its name or declared
+type, never the values) sets :attr:`Matcher.view_invariant`: every view of
+the attribute then shares one profile, and the standard matcher scores,
+fits and weighs that matcher once per (attribute, frontier) instead of
+once per view.
+
+:meth:`Matcher.applicable` may read only the declared types and the
+sample sizes of the pair — the slice of a sample a
+:class:`~repro.profiling.SampleDigest` carries — so the standard matcher
+evaluates it, against the whole frontier at once
+(:meth:`Matcher.applicable_many`), once per distinct source sample size
+in a view block.
 """
 
 from __future__ import annotations
@@ -97,14 +117,27 @@ class Matcher(abc.ABC):
     #: Requires profiles independent of value order and of the sample's
     #: table name.
     mergeable: bool = False
+    #: True when :meth:`profile` reads only the sample's attribute (its
+    #: name or declared type), never its table or values: every view of
+    #: one attribute then has the same profile and the same scores.
+    view_invariant: bool = False
 
     def applicable(self, source: AttributeSample, target: AttributeSample) -> bool:
         """Whether this matcher produces a meaningful score for the pair.
 
         Inapplicable matchers abstain: they contribute neither score nor
-        confidence for the pair.
+        confidence for the pair.  The answer may depend only on the two
+        declared types and sample sizes.
         """
         return True
+
+    def applicable_many(self, source: AttributeSample,
+                        targets: Sequence[AttributeSample]) -> list[bool]:
+        """``[applicable(source, t) for t in targets]``; overrides must
+        return the same answers."""
+        if type(self).applicable is Matcher.applicable:
+            return [True] * len(targets)
+        return [self.applicable(source, target) for target in targets]
 
     @abc.abstractmethod
     def profile(self, sample: AttributeSample) -> Any:
@@ -128,6 +161,23 @@ class Matcher(abc.ABC):
         ``target_block(profiles)``.  Overrides must return the same
         floats, bit for bit."""
         return [self.score_profiles(source, block[i]) for i in positions]
+
+    def profile_many(self, samples: Sequence[AttributeSample]) -> list[Any]:
+        """``[profile(s) for s in samples]`` for samples of one attribute
+        (the views of a block).  A view-invariant matcher profiles the
+        first sample and shares that profile.  Overrides must return
+        equal profiles."""
+        if self.view_invariant and samples:
+            return [self.profile(samples[0])] * len(samples)
+        return [self.profile(sample) for sample in samples]
+
+    def score_views(self, sources: Sequence[Any], block: Any,
+                    positions: Sequence[int]) -> list[list[float]]:
+        """``score_block(source, block, positions)`` for each of
+        *sources* (the profiles of one attribute's views), in order.
+        Overrides must return the same floats, bit for bit."""
+        return [self.score_block(source, block, positions)
+                for source in sources]
 
     def merge_profiles(self, profiles: Sequence[Any]) -> Any:
         """The profile of the union of the disjoint samples behind

@@ -5,9 +5,11 @@ overlap plus Jaro-Winkler on the normalized strings.  This is the classic
 "linguistic" matcher of systems like Cupid; in our zoo it supplies the
 schema-metadata evidence of Section 2.3.
 
-Attribute names do not change from one candidate view to the next, so
-``ScoreMatch`` compares the same name pairs over and over; the pure
-two-name score sits behind a bounded process-wide memo.
+Attribute names do not change from one candidate view to the next: the
+matcher is view-invariant, so ``ScoreMatch`` scores an attribute's name
+once per frontier for all its views, and the pure two-name score sits
+behind a bounded process-wide memo for the standard-match stage and for
+repeated frontiers.
 """
 
 from __future__ import annotations
@@ -63,6 +65,8 @@ class NameMatcher(Matcher):
     #: The profile depends only on the attribute name, which every cell of
     #: a partitioned attribute shares — any member profile is the union's.
     mergeable = True
+    #: ... and no view of the attribute changes it.
+    view_invariant = True
 
     def __init__(self, *, weight: float = 1.0,
                  synonyms: dict[str, str] | None = None,

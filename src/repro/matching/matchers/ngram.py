@@ -7,10 +7,12 @@ which is robust to differing sample sizes.  Applicable to textual attributes.
 
 A profile is a :class:`~repro.matching.grams.GramBag` — distinct integer
 gram codes and their counts — counted from the values' cached code arrays.
-Cell bags merge by one concatenation and one sort, and a target block is
-the index's bags as CSR :class:`~repro.matching.similarity.TermRows`, so
-one source profile is scored against every target by
-:func:`~repro.matching.similarity.cosine_rows` with exact integer dot
+The views of a block are counted together
+(:func:`~repro.matching.grams.count_many`), cell bags merge by one
+concatenation and one sort, and a target block is the index's bags as CSR
+:class:`~repro.matching.similarity.TermRows`, so the profiles of an
+attribute's views are scored against a frontier by
+:func:`~repro.matching.similarity.cosine_rows_many` with exact integer dot
 products and norms.
 """
 
@@ -23,7 +25,7 @@ import numpy as np
 
 from .. import grams
 from ..grams import GramBag
-from ..similarity import TermRows, cosine_rows
+from ..similarity import TermRows, cosine_rows_many
 from ..tokens import cached_codes_many
 from .base import AttributeSample, Matcher
 
@@ -49,12 +51,24 @@ class QGramMatcher(Matcher):
         self.weight = weight
 
     def applicable(self, source: AttributeSample, target: AttributeSample) -> bool:
-        return (source.attribute.dtype.is_textual
-                and target.attribute.dtype.is_textual
-                and len(source) > 0 and len(target) > 0)
+        return self.applicable_many(source, (target,))[0]
+
+    def applicable_many(self, source: AttributeSample,
+                        targets: Sequence[AttributeSample]) -> list[bool]:
+        if not (source.attribute.dtype.is_textual and len(source) > 0):
+            return [False] * len(targets)
+        return [t.attribute.dtype.is_textual and len(t) > 0 for t in targets]
 
     def profile(self, sample: AttributeSample) -> GramBag:
-        return grams.count(cached_codes_many(sample.values, self.q), self.q)
+        return self.profile_many([sample])[0]
+
+    def profile_many(self, samples: Sequence[AttributeSample]
+                     ) -> list[GramBag]:
+        # One cache lookup per value, as profiling each sample would.
+        codes = cached_codes_many(
+            [value for sample in samples for value in sample.values], self.q)
+        return grams.count_many(codes, [len(sample) for sample in samples],
+                                self.q)
 
     def score_profiles(self, source: GramBag, target: GramBag) -> float:
         if not source or not target:
@@ -74,11 +88,21 @@ class QGramMatcher(Matcher):
 
     def score_block(self, source: GramBag, block: TermRows,
                     positions: Sequence[int]) -> list[float]:
-        if not source or not positions:
-            return [0.0] * len(positions)
-        # An empty target row scores 0.0 in cosine_rows, as it does here.
-        scores = cosine_rows(source.codes, source.counts, block)
-        return scores[np.asarray(positions, dtype=np.intp)].tolist()
+        return self.score_views([source], block, positions)[0]
+
+    def score_views(self, sources: Sequence[GramBag], block: TermRows,
+                    positions: Sequence[int]) -> list[list[float]]:
+        scores = [[0.0] * len(positions) for _ in sources]
+        live = [n for n, source in enumerate(sources) if source]
+        if live and len(positions):
+            # An empty target row scores 0.0 in cosine_rows_many, as it
+            # does in score_profiles.
+            rows = cosine_rows_many(
+                [(sources[n].codes, sources[n].counts) for n in live],
+                block, positions)
+            for n, row in zip(live, rows.tolist()):
+                scores[n] = row
+        return scores
 
     def merge_profiles(self, profiles: Sequence[GramBag]) -> GramBag:
         return grams.merge(profiles)

@@ -44,17 +44,14 @@ class NumericSummary:
     def from_values(cls, values: Sequence[Any]) -> "NumericSummary | None":
         """The summary of the finite numbers among *values*; None when
         there are none, or when a statistic of them overflows."""
-        numbers = []
-        for v in values:
-            try:
-                number = float(v)
-            except (TypeError, ValueError, OverflowError):
-                continue
-            if math.isfinite(number):
-                numbers.append(number)
-        if not numbers:
+        try:
+            arr = np.fromiter(map(float, values), dtype=float,
+                              count=len(values))
+        except (TypeError, ValueError, OverflowError):
+            arr = np.asarray(_floats(values), dtype=float)
+        arr = arr[np.isfinite(arr)]
+        if not len(arr):
             return None
-        arr = np.asarray(numbers, dtype=float)
         with np.errstate(over="ignore", invalid="ignore"):
             q1, median, q3 = map(float, np.percentile(arr, [25, 50, 75]))
             mean, std = float(arr.mean()), float(arr.std())
@@ -63,6 +60,17 @@ class NumericSummary:
         return cls(count=len(arr), mean=mean, std=std,
                    minimum=float(arr.min()), q1=q1, median=median, q3=q3,
                    maximum=float(arr.max()))
+
+
+def _floats(values: Sequence[Any]) -> list[float]:
+    """``float(v)`` of each of *values* that converts."""
+    numbers = []
+    for v in values:
+        try:
+            numbers.append(float(v))
+        except (TypeError, ValueError, OverflowError):
+            continue
+    return numbers
 
 
 def _location_similarity(a: float, b: float, scale: float) -> float:
@@ -92,9 +100,13 @@ class NumericMatcher(Matcher):
         self.weight = weight
 
     def applicable(self, source: AttributeSample, target: AttributeSample) -> bool:
-        return (source.attribute.dtype.is_numeric
-                and target.attribute.dtype.is_numeric
-                and len(source) > 0 and len(target) > 0)
+        return self.applicable_many(source, (target,))[0]
+
+    def applicable_many(self, source: AttributeSample,
+                        targets: Sequence[AttributeSample]) -> list[bool]:
+        if not (source.attribute.dtype.is_numeric and len(source) > 0):
+            return [False] * len(targets)
+        return [t.attribute.dtype.is_numeric and len(t) > 0 for t in targets]
 
     def profile(self, sample: AttributeSample) -> NumericSummary | None:
         if not sample.attribute.dtype.is_numeric:

@@ -22,6 +22,8 @@ class TypeMatcher(Matcher):
     #: The profile depends only on the declared type, which every cell of a
     #: partitioned attribute shares — any member profile is the union's.
     mergeable = True
+    #: ... and no view of the attribute changes it.
+    view_invariant = True
 
     def __init__(self, *, weight: float = 0.5):
         self.weight = weight

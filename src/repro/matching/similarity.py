@@ -2,15 +2,17 @@
 
 All functions return similarities in ``[0, 1]``; 1 means identical.
 
-:class:`TermRows` with :func:`cosine_rows` and :func:`jaccard_rows` are
-the one-source-against-many-targets forms of :func:`cosine_counts` and
-:func:`jaccard`: the targets are laid out once as integer CSR rows over a
-shared vocabulary, and each row's score is computed with the same exact
-integer sums and the same final IEEE operations as the scalar function,
-so the two agree bit for bit.  The overlap matcher's rows hold value
-strings behind a dict lookup (:meth:`TermRows.from_sets`); the q-gram
-matcher's hold integer gram codes behind a sorted-array lookup
-(:func:`repro.matching.grams.bag_rows`).
+:class:`TermRows` with :func:`cosine_rows_many` and
+:func:`jaccard_rows_many` are the many-sources-against-many-targets forms
+of :func:`cosine_counts` and :func:`jaccard` (:func:`cosine_rows` and
+:func:`jaccard_rows` are their one-source calls): the targets are laid
+out once as integer CSR rows over a shared vocabulary, each source is
+read against the chosen rows with exact int64 sums, one source vector at
+a time, and each (source, row) score takes the same final IEEE
+operations as the scalar function, so the two agree bit for bit.  The
+overlap matcher's rows hold value strings behind a dict lookup
+(:meth:`TermRows.from_sets`); the q-gram matcher's hold integer gram
+codes behind a sorted-array lookup (:func:`repro.matching.grams.bag_rows`).
 """
 
 from __future__ import annotations
@@ -33,7 +35,9 @@ __all__ = [
     "containment",
     "TermRows",
     "cosine_rows",
+    "cosine_rows_many",
     "jaccard_rows",
+    "jaccard_rows_many",
 ]
 
 
@@ -231,14 +235,39 @@ class TermRows:
             sums[self._nonempty] = np.add.reduceat(values, self._starts)
         return sums
 
-    def dots(self, terms, counts: np.ndarray | int) -> np.ndarray:
-        """Exact integer dot product of every row with the vector that
-        gives each of the distinct *terms* its entry of *counts* (a scalar
-        gives them all the same count).  Terms outside the vocabulary
-        meet no row and add nothing."""
+    def dots_many(self, queries: Sequence[tuple[Collection[Hashable],
+                                                np.ndarray | int]],
+                  positions: Sequence[int]) -> np.ndarray:
+        """Exact integer dot products, as an int64 (queries × positions)
+        array: entry ``[n, j]`` is the dot product of row
+        ``positions[j]`` with the vector that gives each of the distinct
+        terms of ``queries[n] = (terms, counts)`` its entry of *counts*
+        (a scalar gives them all the same count).  Terms outside the
+        vocabulary meet no row and add nothing.
+
+        The rows at *positions* are gathered once; each query then fills
+        one vocabulary-sized vector, reads it at those rows' entries and
+        clears it again, so no (queries × vocabulary) array is built."""
+        rows = np.asarray(positions, dtype=np.intp)
+        out = np.zeros((len(queries), len(rows)), dtype=np.int64)
+        sizes = self.sizes[rows]
+        ends = np.cumsum(sizes)
+        if not len(queries) or not len(rows) or not ends[-1]:
+            return out
+        entries = (np.repeat(self.indptr[:-1][rows] - (ends - sizes), sizes)
+                   + np.arange(ends[-1]))
+        indices = self.indices[entries]
+        counts = self.counts[entries]
+        nonempty = sizes > 0
+        starts = (ends - sizes)[nonempty]
         dense = np.zeros(len(self.lookup) + 1, dtype=np.int64)
-        dense[self.lookup.columns(terms)] = counts
-        return self._row_sums(dense[self.indices] * self.counts)
+        for n, (terms, query_counts) in enumerate(queries):
+            columns = self.lookup.columns(terms)
+            dense[columns] = query_counts
+            out[n, nonempty] = np.add.reduceat(dense[indices] * counts,
+                                               starts)
+            dense[columns] = 0
+        return out
 
 
 class _TermColumns:
@@ -258,40 +287,73 @@ class _TermColumns:
                            dtype=np.intp, count=len(terms))
 
 
-def _empty_source_scores(rows: TermRows) -> np.ndarray:
+def _empty_source_scores(rows: TermRows, at: np.ndarray) -> np.ndarray:
     """Score of an empty source: 1 against empty rows, 0 otherwise."""
-    return np.where(rows.sizes == 0, 1.0, 0.0)
+    return np.where(rows.sizes[at] == 0, 1.0, 0.0)
 
 
-def cosine_rows(terms, counts: np.ndarray, rows: TermRows) -> np.ndarray:
-    """Cosine similarity of the source vector that gives each of the
-    distinct *terms* its entry of *counts* with every row of *rows*, as
-    float64.
+def cosine_rows_many(queries: Sequence[tuple[Collection[Hashable],
+                                             np.ndarray]],
+                     rows: TermRows, positions: Sequence[int]) -> np.ndarray:
+    """Cosine similarity of each query vector ``(terms, counts)`` — each
+    of the distinct *terms* weighted by its entry of *counts* — with the
+    rows at *positions*, as a float64 (queries × positions) array.
 
     The same arithmetic as :func:`cosine_counts`: integer dot products
     and squared norms, one ``sqrt`` per norm, the same product of norms
-    and one division per row, so the two agree bit for bit.
+    and one division per (query, row), so the two agree bit for bit.
     """
-    if not len(terms):
-        return _empty_source_scores(rows)
-    counts = np.asarray(counts, dtype=np.int64)
-    norm = math.sqrt(int(counts @ counts))
-    scores = np.zeros(len(rows))
-    if norm == 0.0:
+    at = np.asarray(positions, dtype=np.intp)
+    scores = np.zeros((len(queries), len(at)))
+    live: list[int] = []
+    norms: list[float] = []
+    for n, (terms, counts) in enumerate(queries):
+        if not len(terms):
+            scores[n] = _empty_source_scores(rows, at)
+            continue
+        counts = np.asarray(counts, dtype=np.int64)
+        norm = math.sqrt(int(counts @ counts))
+        if norm != 0.0:
+            live.append(n)
+            norms.append(norm)
+    if not live:
         return scores
-    scored = rows.norms != 0.0
-    dots = rows.dots(terms, counts)
-    scores[scored] = dots[scored] / (norm * rows.norms[scored])
+    row_norms = rows.norms[at]
+    scored = row_norms != 0.0
+    dots = rows.dots_many([queries[n] for n in live], at)
+    scores[np.ix_(live, np.flatnonzero(scored))] = (
+        dots[:, scored] / (np.asarray(norms)[:, None] * row_norms[scored]))
+    return scores
+
+
+def cosine_rows(terms, counts: np.ndarray, rows: TermRows) -> np.ndarray:
+    """:func:`cosine_rows_many` of one query against every row."""
+    return cosine_rows_many([(terms, counts)], rows, range(len(rows)))[0]
+
+
+def jaccard_rows_many(sources: Sequence[Collection[Hashable]],
+                      rows: TermRows, positions: Sequence[int]) -> np.ndarray:
+    """``jaccard(source, row)`` of each of *sources* with each row at
+    *positions* of ``TermRows.from_sets`` rows, as a float64 (sources ×
+    positions) array: |A ∩ B| / (|A| + |B| − |A ∩ B|) from exact integer
+    counts, one IEEE division per (source, row)."""
+    at = np.asarray(positions, dtype=np.intp)
+    scores = np.zeros((len(sources), len(at)))
+    sets = [source if isinstance(source, (set, frozenset)) else set(source)
+            for source in sources]
+    live = [n for n, terms in enumerate(sets) if terms]
+    for n, terms in enumerate(sets):
+        if not terms:
+            scores[n] = _empty_source_scores(rows, at)
+    if not live:
+        return scores
+    shared = rows.dots_many([(sets[n], 1) for n in live], at)
+    lengths = np.array([len(sets[n]) for n in live], dtype=np.int64)
+    scores[live] = shared / (lengths[:, None] + rows.sizes[at] - shared)
     return scores
 
 
 def jaccard_rows(source: Collection[Hashable],
                  rows: TermRows) -> np.ndarray:
-    """``jaccard(source, row)`` for every row of ``TermRows.from_sets``
-    rows, as float64: |A ∩ B| / (|A| + |B| − |A ∩ B|) from exact integer
-    counts, one IEEE division per row."""
-    terms = source if isinstance(source, (set, frozenset)) else set(source)
-    if not terms:
-        return _empty_source_scores(rows)
-    shared = rows.dots(terms, 1)
-    return shared / (len(terms) + rows.sizes - shared)
+    """:func:`jaccard_rows_many` of one source against every row."""
+    return jaccard_rows_many([source], rows, range(len(rows)))[0]

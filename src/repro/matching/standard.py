@@ -14,6 +14,12 @@ points:
 * :meth:`StandardMatch.score_attribute` — re-score one source attribute
   sample (possibly view-restricted) against a prepared
   :class:`TargetIndex` (the ``ScoreMatch`` call of Figure 5, line 10).
+
+Systems that opt into the profiling interface are also handed prepared
+column profiles: :meth:`StandardMatch.score_column_profiles` scores the
+profiles of one source attribute in many candidate views as one block.
+Every entry point — base columns, black-box samples and view blocks —
+scores through that one block scorer.
 """
 
 from __future__ import annotations
@@ -172,7 +178,8 @@ class MatchingSystem(Protocol):
 
     Implementations may additionally opt into the profiling fast path by
     setting ``supports_profile_store = True`` and providing
-    ``score_column_profile(profile, index, *, keep)`` plus ``matchers`` /
+    ``score_column_profiles(profiles, index, *, keep)`` (the profiles of
+    one attribute's views, scored as one block) plus ``matchers`` /
     ``config`` attributes (see :class:`StandardMatch`); the contextual
     layer falls back to :meth:`score_attribute` per view otherwise.  Setting
     ``supports_target_subset = True`` additionally opts into the retrieval
@@ -257,38 +264,54 @@ class StandardMatch:
             table, attribute, list(sample_values),
             limit=self.config.sample_limit)
         profiles = {m.name: m.profile(sample) for m in self.matchers}
-        return self._score_profiled(table, attribute, sample, profiles,
-                                    index, positions=positions)
+        return self._score_block(attribute, [sample], [profiles], index,
+                                 positions=positions)[0]
 
     def score_column_profile(self, profile: "ColumnProfile",
                              index: TargetIndex,
                              *, positions: Sequence[int] | None = None,
                              keep: Sequence[int] | None = None,
                              ) -> list[AttributeMatch]:
-        """Batch entry point: score a prepared column profile against every
-        target attribute (or the frontier subset in ``positions``).
+        """:meth:`score_column_profiles` of one prepared column profile
+        (the standard-match stage's base columns)."""
+        return self.score_column_profiles([profile], index,
+                                          positions=positions, keep=keep)[0]
+
+    def score_column_profiles(self, profiles: Sequence["ColumnProfile"],
+                              index: TargetIndex,
+                              *, positions: Sequence[int] | None = None,
+                              keep: Sequence[int] | None = None,
+                              ) -> list[list[AttributeMatch]]:
+        """Batch entry point: score prepared profiles of one source
+        attribute (e.g. every member view of a partition) against every
+        target attribute, or against the frontier subset in
+        ``positions``; one match list per profile, in order.
 
         ``keep`` names the target positions whose matches the caller
         reads; None keeps every scored position.  Every scored position
         still enters each matcher's Φ fit, so a kept match equals, bit for
         bit, the match an all-positions call returns for that target.
 
-        The profile (from a :class:`~repro.profiling.ProfileStore`) must
+        The profiles (from a :class:`~repro.profiling.ProfileStore`) must
         have been built under this scorer's matchers and sample limit; the
         scores are then bit-identical to :meth:`score_attribute` over the
         same column values.
         """
-        return self._score_profiled(profile.table, profile.attribute,
-                                    profile.sample_view(), profile.profiles,
-                                    index, positions=positions, keep=keep)
+        if not profiles:
+            return []
+        return self._score_block(
+            profiles[0].attribute, [p.sample_view() for p in profiles],
+            [p.profiles for p in profiles], index, positions=positions,
+            keep=keep)
 
-    def _score_profiled(self, table: str, attribute, sample,
-                        profiles, index: TargetIndex,
-                        *, positions: Sequence[int] | None = None,
-                        keep: Sequence[int] | None = None,
-                        ) -> list[AttributeMatch]:
-        """Shared scoring half: matcher raws -> Φ confidences -> combined
-        evidence, for one source column whose profiles are already built.
+    def _score_block(self, attribute, samples: Sequence,
+                     profiles: Sequence, index: TargetIndex,
+                     *, positions: Sequence[int] | None = None,
+                     keep: Sequence[int] | None = None,
+                     ) -> list[list[AttributeMatch]]:
+        """The one scoring path: matcher raws -> Φ confidences -> combined
+        evidence, for the views of one source attribute (``samples[v]``
+        with per-matcher ``profiles[v]``) against one target subset.
 
         ``positions`` narrows the target side to a frontier subset; the
         Φ normalization then runs over that subset's score distribution
@@ -297,6 +320,15 @@ class StandardMatch:
         historical exhaustive loop.  Raw scores are computed for every
         scored position, since each one enters the fit, but confidences,
         evidence and matches only for those in ``keep`` (None = all).
+
+        ``applicable`` reads only declared types and sample sizes, so
+        each matcher's mask is computed once per distinct sample size and
+        the views sharing a mask are scored in one
+        :meth:`~repro.matching.matchers.base.Matcher.score_views` call.  A
+        view-invariant matcher's scores, Φ fit and evidence are the same
+        for every view with that mask, so they are computed once.  The
+        fit, the confidences and the combination stay scalar Python in
+        matcher order, as for a single column.
         """
         target_ids = (range(len(index.samples)) if positions is None
                       else positions)
@@ -307,37 +339,73 @@ class StandardMatch:
             wanted = set(keep)
             slots = [slot for slot, i in enumerate(target_ids)
                      if i in wanted]
-        # evidence[n] collects MatcherEvidence for target_ids[slots[n]].
-        evidence: list[list[MatcherEvidence]] = [[] for _ in slots]
+        # evidence[v][n] collects MatcherEvidence of view v for
+        # target_ids[slots[n]].
+        evidence: list[list[list[MatcherEvidence]]] = [
+            [[] for _ in slots] for _ in samples]
         for matcher in self.matchers:
-            applicable = [matcher.applicable(sample, t)
-                          for t in target_samples]
-            scores = iter(matcher.score_block(
-                profiles[matcher.name], index.blocks[matcher.name],
-                [i for i, ok in zip(target_ids, applicable) if ok]))
-            raw = [next(scores) if ok else None for ok in applicable]
-            fit = fit_normal(raw)
-            for found, slot in zip(evidence, slots):
-                raw_score = raw[slot]
-                if raw_score is not None:
-                    found.append(MatcherEvidence(
-                        matcher=matcher.name, weight=matcher.weight,
-                        raw_score=raw_score,
-                        confidence=confidence_under(raw_score, fit)))
-        matches: list[AttributeMatch] = []
-        source_ref = AttributeRef(table, attribute.name)
-        for found, slot in zip(evidence, slots):
-            combined = combine_evidence(found)
-            if combined is None:
-                continue
-            target_sample = target_samples[slot]
-            matches.append(AttributeMatch(
-                source=source_ref,
-                target=AttributeRef(target_sample.table, target_sample.name),
-                score=combined.score,
-                confidence=combined.confidence,
-                evidence=combined.evidence))
-        return matches
+            masks: dict[int, tuple[bool, ...]] = {}
+            by_mask: dict[tuple[bool, ...], list[int]] = {}
+            for v, sample in enumerate(samples):
+                mask = masks.get(len(sample))
+                if mask is None:
+                    mask = masks[len(sample)] = tuple(
+                        matcher.applicable_many(sample, target_samples))
+                by_mask.setdefault(mask, []).append(v)
+            block = index.blocks[matcher.name]
+            for mask, views in by_mask.items():
+                ids = [i for i, ok in zip(target_ids, mask) if ok]
+                if not ids:
+                    continue  # the matcher abstains on every target
+                if matcher.view_invariant:
+                    found = self._matcher_evidence(
+                        matcher, mask, matcher.score_block(
+                            profiles[views[0]][matcher.name], block, ids),
+                        slots)
+                    found_by_view = [found] * len(views)
+                else:
+                    found_by_view = [
+                        self._matcher_evidence(matcher, mask, scores, slots)
+                        for scores in matcher.score_views(
+                            [profiles[v][matcher.name] for v in views],
+                            block, ids)]
+                for v, found in zip(views, found_by_view):
+                    for kept, item in zip(evidence[v], found):
+                        if item is not None:
+                            kept.append(item)
+        targets = [AttributeRef(target_samples[slot].table,
+                                target_samples[slot].name) for slot in slots]
+        results: list[list[AttributeMatch]] = []
+        for sample, found_by_slot in zip(samples, evidence):
+            source_ref = AttributeRef(sample.table, attribute.name)
+            matches: list[AttributeMatch] = []
+            for found, target_ref in zip(found_by_slot, targets):
+                combined = combine_evidence(found)
+                if combined is None:
+                    continue
+                matches.append(AttributeMatch(
+                    source=source_ref, target=target_ref,
+                    score=combined.score,
+                    confidence=combined.confidence,
+                    evidence=combined.evidence))
+            results.append(matches)
+        return results
+
+    @staticmethod
+    def _matcher_evidence(matcher: Matcher, mask: Sequence[bool],
+                          scores: Sequence[float], slots: Sequence[int],
+                          ) -> list[MatcherEvidence | None]:
+        """One matcher's evidence for each kept slot (None where it
+        abstains): *scores* fill the applicable positions of *mask* in
+        order, and the Φ fit runs over all of them."""
+        found = iter(scores)
+        raw = [next(found) if ok else None for ok in mask]
+        fit = fit_normal(raw)
+        return [None if raw[slot] is None else MatcherEvidence(
+                    matcher=matcher.name, weight=matcher.weight,
+                    raw_score=raw[slot],
+                    confidence=confidence_under(raw[slot], fit))
+                for slot in slots]
 
     # ------------------------------------------------------------------
     # Whole-schema matching

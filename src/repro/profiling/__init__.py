@@ -16,7 +16,8 @@ exactly once and keys it for reuse:
   matcher);
 * :class:`ProfileStore` — the keyed cache of both, with hit/miss/merge
   counters that pipeline stages surface in their
-  :class:`~repro.engine.report.StageReport`.
+  :class:`~repro.engine.report.StageReport`; it builds the profiles of
+  a partition's views of one attribute as one block.
 
 Matchers whose profiles are additive implement
 :meth:`~repro.matching.matchers.Matcher.merge_profiles`, so merged-group

@@ -15,14 +15,15 @@ Row indices are held as numpy arrays: merged-group row sets come from one
 C-level concatenate-and-sort (indices are unique, so the ascending order
 is identical to a heap merge), presence filtering is a boolean gather over
 the base relation's memoized per-column mask, and
-:meth:`PartitionIndex.sampled_present_column` pushes the deterministic
+:meth:`PartitionIndex.sampled_present_rows` pushes the deterministic
 systematic thinning into *index space* so only the sampled rows are ever
-gathered as Python objects.
+gathered as Python objects — for a whole block of views in one
+:meth:`PartitionIndex.gather_many` call.
 """
 
 from __future__ import annotations
 
-from typing import Any, Iterable
+from typing import Any, Iterable, Sequence
 
 import numpy as np
 
@@ -132,26 +133,23 @@ class PartitionIndex:
         store = self.relation.column_store(attr_name)
         return store.gather(self.group_row_array(group))
 
-    def restricted_present_column(self, attr_name: str,
-                                  group: Iterable[Any]) -> list[Any]:
-        """The group view's column with missing values already removed —
-        bit-identical to filtering :meth:`restricted_column` through
-        ``is_missing``, but masked in index space."""
-        rows = self.group_row_array(group)
-        present = rows[self._presence(attr_name)[rows]]
-        return self.relation.column_store(attr_name).gather(present)
+    def has_cell(self, value: Any) -> bool:
+        """Whether *value* has a cell (it occurs in the column)."""
+        return value in self._cell_arrays
 
-    def sampled_present_column(self, attr_name: str, group: Iterable[Any],
-                               limit: int | None) -> tuple[list[Any], bool]:
-        """``(values, thinned)``: the group view's non-missing column,
-        systematically thinned to *limit*.
-
-        Exactly ``systematic_thin(restricted_present_column(...), limit)``
-        — the stride formula runs over the index array, so at most *limit*
-        values are gathered from the base column.
-        """
+    def present_rows(self, attr_name: str,
+                     group: Iterable[Any]) -> np.ndarray:
+        """Base-order rows of the group's view where *attr_name* is not
+        missing."""
         rows = self.group_row_array(group)
-        present = rows[self._presence(attr_name)[rows]]
+        return rows[self._presence(attr_name)[rows]]
+
+    def sampled_present_rows(self, attr_name: str, group: Iterable[Any],
+                             limit: int | None) -> tuple[np.ndarray, bool]:
+        """``(rows, thinned)``: :meth:`present_rows` systematically thinned
+        to *limit* — the ``systematic_thin`` stride formula evaluated over
+        the index array, so at most *limit* rows are kept."""
+        present = self.present_rows(attr_name, group)
         n_clean = len(present)
         thinned = limit is not None and n_clean > limit
         if thinned:
@@ -160,8 +158,26 @@ class PartitionIndex:
             # scalar helper does.
             step = n_clean / limit
             present = present[(np.arange(limit) * step).astype(np.intp)]
-        store = self.relation.column_store(attr_name)
-        return store.gather(present), thinned
+        return present, thinned
+
+    def gather_many(self, attr_name: str,
+                    row_arrays: Sequence[np.ndarray]) -> list[list[Any]]:
+        """The *attr_name* values at each of *row_arrays*, read from the
+        base column in one gather."""
+        if not row_arrays:
+            return []
+        values = self.relation.column_store(attr_name).gather(
+            np.concatenate(row_arrays))
+        bounds = np.cumsum([0, *map(len, row_arrays)]).tolist()
+        return [values[a:b] for a, b in zip(bounds, bounds[1:])]
+
+    def restricted_present_column(self, attr_name: str,
+                                  group: Iterable[Any]) -> list[Any]:
+        """The group view's column with missing values already removed —
+        bit-identical to filtering :meth:`restricted_column` through
+        ``is_missing``, but masked in index space."""
+        return self.gather_many(attr_name,
+                                [self.present_rows(attr_name, group)])[0]
 
     @property
     def n_cells(self) -> int:

@@ -17,6 +17,13 @@ gathered union sample only for the rest.  Both paths are bit-identical to
 profiling the materialized view: composition is only attempted when no
 deterministic thinning is in play, and the in-tree additive profiles are
 order-independent integer/set structures.
+
+Both builders work on blocks — the views of one attribute that a scoring
+pass needs: :func:`build_presampled_profiles` and
+:func:`merge_column_profiles_many` profile every column of a block with
+one :meth:`Matcher.profile_many` call per matcher, which counts a whole
+block's q-grams in one ``np.unique`` and profiles a view-invariant
+matcher once.  The one-column functions are their one-element calls.
 """
 
 from __future__ import annotations
@@ -30,7 +37,8 @@ from ..relational.types import is_missing
 from ..sampling import systematic_thin
 
 __all__ = ["SampleDigest", "ColumnProfile", "build_column_profile",
-           "merge_column_profiles"]
+           "build_presampled_profiles", "merge_column_profiles",
+           "merge_column_profiles_many"]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -110,6 +118,13 @@ def _drop_missing(values: Sequence[Any]) -> list[Any]:
     return [v for v in values if v not in missing]
 
 
+def _thin(clean: Sequence[Any], limit: int | None) -> tuple[list[Any], bool]:
+    """``(sample values, thinned)`` of a clean column under *limit*."""
+    thinned = limit is not None and len(clean) > limit
+    return (systematic_thin(clean, limit) if limit is not None
+            else list(clean)), thinned
+
+
 def build_column_profile(table: str, attribute: Attribute,
                          values: Sequence[Any], matchers: Sequence[Matcher],
                          limit: int | None,
@@ -121,31 +136,32 @@ def build_column_profile(table: str, attribute: Attribute,
     (e.g. via a memoized presence mask) — the filtering pass is skipped.
     """
     clean = list(values) if values_clean else _drop_missing(values)
-    thinned = limit is not None and len(clean) > limit
-    # clean already has missing values removed; build the sample directly
-    # rather than through from_column, which would re-filter every value.
-    sample = AttributeSample(
-        table, attribute,
-        tuple(systematic_thin(clean, limit) if limit is not None else clean))
-    return ColumnProfile(
-        table=table, attribute=attribute, n_values=len(sample.values),
-        thinned=thinned,
-        profiles={m.name: m.profile(sample) for m in matchers},
-        sample=sample)
+    sample_values, thinned = _thin(clean, limit)
+    return build_presampled_profiles(
+        attribute, [(table, sample_values, thinned)], matchers)[0]
 
 
-def build_presampled_profile(table: str, attribute: Attribute,
-                             sample_values: Sequence[Any], thinned: bool,
-                             matchers: Sequence[Matcher]) -> ColumnProfile:
-    """Profile a column whose clean, thinned sample the caller already
-    gathered (e.g. :meth:`PartitionIndex.sampled_present_column`, which
-    thins in index space before touching row data)."""
-    sample = AttributeSample(table, attribute, tuple(sample_values))
-    return ColumnProfile(
-        table=table, attribute=attribute, n_values=len(sample.values),
-        thinned=thinned,
-        profiles={m.name: m.profile(sample) for m in matchers},
-        sample=sample)
+def build_presampled_profiles(attribute: Attribute,
+                              columns: Sequence[tuple[str, Sequence[Any],
+                                                      bool]],
+                              matchers: Sequence[Matcher],
+                              ) -> list[ColumnProfile]:
+    """Profile columns of one attribute — ``(table, sample values,
+    thinned)`` each, whose clean, thinned samples the caller already
+    gathered (e.g. through :meth:`PartitionIndex.sampled_present_rows`,
+    which thins in index space before touching row data) — with one
+    :meth:`~repro.matching.matchers.Matcher.profile_many` call per
+    matcher."""
+    samples = [AttributeSample(table, attribute, tuple(values))
+               for table, values, _ in columns]
+    by_matcher = [(m.name, m.profile_many(samples)) for m in matchers]
+    return [ColumnProfile(
+                table=sample.table, attribute=attribute,
+                n_values=len(sample.values), thinned=thinned,
+                profiles={name: profiles[n] for name, profiles in by_matcher},
+                sample=sample)
+            for n, (sample, (_, _, thinned)) in enumerate(zip(samples,
+                                                              columns))]
 
 
 def merge_column_profiles(table: str, attribute: Attribute,
@@ -162,34 +178,74 @@ def merge_column_profiles(table: str, attribute: Attribute,
     is only called when some matcher profile — or the union sample itself,
     when thinning applies — cannot be composed.
     """
-    total = sum(p.n_values for p in parts)
-    composable = (not any(p.thinned for p in parts)
-                  and (limit is None or total <= limit))
-    if not composable:
-        # Thinning of the union differs from the union of (possibly
-        # thinned) cells: rebuild from the gathered rows for exactness.
-        return build_column_profile(table, attribute, gather_values(),
-                                    matchers, limit, values_clean=True), 0
+    return merge_column_profiles_many(
+        attribute, [(table, parts)], matchers, limit,
+        lambda wanted: [gather_values() for _ in wanted])[0]
+
+
+def merge_column_profiles_many(
+        attribute: Attribute,
+        groups: Sequence[tuple[str, Sequence[ColumnProfile]]],
+        matchers: Sequence[Matcher], limit: int | None,
+        gather: Callable[[Sequence[int]], Sequence[Sequence[Any]]],
+        ) -> list[tuple[ColumnProfile, int]]:
+    """:func:`merge_column_profiles` of each ``(table, parts)`` of
+    *groups* (unions of cells of one attribute), as one block.
+
+    ``gather(wanted)`` materializes the union columns of the groups
+    numbered *wanted* (base-row order, missing values removed); it is
+    called at most once.  The profiles computed from values — whole
+    profiles of groups that cannot be composed, and the non-additive
+    matchers' profiles of those that can — take one
+    :meth:`~repro.matching.matchers.Matcher.profile_many` call per
+    matcher.
+    """
     mergeable = [m for m in matchers if m.mergeable]
-    if len(mergeable) == len(matchers):
-        # Pure composition: no raw row is touched.
-        profiles = {m.name: m.merge_profiles([p.profiles[m.name]
-                                              for p in parts])
-                    for m in matchers}
-        return ColumnProfile(table=table, attribute=attribute,
-                             n_values=total, thinned=False,
-                             profiles=profiles, sample=None), len(matchers)
-    # Mixed: gather the union sample once for the non-additive matchers,
-    # compose the rest from cell profiles.
-    clean = list(gather_values())
-    sample = AttributeSample(
-        table, attribute,
-        tuple(systematic_thin(clean, limit) if limit is not None else clean))
-    profiles = {
-        m.name: (m.merge_profiles([p.profiles[m.name] for p in parts])
-                 if m.mergeable else m.profile(sample))
-        for m in matchers
-    }
-    return ColumnProfile(table=table, attribute=attribute,
-                         n_values=len(sample.values), thinned=False,
-                         profiles=profiles, sample=sample), len(mergeable)
+    results: list[tuple[ColumnProfile, int] | None] = [None] * len(groups)
+    rebuild: list[int] = []
+    mixed: list[int] = []
+    for n, (table, parts) in enumerate(groups):
+        total = sum(p.n_values for p in parts)
+        if any(p.thinned for p in parts) or (limit is not None
+                                             and total > limit):
+            # Thinning of the union differs from the union of (possibly
+            # thinned) cells: rebuild from the gathered rows for exactness.
+            rebuild.append(n)
+        elif len(mergeable) == len(matchers):
+            # Pure composition: no raw row is touched.
+            profiles = {m.name: m.merge_profiles([p.profiles[m.name]
+                                                  for p in parts])
+                        for m in matchers}
+            results[n] = (ColumnProfile(table=table, attribute=attribute,
+                                        n_values=total, thinned=False,
+                                        profiles=profiles, sample=None),
+                          len(matchers))
+        else:
+            mixed.append(n)
+    if rebuild or mixed:
+        gathered = dict(zip(rebuild + mixed, gather(rebuild + mixed)))
+        rebuilt = build_presampled_profiles(
+            attribute, [(groups[n][0], *_thin(list(gathered[n]), limit))
+                        for n in rebuild], matchers)
+        for n, profile in zip(rebuild, rebuilt):
+            results[n] = (profile, 0)
+        # Mixed: gather the union sample once for the non-additive
+        # matchers, compose the rest from cell profiles.
+        samples = [AttributeSample(groups[n][0], attribute,
+                                   tuple(_thin(list(gathered[n]), limit)[0]))
+                   for n in mixed]
+        computed = {m.name: m.profile_many(samples)
+                    for m in matchers if not m.mergeable}
+        for k, (n, sample) in enumerate(zip(mixed, samples)):
+            parts = groups[n][1]
+            profiles = {
+                m.name: (m.merge_profiles([p.profiles[m.name] for p in parts])
+                         if m.mergeable else computed[m.name][k])
+                for m in matchers
+            }
+            results[n] = (ColumnProfile(table=sample.table,
+                                        attribute=attribute,
+                                        n_values=len(sample.values),
+                                        thinned=False, profiles=profiles,
+                                        sample=sample), len(mergeable))
+    return results

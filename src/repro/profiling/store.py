@@ -10,14 +10,24 @@ store's matcher configuration, so sharing a store across pipeline stages
 and across engine runs (via :class:`~repro.engine.prepared.PreparedSource`)
 only skips recomputation, never changes results.
 
+View profiles are built as blocks: :meth:`ProfileStore.view_profiles`
+takes every group of one (base, partition attribute, attribute) that the
+scoring stage needs, gathers the sampled rows of the missing ones in one
+read of the base column and profiles them with one
+:meth:`~repro.matching.matchers.Matcher.profile_many` call per matcher.
+:meth:`ProfileStore.view_profile` is its one-group call.
+
 Hit/miss/merge counters are cheap monotonic tallies; pipeline stages
 snapshot them around their work and surface the deltas in each stage's
-:class:`~repro.engine.report.StageReport`.
+:class:`~repro.engine.report.StageReport`.  A block tallies its lookups
+exactly as looking its groups up one at a time would, so the counters do
+not depend on how the groups are batched.
 """
 
 from __future__ import annotations
 
-from typing import Any, Hashable, Sequence
+import dataclasses
+from typing import Hashable, Sequence
 
 from ..matching.matchers import Matcher
 from ..relational.conditions import Eq, In
@@ -25,13 +35,25 @@ from ..relational.instance import Relation
 from ..relational.views import view_name
 from .partition import PartitionIndex
 from .profiles import (ColumnProfile, build_column_profile,
-                       build_presampled_profile, merge_column_profiles)
+                       build_presampled_profiles, merge_column_profiles_many)
 
 __all__ = ["ProfileStore"]
 
 #: Counter keys a store reports (all monotonically non-decreasing).
 _COUNTERS = ("profile_hits", "profile_misses", "partitions_built",
              "partition_hits", "profiles_merged")
+
+
+@dataclasses.dataclass
+class _BlockPlan:
+    """The profiles one :meth:`ProfileStore.view_profiles` call builds:
+    the keys it missed, those profiled from their own rows (``direct``)
+    and those composed from cell profiles (``composed``, with the cells'
+    keys)."""
+
+    missed: set = dataclasses.field(default_factory=set)
+    direct: list = dataclasses.field(default_factory=list)
+    composed: list = dataclasses.field(default_factory=list)
 
 
 class ProfileStore:
@@ -126,47 +148,95 @@ class ProfileStore:
 
     def view_profile(self, base: Relation, partition_attr: str,
                      group: frozenset, attr_name: str) -> ColumnProfile:
-        """The profile of one attribute of the view selecting *group*.
+        """The profile of one attribute of the view selecting *group*
+        (:meth:`view_profiles` of one group)."""
+        return self.view_profiles(base, partition_attr, [group],
+                                  attr_name)[0]
+
+    def view_profiles(self, base: Relation, partition_attr: str,
+                      groups: Sequence[frozenset],
+                      attr_name: str) -> list[ColumnProfile]:
+        """The profiles of one attribute of the views selecting each of
+        *groups*, built as one block.
 
         Singleton groups profile their partition cell directly; merged
         groups compose from the cached singleton-cell profiles via
         :meth:`Matcher.merge_profiles` wherever the profiles are additive
         and no thinning interferes, falling back to re-profiling the
-        gathered union rows otherwise.
+        gathered union rows otherwise.  Either way no view is
+        materialized.  Every cache lookup is tallied as looking the groups
+        up one at a time in order would: a miss reads the partition once
+        more, and a merged-group miss looks up each of its cells.  The
+        profiles themselves are then built together — the sampled rows of
+        every missing group in one gather, and one
+        :meth:`~repro.matching.matchers.Matcher.profile_many` call per
+        matcher for the directly profiled groups and one for the merged
+        groups' non-additive matchers.
         """
+        plan = _BlockPlan()
+        keys = [self._plan_view(plan, base, partition_attr, group, attr_name)
+                for group in groups]
+        direct, composed = plan.direct, plan.composed
+        if direct or composed:
+            index = self._partitions[(base.name, partition_attr)]
+            attribute = base.schema.attribute(attr_name)
+            sampled = [index.sampled_present_rows(attr_name, key[2],
+                                                  self.sample_limit)
+                       for key in direct]
+            values = index.gather_many(attr_name,
+                                       [rows for rows, _ in sampled])
+            built = build_presampled_profiles(
+                attribute,
+                [(self._view_table(base.name, partition_attr, key[2]),
+                  column, thinned)
+                 for key, column, (_, thinned) in zip(direct, values,
+                                                      sampled)],
+                self.matchers)
+            self._profiles.update(zip(direct, built))
+            merged = merge_column_profiles_many(
+                attribute,
+                [(self._view_table(base.name, partition_attr, key[2]),
+                  [self._profiles[cell] for cell in cells])
+                 for key, cells in composed],
+                self.matchers, self.sample_limit,
+                lambda wanted: index.gather_many(
+                    attr_name, [index.present_rows(attr_name,
+                                                   composed[n][0][2])
+                                for n in wanted]))
+            for (key, _), (profile, n_merged) in zip(composed, merged):
+                self._profiles[key] = profile
+                self.profiles_merged += n_merged
+        return [self._profiles[key] for key in keys]
+
+    def _plan_view(self, plan: "_BlockPlan", base: Relation,
+                   partition_attr: str, group: frozenset,
+                   attr_name: str) -> tuple:
+        """Look up one view profile, tallied as a one-view lookup is: a
+        hit, or a miss that reads the partition once more and, for a
+        merged group that can compose, looks up each of its cells.  A miss
+        is queued on *plan* to be built; returns the profile's key."""
         key = (base.name, partition_attr, group, attr_name)
-        profile = self._profiles.get(key)
-        if profile is not None:
+        if key in self._profiles or key in plan.missed:
             self.profile_hits += 1
-            return profile
+            return key
         self.profile_misses += 1
+        plan.missed.add(key)
         index = self.partition(base, partition_attr)
-        attribute = base.schema.attribute(attr_name)
-        table = self._view_table(base.name, partition_attr, group)
         # Merged groups compose from cell profiles only when the union can
         # not be thinned (total rows within the sample limit guarantees
         # every cell and the union are unthinned); otherwise — and for
         # singletons — profile the partition-restricted column directly.
-        # Either way no view is materialized.
-        compose = (len(group) > 1
-                   and (self.sample_limit is None
-                        or index.group_size(group) <= self.sample_limit))
-        if compose:
-            cells = [self.view_profile(base, partition_attr, frozenset({v}),
-                                       attr_name)
-                     for v in sorted(group, key=repr) if v in index.cells]
-        if compose and cells:
-            profile, merged = merge_column_profiles(
-                table, attribute, cells, self.matchers, self.sample_limit,
-                lambda: index.restricted_present_column(attr_name, group))
-            self.profiles_merged += merged
-        else:
-            values, thinned = index.sampled_present_column(
-                attr_name, group, self.sample_limit)
-            profile = build_presampled_profile(
-                table, attribute, values, thinned, self.matchers)
-        self._profiles[key] = profile
-        return profile
+        if len(group) > 1 and (self.sample_limit is None
+                               or index.group_size(group)
+                               <= self.sample_limit):
+            cells = [self._plan_view(plan, base, partition_attr,
+                                     frozenset({v}), attr_name)
+                     for v in sorted(group, key=repr) if index.has_cell(v)]
+            if cells:
+                plan.composed.append((key, cells))
+                return key
+        plan.direct.append(key)
+        return key
 
     @staticmethod
     def _view_table(base: str, partition_attr: str, group: frozenset) -> str:

@@ -200,20 +200,22 @@ class ScoringFrontier:
         self.pairs_considered = 0
         self.pairs_pruned = 0
 
-    def positions_for(self, attr_name: str) -> tuple[int, ...] | None:
+    def positions_for(self, attr_name: str, *,
+                      views: int = 1) -> tuple[int, ...] | None:
         """Target positions to rescore *attr_name* against (None =
-        everything), tallying the considered/pruned pair counts."""
+        everything), tallying the considered/pruned pair counts of
+        rescoring it in *views* views."""
         if self.positions is None:
-            self.pairs_considered += self.n_targets
+            self.pairs_considered += views * self.n_targets
             return None
         positions = self.positions.get(attr_name)
         if positions is None:
             # Attribute unseen at frontier-build time (defensive): score
             # exhaustively rather than dropping evidence.
-            self.pairs_considered += self.n_targets
+            self.pairs_considered += views * self.n_targets
             return None
-        self.pairs_considered += len(positions)
-        self.pairs_pruned += self.n_targets - len(positions)
+        self.pairs_considered += views * len(positions)
+        self.pairs_pruned += views * (self.n_targets - len(positions))
         return positions
 
     def counts(self) -> dict[str, int]:

@@ -15,6 +15,12 @@ scores every (query gram, document) posting at once and adds each
 document's contributions in the query bag's order (ascending code) with
 ``np.add.accumulate``, a sequential sum.  Rankings are deterministic
 across processes — ties break by ascending document id.
+
+An index pickles its documents and constants, not its postings: the
+postings, idf and lookup are a pure function of the documents and are
+rebuilt on load.  The documents are the very bags of
+``TargetIndex.profiles["qgram"]``, so a pickled prepared target (a store
+blob, an executor chunk) holds each bag once.
 """
 
 from __future__ import annotations
@@ -44,8 +50,24 @@ class BM25Index:
 
     def __init__(self, documents: Sequence[GramBag],
                  *, k1: float = 1.2, b: float = 0.75):
+        self.documents = list(documents)
         self.k1 = k1
         self.b = b
+        self._derive()
+
+    def __getstate__(self) -> dict:
+        """The documents and constants only: the postings, idf and lookup
+        are a pure function of them, rebuilt on load."""
+        return {"documents": self.documents, "k1": self.k1, "b": self.b}
+
+    def __setstate__(self, state: dict) -> None:
+        self.documents = state["documents"]
+        self.k1 = state["k1"]
+        self.b = state["b"]
+        self._derive()
+
+    def _derive(self) -> None:
+        documents = self.documents
         self.n_docs = len(documents)
         self.doc_lengths = np.array([doc.total() for doc in documents],
                                     dtype=np.int64)

@@ -70,7 +70,10 @@ __all__ = ["ArtifactStore", "StoreEntry", "STORE_FORMAT",
 #: revisions with a typed error.  Format 2: q-gram profiles, Naive Bayes
 #: statistics and BM25 postings hold integer gram codes
 #: (:mod:`repro.matching.grams`) where format 1 held gram strings.
-STORE_FORMAT = 2
+#: Format 3: a BM25 index pickles its document bags (shared with the
+#: target index's q-gram profiles) and rebuilds its postings on load,
+#: where format 2 pickled the postings.
+STORE_FORMAT = 3
 
 KIND_TARGET = "prepared-target"
 KIND_SOURCE = "prepared-source"

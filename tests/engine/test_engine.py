@@ -1,6 +1,8 @@
 """Tests for the MatchEngine: prepared-target reuse, batch matching,
 pluggable stages, observer hooks, and run reports."""
 
+import dataclasses
+
 import pytest
 
 from repro import (ContextMatch, ContextMatchConfig, MatchEngine,
@@ -300,6 +302,31 @@ class TestMatchReversed:
         assert matcher.index_builds == 1
 
 
+class TestGarbage:
+    def test_a_run_leaves_no_cyclic_garbage(self, retail_sources):
+        """Reference counting frees everything a warm run allocates:
+        cyclic garbage would outlive the run until a collection, and a
+        worker matching source after source would climb in peak
+        memory."""
+        import gc
+
+        sources, target = retail_sources
+        engine = MatchEngine(dataclasses.replace(CONFIG,
+                                                 conjunctive_stages=2))
+        prepared = engine.prepare(target)
+        engine.match(sources[0], prepared)
+        gc.collect()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            engine.match(sources[1], prepared)
+            gc.collect()
+            garbage = list(gc.garbage)
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+        assert garbage == []
+
+
 class TestDeterminism:
     def test_reused_prepared_target_is_stateless_across_runs(
             self, retail_sources):
@@ -363,6 +390,33 @@ class TestRunTokenCache:
         assert not any(thread.is_alive() for thread in threads)
         assert not errors, errors[0]
         assert [results[0], results[1]] == solo
+
+    def test_stage_counts_sum_to_the_run_cache(self, retail_sources):
+        """Every stage that tokenizes credits its cache work, the
+        rescoring and refinement stages included, so the stage counts of
+        a run sum to its whole q-gram cache traffic."""
+        from repro.matching.tokens import token_cache_counters
+
+        class CacheTotals(EngineObserver):
+            def on_stage_end(self, report, state):
+                # Inside the run: the active cache is the run's own.
+                self.totals = token_cache_counters()
+
+        sources, target = retail_sources
+        totals = CacheTotals()
+        engine = MatchEngine(dataclasses.replace(CONFIG,
+                                                 conjunctive_stages=2),
+                             observers=[totals])
+        result = engine.match(sources[0], engine.prepare(target))
+        counts = result.report.stage("conjunctive-refine").counts
+        assert counts["iterations"] == 1
+        assert counts["token_cache_hits"] > 0
+        assert result.report.stage("score-candidates").counts[
+            "token_cache_hits"] > 0
+        summed = {key: sum(stage.counts.get(key, 0)
+                           for stage in result.report.stages)
+                  for key in totals.totals}
+        assert summed == totals.totals
 
     def test_runs_leave_the_process_cache_unchanged(self, retail_sources):
         from repro.datagen import make_retail_workload

@@ -216,8 +216,9 @@ class TestPrunedWideTarget:
     """Every registered scenario's target is narrower than
     ``retrieval_top_k``, so its frontier is always the identity; a
     52-attribute padded target makes retrieval hand the kernels real
-    position subsets.  The reference run swaps the kernels for the base
-    class's per-target ``score_profiles`` loop."""
+    position subsets.  The reference run swaps the kernels — the view
+    block entry point included — for the base class's per-target
+    ``score_profiles`` loop."""
 
     def test_pruned_run_matches_the_profile_loop(self, monkeypatch):
         base = make_retail_workload(target="ryan", n_source=100,
@@ -231,6 +232,7 @@ class TestPrunedWideTarget:
         for cls in KERNEL_MATCHERS:
             monkeypatch.setattr(cls, "target_block", Matcher.target_block)
             monkeypatch.setattr(cls, "score_block", Matcher.score_block)
+            monkeypatch.setattr(cls, "score_views", Matcher.score_views)
         loop = MatchEngine(config).match(base.source, target)
         assert kernel.matches
         assert _match_keys(kernel) == _match_keys(loop)

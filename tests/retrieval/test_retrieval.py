@@ -71,6 +71,57 @@ class TestBM25Index:
         assert ranked[0][0] == 0
 
 
+class TestBM25Pickle:
+    """An index pickles its document bags and constants; the postings,
+    idf and lookup are rebuilt on load."""
+
+    @pytest.fixture(scope="class")
+    def documents(self, prepared_retail):
+        return prepared_retail.index.profiles["qgram"]
+
+    def test_state_is_documents_and_constants(self, documents):
+        index = BM25Index(documents, k1=1.5, b=0.6)
+        state = index.__getstate__()
+        assert set(state) == {"documents", "k1", "b"}
+        assert state["documents"] == documents
+        assert (state["k1"], state["b"]) == (1.5, 0.6)
+
+    def test_loaded_index_ranks_like_the_built_one(self, documents):
+        index = BM25Index(documents)
+        loaded = pickle.loads(pickle.dumps(index))
+        rng = np.random.default_rng(11)
+        codes = np.unique(np.concatenate([d.codes for d in documents]))
+        queries = list(documents) + [GramBag.empty(3), None]
+        for _ in range(25):
+            picked = np.unique(rng.choice(codes, size=rng.integers(1, 40)))
+            queries.append(GramBag(3, picked.astype(codes.dtype),
+                                   rng.integers(1, 5, len(picked))
+                                   .astype(np.int32)))
+        for query in queries:
+            assert loaded.query(query) == index.query(query)
+            assert loaded.query(query, limit=3) == index.query(query,
+                                                                limit=3)
+
+    def test_equal_content_pickles_byte_equal(self, documents):
+        copies = [GramBag(bag.q, bag.codes.copy(), bag.counts.copy())
+                  for bag in documents]
+        assert pickle.dumps(BM25Index(documents)) \
+            == pickle.dumps(BM25Index(copies))
+        index = BM25Index(documents)
+        index.query(documents[0])
+        assert pickle.dumps(index) == pickle.dumps(BM25Index(documents))
+
+    def test_prepared_target_holds_each_bag_once(self, prepared_retail):
+        """The index's documents are the target index's q-gram profiles,
+        so a pickled prepared target carries them once."""
+        sparse = prepared_retail.retrieval.sparse
+        assert all(doc is bag for doc, bag in zip(
+            sparse.documents, prepared_retail.index.profiles["qgram"]))
+        alone = len(pickle.dumps(prepared_retail.index))
+        together = len(pickle.dumps((prepared_retail.index, sparse)))
+        assert together - alone < 2048
+
+
 class TestMinHashLSH:
     def test_gram_hash_is_process_stable(self):
         # blake2b-derived, so this value is a constant of the test suite.

@@ -1,7 +1,8 @@
 """Lookups consider only entries this library can load.
 
 An entry written under another store format (format 1 held gram-string
-profiles and postings) or another library version is refused by
+profiles and postings, format 2 pickled BM25 postings) or another
+library version is refused by
 ``load`` with ``ArtifactVersionError`` before its blob is unpickled.
 ``save``'s dedup, ``find`` — and with it ``prepared_target`` — and
 ``MatchService.resolve`` by name skip such entries, so a store holding
@@ -42,16 +43,16 @@ def _stale(store: ArtifactStore, token: str, **fields) -> None:
     path.write_text(json.dumps(manifest))
 
 
-STALE = [{"format": 1}, {"format": STORE_FORMAT + 1},
+STALE = [{"format": 1}, {"format": 2}, {"format": STORE_FORMAT + 1},
          {"version": "0.0.0"}]
 
 
-def test_format_is_two():
-    assert STORE_FORMAT == 2
+def test_format_is_three():
+    assert STORE_FORMAT == 3
 
 
-@pytest.mark.parametrize("fields", STALE, ids=["format-1", "format-next",
-                                               "version"])
+@pytest.mark.parametrize("fields", STALE, ids=["format-1", "format-2",
+                                               "format-next", "version"])
 class TestStaleEntries:
     @pytest.fixture
     def stale(self, tmp_path, engine, target, fields):
