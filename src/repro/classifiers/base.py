@@ -36,7 +36,20 @@ from typing import Any, Hashable, Iterable, Sequence
 
 import numpy as np
 
-__all__ = ["Classifier", "GroupColumn", "GroupScorer"]
+__all__ = ["Classifier", "GroupColumn", "GroupScorer", "label_key"]
+
+
+def label_key(label: Any) -> str:
+    """The tie-break key of a label: its ``repr``, except that a
+    frozenset — a merged label group of the early-disjunct loop — lists
+    its members sorted by their own keys.  A frozenset's ``repr`` lists
+    them in iteration order, which for strings follows the process's
+    string hash seed, so ties decided on it would differ from process to
+    process."""
+    if isinstance(label, frozenset) and label:
+        members = ", ".join(sorted(label_key(member) for member in label))
+        return f"{type(label).__name__}({{{members}}})"
+    return repr(label)
 
 
 def value_key(value: Any) -> tuple | None:
@@ -57,9 +70,10 @@ class GroupColumn:
     ``scores`` holds the group's score for every scorer row (posterior,
     or whatever the classifier maximizes).  ``count`` is the group's
     training count, the first tie-break after the score.  Remaining ties
-    go to the larger ``repr`` of the group label, then to the group first
-    in label order; ``order`` overrides that label order per row (lower
-    first) for classifiers whose candidate order depends on the value.
+    go to the larger :func:`label_key` of the group label, then to the
+    group first in label order; ``order`` overrides that label order per
+    row (lower first) for classifiers whose candidate order depends on
+    the value.
     """
 
     scores: np.ndarray

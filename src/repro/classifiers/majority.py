@@ -13,15 +13,16 @@ from typing import Any, Hashable, Sequence
 
 import numpy as np
 
-from .base import Classifier, GroupColumn, GroupScorer
+from .base import Classifier, GroupColumn, GroupScorer, label_key
 
 __all__ = ["MajorityClassifier"]
 
 
 class _MajorityGroupScorer(GroupScorer):
     """Every value shares one row scored 0.0 by every group, so the tie
-    rule alone — count, then ``repr``, then label order — picks the
-    majority group; a group's count is its members' counts summed."""
+    rule alone — count, then :func:`~repro.classifiers.base.label_key`,
+    then label order — picks the majority group; a group's count is its
+    members' counts summed."""
 
     def __init__(self, label_counts: Counter, values: Sequence[Any]):
         self.labels = tuple(label_counts)
@@ -54,7 +55,7 @@ class MajorityClassifier(Classifier):
         if not self._label_counts:
             return None
         return max(self._label_counts,
-                   key=lambda lab: (self._label_counts[lab], repr(lab)))
+                   key=lambda lab: (self._label_counts[lab], label_key(lab)))
 
     @property
     def majority_fraction(self) -> float:

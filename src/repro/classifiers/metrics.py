@@ -14,7 +14,7 @@ import dataclasses
 from collections import Counter
 from typing import Any, Hashable, Iterable, Iterator
 
-from .base import Classifier
+from .base import Classifier, label_key
 
 __all__ = ["ConfusionMatrix", "evaluate_classifier", "micro_fbeta",
            "per_label_precision_recall", "normalized_error_pairs",
@@ -122,7 +122,7 @@ def _normalized_counts(matrix: ConfusionMatrix) -> Iterator[tuple[frozenset, flo
 
 
 def _rank_key(item: tuple[frozenset, float]) -> tuple:
-    return (-item[1], sorted(map(repr, item[0])))
+    return (-item[1], sorted(map(label_key, item[0])))
 
 
 def normalized_error_pairs(matrix: ConfusionMatrix) -> list[tuple[frozenset, float]]:
@@ -133,14 +133,16 @@ def normalized_error_pairs(matrix: ConfusionMatrix) -> list[tuple[frozenset, flo
     that appears most often as an error during testing (after normalizing
     for the frequency of v and v')" (Section 3.3).  The normalizer is the
     combined frequency of the two labels in the test set.  Ties go to the
-    smaller sorted label ``repr``s, then to the pair seen first.
+    pair whose sorted label keys
+    (:func:`~repro.classifiers.base.label_key`) are smaller, then to the
+    pair seen first.
     """
     return sorted(_normalized_counts(matrix), key=_rank_key)
 
 
 def top_error_pair(matrix: ConfusionMatrix) -> frozenset | None:
     """The first pair of :func:`normalized_error_pairs`, or None when it
-    is empty — in one pass, building the ``repr`` tie key only for the
+    is empty — in one pass, building the label tie key only for the
     pairs that tie at the best normalized count."""
     best = -1.0
     tied: list[tuple[frozenset, float]] = []

@@ -36,12 +36,10 @@ import numpy as np
 from ..matching import grams
 from ..matching.grams import CodeColumns, GramBag
 from ..matching.tokens import cached_codes, cached_codes_many
-from .base import Classifier, GroupColumn, GroupScorer, value_key
+from .base import (Classifier, GroupColumn, GroupScorer, label_key,
+                   value_key)
 
 __all__ = ["NaiveBayesClassifier"]
-
-#: Sentinel distinguishing "not cached" from a cached None label.
-_UNRESOLVED = object()
 
 
 def _log_likelihoods(counts: np.ndarray, denom: int) -> np.ndarray:
@@ -67,7 +65,7 @@ class _CompiledNB:
     """
 
     __slots__ = ("q", "labels", "label_counts", "columns", "unseen",
-                 "log_matrix", "log_prior", "_row_cache", "_label_cache")
+                 "log_matrix", "log_prior", "_row_cache")
 
     def __init__(self, nb: "NaiveBayesClassifier"):
         self.q = nb.q
@@ -83,10 +81,9 @@ class _CompiledNB:
         self.log_prior = np.array(
             [math.log(count / nb._examples) for count in self.label_counts],
             dtype=np.float64)
-        #: Posterior rows / decisions memoized per distinct value (keyed by
-        #: concrete class + value, so 1 / 1.0 / True stay distinct).
+        #: Posterior rows memoized per distinct value (keyed by concrete
+        #: class + value, so 1 / 1.0 / True stay distinct).
         self._row_cache: dict[tuple, np.ndarray] = {}
-        self._label_cache: dict[tuple, Hashable] = {}
 
     def row_of(self, codes: np.ndarray) -> np.ndarray:
         """Per-label posteriors of a value with gram *codes*, ordered like
@@ -120,33 +117,24 @@ class _CompiledNB:
         ties = np.flatnonzero(row == row.max())
         if len(ties) == 1:
             return self.labels[ties[0]]
-        # Same ordering as max(posteriors, key=(posterior, count, repr))
-        # restricted to the exact-maximum set.
+        # Same ordering as max(posteriors, key=(posterior, count,
+        # label_key)) restricted to the exact-maximum set.
         return self.labels[max(
             ties, key=lambda i: (self.label_counts[i],
-                                 repr(self.labels[i])))]
-
-    def classify_value(self, value: Any) -> Hashable | None:
-        """argmax with the scalar path's exact tie-breaking."""
-        if not self.labels:
-            return None
-        key = value_key(value)
-        if key is not None and key in self._label_cache:
-            return self._label_cache[key]
-        label = self._pick_label(self.posterior_row(value))
-        if key is not None:
-            self._label_cache[key] = label
-        return label
+                                 label_key(self.labels[i])))]
 
     def classify_batch(self, values: Sequence[Any]) -> list[Hashable | None]:
         """Batch argmax over many values with one accumulate per bucket.
 
-        Distinct uncached values are bucketed by token count; each bucket
+        Distinct values are bucketed by token count; each bucket
         classifies as a single (batch × labels × tokens+1) gather +
         ``np.add.accumulate`` — per (value, label) the identical sequential
         chain of IEEE additions as :meth:`posterior_row`, so decisions are
         bit-identical to per-value classification while the numpy call
         overhead is paid once per bucket instead of once per value.
+        Decisions are not memoized across calls: a trained classifier is
+        shared by every run of a process, and a memo would let one run
+        skip the tokenizing (and so the token-cache counts) of another.
         """
         if not self.labels:
             return [None for _ in values]
@@ -158,10 +146,6 @@ class _CompiledNB:
             key = value_key(value)
             if key is None:
                 loose.append(position)
-                continue
-            cached = self._label_cache.get(key, _UNRESOLVED)
-            if cached is not _UNRESOLVED:
-                out[position] = cached
             else:
                 by_key.setdefault(key, []).append(position)
         for position in loose:
@@ -196,7 +180,6 @@ class _CompiledNB:
                     label = self.labels[argmaxima[b]]
                 else:
                     label = self._pick_label(rows[b])
-                self._label_cache[key] = label
                 for position in by_key[key]:
                     out[position] = label
         return out
@@ -258,7 +241,7 @@ class NaiveBayesClassifier(Classifier):
 
     def classify(self, value: Any) -> Hashable | None:
         """Best posterior; ties break toward the more common label, then
-        the larger ``repr``."""
+        the larger :func:`~repro.classifiers.base.label_key`."""
         if not self._label_counts:
             return None
         compiled = self.compiled()
@@ -307,22 +290,6 @@ class NaiveBayesClassifier(Classifier):
         if not self._label_counts:
             return [None for _ in values]
         return self.compiled().classify_batch(values)
-
-    # ------------------------------------------------------------------
-    # Serialization
-    # ------------------------------------------------------------------
-    def __getstate__(self) -> dict:
-        """Pickle the taught statistics only.
-
-        The compiled log-probability matrix is a lazy, pure function of
-        the counts; dropping it keeps worker-bound payloads small and the
-        first worker-side :meth:`classify_many` recompiles from the
-        restored bags — producing the exact same ``math.log`` table, so
-        posteriors are bit-identical across the process boundary.
-        """
-        state = self.__dict__.copy()
-        state["_compiled"] = None
-        return state
 
     def group_scorer(self, values: Sequence[Any]) -> GroupScorer:
         """Posteriors of label groups over *values*: one row per distinct

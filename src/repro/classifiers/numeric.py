@@ -26,7 +26,8 @@ from typing import Any, Hashable, Sequence
 
 import numpy as np
 
-from .base import Classifier, GroupColumn, GroupScorer, value_key
+from .base import (Classifier, GroupColumn, GroupScorer, label_key,
+                   value_key)
 
 __all__ = ["GaussianClassifier"]
 
@@ -157,11 +158,12 @@ class GaussianClassifier(Classifier):
             # Fall back to the prior for unparseable inputs, if trained.
             if self._label_counts:
                 return max(self._label_counts,
-                           key=lambda lab: (self._label_counts[lab], repr(lab)))
+                           key=lambda lab: (self._label_counts[lab],
+                                            label_key(lab)))
             return None
-        # Single pass tracking the best posterior; the (count, repr)
+        # Single pass tracking the best posterior; the (count, label_key)
         # tie-break only engages on exact posterior ties, exactly like
-        # max(posteriors, key=(posterior, count, repr)).
+        # max(posteriors, key=(posterior, count, label_key)).
         best_posterior: float | None = None
         ties: list[tuple[Hashable, int]] = []
         for label, mean, twice_var, log_norm, log_prior, count in terms:
@@ -174,7 +176,7 @@ class GaussianClassifier(Classifier):
                 ties.append((label, count))
         if len(ties) == 1:
             return ties[0][0]
-        return max(ties, key=lambda lc: (lc[1], repr(lc[0])))[0]
+        return max(ties, key=lambda lc: (lc[1], label_key(lc[0])))[0]
 
     # ------------------------------------------------------------------
     # Batch path
@@ -211,19 +213,6 @@ class GaussianClassifier(Classifier):
                 memo[key] = self.classify(value)
             out.append(memo[key])
         return out
-
-    # ------------------------------------------------------------------
-    # Serialization
-    # ------------------------------------------------------------------
-    def __getstate__(self) -> dict:
-        """Pickle the taught values/positions only; the fit and the cached
-        posterior terms are lazy pure functions of them and are rebuilt on
-        first use after a load — the same accumulation order, so worker-side
-        posteriors are bit-identical."""
-        state = self.__dict__.copy()
-        state["_fitted"] = None
-        state["_terms"] = None
-        return state
 
     def group_scorer(self, values: Sequence[Any]) -> GroupScorer:
         """Posteriors of label groups over *values*: one row per distinct

@@ -44,7 +44,8 @@ from typing import Any, Callable, Hashable, Iterator, Sequence
 
 import numpy as np
 
-from ..classifiers.base import Classifier, GroupColumn, GroupScorer
+from ..classifiers.base import (Classifier, GroupColumn, GroupScorer,
+                                label_key)
 from ..classifiers.majority import MajorityClassifier
 from ..classifiers.metrics import (ConfusionMatrix, evaluate_classifier,
                                    top_error_pair)
@@ -101,31 +102,44 @@ class InferenceStats:
 
 @dataclasses.dataclass
 class InferenceContext:
-    """Shared state for one ``ContextMatch`` run.
+    """State of one ``ContextMatch`` run.
 
-    Holds the RNG for train/test partitioning, the categorical policy, and
-    (for ``TgtClassInfer``) the per-type target classifiers, which are
-    trained once per run on the target schema.
+    Holds the RNG for train/test partitioning, the categorical policy,
+    the run's work counters and, for ``TgtClassInfer``, the per-type
+    target classifiers and the run's tag memo.  The classifiers come from
+    ``classifiers`` on first use — the engine passes the prepared
+    target's, trained once per process
+    (:meth:`~repro.engine.prepared.PreparedTarget.trained_classifiers`)
+    and only read afterwards — or, without it, are trained on ``target``
+    for this context alone.  Everything else is discarded with the run,
+    so a run's counts do not depend on earlier runs; only the run that
+    trains the classifiers also counts that training's tokenizing.
     """
 
     config: ContextMatchConfig
     rng: np.random.Generator
     target: Database
     policy: CategoricalPolicy = dataclasses.field(default_factory=CategoricalPolicy)
-    _target_classifiers: TargetClassifierSet | None = None
-    #: Shared memo of target-column tags keyed by (type family, value):
-    #: every (h, l) pair builds a fresh tag classifier, but the expensive
-    #: value -> target-column tagging never changes.
+    #: Supplies the trained target classifiers (None: train on ``target``).
+    classifiers: Callable[[], TargetClassifierSet] | None = None
+    #: The run's memo of target-column tags keyed by (type family,
+    #: value): every (h, l) pair builds a fresh tag classifier, but the
+    #: expensive value -> target-column tagging never changes.
     tag_cache: dict = dataclasses.field(default_factory=dict)
     #: Per-run inference work counters (batch calls, classified values,
     #: retrain-free merges), surfaced by the infer-views stage report.
     stats: InferenceStats = dataclasses.field(default_factory=InferenceStats)
+    _target_classifiers: TargetClassifierSet | None = dataclasses.field(
+        default=None, init=False, repr=False)
 
     @property
     def target_classifiers(self) -> TargetClassifierSet:
         if self._target_classifiers is None:
-            self._target_classifiers = TargetClassifierSet.train(
-                self.target, sample_limit=self.config.standard.sample_limit)
+            self._target_classifiers = (
+                self.classifiers() if self.classifiers is not None
+                else TargetClassifierSet.train(
+                    self.target,
+                    sample_limit=self.config.standard.sample_limit))
         return self._target_classifiers
 
 
@@ -275,7 +289,8 @@ def _pick_columns(columns: Sequence[GroupColumn],
     on NaN-free scores the scan finds the plain maximum).  So the tied
     columns are those equal to the largest non-NaN score, or the first
     column alone when its score is NaN.  Rows left with several ties go
-    to the larger count, then the larger ``repr`` of the group label
+    to the larger count, then the larger
+    :func:`~repro.classifiers.base.label_key` of the group label
     (*labels*, parallel to *columns*), then the lower tie order — the
     column's own ``order`` row when it has one, its label-order position
     otherwise.
@@ -289,7 +304,7 @@ def _pick_columns(columns: Sequence[GroupColumn],
     for row in np.flatnonzero(tied.sum(axis=1) > 1).tolist():
         def rank(j: int) -> tuple:
             order = columns[j].order
-            return (columns[j].count, repr(labels[j]),
+            return (columns[j].count, label_key(labels[j]),
                     -(j if order is None else int(order[row])))
         winners[row] = max(np.flatnonzero(tied[row]).tolist(), key=rank)
     return winners
@@ -577,7 +592,7 @@ class _TgtTagClassifier(Classifier):
         return self._tag_cache[key]
 
     def _tag_many(self, values: Sequence[Any]) -> list[str | None]:
-        """Tags for *values*, bulk-filling the shared tag cache.
+        """Tags for *values*, bulk-filling the run's tag cache.
 
         Unhashable values are tagged one by one, as :meth:`_tag` does;
         the other uncached distinct keys go through the tagger's batch
@@ -645,7 +660,7 @@ class _TgtTagClassifier(Classifier):
                 prec = joint / self._tag_counts[tag]
                 return acc * prec
             best[tag] = max(labels, key=lambda lab: (
-                score(lab), self._label_counts[lab], repr(lab)))
+                score(lab), self._label_counts[lab], label_key(lab)))
         self._best = best
         return best
 
@@ -653,7 +668,7 @@ class _TgtTagClassifier(Classifier):
         if not self._label_counts:
             return None
         return max(self._label_counts,
-                   key=lambda lab: (self._label_counts[lab], repr(lab)))
+                   key=lambda lab: (self._label_counts[lab], label_key(lab)))
 
     def classify(self, value: Any) -> Hashable | None:
         tag = self._tag(value)

@@ -111,6 +111,9 @@ class MatchEngine:
                 store: "ArtifactStore | None" = None) -> PreparedTarget:
         """Profile *target* once for reuse across any number of runs.
 
+        This is the one way a :class:`PreparedTarget` is built; runs
+        only read it.
+
         With *store* (an :class:`~repro.store.ArtifactStore`) preparation
         becomes durable: if the store already holds an artifact for this
         (target content, engine fingerprint) pair it is loaded — verified,
@@ -244,7 +247,6 @@ class MatchEngine:
         """
         if isinstance(source, PreparedSource):
             self._check_source_compatible(source)
-            source.runs += 1
             return source.source, source.store, True
         return source, ProfileStore.for_matcher(self.matcher), False
 
@@ -258,6 +260,12 @@ class MatchEngine:
         ``target`` may be a plain :class:`Database` (prepared on the fly,
         exactly like ``ContextMatch.run``) or a :class:`PreparedTarget`
         from :meth:`prepare`, in which case no target profiling happens.
+        The run never writes to the prepared target: ``tgt`` inference
+        reads the artifact's per-process trained classifiers
+        (:meth:`PreparedTarget.trained_classifiers`) and tags through its
+        own memo, so its counts do not depend on earlier runs — except
+        that the first ``tgt`` run against an artifact in a process
+        trains the classifiers and counts that tokenizing too.
         ``source`` may likewise be a :class:`PreparedSource` from
         :meth:`prepare_source`, in which case source-side column profiles
         and partitions persist across runs.
@@ -266,11 +274,11 @@ class MatchEngine:
         prepared, supplied = self._resolve(target)
         source_db, store, source_supplied = self._resolve_source(source)
         config = self.config
+        cap = config.standard.sample_limit
         ctx = InferenceContext(
             config=config, rng=np.random.default_rng(config.seed),
             target=prepared.target, policy=self.policy,
-            _target_classifiers=prepared.target_classifiers,
-            tag_cache=prepared.tag_cache)
+            classifiers=lambda: prepared.trained_classifiers(cap))
         state = PipelineState(
             source=source_db, prepared=prepared, config=config,
             matcher=self.matcher, generator=make_generator(config.inference),
@@ -295,13 +303,6 @@ class MatchEngine:
                 report.stages.append(stage_report)
                 for observer in self.observers:
                     observer.on_stage_end(stage_report, state)
-
-        # Keep lazily-trained target classifiers for the next run against
-        # this prepared target (training is deterministic, so sharing only
-        # skips work, never changes results).
-        if prepared.target_classifiers is None:
-            prepared.target_classifiers = ctx._target_classifiers
-        prepared.runs += 1
 
         result = state.result
         result.elapsed_seconds = time.perf_counter() - started

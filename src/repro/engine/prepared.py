@@ -12,38 +12,47 @@ number of :meth:`~repro.engine.engine.MatchEngine.match` calls:
   blocks derived from them — for the q-gram and overlap matchers, CSR
   rows over a target vocabulary);
 * the categorical-policy analysis of the target tables;
-* the per-domain target classifiers of ``TgtClassInfer`` (Figure 7) and
-  their value -> target-column tag memo.
+* the retrieval prefilter, where the preparing engine's k prunes.
+
+:class:`PreparedTarget` is frozen, only :meth:`PreparedTarget.build`
+(called by ``prepare()``) constructs it, and no run writes to it: its
+pickle, store blob and content token depend only on what ``prepare()``
+built, and concurrent runs share it without locks.  What runs derive
+from it and reuse — the per-domain target classifiers of
+``TgtClassInfer`` (Figure 7), and the retrieval index of a run whose k
+prunes a target prepared without one — is kept per process beside it,
+keyed by its target index and built once under a lock (:func:`derived`).
+The value -> target-column tag memo is per run.
 
 :class:`PreparedSource` is the source-side counterpart, built by
 :meth:`~repro.engine.engine.MatchEngine.prepare_source`: a
-:class:`~repro.profiling.ProfileStore` holding the source's column
-profiles and family partitions, shared across runs so re-matching the same
-source (evaluation sweeps, re-tuned thresholds, incremental re-runs)
-skips source-side profiling entirely.
+:class:`~repro.profiling.ProfileStore` of the source's column profiles
+and family partitions that fills lazily during runs and is shared across
+them by design, so re-matching the same source (evaluation sweeps,
+re-tuned thresholds) skips source-side profiling.  Every entry is a pure
+function of the source side, so sharing it never changes results.
 
-All of it is read-only during matching except the lazily-populated caches,
-whose entries are pure functions of their side — sharing them never
-changes results, only skips recomputation.
-
-Both prepared classes are picklable, which is what lets the
-:class:`~repro.engine.executor.MatchExecutor` process backend ship them to
-worker pools: the payload carries the trained classifier statistics, the
-tag cache, the profile store and the partition indices, while purely lazy
-memos (compiled Naive Bayes log-probability matrices, Gaussian fits,
-partition row arrays, presence masks) and the target index's scoring
-blocks are dropped on pickle and rebuilt deterministically on load — a
-restored artifact produces bit-identical matches, and the blocks add
-nothing to store blobs or executor chunks.  The components'
-``__getstate__`` hooks are the one place that decides what crosses a
-process boundary; the executor ships nothing but this plain pickle.
+Both classes are picklable, which is how the
+:class:`~repro.engine.executor.MatchExecutor` process backend ships them
+to worker pools.  A target's pickle holds the target database, the
+index's samples and profiles, the categorical analysis and the retrieval
+index's document bags; a source's holds its profile store and partition
+cells.  Derived state — scoring blocks, BM25 postings, partition row
+arrays, presence masks — is dropped on pickle and rebuilt
+deterministically on load, so a restored artifact matches bit-identically.
+The components' ``__getstate__`` hooks are the one place that decides
+what crosses a process boundary.  A worker trains its own target
+classifiers, once per artifact it holds.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import TYPE_CHECKING
+import threading
+import weakref
+from typing import Any, Callable, Hashable
 
+from ..classifiers.target import TargetClassifierSet
 from ..context.categorical import CategoricalPolicy, categorical_attributes
 from ..matching.standard import (MatchingSystem, StandardMatchConfig,
                                  TargetIndex)
@@ -51,21 +60,19 @@ from ..profiling import ProfileStore
 from ..relational.instance import Database
 from ..retrieval import RetrievalIndex
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..classifiers.target import TargetClassifierSet
-
 __all__ = ["PreparedTarget", "PreparedSource"]
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(frozen=True)
 class PreparedTarget:
     """Target-side state shared by every run against one target schema.
 
-    Built by :meth:`MatchEngine.prepare`; treat as opaque and immutable.
-    ``standard_config`` and ``policy`` record the configuration the
-    artifacts were derived under — the engine refuses to run against a
-    prepared target built under a different configuration, since the index
-    and classifiers would silently disagree with the run's matcher.
+    Built by :meth:`MatchEngine.prepare` through :meth:`build`; frozen,
+    and never written to by a run.  ``standard_config`` and ``policy``
+    record the configuration the artifacts were derived under — the
+    engine refuses to run against a prepared target built under a
+    different configuration, since the index would silently disagree
+    with the run's matcher.
 
     Attributes
     ----------
@@ -77,8 +84,6 @@ class PreparedTarget:
         Categorical attributes of every target table under ``policy`` —
         the condition space available when this schema acts as the
         conditioned side (role-reversed matching, diagnostics).
-    runs:
-        Number of engine runs served so far (diagnostic).
     """
 
     target: Database
@@ -89,19 +94,12 @@ class PreparedTarget:
     #: The matching system whose ``build_target_index`` produced ``index``;
     #: the engine's compatibility check compares against it.
     matcher: MatchingSystem | None = None
-    runs: int = 0
-    #: Lazily-trained per-domain classifiers of ``TgtClassInfer``; shared
-    #: across runs because training is deterministic given the target.
-    target_classifiers: "TargetClassifierSet | None" = None
-    #: Shared (type family, value) -> target-column tag memo.
-    tag_cache: dict = dataclasses.field(default_factory=dict)
     #: Hybrid candidate-retrieval prefilter over ``index``
     #: (:mod:`repro.retrieval`).  Built only where it can prune: the
     #: matching system supports target subsets and the target has more
     #: attributes than the preparing engine's ``retrieval_top_k``.  None
     #: otherwise; a run whose own ``retrieval_top_k`` is below the
-    #: attribute count then builds a run-local index and leaves this
-    #: field None.
+    #: attribute count then uses :meth:`run_local_retrieval`.
     retrieval: RetrievalIndex | None = None
 
     @classmethod
@@ -114,7 +112,7 @@ class PreparedTarget:
             relation.name: tuple(categorical_attributes(relation, policy))
             for relation in target
         }
-        retrieval = (RetrievalIndex.build(index, target)
+        retrieval = (RetrievalIndex.build(index)
                      if matcher is not None
                      and RetrievalIndex.supports(matcher, index)
                      and len(index.samples) > retrieval_top_k else None)
@@ -127,10 +125,46 @@ class PreparedTarget:
     def table_names(self) -> tuple[str, ...]:
         return tuple(relation.name for relation in self.target)
 
+    def trained_classifiers(self, sample_limit: int | None
+                            ) -> TargetClassifierSet:
+        """The per-domain target classifiers of ``TgtClassInfer``, trained
+        on :attr:`target` with at most *sample_limit* values per column —
+        once per process for this artifact and cap."""
+        return derived(self, ("classifiers", sample_limit),
+                       lambda: TargetClassifierSet.train(
+                           self.target, sample_limit=sample_limit))
+
+    def run_local_retrieval(self) -> RetrievalIndex:
+        """The retrieval index of runs whose k prunes this artifact when
+        it was prepared without one — built once per process."""
+        return derived(self, "retrieval",
+                       lambda: RetrievalIndex.build(self.index))
+
     def __str__(self) -> str:
         return (f"PreparedTarget({self.target.name!r}, "
                 f"{len(self.table_names)} tables, "
-                f"{len(self.index.samples)} attributes, runs={self.runs})")
+                f"{len(self.index.samples)} attributes)")
+
+
+#: State runs derive from a prepared target and later runs reuse, per
+#: process: keyed by the artifact's TargetIndex (the frozen dataclass
+#: compares by value, so it is unhashable), then by what the entry was
+#: built for.  An entry lives as long as that index does.
+_DERIVED: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+_DERIVED_LOCK = threading.Lock()
+
+
+def derived(prepared: PreparedTarget, key: Hashable,
+            build: Callable[[], Any]) -> Any:
+    """Entry *key* of *prepared*'s per-process derived state, made by
+    *build* on first use.  Builds run under one lock, so concurrent
+    first runs build an entry once; nothing is written onto the
+    artifact."""
+    with _DERIVED_LOCK:
+        entries = _DERIVED.setdefault(prepared.index, {})
+        if key not in entries:
+            entries[key] = build()
+        return entries[key]
 
 
 @dataclasses.dataclass
@@ -158,15 +192,12 @@ class PreparedSource:
     matcher:
         The matching system the store was built for; the engine's
         compatibility check compares against it.
-    runs:
-        Number of engine runs served so far (diagnostic).
     """
 
     source: Database
     store: ProfileStore
     standard_config: StandardMatchConfig
     matcher: MatchingSystem | None = None
-    runs: int = 0
 
     @property
     def table_names(self) -> tuple[str, ...]:
@@ -175,4 +206,4 @@ class PreparedSource:
     def __str__(self) -> str:
         return (f"PreparedSource({self.source.name!r}, "
                 f"{len(self.table_names)} tables, "
-                f"{len(self.store)} cached profiles, runs={self.runs})")
+                f"{len(self.store)} cached profiles)")

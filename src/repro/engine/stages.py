@@ -27,8 +27,6 @@ from __future__ import annotations
 
 import abc
 import dataclasses
-import threading
-import weakref
 
 from ..context.candidates import CandidateViewGenerator, InferenceContext
 from ..context.conjunctive import refine_conjunctive
@@ -50,24 +48,6 @@ def _token_counters_since(before: dict[str, int]) -> dict[str, int]:
     now = token_cache_counters()
     return {key: now[key] - before.get(key, 0) for key in now}
 
-
-#: Run-local retrieval indexes of artifacts prepared without one, keyed by
-#: the artifact's TargetIndex (a PreparedTarget is an unhashable
-#: dataclass); an entry lives as long as that index does.
-_RUN_LOCAL_RETRIEVAL: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-_RUN_LOCAL_LOCK = threading.Lock()
-
-
-def _run_local_retrieval(prepared: PreparedTarget) -> RetrievalIndex:
-    """The retrieval index of an artifact prepared without one: built
-    once per artifact, under a lock so concurrent runs build it once, and
-    never written onto the shared artifact."""
-    with _RUN_LOCAL_LOCK:
-        retrieval = _RUN_LOCAL_RETRIEVAL.get(prepared.index)
-        if retrieval is None:
-            retrieval = RetrievalIndex.build(prepared.index, prepared.target)
-            _RUN_LOCAL_RETRIEVAL[prepared.index] = retrieval
-        return retrieval
 
 __all__ = ["PipelineState", "Stage", "StandardMatchStage",
            "InferViewsStage", "ScoreCandidatesStage", "SelectStage",
@@ -218,8 +198,10 @@ class ScoreCandidatesStage(Stage):
     the identity, built from the target index's positions without an
     index.  Where it does not and the prepared target carries no index
     (it was prepared at a k that covered it), the first such run builds
-    one for the artifact, kept for later runs in a weak map keyed by the
-    artifact's target index and never written onto the artifact.  The
+    one for the artifact
+    (:meth:`~repro.engine.prepared.PreparedTarget.run_local_retrieval`),
+    kept for later runs of the process and never written onto the
+    artifact.  The
     pruning economics land in the stage counts (``pairs_considered`` /
     ``pairs_pruned`` / ``retrieval_queries`` / ``retrieval_hits`` /
     ``retrieval_missed`` / ``retrieval_recall``); exhaustive runs report
@@ -300,7 +282,7 @@ class ScoreCandidatesStage(Stage):
             retrieval = state.prepared.retrieval
             if retrieval is None:
                 # Prepared at a k that covers the target.
-                retrieval = _run_local_retrieval(state.prepared)
+                retrieval = state.prepared.run_local_retrieval()
         queries = hits = missed = 0
         pairs_considered = pairs_pruned = 0
         for relation in state.source:

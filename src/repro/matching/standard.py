@@ -142,17 +142,6 @@ class TargetIndex:
         }
         self._derive()
 
-    @classmethod
-    def from_profiles(cls, database: Database, matchers: Sequence[Matcher],
-                      samples: list[AttributeSample],
-                      profiles: dict[str, list[object]]) -> "TargetIndex":
-        """An index over already-built samples and per-matcher profiles
-        (they must be what ``__init__`` would build for *database*)."""
-        index = cls.__new__(cls)
-        index.__setstate__({"database": database, "matchers": list(matchers),
-                            "samples": samples, "profiles": profiles})
-        return index
-
     def _derive(self) -> None:
         self.blocks: dict[str, object] = {
             m.name: m.target_block(self.profiles[m.name])

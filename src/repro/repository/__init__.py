@@ -16,15 +16,10 @@ engine's reusable prepared artifacts:
   chunked batch per hub), and the comparable
   :class:`~repro.repository.core.HubScore` /
   :class:`~repro.repository.core.RepositoryResult` ranking types with
-  deterministic tie-breaks;
-* :mod:`repro.repository.incremental` —
-  :func:`~repro.repository.incremental.append_rows_prepared`, the
-  delta-maintenance path behind
-  :meth:`~repro.repository.core.TargetRepository.append_rows`: appended
-  rows extend cached matcher profiles (``merge_profiles``) and
-  delta-teach the additive classifier statistics instead of
-  re-preparing, bit-identical to a fresh ``prepare()`` of the grown
-  database;
+  deterministic tie-breaks, and
+  :meth:`~repro.repository.core.TargetRepository.append_rows`, which
+  grows one hub's tables and re-prepares it with ``prepare()`` — the
+  only way a prepared hub is built;
 * :mod:`repro.repository.serialize` — JSON wire shapes for rankings
   (the ``POST /match-repository`` route and ``repro match-repo --json``).
 
@@ -35,7 +30,6 @@ hubs, repository counters in ``/report``).
 
 from .core import (HubScore, RepositoryResult, TargetRepository,
                    rank_hub_scores, score_hub)
-from .incremental import append_rows_prepared
 from .serialize import hub_score_to_dict, repository_result_to_dict
 
 __all__ = [
@@ -44,7 +38,6 @@ __all__ = [
     "HubScore",
     "rank_hub_scores",
     "score_hub",
-    "append_rows_prepared",
     "hub_score_to_dict",
     "repository_result_to_dict",
 ]

@@ -39,11 +39,10 @@ from ..engine.engine import MatchEngine
 from ..engine.executor import MatchExecutor
 from ..engine.prepared import PreparedSource, PreparedTarget
 from ..errors import ArtifactNotFoundError, EngineError
-from ..relational.instance import Database
+from ..relational.instance import Database, Relation
 from ..relational.jsonio import database_from_dict
 from ..store.artifacts import KIND_TARGET, ArtifactStore
 from ..store.tokens import database_token
-from .incremental import append_rows_prepared
 
 __all__ = ["HubScore", "RepositoryResult", "TargetRepository",
            "rank_hub_scores", "score_hub"]
@@ -164,9 +163,8 @@ class TargetRepository:
         exactly as in direct engine use.
     store:
         Optional :class:`~repro.store.ArtifactStore` (or path).  When
-        set, :meth:`add` persists freshly prepared hubs and
-        :meth:`append_rows` persists the maintained artifact, so the
-        repository survives the process.
+        set, :meth:`add` and :meth:`append_rows` persist the hubs they
+        prepare, so the repository survives the process.
 
     Example
     -------
@@ -188,10 +186,7 @@ class TargetRepository:
                                                               ArtifactStore)
                       else store)
         self._hubs: "OrderedDict[str, PreparedTarget]" = OrderedDict()
-        self.counters = {"routes": 0, "pairs": 0, "appends": 0,
-                         "profiles_merged": 0, "profiles_rebuilt": 0,
-                         "classifier_values_taught": 0,
-                         "classifier_retrains": 0}
+        self.counters = {"routes": 0, "pairs": 0, "appends": 0}
 
     @classmethod
     def from_store(cls, store: ArtifactStore | str,
@@ -225,12 +220,16 @@ class TargetRepository:
         else:
             prepared = self.engine.prepare(target)
         if token is None:
-            if self.store is not None:
-                token = self.store.save(prepared, engine=self.engine).token
-            else:
-                token = database_token(prepared.target)
+            token = self._token_of(prepared)
         self._hubs[token] = prepared
         return token
+
+    def _token_of(self, prepared: PreparedTarget) -> str:
+        """A hub's key: its store token (saving it) when the repository
+        is store-backed, its target's content token otherwise."""
+        if self.store is not None:
+            return self.store.save(prepared, engine=self.engine).token
+        return database_token(prepared.target)
 
     def add_token(self, token: str) -> str:
         """Register an already-stored hub by content token."""
@@ -336,28 +335,30 @@ class TargetRepository:
         self.counters["pairs"] += len(prepared_sources) * len(self._hubs)
         return routed
 
-    # -- incremental maintenance ---------------------------------------
+    # -- maintenance ---------------------------------------------------
     def append_rows(self, token: str,
                     rows: Mapping[str, Sequence[Any]]) -> str:
-        """Append rows to one hub's tables without re-preparing it.
+        """Append rows to one hub's tables and re-prepare it.
 
-        *rows* maps table names to row sequences (dict rows or
-        schema-order tuples).  Profiles of the touched columns are
-        extended in place of a full rebuild — additive matcher profiles
-        compose via ``merge_profiles``, warm target classifiers are
-        delta-taught — and the maintained artifact is pinned
-        bit-identical to a fresh :meth:`MatchEngine.prepare` of the
-        grown database (see :mod:`repro.repository.incremental`).  The
-        hub keeps its ranking position under a new content token, which
-        is returned (and persisted when the repository is store-backed).
+        *rows* maps table names to row sequences (dict rows — missing
+        keys become NULLs — or schema-order tuples); an unknown table
+        raises :class:`~repro.errors.UnknownTableError`.  The grown
+        database is prepared with this repository's engine and keyed as
+        :meth:`add` keys a hub (saved when the repository is
+        store-backed), so the hub is a fresh :meth:`MatchEngine.prepare`
+        of the grown database.  It keeps its ranking position under a
+        new content token, which is returned.
         """
-        old = self.hub(token)
-        updated = append_rows_prepared(old, rows, engine=self.engine,
-                                       counters=self.counters)
-        if self.store is not None:
-            new_token = self.store.save(updated, engine=self.engine).token
-        else:
-            new_token = database_token(updated.target)
+        target = self.hub(token).target
+        deltas = {name: Relation.from_rows(target.relation(name).schema,
+                                           list(table_rows))
+                  for name, table_rows in rows.items()}
+        grown = Database(target.schema, [
+            relation.concat(deltas[relation.name])
+            if relation.name in deltas else relation
+            for relation in target])
+        updated = self.engine.prepare(grown)
+        new_token = self._token_of(updated)
         replaced: "OrderedDict[str, PreparedTarget]" = OrderedDict()
         for existing, hub in self._hubs.items():
             if existing == token:

@@ -21,7 +21,9 @@ Module index
     :class:`RetrievalIndex` — the fused index built inside
     ``MatchEngine.prepare()`` (reciprocal rank fusion + name/type
     tie-breaks) for every target wider than ``retrieval_top_k``, carried
-    on its ``PreparedTarget`` and persistable as its own artifact kind;
+    on its ``PreparedTarget`` (and so stored and shipped inside it; the
+    store has no kind of its own for a bare index), or built once per
+    process for runs whose k prunes a target prepared without one;
     :class:`ScoringFrontier` — the per-relation
     position map + pruning counters the scoring stage consumes.
 

@@ -37,7 +37,6 @@ from .sparse import BM25Index
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..matching.standard import TargetIndex
-    from ..relational.instance import Database
     from ..relational.schema import Attribute
 
 __all__ = ["RetrievalIndex", "ScoringFrontier", "RRF_K"]
@@ -63,28 +62,24 @@ class RetrievalIndex:
     it can prune — the matching system supports target subsets and
     exposes a ``qgram`` channel, and the target has more attributes than
     the engine's ``retrieval_top_k`` — and carried on the
-    :class:`~repro.engine.prepared.PreparedTarget`.  A run whose own k is
-    below the attribute count of a target prepared without one uses a
-    run-local index, built once per artifact and never written onto
-    it.  Picklable
-    and persistable in the :class:`~repro.store.ArtifactStore` under its
-    own artifact kind.  Querying never changes the index, so
-    concurrent runs may share it, and its pickle is a pure function of its
-    content.  The stage counts tally each run's queries.
+    :class:`~repro.engine.prepared.PreparedTarget`, in whose pickle and
+    store blob it travels.  A run whose own k is below the attribute
+    count of a target prepared without one uses a run-local index
+    (:meth:`~repro.engine.prepared.PreparedTarget.run_local_retrieval`),
+    built once per process and never written onto the artifact.
+    Querying never changes the index, so concurrent runs may share it,
+    and its pickle is a pure function of its content.  The stage counts
+    tally each run's queries.
     """
 
     def __init__(self, refs: Sequence[tuple[str, str]],
                  dtypes: Sequence, name_tokens: Sequence[frozenset],
-                 sparse: BM25Index, lsh: MinHashLSH,
-                 database_name: str, n_tables: int, database_token: str):
+                 sparse: BM25Index, lsh: MinHashLSH):
         self.refs = list(refs)
         self.dtypes = list(dtypes)
         self.name_tokens = list(name_tokens)
         self.sparse = sparse
         self.lsh = lsh
-        self.database_name = database_name
-        self.n_tables = n_tables
-        self.database_token = database_token
         self._position: dict[tuple[str, str], int] = {
             ref: i for i, ref in enumerate(self.refs)}
 
@@ -100,8 +95,7 @@ class RetrievalIndex:
                 and "qgram" in getattr(index, "profiles", {}))
 
     @classmethod
-    def build(cls, index: "TargetIndex",
-              database: "Database") -> "RetrievalIndex":
+    def build(cls, index: "TargetIndex") -> "RetrievalIndex":
         """Index every target attribute of a prepared
         :class:`~repro.matching.standard.TargetIndex`.
 
@@ -110,17 +104,13 @@ class RetrievalIndex:
         target index was built — both channels reuse them verbatim, so
         building the retrieval index adds no re-tokenization work.
         """
-        from ..store.tokens import database_token
         gram_profiles = index.profiles["qgram"]
         refs = [(s.table, s.name) for s in index.samples]
         dtypes = [s.attribute.dtype for s in index.samples]
         name_tokens = [frozenset(word_tokens(s.name)) for s in index.samples]
         return cls(refs=refs, dtypes=dtypes, name_tokens=name_tokens,
                    sparse=BM25Index(gram_profiles),
-                   lsh=MinHashLSH(gram_profiles),
-                   database_name=database.name,
-                   n_tables=len(tuple(database)),
-                   database_token=database_token(database))
+                   lsh=MinHashLSH(gram_profiles))
 
     # ------------------------------------------------------------------
     # Query
@@ -176,8 +166,7 @@ class RetrievalIndex:
         return sorted(order[:k])
 
     def __repr__(self) -> str:
-        return (f"<RetrievalIndex {self.database_name!r} "
-                f"{self.n_targets} targets>")
+        return f"<RetrievalIndex {self.n_targets} targets>"
 
 
 class ScoringFrontier:

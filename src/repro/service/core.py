@@ -22,11 +22,13 @@ Concurrency: requests arrive from many server threads.  The LRU and the
 counters are lock-protected; per-token load locks make a cold target
 load exactly once even under a thundering herd.  Matching itself runs
 without locks — a :class:`~repro.engine.prepared.PreparedTarget` is
-read-mostly, and its lazily-populated memos (tag cache, compiled
-classifier matrices, partition arrays) hold pure functions of the
-prepared side, so concurrent population can duplicate work but never
-change a result.  Batch requests serialize on the executor (one worker
-pool).
+frozen and no run writes to it.  What runs derive from it (trained
+target classifiers, a run-local retrieval index) is built once per
+process under the engine's own lock, and the classifiers' lazily
+compiled matrices are pure functions of their statistics, so
+concurrent population can duplicate work but never change a result.
+The service counts the runs it serves per token.  Batch requests
+serialize on the executor (one worker pool).
 """
 
 from __future__ import annotations
@@ -129,6 +131,9 @@ class MatchService:
         self.retrieval_counters = {key: 0 for key in _RETRIEVAL_KEYS.values()}
         self.token_cache_counters = {key: 0 for key in _TOKEN_CACHE_KEYS}
         self.repository_counters = {"requests": 0, "pairs": 0}
+        #: Runs served per target token: one per match, one per source
+        #: of a batch, one per hub of a repository route.
+        self._runs: dict[str, int] = {}
 
     # -- warm cache ----------------------------------------------------
     def warm(self, tokens: Iterable[str] | None = None) -> list[str]:
@@ -201,8 +206,8 @@ class MatchService:
         if ref in self._targets:
             return ref
         # Token of *some* stored artifact: only prepared targets are
-        # servable — a source or retrieval-index token must 404, not
-        # explode in load_target later.
+        # servable — a prepared-source token must 404, not explode in
+        # load_target later.
         if ref in self.store and self.store.entry(ref).kind == KIND_TARGET:
             return ref
         for entry in self.store.entries():
@@ -218,9 +223,10 @@ class MatchService:
             return source
         return database_from_dict(source)
 
-    def _absorb_runs(self, *results: Any) -> None:
-        """Accumulate the runs' retrieval and q-gram cache stage counts
-        into the service's process-lifetime telemetry (surfaced by
+    def _absorb_runs(self, served: Iterable[str], *results: Any) -> None:
+        """Count the runs served against *served* (a token per result)
+        and accumulate their retrieval and q-gram cache stage counts into
+        the service's process-lifetime telemetry (surfaced by
         ``/report``)."""
         retrieval = {key: 0 for key in _RETRIEVAL_KEYS.values()}
         tokens = {key: 0 for key in _TOKEN_CACHE_KEYS}
@@ -234,6 +240,8 @@ class MatchService:
                 for key in _TOKEN_CACHE_KEYS:
                     tokens[key] += stage.counts.get(key, 0)
         with self._lock:
+            for token in served:
+                self._runs[token] = self._runs.get(token, 0) + 1
             for key, value in retrieval.items():
                 self.retrieval_counters[key] += value
             for key, value in tokens.items():
@@ -246,7 +254,7 @@ class MatchService:
         token = self.resolve(target_ref)
         prepared = self._target_for(token)
         result = self.engine.match(self._as_database(source), prepared)
-        self._absorb_runs(result)
+        self._absorb_runs([token], result)
         return result, token
 
     def match_many(self, sources: Iterable[Database | Mapping[str, Any]],
@@ -261,7 +269,7 @@ class MatchService:
         with self._executor_lock:
             batch = self.executor.match_many(self.engine, databases,
                                              prepared, token=token)
-        self._absorb_runs(*batch.results)
+        self._absorb_runs([token] * len(batch.results), *batch.results)
         return batch, token
 
     def match_repository(self, source: Database | Mapping[str, Any],
@@ -301,7 +309,7 @@ class MatchService:
             results.append(result)
             scores.append(score_hub(database, result, token=token,
                                     database=prepared.target.name))
-        self._absorb_runs(*results)
+        self._absorb_runs(tokens, *results)
         with self._lock:
             self.repository_counters["requests"] += 1
             self.repository_counters["pairs"] += len(tokens)
@@ -342,10 +350,11 @@ class MatchService:
             window.append(elapsed_ms)
 
     def target_entries(self) -> list[dict[str, Any]]:
-        """Warm + stored targets: manifest fields plus warm/runs state."""
+        """Warm + stored targets: manifest fields, whether the target is
+        warm, and the runs this service served against it."""
         with self._lock:
-            warm = {token: prepared.runs
-                    for token, prepared in self._targets.items()}
+            warm = set(self._targets)
+            runs = dict(self._runs)
         entries = []
         for entry in self.store.entries():
             if entry.kind != KIND_TARGET:
@@ -354,7 +363,7 @@ class MatchService:
                 "token": entry.token, "database": entry.database,
                 "tables": entry.tables, "size_bytes": entry.size_bytes,
                 "warm": entry.token in warm,
-                "runs": warm.get(entry.token, 0)})
+                "runs": runs.get(entry.token, 0)})
         return entries
 
     def report(self) -> ServiceReport:
@@ -367,7 +376,7 @@ class MatchService:
             lru = dict(self.lru_counters,
                        size=len(self._targets), capacity=self.capacity)
             warm = [{"token": token, "database": prepared.target.name,
-                     "runs": prepared.runs}
+                     "runs": self._runs.get(token, 0)}
                     for token, prepared in reversed(self._targets.items())]
             retrieval = dict(self.retrieval_counters)
             repository = dict(self.repository_counters)

@@ -80,7 +80,9 @@ class ServiceReport:
         ``/match-many`` requests.
     targets:
         Warm targets, most recently used first: content token, database
-        name and runs served.
+        name and the runs this service served against the token (a
+        ``/match`` is one, a ``/match-many`` one per source, a
+        ``/match-repository`` one per hub; pooled runs included).
     retrieval:
         Process-lifetime candidate-retrieval totals over every run this
         service answered: ``queries`` / ``pairs_considered`` /

@@ -19,9 +19,9 @@ keyed, optionally store-backed), the ``repro store`` CLI, and the
 a store once and answers match requests from a warm LRU.
 """
 
-from .artifacts import (KIND_RETRIEVAL, KIND_SOURCE, KIND_TARGET,
-                        STORE_FORMAT, ArtifactStore, StoreEntry,
-                        store_entry_from_dict, store_entry_to_dict)
+from .artifacts import (KIND_SOURCE, KIND_TARGET, STORE_FORMAT,
+                        ArtifactStore, StoreEntry, store_entry_from_dict,
+                        store_entry_to_dict)
 from .tokens import (blob_token, database_token, fingerprint_token,
                      update_digest_with_database)
 
@@ -31,7 +31,6 @@ __all__ = [
     "STORE_FORMAT",
     "KIND_TARGET",
     "KIND_SOURCE",
-    "KIND_RETRIEVAL",
     "store_entry_to_dict",
     "store_entry_from_dict",
     "blob_token",

@@ -1,9 +1,11 @@
 """Disk-backed store of prepared match artifacts, keyed by content token.
 
-PR 5 made every :class:`~repro.engine.prepared.PreparedTarget` and
-:class:`~repro.engine.prepared.PreparedSource` picklable with a sha256
-content token — but the artifacts still died with the process.
-:class:`ArtifactStore` persists them:
+Every :class:`~repro.engine.prepared.PreparedTarget` and
+:class:`~repro.engine.prepared.PreparedSource` is picklable with a
+sha256 content token; :class:`ArtifactStore` persists them, the two
+kinds of entry it holds.  A prepared target is frozen and no run writes
+to it, so its blob — and so its token — depends only on what
+``prepare()`` built, however many runs it served before it was saved.
 
 * **Layout.**  One directory; each entry is a pair of files named by the
   blob's sha256 content token — ``<token>.blob`` (the pickled artifact)
@@ -63,7 +65,7 @@ from ..errors import (ArtifactIntegrityError, ArtifactNotFoundError,
 from .tokens import blob_token, database_token, fingerprint_token
 
 __all__ = ["ArtifactStore", "StoreEntry", "STORE_FORMAT",
-           "KIND_TARGET", "KIND_SOURCE", "KIND_RETRIEVAL"]
+           "KIND_TARGET", "KIND_SOURCE"]
 
 #: On-disk format revision.  Bumped when the layout, the manifest schema
 #: or the pickled artifacts change incompatibly; loads refuse other
@@ -72,13 +74,15 @@ __all__ = ["ArtifactStore", "StoreEntry", "STORE_FORMAT",
 #: (:mod:`repro.matching.grams`) where format 1 held gram strings.
 #: Format 3: a BM25 index pickles its document bags (shared with the
 #: target index's q-gram profiles) and rebuilds its postings on load,
-#: where format 2 pickled the postings.
-STORE_FORMAT = 3
+#: where format 2 pickled the postings.  Format 4: a prepared target
+#: pickles only what ``prepare()`` built — format 3 also carried the
+#: run counter, tag memo and trained classifiers that runs wrote into
+#: it — and its retrieval index no longer carries database metadata.
+STORE_FORMAT = 4
 
 KIND_TARGET = "prepared-target"
 KIND_SOURCE = "prepared-source"
-KIND_RETRIEVAL = "retrieval_index"
-_KINDS = (KIND_TARGET, KIND_SOURCE, KIND_RETRIEVAL)
+_KINDS = (KIND_TARGET, KIND_SOURCE)
 
 _MANIFEST_SUFFIX = ".json"
 _BLOB_SUFFIX = ".blob"
@@ -192,22 +196,18 @@ class ArtifactStore:
     # -- save ----------------------------------------------------------
     @staticmethod
     def _kind_of(artifact: Any) -> tuple[str, Any]:
-        """(kind, described database) — the database is None for kinds
-        that carry their schema metadata inline (retrieval indexes)."""
+        """(kind, described database) of a storable artifact."""
         # Imported here so the store stays importable from serialization
         # helpers without dragging the engine package into their import
         # graph at module load.
         from ..engine.prepared import PreparedSource, PreparedTarget
-        from ..retrieval import RetrievalIndex
         if isinstance(artifact, PreparedTarget):
             return KIND_TARGET, artifact.target
         if isinstance(artifact, PreparedSource):
             return KIND_SOURCE, artifact.source
-        if isinstance(artifact, RetrievalIndex):
-            return KIND_RETRIEVAL, None
         raise StoreError(
             f"cannot store {type(artifact).__name__}: expected a "
-            "PreparedTarget, PreparedSource or RetrievalIndex")
+            "PreparedTarget or PreparedSource")
 
     def save(self, artifact: Any, *, engine: Any = None) -> StoreEntry:
         """Persist a prepared artifact; returns its manifest.
@@ -237,14 +237,7 @@ class ArtifactStore:
             # a current manifest over it.
         fingerprint = fingerprint_token(engine) if engine is not None \
             else None
-        if database is not None:
-            db_name = database.name
-            n_tables = len(tuple(database))
-            db_token = database_token(database)
-        else:  # retrieval indexes carry their database metadata inline
-            db_name = artifact.database_name
-            n_tables = artifact.n_tables
-            db_token = artifact.database_token
+        db_token = database_token(database)
         if fingerprint is not None:
             lookup = _lookup_key(kind, db_token, fingerprint)
             for existing in self.entries():
@@ -254,8 +247,8 @@ class ArtifactStore:
         entry = StoreEntry(
             token=token, kind=kind, format=STORE_FORMAT,
             version=__version__, size_bytes=len(blob),
-            created_at=time.time(), database=db_name,
-            tables=n_tables, fingerprint=fingerprint,
+            created_at=time.time(), database=database.name,
+            tables=len(tuple(database)), fingerprint=fingerprint,
             database_token=db_token,
             lookup_key=(_lookup_key(kind, db_token, fingerprint)
                         if fingerprint is not None else None))
@@ -389,10 +382,6 @@ class ArtifactStore:
         """:meth:`load`, asserting the artifact is a PreparedSource."""
         return self.load(token, expected_kind=KIND_SOURCE)
 
-    def load_retrieval_index(self, token: str):
-        """:meth:`load`, asserting the artifact is a RetrievalIndex."""
-        return self.load(token, expected_kind=KIND_RETRIEVAL)
-
     # -- lookup --------------------------------------------------------
     def find(self, kind: str, database: Any, engine: Any) -> str | None:
         """Token of the stored, loadable *kind* artifact for (database,
@@ -417,9 +406,6 @@ class ArtifactStore:
 
     def find_source(self, database: Any, engine: Any) -> str | None:
         return self.find(KIND_SOURCE, database, engine)
-
-    def find_retrieval_index(self, database: Any, engine: Any) -> str | None:
-        return self.find(KIND_RETRIEVAL, database, engine)
 
     def prepared_target(self, engine: Any, target: Any):
         """Get-or-build: the PreparedTarget for (engine, target), loaded

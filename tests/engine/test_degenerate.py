@@ -1,7 +1,8 @@
 """Degenerate artifacts: empty, single-row, all-null and single-value
 relations on either side of a match, under both inference sides, run
 through :meth:`MatchEngine.match` and a 2-worker process ``match_many``
-without raising, and the pool reproduces the serial result exactly.
+without raising; the first run, a second run on the same artifact and
+the pooled runs agree exactly, counts included.
 A source column with 10⁴ distinct values runs through the engine under
 the default categorical policy and with the cardinality guard off.
 
@@ -45,8 +46,10 @@ def _degenerate(database: Database, kind: str) -> Database:
 
 
 def _comparable(result):
-    """Matches, scores and deterministic stage counts (timings and the
-    process-global token-cache telemetry vary run to run)."""
+    """Matches, scores and stage counts, without timings and without the
+    q-gram cache counts: the first ``tgt`` run against an artifact in a
+    process also trains its target classifiers, and that tokenizing is
+    credited to it."""
     payload = result_to_dict(result)
     payload.pop("elapsed_seconds")
     report = payload["report"]
@@ -83,14 +86,11 @@ def test_degenerate_side_matches_serially_and_in_pool(workload, pool, kind,
         target = _degenerate(target, kind)
     engine = MatchEngine(ContextMatchConfig(inference=inference, seed=5))
     prepared = engine.prepare(target)
-    # The first match trains the target classifiers into the shared
-    # artifact, and on a degenerate target that run's infer-views counts
-    # differ from later runs'; compare runs on the trained artifact.
-    engine.match(source, prepared)
-    serial = _comparable(engine.match(source, prepared))
+    first = _comparable(engine.match(source, prepared))
+    assert _comparable(engine.match(source, prepared)) == first
     batch = pool.match_many(engine, [source, source], prepared)
     assert batch.throughput.backend == "process"
-    assert [_comparable(r) for r in batch] == [serial, serial]
+    assert [_comparable(r) for r in batch] == [first, first]
 
 
 @pytest.mark.parametrize("policy", [CategoricalPolicy(),

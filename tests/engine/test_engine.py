@@ -61,7 +61,6 @@ class TestPrepare:
         assert prepared.index.samples
         # Categorical-policy analysis covers every target table.
         assert set(prepared.categorical) == set(prepared.table_names)
-        assert prepared.runs == 0
 
     def test_match_accepts_plain_database(self, retail_sources):
         sources, target = retail_sources
@@ -76,7 +75,6 @@ class TestPrepare:
         prepared = engine.prepare(target)
         result = engine.match(sources[0], prepared)
         assert result.report.target_prepared
-        assert prepared.runs == 1
 
     def test_incompatible_prepared_rejected(self, retail_sources):
         _, target = retail_sources
@@ -340,6 +338,68 @@ class TestDeterminism:
         again = engine.match(sources[0], prepared)
         assert ([match_to_dict(m) for m in first.matches]
                 == [match_to_dict(m) for m in again.matches])
+
+
+def run_counts(result, stage):
+    """One stage's counts without the q-gram cache keys: the first tgt
+    run against an artifact in a process also trains its target
+    classifiers, and that tokenizing is credited to it."""
+    return {key: value
+            for key, value in result.report.stage(stage).counts.items()
+            if not key.startswith("token_cache")}
+
+
+class TestFrozenPreparedTarget:
+    """No run writes to a prepared target: it is a frozen dataclass, its
+    pickle is what ``prepare()`` built, and a run's counts do not depend
+    on the runs before it."""
+
+    def test_assigning_a_field_raises(self, retail_sources):
+        _, target = retail_sources
+        prepared = MatchEngine(CONFIG).prepare(target)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            prepared.retrieval = None
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            prepared.runs = 1
+
+    def test_runs_leave_the_pickle_unchanged(self, retail_sources):
+        import pickle
+
+        sources, target = retail_sources
+        for prepared_k in (16, 4):
+            prepared = MatchEngine(dataclasses.replace(
+                CONFIG, retrieval_top_k=prepared_k)).prepare(target)
+            assert (prepared.retrieval is None) == (prepared_k == 16)
+            before = pickle.dumps(prepared)
+            # k = 4 against the index-less artifact builds a run-local
+            # index; none of it may land in the artifact.
+            for inference in ("src", "tgt"):
+                for k in (16, 4):
+                    MatchEngine(dataclasses.replace(
+                        CONFIG, inference=inference, retrieval_top_k=k)
+                    ).match(sources[0], prepared)
+            assert pickle.dumps(prepared) == before
+
+    def test_tgt_counts_equal_on_fresh_and_used_artifacts(
+            self, retail_sources):
+        sources, target = retail_sources
+        engine = MatchEngine(ContextMatchConfig(inference="tgt", seed=5))
+        used = engine.prepare(target)
+        for source in sources:
+            engine.match(source, used)
+        fresh = engine.match(sources[0], engine.prepare(target))
+        again = engine.match(sources[0], used)
+        assert again.report.stage("infer-views").counts[
+            "values_classified"] > 0
+        assert run_counts(again, "infer-views") \
+            == run_counts(fresh, "infer-views")
+        assert ([match_to_dict(m) for m in again.matches]
+                == [match_to_dict(m) for m in fresh.matches])
+        # Once trained, the classifiers add nothing: later runs agree on
+        # the q-gram counts too.
+        assert again.report.stage("infer-views").counts \
+            == engine.match(sources[0], used).report.stage(
+                "infer-views").counts
 
 
 def token_counts(result):

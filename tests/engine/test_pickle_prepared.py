@@ -3,9 +3,9 @@
 The process executor backend ships :class:`PreparedTarget` /
 :class:`PreparedSource` to worker pools, so both must survive
 ``pickle.dumps`` / ``loads`` for every scenario family and produce
-bit-identical match results afterwards — including the lazily-compiled
-classifier state (Naive Bayes log-probability matrices, Gaussian fits),
-which is deliberately dropped from the payload and rebuilt post-load.
+bit-identical match results afterwards.  A prepared target's pickle
+carries only what ``prepare()`` built: a worker trains its own target
+classifiers, and they equal the ones the parent trained.
 """
 
 import dataclasses
@@ -64,36 +64,20 @@ class TestPreparedTargetRoundTrip:
 
     def test_warm_round_trip_rebuilds_lazy_classifier_state(
             self, family_workloads, name):
-        """Pickle after a run: trained classifiers travel, compiled
-        matrices/fits do not — they are invalidated and rebuilt post-load,
-        still bit-identically.  ``tgt`` inference forces the target
-        classifier set (and its compiled state) into existence."""
+        """Pickle after ``tgt`` runs: the runs trained the target
+        classifiers beside the artifact, not into it, so the pickle is
+        the cold one and the restored artifact trains its own — with
+        the same matches and run counts."""
         workload = family_workloads[name]
         engine = _engine_for(name, inference="tgt")
         prepared = engine.prepare(workload.target)
-        cold = engine.match(workload.source, prepared)
-        assert prepared.target_classifiers is not None  # trained by the run
-        # Warm reference: a second run against the now-warm tag cache —
-        # the shipped artifact carries that cache, so its counts must
-        # reproduce this run, and its matches all three.
+        cold = pickle.dumps(prepared)
         expected = engine.match(workload.source, prepared)
-        assert expected.matches == cold.matches
+        again = engine.match(workload.source, prepared)
+        assert again.matches == expected.matches
+        assert pickle.dumps(prepared) == cold
 
-        restored = pickle.loads(pickle.dumps(prepared))
-        restored_set = restored.target_classifiers
-        assert restored_set is not None
-        compiled_seen = fitted_seen = 0
-        for classifier in restored_set._classifiers.values():
-            if isinstance(classifier, NaiveBayesClassifier):
-                compiled_seen += 1
-                assert classifier._compiled is None
-            elif isinstance(classifier, GaussianClassifier):
-                fitted_seen += 1
-                assert classifier._fitted is None
-                assert classifier._terms is None
-        assert compiled_seen + fitted_seen > 0
-        assert restored.tag_cache == prepared.tag_cache
-
+        restored = pickle.loads(cold)
         worker = MatchEngine(engine.config, matcher=restored.matcher,
                              policy=engine.policy)
         _assert_results_identical(expected,
@@ -154,7 +138,6 @@ def test_naive_bayes_round_trip_posteriors_exact():
     nb.classify_many(values)  # compile
     assert nb._compiled is not None
     restored = pickle.loads(pickle.dumps(nb))
-    assert restored._compiled is None  # lazy state dropped
     probe = values + ["delta", "al", "be"]
     assert restored.classify_many(probe) == nb.classify_many(probe)
     for value in probe:
@@ -168,7 +151,6 @@ def test_gaussian_round_trip_posteriors_exact():
     gaussian.classify_many([1.2, 10.5])  # fit + cache posterior terms
     assert gaussian._terms is not None
     restored = pickle.loads(pickle.dumps(gaussian))
-    assert restored._fitted is None and restored._terms is None
     probe = [0.5, 1.7, 9.9, 11.1, "not-a-number"]
     assert restored.classify_many(probe) == gaussian.classify_many(probe)
     for value in probe:

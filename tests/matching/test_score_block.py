@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qgram_reference import reference_profile
-from repro import ContextMatchConfig, MatchEngine
+from repro import ContextMatchConfig, MatchEngine, TargetRepository
 from repro.datagen import build_scenario, get_scenario
 from repro.datagen.inventory import make_retail_workload, pad_workload
 from repro.matching import (AttributeSample, Matcher, NameMatcher,
@@ -25,7 +25,6 @@ from repro.matching import (AttributeSample, Matcher, NameMatcher,
                             default_matchers, grams, jaccard)
 from repro.matching.similarity import TermRows, cosine_rows, jaccard_rows
 from repro.relational import Attribute, DataType
-from repro.repository import append_rows_prepared
 
 KERNEL_MATCHERS = (QGramMatcher, ValueOverlapMatcher, NameMatcher)
 
@@ -199,8 +198,8 @@ class TestTargetIndexBlocks:
                         [r.take(range(len(r) // 2)) for r in events.target])
         deltas = {r.name: [r.row(i) for i in range(len(r) // 2, len(r))]
                   for r in events.target}
-        grown = append_rows_prepared(engine.prepare(base), deltas,
-                                     engine=engine)
+        repo = TargetRepository(engine)
+        grown = repo.hub(repo.append_rows(repo.add(base), deltas))
         fresh = engine.prepare(grown.target)
         profiles = _source_profiles(events.source)
         assert _all_block_scores(grown.index, profiles) \

@@ -4,9 +4,9 @@ The acceptance pin of the repository layer: the full
 :func:`~repro.datagen.make_routing_fleet` grid — M=8 perturbed sources,
 K=4 prepared hubs across four scenario families — routes every source to
 its ground-truth hub, serially and through the executor batch path, and
-``append_rows`` maintenance on a full-size hub stays bit-identical to a
-fresh prepare.  The registered ``routing*`` scenario specs themselves run
-under the ordinary golden grid in ``tests/test_golden_scenarios.py``.
+``append_rows`` maintenance on a full-size hub equals a fresh prepare.
+The registered ``routing*`` scenario specs themselves run under the
+ordinary golden grid in ``tests/test_golden_scenarios.py``.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ import pytest
 
 from repro import MatchEngine, TargetRepository
 from repro.datagen import ROUTING_HUB_FAMILIES, make_routing_fleet
-from repro.repository import append_rows_prepared
 
 pytestmark = pytest.mark.golden
 
@@ -92,8 +91,9 @@ def test_batch_equals_serial(repo, fleet, batch):
 
 def test_append_rows_bit_identical_at_scale(engine, fleet):
     """Full-size hub maintenance: truncate the events hub, append the
-    held-out rows back, and require exact agreement with a fresh
-    prepare of the grown database — samples and served matches."""
+    held-out rows back through ``TargetRepository.append_rows``, and
+    require exact agreement with a fresh prepare of the grown database —
+    samples, profiles and served matches."""
     target = fleet.hubs["events"]
     from repro.relational.instance import Database
     base_relations, deltas = [], {}
@@ -103,13 +103,15 @@ def test_append_rows_bit_identical_at_scale(engine, fleet):
         deltas[relation.name] = [relation.row(i)
                                  for i in range(cut, len(relation))]
     base = Database(target.schema, base_relations)
-    prepared = engine.prepare(base)
     source = next(case.source for case in fleet.sources
                   if case.hub_family == "events")
-    engine.match(source, prepared)  # warm the target classifiers
-    grown = append_rows_prepared(prepared, deltas, engine=engine)
+    repo = TargetRepository(engine)
+    token = repo.add(base)
+    engine.match(source, repo.hub(token))
+    grown = repo.hub(repo.append_rows(token, deltas))
     fresh = engine.prepare(grown.target)
     assert grown.index.samples == fresh.index.samples
+    assert grown.index.profiles == fresh.index.profiles
     assert grown.categorical == fresh.categorical
     assert _key(engine.match(source, grown)) \
         == _key(engine.match(source, fresh))

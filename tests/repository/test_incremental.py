@@ -1,12 +1,12 @@
-"""append_rows: delta maintenance pinned bit-identical to a fresh prepare.
+"""append_rows: the grown hub is a fresh prepare of the grown database.
 
-The contract under test (see :mod:`repro.repository.incremental`): a
-prepared hub grown by ``append_rows`` — cached profiles extended via
-``merge_profiles``, warm classifiers delta-taught — behaves exactly like
-``MatchEngine.prepare`` run from scratch on the grown database.  Exactly,
-not approximately: index samples compare equal and match results are
-bit-identical, under both the compose path and the thinning-fallback
-rebuild path.
+:meth:`~repro.repository.core.TargetRepository.append_rows` checks the
+appended rows, concatenates them onto the hub's tables and prepares the
+grown database with the repository's engine.  The contract under test:
+the maintained hub equals ``MatchEngine.prepare`` run from scratch on
+the grown database — index samples and profiles compare equal and match
+results are bit-identical, also when the appended rows push columns past
+the sample limit — and it keeps its ranking slot under a new token.
 """
 
 from __future__ import annotations
@@ -17,8 +17,7 @@ import pytest
 
 from repro import ContextMatchConfig, MatchEngine, TargetRepository
 from repro.datagen import build_scenario, get_scenario
-from repro.errors import UnknownTableError
-from repro.repository import append_rows_prepared
+from repro.errors import InstanceError, UnknownTableError
 
 
 @pytest.fixture(scope="module")
@@ -50,79 +49,56 @@ def _key(result):
              m.score, m.confidence) for m in result.matches]
 
 
+def _grown(engine, base, deltas):
+    """The hub *base* after ``append_rows(deltas)``."""
+    repo = TargetRepository(engine)
+    token = repo.add(base)
+    return repo.hub(repo.append_rows(token, deltas))
+
+
+def _assert_fresh(engine, source, grown):
+    fresh = engine.prepare(grown.target)
+    assert grown.index.samples == fresh.index.samples
+    assert grown.index.profiles == fresh.index.profiles
+    assert grown.categorical == fresh.categorical
+    assert _key(engine.match(source, grown)) \
+        == _key(engine.match(source, fresh))
+
+
 class TestBitIdentity:
     def test_compose_path_equals_fresh_prepare(self, engine, workload):
+        """Appending the held-out rows rebuilds the full hub: equal to a
+        fresh prepare of the original target, whose rows it now holds."""
         base, deltas = _split_target(workload.target)
-        counters = {"profiles_merged": 0, "profiles_rebuilt": 0,
-                    "classifier_values_taught": 0,
-                    "classifier_retrains": 0}
-        grown = append_rows_prepared(engine.prepare(base), deltas,
-                                     engine=engine, counters=counters)
-        fresh = engine.prepare(grown.target)
-        assert grown.index.samples == fresh.index.samples
-        assert grown.categorical == fresh.categorical
-        assert counters["profiles_merged"] > 0
-        assert counters["profiles_rebuilt"] == 0
+        grown = _grown(engine, base, deltas)
+        assert [len(r) for r in grown.target] \
+            == [len(r) for r in workload.target]
+        _assert_fresh(engine, workload.source, grown)
         assert _key(engine.match(workload.source, grown)) \
-            == _key(engine.match(workload.source, fresh))
+            == _key(engine.match(workload.source,
+                                 engine.prepare(workload.target)))
 
     def test_thinning_fallback_rebuilds_and_stays_identical(self, workload):
-        """Columns that cross the sample limit fall back to a full
-        re-profile of the grown column — still equal to fresh."""
+        """Columns that cross the sample limit are thinned as a fresh
+        prepare thins them."""
         config = ContextMatchConfig()
         config = dataclasses.replace(
             config, standard=dataclasses.replace(config.standard,
                                                  sample_limit=20))
         engine = MatchEngine(config)
         base, deltas = _split_target(workload.target, keep=0.4)
-        counters = {"profiles_merged": 0, "profiles_rebuilt": 0,
-                    "classifier_values_taught": 0,
-                    "classifier_retrains": 0}
-        grown = append_rows_prepared(engine.prepare(base), deltas,
-                                     engine=engine, counters=counters)
-        fresh = engine.prepare(grown.target)
-        assert counters["profiles_rebuilt"] > 0
-        assert grown.index.samples == fresh.index.samples
-        assert _key(engine.match(workload.source, grown)) \
-            == _key(engine.match(workload.source, fresh))
-
-    def test_empty_delta_reuses_everything(self, engine, workload):
-        prepared = engine.prepare(workload.target)
-        counters = {"profiles_merged": 0, "profiles_rebuilt": 0,
-                    "classifier_values_taught": 0,
-                    "classifier_retrains": 0}
-        grown = append_rows_prepared(
-            prepared, {workload.target.relations[0].name: []},
-            engine=engine, counters=counters)
-        assert counters["profiles_merged"] == 0
-        assert counters["profiles_rebuilt"] == 0
-        assert grown.index.samples == prepared.index.samples
-
-    def test_warm_classifiers_are_delta_taught(self, engine, workload):
-        """A hub that already served matches keeps its trained classifier
-        set warm through an append — taught, not retrained — and still
-        matches like a fresh prepare + fresh training."""
-        base, deltas = _split_target(workload.target)
-        prepared = engine.prepare(base)
-        engine.match(workload.source, prepared)  # trains target classifiers
-        assert prepared.target_classifiers is not None
-        counters = {"profiles_merged": 0, "profiles_rebuilt": 0,
-                    "classifier_values_taught": 0,
-                    "classifier_retrains": 0}
-        grown = append_rows_prepared(prepared, deltas, engine=engine,
-                                     counters=counters)
-        assert grown.target_classifiers is not None
-        assert counters["classifier_values_taught"] > 0
-        assert counters["classifier_retrains"] == 0
-        fresh = engine.prepare(grown.target)
-        assert _key(engine.match(workload.source, grown)) \
-            == _key(engine.match(workload.source, fresh))
+        _assert_fresh(engine, workload.source,
+                      _grown(engine, base, deltas))
 
     def test_unknown_table_raises(self, engine, workload):
-        prepared = engine.prepare(workload.target)
+        repo = TargetRepository(engine)
+        token = repo.add(workload.target)
         with pytest.raises(UnknownTableError):
-            append_rows_prepared(prepared, {"nope": [{"x": 1}]},
-                                 engine=engine)
+            repo.append_rows(token, {"nope": [{"x": 1}]})
+        relation = workload.target.relations[0]
+        with pytest.raises(InstanceError, match="arity"):
+            repo.append_rows(token, {relation.name: [("too", "short")]})
+        assert repo.tokens() == [token]
 
 
 class TestRepositoryAppend:
@@ -154,3 +130,4 @@ class TestRepositoryAppend:
         # The maintained artifact round-trips and keeps serving.
         loaded = store.load_target(new_token)
         assert loaded.target.name == workload.target.name
+        assert store.find_target(loaded.target, engine) == new_token

@@ -13,8 +13,8 @@ attributes than the preparing engine's ``retrieval_top_k``.  Pinned here:
   run-local index and returns what it returns against its own k = 4
   artifact, serially and through a 2-worker process pool, and never
   writes that index onto the shared artifact;
-* ``append_rows_prepared`` follows the same rule and stays bit-identical
-  to a fresh prepare of the grown database.
+* ``TargetRepository.append_rows`` follows the same rule: its grown hub
+  equals a fresh prepare of the grown database.
 """
 
 from __future__ import annotations
@@ -26,12 +26,11 @@ import struct
 
 import pytest
 
-from repro import ContextMatchConfig, MatchEngine
+from repro import ContextMatchConfig, MatchEngine, TargetRepository
 from repro.datagen import build_scenario, get_scenario
 from repro.datagen.inventory import make_retail_workload, pad_workload
 from repro.engine.executor import ExecutorConfig, MatchExecutor
 from repro.relational.instance import Database
-from repro.repository import append_rows_prepared
 
 CONFIG = ContextMatchConfig(inference="src")
 SMALL_K = dataclasses.replace(CONFIG, retrieval_top_k=4)
@@ -150,8 +149,10 @@ class TestAppendRows:
     @staticmethod
     def _grown_and_fresh(engine, target):
         base, deltas = _split_target(target)
-        prepared = engine.prepare(base)
-        grown = append_rows_prepared(prepared, deltas, engine=engine)
+        repo = TargetRepository(engine)
+        token = repo.add(base)
+        prepared = repo.hub(token)
+        grown = repo.hub(repo.append_rows(token, deltas))
         return prepared, grown, engine.prepare(grown.target)
 
     @staticmethod
@@ -182,6 +183,6 @@ class TestAppendRows:
         assert prepared.retrieval is not None
         assert grown.retrieval is not None
         assert grown.retrieval.n_targets == 22
-        assert grown.retrieval.database_token \
-            != prepared.retrieval.database_token
+        assert pickle.dumps(grown.retrieval) \
+            != pickle.dumps(prepared.retrieval)
         self._assert_identical(engine, padded.source, grown, fresh)

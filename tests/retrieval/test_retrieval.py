@@ -181,7 +181,8 @@ class TestRetrievalIndex:
         retrieval = prepared_retail.retrieval
         assert isinstance(retrieval, RetrievalIndex)
         assert retrieval.n_targets == len(prepared_retail.index.samples)
-        assert retrieval.database_name == prepared_retail.target.name
+        assert retrieval.refs == [(s.table, s.name)
+                                  for s in prepared_retail.index.samples]
         # At the default k (16) the frontier is the whole target, so a
         # default prepare of the same target carries no index.
         default = MatchEngine(ContextMatchConfig(inference="src", seed=2))

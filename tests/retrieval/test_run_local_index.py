@@ -19,7 +19,7 @@ import pytest
 
 from repro import ContextMatchConfig, MatchEngine
 from repro.datagen import make_retail_workload
-from repro.engine import stages
+from repro.engine import prepared as prepared_module
 from repro.retrieval import RetrievalIndex
 
 CONFIG = ContextMatchConfig(inference="src")
@@ -61,9 +61,9 @@ def builds(monkeypatch):
     calls = []
     original = RetrievalIndex.build.__func__
 
-    def counting(cls, index, database):
+    def counting(cls, index):
         calls.append(index)
-        return original(cls, index, database)
+        return original(cls, index)
 
     monkeypatch.setattr(RetrievalIndex, "build", classmethod(counting))
     return calls
@@ -109,9 +109,9 @@ def test_concurrent_runs_build_once(workload, expected, builds):
 def test_the_index_lives_with_its_artifact(workload, builds):
     prepared = MatchEngine(CONFIG).prepare(workload.target)
     MatchEngine(SMALL_K).match(workload.source, prepared)
-    assert prepared.index in stages._RUN_LOCAL_RETRIEVAL
-    before = len(stages._RUN_LOCAL_RETRIEVAL)
+    assert prepared.index in prepared_module._DERIVED
+    before = len(prepared_module._DERIVED)
     del prepared
     builds.clear()
     gc.collect()
-    assert len(stages._RUN_LOCAL_RETRIEVAL) == before - 1
+    assert len(prepared_module._DERIVED) == before - 1

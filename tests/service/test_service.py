@@ -370,6 +370,21 @@ class TestReport:
         assert single["queries"] > 0
         assert after["queries"] > single["queries"]
 
+    def test_runs_are_counted_per_token(self, store, workload):
+        """One run per match, per source of a batch — pooled batches
+        included — and per hub of a repository route."""
+        with MatchService(store, jobs=2) as service:
+            token = service.warm()[0]
+            service.match_many([workload.source] * 3, token)
+            service.match(workload.source, token)
+            service.match_repository(workload.source)
+            entries = service.target_entries()
+            report = service.report()
+        assert [entry["runs"] for entry in entries] == [5]
+        assert report.targets == [{"token": token,
+                                   "database": workload.target.name,
+                                   "runs": 5}]
+
     def test_target_entries_show_warm_state(self, store, workload):
         with MatchService(store) as service:
             token = service.warm()[0]

@@ -1,7 +1,8 @@
 """Lookups consider only entries this library can load.
 
 An entry written under another store format (format 1 held gram-string
-profiles and postings, format 2 pickled BM25 postings) or another
+profiles and postings, format 2 pickled BM25 postings, format 3 pickled
+the run state that runs wrote into a prepared target) or another
 library version is refused by
 ``load`` with ``ArtifactVersionError`` before its blob is unpickled.
 ``save``'s dedup, ``find`` — and with it ``prepared_target`` — and
@@ -43,16 +44,17 @@ def _stale(store: ArtifactStore, token: str, **fields) -> None:
     path.write_text(json.dumps(manifest))
 
 
-STALE = [{"format": 1}, {"format": 2}, {"format": STORE_FORMAT + 1},
-         {"version": "0.0.0"}]
+STALE = [{"format": 1}, {"format": 2}, {"format": 3},
+         {"format": STORE_FORMAT + 1}, {"version": "0.0.0"}]
 
 
-def test_format_is_three():
-    assert STORE_FORMAT == 3
+def test_format_is_four():
+    assert STORE_FORMAT == 4
 
 
 @pytest.mark.parametrize("fields", STALE, ids=["format-1", "format-2",
-                                               "format-next", "version"])
+                                               "format-3", "format-next",
+                                               "version"])
 class TestStaleEntries:
     @pytest.fixture
     def stale(self, tmp_path, engine, target, fields):

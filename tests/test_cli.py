@@ -608,10 +608,7 @@ class TestMatchRepoCLI:
         assert doc["__version__"] == __version__
         assert len(doc["targets"]) == 2
         assert doc["repository"] == {"routes": 2, "pairs": 4,
-                                     "appends": 0, "profiles_merged": 0,
-                                     "profiles_rebuilt": 0,
-                                     "classifier_values_taught": 0,
-                                     "classifier_retrains": 0}
+                                     "appends": 0}
         # Each source routes to a different hub, and the winner carries
         # its full drill-down result.
         bests = [result["best"] for result in doc["results"]]
