@@ -25,7 +25,8 @@ returned :class:`GroupScorer` computes one *group's* column — its score
 for each value, plus its training count — from the summed statistics of
 the group's member labels, exactly as a classifier taught with the group
 label would score them.  Merging two groups changes only the merged
-group's column, so a merge step costs one column instead of a retrain.
+group's column, so a merge step costs one column instead of a retrain;
+:meth:`GroupScorer.columns` scores a base family's groups in one call.
 """
 
 from __future__ import annotations
@@ -99,6 +100,13 @@ class GroupScorer(abc.ABC):
         """The column of the group made of *members* (taught labels, in
         label order): what a classifier taught every member's examples
         under one group label would score, bit for bit."""
+
+    def columns(self, groups: Sequence[Sequence[Hashable]]
+                ) -> list[GroupColumn]:
+        """:meth:`column` of each group in *groups*, in order — a base
+        family's singletons in one call.  Scorers that can batch the
+        work override this loop."""
+        return [self.column(members) for members in groups]
 
 
 class Classifier(abc.ABC):

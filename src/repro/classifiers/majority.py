@@ -9,29 +9,11 @@ hypothesis of no correlation.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Any, Hashable, Sequence
+from typing import Any, Hashable
 
-import numpy as np
-
-from .base import Classifier, GroupColumn, GroupScorer, label_key
+from .base import Classifier, label_key
 
 __all__ = ["MajorityClassifier"]
-
-
-class _MajorityGroupScorer(GroupScorer):
-    """Every value shares one row scored 0.0 by every group, so the tie
-    rule alone — count, then :func:`~repro.classifiers.base.label_key`,
-    then label order — picks the majority group; a group's count is its
-    members' counts summed."""
-
-    def __init__(self, label_counts: Counter, values: Sequence[Any]):
-        self.labels = tuple(label_counts)
-        self.rows = np.zeros(len(values), dtype=np.intp)
-        self._counts = dict(label_counts)
-
-    def column(self, members: Sequence[Hashable]) -> GroupColumn:
-        return GroupColumn(np.zeros(1),
-                           sum(self._counts[label] for label in members))
 
 
 class MajorityClassifier(Classifier):
@@ -42,9 +24,6 @@ class MajorityClassifier(Classifier):
 
     def teach(self, value: Any, label: Hashable) -> None:
         self._label_counts[label] += 1
-
-    def group_scorer(self, values: Sequence[Any]) -> GroupScorer:
-        return _MajorityGroupScorer(self._label_counts, values)
 
     @property
     def labels(self) -> frozenset[Hashable]:

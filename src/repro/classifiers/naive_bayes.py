@@ -7,9 +7,11 @@ stable lexicographic order) per Section 3.2.4's tie rules.
 
 Tokens are integer gram codes (:mod:`repro.matching.grams`), read through
 the :mod:`~repro.matching.tokens` cache in each value's gram order.
-Teaching counts each label's codes into a
-:class:`~repro.matching.grams.GramBag`.  Inference lazily compiles the
-bags (invalidated on teach) into a sorted code vocabulary and a dense
+The taught state is dense: an ascending code vocabulary and an int64
+count row per label over it.  Teaching a batch counts every new gram of
+every label in one pass — one ``np.unique`` over the old vocabulary and
+the batch's codes, one ``np.bincount`` of (label row, column) cells.
+Inference lazily compiles the rows (invalidated on teach) into a dense
 numpy log-probability matrix, gathers each value's token columns and
 reduces them with ``np.add.accumulate`` — for each label the prior
 followed by one ``math.log((count + 1) / denom)`` addend per token
@@ -19,10 +21,11 @@ classified value.  Posterior rows are memoized per distinct value.
 
 :meth:`~NaiveBayesClassifier.group_scorer` serves the early-disjunct merge
 loop from the same dense statistics: a label group's column sums its
-members' int64 token-count rows, builds its log row with the routine the
-compiled matrix uses (:func:`_log_likelihoods`) and reduces each value
-with a gather + ``np.add.accumulate`` in the same order, so it equals the
-posterior a classifier taught with the group label computes.
+members' count rows, builds its log row with the routine the compiled
+matrix uses (:func:`_log_likelihoods`) and reduces each value with a
+gather + ``np.add.accumulate`` in the same order, so it equals the
+posterior a classifier taught with the group label computes.  A batch of
+groups (a base family's singletons) takes one gather and one accumulate.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from typing import Any, Hashable, Sequence
 import numpy as np
 
 from ..matching import grams
-from ..matching.grams import CodeColumns, GramBag
+from ..matching.grams import CodeColumns
 from ..matching.tokens import cached_codes, cached_codes_many
 from .base import (Classifier, GroupColumn, GroupScorer, label_key,
                    value_key)
@@ -69,15 +72,17 @@ class _CompiledNB:
 
     def __init__(self, nb: "NaiveBayesClassifier"):
         self.q = nb.q
-        self.labels, self.columns, counts, totals = nb._dense_counts()
-        self.label_counts: list[int] = [nb._label_counts[label]
-                                        for label in self.labels]
+        self.labels: list[Hashable] = list(nb._label_counts)
+        self.label_counts: list[int] = list(nb._label_counts.values())
+        self.columns = CodeColumns(nb._vocabulary)
         self.unseen = len(self.columns)
         vocab_size = len(self.columns) or 1
-        self.log_matrix = np.empty(counts.shape, dtype=np.float64)
-        for li, total in enumerate(totals):
-            self.log_matrix[li] = _log_likelihoods(counts[li],
-                                                   total + vocab_size)
+        self.log_matrix = np.empty((len(self.labels), self.unseen + 1),
+                                   dtype=np.float64)
+        for log_row, counts, total in zip(self.log_matrix, nb._counts,
+                                          nb._counts.sum(axis=1).tolist()):
+            log_row[:] = _log_likelihoods(np.append(counts, 0),  # + unseen
+                                          total + vocab_size)
         self.log_prior = np.array(
             [math.log(count / nb._examples) for count in self.label_counts],
             dtype=np.float64)
@@ -195,8 +200,11 @@ class NaiveBayesClassifier(Classifier):
     def __init__(self, *, q: int = 3):
         grams.check_q(q)
         self.q = q
-        #: Per label (in teach order), the bag of its examples' grams.
-        self._bags: dict[Hashable, GramBag] = {}
+        #: Ascending codes of every gram taught so far.
+        self._vocabulary = np.empty(0, dtype=grams.code_dtype(q))
+        #: ``_counts[l, t]``: the count of vocabulary gram *t* under the
+        #: *l*-th label of ``_label_counts`` (teach order).
+        self._counts = np.zeros((0, 0), dtype=np.int64)
         self._label_counts: Counter = Counter()
         self._examples = 0
         self._compiled: _CompiledNB | None = None
@@ -206,23 +214,31 @@ class NaiveBayesClassifier(Classifier):
 
     def teach_many(self, values: Sequence[Any],
                    labels: Sequence[Hashable]) -> None:
-        """Bulk teach: each label's new grams are counted into one bag and
-        added to its bag, and the compiled representation is invalidated
-        once.  Counts are integer sums, so the result is identical to
-        per-value :meth:`teach`."""
+        """Bulk teach: one counting pass adds the batch's grams to the
+        vocabulary and to every label's count row, and the compiled
+        representation is invalidated once.  Counts are integer sums, so
+        the result is identical to per-value :meth:`teach`."""
         if len(values) != len(labels):
             raise ValueError(
                 f"teach_many needs parallel sequences, got {len(values)} "
                 f"values vs {len(labels)} labels")
-        taught: dict[Hashable, list[np.ndarray]] = {}
-        for codes, label in zip(cached_codes_many(values, self.q), labels):
+        codes = cached_codes_many(values, self.q)
+        for label in labels:
             self._label_counts[label] += 1
-            taught.setdefault(label, []).append(codes)
-        for label, arrays in taught.items():
-            bag = grams.count(arrays, self.q)
-            known = self._bags.get(label)
-            self._bags[label] = (bag if known is None
-                                 else grams.merge((known, bag)))
+        row_of = {label: row for row, label in enumerate(self._label_counts)}
+        known = len(self._vocabulary)
+        vocabulary, columns = np.unique(
+            np.concatenate([self._vocabulary, *codes]), return_inverse=True)
+        lengths = np.fromiter(map(len, codes), dtype=np.intp,
+                              count=len(codes))
+        cells = (np.repeat(np.array([row_of[label] for label in labels],
+                                    dtype=np.intp), lengths)
+                 * len(vocabulary) + columns[known:])
+        counts = np.bincount(
+            cells, minlength=len(row_of) * len(vocabulary)).reshape(
+                len(row_of), len(vocabulary))
+        counts[:len(self._counts), columns[:known]] += self._counts
+        self._vocabulary, self._counts = vocabulary, counts
         self._examples += len(values)
         self._compiled = None
 
@@ -251,21 +267,6 @@ class NaiveBayesClassifier(Classifier):
     # ------------------------------------------------------------------
     # Batch path
     # ------------------------------------------------------------------
-    def _dense_counts(self) -> tuple[list[Hashable], CodeColumns,
-                                     np.ndarray, list[int]]:
-        """(labels, vocabulary lookup, int64 count matrix, token totals):
-        ``counts[l, t]`` is token *t*'s count under label *l* over the
-        sorted code vocabulary plus a trailing all-zero column for unseen
-        tokens; labels keep teach order."""
-        labels = list(self._label_counts)
-        bags = [self._bags[label] for label in labels]
-        rows = grams.bag_rows(bags)
-        counts = np.zeros((len(labels), len(rows.lookup) + 1),
-                          dtype=np.int64)
-        counts[np.repeat(np.arange(len(labels)), rows.sizes),
-               rows.indices] = rows.counts
-        return labels, rows.lookup, counts, [bag.total() for bag in bags]
-
     def compiled(self) -> _CompiledNB:
         """The dense log-probability view of the current counts (lazy;
         invalidated by :meth:`teach`)."""
@@ -303,9 +304,10 @@ class _NBGroupScorer(GroupScorer):
     Merging labels leaves the vocabulary — and so every denominator's
     vocabulary term — unchanged, and each label's posterior accumulates on
     its own: a group's column needs only its summed count row, token total
-    and example count.  Distinct values are tokenized once into one token
-    column matrix, right-padded to the longest value with an index whose
-    log entry is 0.0, so a column costs one log row and one gather +
+    and example count.  Distinct values are tokenized once into one gather
+    matrix — the prior's index, then the value's token columns,
+    right-padded to the longest value with an index whose log entry is
+    0.0 — so a column costs one log row and one gather +
     ``np.add.accumulate`` — per value the scalar loop's sequential chain
     of IEEE additions, followed by exact ``+ 0.0`` steps (no partial sum
     is ``-0.0``: the log prior is ``+0.0`` or negative, and so is every
@@ -313,11 +315,14 @@ class _NBGroupScorer(GroupScorer):
     """
 
     def __init__(self, nb: NaiveBayesClassifier, values: Sequence[Any]):
-        labels, lookup, self._counts, self._totals = nb._dense_counts()
-        self.labels = tuple(labels)
-        self._index = {label: i for i, label in enumerate(labels)}
-        self._label_counts = [nb._label_counts[label] for label in labels]
+        self.labels = tuple(nb._label_counts)
+        self._index = {label: i for i, label in enumerate(self.labels)}
+        self._label_counts = list(nb._label_counts.values())
         self._examples = nb._examples
+        #: The taught count rows (never written: teaching replaces them).
+        self._counts = nb._counts
+        self._totals = nb._counts.sum(axis=1).tolist()
+        lookup = CodeColumns(nb._vocabulary)
         self._vocab_size = len(lookup) or 1
         row_of: dict[tuple, int] = {}
         rows: list[int] = []
@@ -336,25 +341,39 @@ class _NBGroupScorer(GroupScorer):
         lengths = np.fromiter(map(len, codes), dtype=np.intp,
                               count=len(codes))
         width = int(lengths.max()) if len(codes) else 0
-        #: Index of the 0.0 entry appended to every log row.
+        #: Index of the 0.0 entry appended to every log row; the log
+        #: prior follows it.
         self._padding = len(lookup) + 1
-        self._token_columns = np.full((len(codes), width), self._padding,
-                                      dtype=np.intp)
+        #: Per distinct value, the log-row entries its posterior adds up:
+        #: the prior, then its tokens' columns, then padding.
+        self._gather = np.full((len(codes), width + 1), self._padding,
+                               dtype=np.intp)
+        self._gather[:, 0] = self._padding + 1
         if width:
-            self._token_columns[np.arange(width) < lengths[:, None]] = \
+            self._gather[:, 1:][np.arange(width) < lengths[:, None]] = \
                 lookup.columns(np.concatenate(codes))
 
     def column(self, members: Sequence[Hashable]) -> GroupColumn:
-        indices = [self._index[label] for label in members]
-        total = sum(self._totals[i] for i in indices)
-        count = sum(self._label_counts[i] for i in indices)
-        log_row = np.zeros(self._padding + 1, dtype=np.float64)
-        log_row[:-1] = _log_likelihoods(self._counts[indices].sum(axis=0),
-                                        total + self._vocab_size)
-        block = np.empty((len(self._token_columns),
-                          self._token_columns.shape[1] + 1),
-                         dtype=np.float64)
-        block[:, 0] = math.log(count / self._examples)
-        block[:, 1:] = log_row[self._token_columns]
-        np.add.accumulate(block, axis=1, out=block)
-        return GroupColumn(block[:, -1].copy(), count)
+        return self.columns((members,))[0]
+
+    def columns(self, groups: Sequence[Sequence[Hashable]]
+                ) -> list[GroupColumn]:
+        """Every group's column from one gather of the groups' log rows
+        and one ``np.add.accumulate`` along the token axis, which reduces
+        each (group, value) chain on its own and in order."""
+        indices = [[self._index[label] for label in members]
+                   for members in groups]
+        counts = [sum(self._label_counts[i] for i in group)
+                  for group in indices]
+        log_rows = np.empty((len(groups), self._padding + 2),
+                            dtype=np.float64)
+        for log_row, group, count in zip(log_rows, indices, counts):
+            log_row[:-2] = _log_likelihoods(
+                np.append(self._counts[group].sum(axis=0), 0),  # + unseen
+                sum(self._totals[i] for i in group) + self._vocab_size)
+            log_row[-2] = 0.0
+            log_row[-1] = math.log(count / self._examples)
+        block = log_rows[:, self._gather]
+        np.add.accumulate(block, axis=2, out=block)
+        return [GroupColumn(scores, count)
+                for scores, count in zip(block[:, :, -1].copy(), counts)]

@@ -47,6 +47,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import signal
 import sys
 from typing import Sequence
 
@@ -636,42 +637,50 @@ def _cmd_store(args: argparse.Namespace) -> int:
         raise SystemExit(f"repro: error: {exc}")
 
 
+def _interrupt(signum: int, frame: object) -> None:
+    raise KeyboardInterrupt
+
+
 def _cmd_serve(args: argparse.Namespace) -> int:
     from .errors import StoreError
     from .service import MatchService
     from .service.http import MatchServer
 
-    service = MatchService(args.store, config=config_from_args(args),
-                           jobs=args.jobs, capacity=args.max_targets)
-    try:
-        warmed = service.warm()
-    except StoreError as exc:
-        raise SystemExit(f"repro: error: {exc}")
-    server = MatchServer((args.host, args.port), service,
-                         verbose=args.verbose)
-    executor = service.executor
-    startup = {"serving": f"http://{args.host}:{server.port}",
-               "targets_warmed": len(warmed),
-               "jobs": executor.config.resolved_workers(),
-               "backend": executor.config.backend,
-               "transport": executor.transport,
-               "capacity": service.capacity}
-    if args.json:
-        print(_store_json(startup, service.store), flush=True)
-    else:
-        print(f"repro serve {__version__}: {startup['serving']} "
-              f"(store {service.store.root}, {len(warmed)} targets warm)",
-              flush=True)
-    if args.startup_only:
-        server.server_close()
+    with MatchService(args.store, config=config_from_args(args),
+                      jobs=args.jobs, capacity=args.max_targets) as service:
+        try:
+            warmed = service.warm()
+        except StoreError as exc:
+            raise SystemExit(f"repro: error: {exc}")
+        server = MatchServer((args.host, args.port), service,
+                             verbose=args.verbose)
+        executor = service.executor
+        startup = {"serving": f"http://{args.host}:{server.port}",
+                   "targets_warmed": len(warmed),
+                   "jobs": executor.config.resolved_workers(),
+                   "backend": executor.config.backend,
+                   "transport": executor.transport,
+                   "capacity": service.capacity}
+        if args.json:
+            print(_store_json(startup, service.store), flush=True)
+        else:
+            print(f"repro serve {__version__}: {startup['serving']} "
+                  f"(store {service.store.root}, {len(warmed)} targets "
+                  f"warm)", flush=True)
+        if args.startup_only:
+            server.server_close()
+            return 0
+        # SIGTERM stops the server as Ctrl-C does, so leaving the service
+        # shuts the worker pool down instead of it outliving the process.
+        previous = signal.signal(signal.SIGTERM, _interrupt)
+        try:
+            server.serve_forever()
+        except KeyboardInterrupt:
+            pass
+        finally:
+            signal.signal(signal.SIGTERM, previous)
+            server.server_close()
         return 0
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:
-        pass
-    finally:
-        server.server_close()
-    return 0
 
 
 def main(argv: Sequence[str] | None = None) -> int:

@@ -21,18 +21,25 @@ well-clustered — producing views over disjunctive conditions
 
 Batch inference
 ---------------
-The ClusteredViewGen loop runs on a :class:`FamilyAssessor`: the
-classifier is taught *once* per (h, l) attribute pair with the original
-label values, and keeps one score matrix — distinct test value × family
-group with training rows — whose columns come from the classifier's
-:meth:`~repro.classifiers.base.Classifier.group_scorer` (a group's column
-is computed from its member labels' summed statistics).  The base family
-fills the matrix once; an early-disjunct merge changes only the merged
-group's column, so a merge step computes that one column and re-takes the
-argmax under the classifiers' exact tie rule.  Results are bit-identical
-to re-teaching a fresh classifier per family (:func:`assess_family`), the
-reference the tests compare against; :class:`InferenceStats` counts the
-work for the engine's stage reports.
+The ClusteredViewGen loop runs on a :class:`FamilyAssessor`, one per
+(h, l) attribute pair, on integer group codes.  The classifier is taught
+*once* with the original label values; ``CNaive``'s baseline comes from
+per-label training counts summed by group.  The assessor keeps one score
+matrix — distinct test value × taught label, each group's column at its
+first member's — whose columns come from the classifier's
+:class:`~repro.classifiers.base.GroupScorer` (a group's column is
+computed from its member labels' summed statistics): the base family's
+from one :meth:`~repro.classifiers.base.GroupScorer.columns` call, and
+each early-disjunct merge writes only the merged group's.  Every
+assessment re-takes the argmax under the classifiers' exact tie rule,
+tallies truth × predicted group codes with one ``np.bincount``
+(:class:`_Tally`) and reads the next merge pair off that tally under
+:func:`~repro.classifiers.metrics.top_error_pair`'s rule.  A
+``ConfusionMatrix`` is built only on request, and a ``ViewFamily`` only
+for a family the loop returns.  Results are bit-identical to re-teaching
+a fresh classifier per family, which the tests keep as the reference
+(``tests/infer_reference.py``); :class:`InferenceStats` counts the work
+for the engine's stage reports.
 """
 
 from __future__ import annotations
@@ -46,9 +53,7 @@ import numpy as np
 
 from ..classifiers.base import (Classifier, GroupColumn, GroupScorer,
                                 label_key)
-from ..classifiers.majority import MajorityClassifier
-from ..classifiers.metrics import (ConfusionMatrix, evaluate_classifier,
-                                   top_error_pair)
+from ..classifiers.metrics import ConfusionMatrix
 from ..classifiers.naive_bayes import NaiveBayesClassifier
 from ..classifiers.numeric import GaussianClassifier
 from ..classifiers.significance import classifier_significance
@@ -244,102 +249,171 @@ class NaiveInfer(CandidateViewGenerator):
 # ---------------------------------------------------------------------------
 # ClusteredViewGen machinery (Section 3.2.2, Figure 6)
 # ---------------------------------------------------------------------------
+class _Tally:
+    """The confusion tally of one assessment, in group codes.
+
+    ``cells`` holds each test row's cell ``truth * (G + 1) + predicted``
+    (predicted ``G``: no prediction).  One ``np.bincount`` counts them;
+    the walk over its nonzero cells, in Python (the arrays are tiny),
+    sums the diagonal into ``correct``, the rows into ``truth`` and the
+    off-diagonal predicted cells into undirected ``errors``.
+    """
+
+    __slots__ = ("cells", "width", "correct", "truth", "errors")
+
+    def __init__(self, cells: np.ndarray, n_groups: int):
+        self.cells = cells
+        self.width = width = n_groups + 1
+        counts = np.bincount(cells, minlength=n_groups * width)
+        nonzero = np.flatnonzero(counts)
+        self.correct = 0
+        self.truth = truth = [0] * n_groups
+        self.errors: dict[tuple[int, int], int] = {}
+        for cell, n in zip(nonzero.tolist(), counts[nonzero].tolist()):
+            t, p = divmod(cell, width)
+            truth[t] += n
+            if t == p:
+                self.correct += n
+            elif p < n_groups:
+                pair = (t, p) if t < p else (p, t)
+                self.errors[pair] = self.errors.get(pair, 0) + n
+
+    def top_pair(self, key: Callable[[int], str]) -> tuple[int, int] | None:
+        """The group pair to merge next, as
+        :func:`~repro.classifiers.metrics.top_error_pair` ranks it: the
+        largest undirected error count over the two groups' summed truth
+        counts, then the smaller sorted label keys (*key* maps a group
+        code to :func:`~repro.classifiers.base.label_key` of its group),
+        then the pair that occurs first in test order."""
+        best, tied = -1.0, []
+        for pair, n in self.errors.items():
+            value = n / (self.truth[pair[0]] + self.truth[pair[1]])
+            if value > best:
+                best, tied = value, [pair]
+            elif value == best:
+                tied.append(pair)
+        if len(tied) > 1:
+            ranks = [sorted((key(a), key(b))) for a, b in tied]
+            least = min(ranks)
+            tied = [pair for pair, rank in zip(tied, ranks) if rank == least]
+            if len(tied) > 1:  # colliding keys: test order decides
+                return min(tied, key=self._first_seen)
+        return tied[0] if tied else None
+
+    def _first_seen(self, pair: tuple[int, int]) -> int:
+        a, b = pair
+        return int(np.flatnonzero((self.cells == a * self.width + b)
+                                  | (self.cells == b * self.width + a))[0])
+
+    def matrix(self, groups: Sequence[frozenset]) -> ConfusionMatrix:
+        """The tally as a :class:`ConfusionMatrix` over *groups*, cells
+        recorded in the order they first occur in the test set."""
+        cells, first, counts = np.unique(self.cells, return_index=True,
+                                         return_counts=True)
+        absent = self.width - 1
+        matrix = ConfusionMatrix()
+        for i in np.argsort(first).tolist():
+            t, p = divmod(int(cells[i]), self.width)
+            matrix.counts[(groups[t], groups[p] if p < absent else None)] = \
+                int(counts[i])
+        return matrix
+
+
 @dataclasses.dataclass(frozen=True)
 class AssessmentResult:
     """Outcome of scoring one (h, l) candidate family."""
 
-    matrix: ConfusionMatrix
     confidence: float  # Φ((c − µ)/σ) of the significance test
+    tally: _Tally
+    groups: tuple[frozenset, ...]
 
     def significant(self, threshold: float) -> bool:
         return self.confidence > threshold
 
-
-def assess_family(family: ViewFamily, classifier: Classifier,
-                  train_pairs: Sequence[tuple[Any, Any]],
-                  test_pairs: Sequence[tuple[Any, Any]]) -> AssessmentResult:
-    """``doTraining`` + ``doTesting`` + score significance for one family.
-
-    Labels are the family's groups (merged tokens after disjunct merging):
-    the classifier is trained on ``h-value -> group(l-value)`` and its
-    correct-classification count is compared against the binomial null of
-    the majority baseline ``CNaive``.
-    """
-    naive = MajorityClassifier()
-    for value, label in train_pairs:
-        group = family.group_label(label)
-        classifier.teach(value, group)
-        naive.teach(value, group)
-    matrix = evaluate_classifier(
-        classifier,
-        ((value, family.group_label(label)) for value, label in test_pairs))
-    significance = classifier_significance(
-        matrix.correct, matrix.total, naive.majority_fraction)
-    return AssessmentResult(matrix, significance.confidence)
+    @property
+    def matrix(self) -> ConfusionMatrix:
+        """The confusion matrix over the family's groups (built on
+        request; the merge loop reads the coded tally instead)."""
+        return self.tally.matrix(self.groups)
 
 
-def _pick_columns(columns: Sequence[GroupColumn],
-                  labels: Sequence[Any]) -> np.ndarray:
+class _Group:
+    """One group of the family under assessment: its label values, the
+    scorer positions of its taught members (ascending — the first is the
+    group's *slot*, its score-matrix column), its ``CNaive`` training
+    count and, once needed, its label key."""
+
+    __slots__ = ("labels", "taught", "train", "column", "_key")
+
+    def __init__(self, labels: frozenset, taught: list[int], train: int):
+        self.labels = labels
+        self.taught = taught
+        self.train = train
+        self.column: GroupColumn | None = None
+        self._key: str | None = None
+
+    @property
+    def key(self) -> str:
+        if self._key is None:
+            self._key = label_key(self.labels)
+        return self._key
+
+
+def _pick(scores: np.ndarray, rank: Callable[[int, int], tuple]
+          ) -> np.ndarray:
     """Winning column per row, under the classifiers' exact tie rule.
 
-    *columns* are in label order.  The classifiers scan them left to
-    right, keeping the best score so far and the columns tying it, with
-    Python's comparison semantics: a NaN never beats or ties, and a NaN
-    in the first column wins outright (``GaussianClassifier.classify``;
-    on NaN-free scores the scan finds the plain maximum).  So the tied
-    columns are those equal to the largest non-NaN score, or the first
-    column alone when its score is NaN.  Rows left with several ties go
-    to the larger count, then the larger
-    :func:`~repro.classifiers.base.label_key` of the group label
-    (*labels*, parallel to *columns*), then the lower tie order — the
-    column's own ``order`` row when it has one, its label-order position
-    otherwise.
+    Columns are in label order, NaN where no group sits.  The classifiers
+    scan their groups left to right, keeping the best score so far and
+    the groups tying it, with Python's comparison semantics: a NaN never
+    beats or ties, and a NaN in the first column wins outright
+    (``GaussianClassifier.classify``; on NaN-free scores the scan finds
+    the plain maximum).  So the tied columns are those equal to the
+    largest non-NaN score, or the first column alone when its score is
+    NaN (the first column always holds a group).  Rows left with several
+    ties go to the largest ``rank(column, row)``.
     """
-    scores = np.column_stack([column.scores for column in columns])
     tied = scores == np.fmax.reduce(scores, axis=1)[:, None]
     first_nan = np.isnan(scores[:, 0])
-    tied[first_nan] = False
-    tied[first_nan, 0] = True
+    if first_nan.any():
+        tied[first_nan] = False
+        tied[first_nan, 0] = True
     winners = tied.argmax(axis=1)
     for row in np.flatnonzero(tied.sum(axis=1) > 1).tolist():
-        def rank(j: int) -> tuple:
-            order = columns[j].order
-            return (columns[j].count, label_key(labels[j]),
-                    -(j if order is None else int(order[row])))
-        winners[row] = max(np.flatnonzero(tied[row]).tolist(), key=rank)
+        winners[row] = max(np.flatnonzero(tied[row]).tolist(),
+                           key=lambda column: rank(column, row))
     return winners
 
 
 class FamilyAssessor:
     """Batch ``doTraining`` + ``doTesting`` for every family over one
-    (h, l) attribute pair.
+    (h, l) attribute pair, on integer group codes.
 
-    The classifier (and the ``CNaive`` baseline) is taught exactly once,
-    with the *original* label values.  The assessor then keeps one score
-    matrix: a row per distinct test value (as the classifier's
+    The classifier is taught exactly once, with the *original* label
+    values, and ``CNaive``'s baseline is read from per-label training
+    counts summed by group.  The assessor keeps one score matrix: a row
+    per distinct test value (as the classifier's
     :class:`~repro.classifiers.base.GroupScorer` defines it), a column per
-    family group that has training rows.  Assessing a family reuses the
-    columns of groups it shares with the previous family and asks the
-    scorer only for the new ones — after an early-disjunct merge, just the
-    merged group's — then re-takes the argmax (:func:`_pick_columns`).
-    The confusion matrix and the majority baseline are tallied from group
-    indices.  Both are bit-identical to :func:`assess_family` with a
-    freshly retrained classifier, so the early-disjunct merge loop
-    (Section 3.3) walks the same trajectory with no re-teaching.
+    taught label, where each group's column sits at its first taught
+    member's (NaN elsewhere).  :meth:`assess` fills it for a family from
+    one :meth:`~repro.classifiers.base.GroupScorer.columns` call; an
+    early-disjunct merge writes the merged group's one new column and
+    blanks the other.  Each assessment re-takes the argmax
+    (:func:`_pick`) and tallies truth × predicted group codes
+    (:class:`_Tally`).  Every result is bit-identical to re-teaching a
+    fresh classifier per family, so :meth:`families` walks the
+    early-disjunct loop (Section 3.3) of Figure 6 with no re-teaching.
     """
 
     def __init__(self, classifier: Classifier,
                  train_pairs: Sequence[tuple[Any, Any]],
                  test_pairs: Sequence[tuple[Any, Any]],
                  *, stats: InferenceStats | None = None):
-        values = [value for value, _ in train_pairs]
         labels = [label for _, label in train_pairs]
-        classifier.teach_many(values, labels)
+        classifier.teach_many([value for value, _ in train_pairs], labels)
         self._scorer = classifier.group_scorer(
             [value for value, _ in test_pairs])
-        naive = MajorityClassifier()
-        naive.teach_many(values, labels)
-        self._naive = naive.group_scorer(())
+        self._train_counts = Counter(labels)
         self._n_train = len(labels)
         self._n_test = len(test_pairs)
         codes: dict[Any, int] = {}
@@ -348,22 +422,19 @@ class FamilyAssessor:
             dtype=np.intp)
         self._test_labels = list(codes)
         self._stats = stats
-        #: The current family's columns, keyed by group.
-        self._columns: dict[frozenset, GroupColumn] = {}
-
-    @staticmethod
-    def _members(scorer: GroupScorer, group_index: Callable[[Any], int]
-                 ) -> dict[int, list[Any]]:
-        """Group index -> taught member labels, groups in label order."""
-        members: dict[int, list[Any]] = {}
-        for label in scorer.labels:
-            members.setdefault(group_index(label), []).append(label)
-        return members
+        #: The family under assessment, in family order.
+        self._groups: list[_Group] = []
+        #: Test row -> group code.
+        self._truth = np.zeros(0, dtype=np.intp)
+        #: Score matrix column (taught label position) -> group code.
+        self._slot_group = np.zeros(0, dtype=np.intp)
+        self._scores = np.zeros((0, 0))
 
     def assess(self, family: ViewFamily, *,
                merged: bool = False) -> AssessmentResult:
-        """Assess one family grouping; *merged* marks early-disjunct merge
-        steps for the ``merges_without_retrain`` counter."""
+        """Assess one family grouping, all its columns scored anew;
+        *merged* marks early-disjunct merge steps for the
+        ``merges_without_retrain`` counter."""
         groups = family.groups
         index_of = {value: i for i, group in enumerate(groups)
                     for value in group}
@@ -375,43 +446,115 @@ class FamilyAssessor:
                 family.group_label(label)  # raises the ConditionError
                 raise
 
-        members = self._members(self._scorer, group_index)
-        columns = {}
-        for i, labels in members.items():
-            group = groups[i]
-            column = self._columns.get(group)
-            columns[group] = (column if column is not None
-                              else self._scorer.column(labels))
-        self._columns = columns
-        absent = len(groups)  # predicted-index code for "no prediction"
+        train = [0] * len(groups)
+        for label, n in self._train_counts.items():
+            train[group_index(label)] += n
+        taught: list[list[int]] = [[] for _ in groups]
+        for position, label in enumerate(self._scorer.labels):
+            taught[group_index(label)].append(position)
+        self._groups = [_Group(group, taught[i], train[i])
+                        for i, group in enumerate(groups)]
+        self._truth = np.array(
+            [group_index(label) for label in self._test_labels],
+            dtype=np.intp)[self._test_codes]
+        scored = sorted((i for i, group in enumerate(self._groups)
+                         if group.taught),
+                        key=lambda i: self._groups[i].taught[0])
+        columns = self._scorer.columns(
+            [self._taught_labels(self._groups[i]) for i in scored])
+        self._slot_group = np.zeros(len(self._scorer.labels), dtype=np.intp)
         if columns:
-            trained = np.array(list(members), dtype=np.intp)
-            winners = _pick_columns(list(columns.values()),
-                                    [groups[i] for i in trained])
-            predicted = trained[winners][self._scorer.rows]
+            slots = [self._groups[i].taught[0] for i in scored]
+            self._slot_group[slots] = scored
+            self._scores = np.full((len(columns[0].scores),
+                                    len(self._scorer.labels)), np.nan)
+            self._scores[:, slots] = np.column_stack(
+                [column.scores for column in columns])
+            for i, column in zip(scored, columns):
+                self._groups[i].column = column
+        return self._score(merged)
+
+    def _merge(self, a: int, b: int) -> AssessmentResult:
+        """Merge groups *a* < *b* as :meth:`ViewFamily.merge` does — the
+        merged group first, the rest in their order — and assess."""
+        first, second = self._groups[a], self._groups[b]
+        group = _Group(first.labels | second.labels,
+                       sorted(first.taught + second.taught),
+                       first.train + second.train)
+        if first.taught and second.taught:
+            group.column = self._scorer.column(self._taught_labels(group))
+            self._scores[:, group.taught[0]] = group.column.scores
+            self._scores[:, max(first.taught[0], second.taught[0])] = np.nan
+        else:  # the same taught members: the same column
+            group.column = first.column or second.column
+        rest = [i for i in range(len(self._groups)) if i != a and i != b]
+        remap = np.zeros(len(self._groups), dtype=np.intp)
+        remap[rest] = range(1, len(rest) + 1)
+        self._groups = [group, *(self._groups[i] for i in rest)]
+        self._truth = remap[self._truth]
+        self._slot_group = remap[self._slot_group]
+        return self._score(merged=True)
+
+    def _taught_labels(self, group: _Group) -> list[Any]:
+        return [self._scorer.labels[position] for position in group.taught]
+
+    def _rank(self, slot: int, row: int) -> tuple:
+        """Tie rank of the group whose column sits at *slot*, at score
+        *row*: its count, then its label key, then the lower tie order —
+        the column's ``order`` row when it has one, its slot otherwise."""
+        group = self._groups[self._slot_group[slot]]
+        order = group.column.order
+        return (group.column.count, group.key,
+                -(slot if order is None else int(order[row])))
+
+    def _score(self, merged: bool) -> AssessmentResult:
+        n_groups = len(self._groups)
+        if len(self._scorer.labels):
+            predicted = self._slot_group[_pick(self._scores, self._rank)][
+                self._scorer.rows]
         else:
-            predicted = np.full(self._n_test, absent, dtype=np.intp)
-        truth = np.array([group_index(label) for label in self._test_labels],
-                         dtype=np.intp)[self._test_codes]
-        cells, first, counts = np.unique(truth * (absent + 1) + predicted,
-                                         return_index=True,
-                                         return_counts=True)
-        matrix = ConfusionMatrix()
-        for i in np.argsort(first).tolist():
-            t, p = divmod(int(cells[i]), absent + 1)
-            matrix.counts[(groups[t], groups[p] if p < absent else None)] = \
-                int(counts[i])
-        naive_counts = [self._naive.column(labels).count for labels
-                        in self._members(self._naive, group_index).values()]
-        p_null = (max(naive_counts) / self._n_train) if self._n_train else 0.0
-        significance = classifier_significance(
-            matrix.correct, matrix.total, p_null)
+            predicted = np.full(self._n_test, n_groups, dtype=np.intp)
+        tally = _Tally(self._truth * (n_groups + 1) + predicted, n_groups)
+        p_null = (max(group.train for group in self._groups) / self._n_train
+                  if self._n_train else 0.0)
+        significance = classifier_significance(tally.correct, self._n_test,
+                                               p_null)
         if self._stats is not None:
             self._stats.batch_calls += 1
             self._stats.values_classified += self._n_test
             if merged:
                 self._stats.merges_without_retrain += 1
-        return AssessmentResult(matrix, significance.confidence)
+        return AssessmentResult(
+            significance.confidence, tally,
+            tuple(group.labels for group in self._groups))
+
+    def families(self, family: ViewFamily, *, threshold: float,
+                 early_disjuncts: bool) -> list[tuple[ViewFamily, float]]:
+        """The well-clustered families of the pair with their confidences:
+        *family* (the base family) if its confidence beats *threshold*,
+        then, with *early_disjuncts*, every merged family that does.
+
+        The early-disjunct loop (Section 3.3) merges the most frequent
+        (frequency-normalized) confusion pair and re-assesses, until the
+        test is error-free or one group remains; a
+        :class:`~repro.relational.views.ViewFamily` is built only for the
+        merged families it returns.
+        """
+        result = self.assess(family)
+        found = []
+        if result.significant(threshold):
+            found.append((family, result.confidence))
+        while early_disjuncts and len(self._groups) > 1:
+            pair = result.tally.top_pair(lambda g: self._groups[g].key)
+            if pair is None:
+                break
+            result = self._merge(*pair)
+            if len(self._groups) > 1 and result.significant(threshold):
+                found.append((ViewFamily(family.table, family.attribute,
+                                         result.groups,
+                                         quality=result.confidence),
+                              result.confidence))
+        return found
 
 
 class _PairExtractor:
@@ -494,50 +637,11 @@ class ClusteredViewGenBase(CandidateViewGenerator):
                        ) -> list[tuple[ViewFamily, float]]:
         """The well-clustered families of one (h, l) pair with their
         confidences: the base family, then the early-disjunct merges."""
-        config = ctx.config
         assessor = FamilyAssessor(self.make_classifier(dtype, ctx),
                                   train_pairs, test_pairs, stats=ctx.stats)
-        result = assessor.assess(base_family)
-        found = []
-        if result.significant(config.significance_threshold):
-            found.append((base_family, result.confidence))
-        if config.early_disjuncts:
-            found.extend(self._merged_families(base_family, result,
-                                               assessor, ctx))
-        return found
-
-    def _merged_families(self, family: ViewFamily, result: AssessmentResult,
-                         assessor: FamilyAssessor, ctx: InferenceContext,
-                         ) -> Iterator[tuple[ViewFamily, float]]:
-        """Early-disjunct error-pair merging loop (Section 3.3).
-
-        Merge the most frequent (frequency-normalized) confusion pair,
-        retrain and retest; keep merged families that test well-clustered.
-        Repeats until the test is error-free or only one group remains.
-        The :class:`FamilyAssessor` scores only the merged group's column —
-        the same results as re-teaching a fresh classifier.
-        """
-        config = ctx.config
-        current = family
-        current_result = result
-        while len(current.groups) > 1:
-            pair = top_error_pair(current_result.matrix)
-            if pair is None:
-                break
-            group_a, group_b = tuple(pair)
-            # Merge via representative raw values of the two groups.
-            rep_a = next(iter(group_a))
-            rep_b = next(iter(group_b))
-            merged = current.merge(rep_a, rep_b)
-            if len(merged.groups) == len(current.groups):
-                break  # already together — cannot make progress
-            merged_result = assessor.assess(merged, merged=True)
-            if (len(merged.groups) > 1
-                    and merged_result.significant(config.significance_threshold)):
-                yield (ViewFamily(merged.table, merged.attribute, merged.groups,
-                                  quality=merged_result.confidence),
-                       merged_result.confidence)
-            current, current_result = merged, merged_result
+        return assessor.families(
+            base_family, threshold=ctx.config.significance_threshold,
+            early_disjuncts=ctx.config.early_disjuncts)
 
     @abc.abstractmethod
     def make_classifier(self, dtype: DataType, ctx: InferenceContext) -> Classifier:

@@ -17,7 +17,9 @@ from hypothesis import strategies as st
 from qgram_reference import ReferenceNB
 from repro.classifiers import (GaussianClassifier, MajorityClassifier,
                                NaiveBayesClassifier, TargetClassifierSet)
-from repro.relational import Database, Relation
+from repro.classifiers.significance import classifier_significance
+from repro.context.candidates import FamilyAssessor
+from repro.relational import Database, Relation, ViewFamily
 from repro.relational.types import DataType
 
 
@@ -239,20 +241,23 @@ class TestGaussianBatch:
 
 class TestMajorityRegroup:
     def test_regrouped_counts(self):
-        m = MajorityClassifier()
-        for label in ["a", "a", "b", "c", "c", "c"]:
-            m.teach("v", label)
-        scorer = m.group_scorer(["x", "y"])
-        assert scorer.labels == ("a", "b", "c")
-        assert scorer.rows.tolist() == [0, 0]
-        merged = scorer.column(["a", "b"])
-        assert merged.count == 3
-        assert scorer.column(["c"]).count == 3
-        assert merged.scores.tolist() == [0.0]
+        """The assessor's ``CNaive`` baseline for a merged family sums the
+        members' training counts: it equals a majority classifier
+        re-taught with the group labels."""
+        labels = ["a", "a", "b", "b", "c", "c", "c"]
+        train = [(f"value {i}", label) for i, label in enumerate(labels)]
+        test = [("value 0", "a"), ("value 2", "b"), ("value 6", "c")]
+        family = ViewFamily.simple("t", "l", ["a", "b", "c"]).merge("a", "b")
+        result = FamilyAssessor(NaiveBayesClassifier(), train,
+                                test).assess(family)
         retaught = MajorityClassifier()
-        for label in ["ab", "ab", "ab", "c", "c", "c"]:
-            retaught.teach("v", label)
-        assert retaught.majority_fraction == merged.count / 6
+        for _, label in train:
+            retaught.teach("v", family.group_label(label))
+        assert retaught.majority_fraction == 4 / 7  # c alone: 3 / 7
+        expected = classifier_significance(
+            result.matrix.correct, len(test), retaught.majority_fraction)
+        assert (struct.pack("<d", result.confidence)
+                == struct.pack("<d", expected.confidence))
 
 
 class TestTargetClassifierSetBatch:

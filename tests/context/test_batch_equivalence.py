@@ -1,13 +1,15 @@
 """Vectorized-vs-retraining inference equivalence.
 
-The FamilyAssessor's incremental merge loop (one new score column per
-merge), the compiled Naive Bayes kernel, batch target tagging and the
+The FamilyAssessor's coded merge loop (group codes, one new score column
+per merge), the compiled Naive Bayes kernel, batch target tagging and the
 batched Gaussian must give the posteriors, tags, tie-breaks and candidate
 families that re-teaching a fresh classifier per family gives, bit for
 bit.  Pinned here at three levels:
 
-* unit — :class:`FamilyAssessor` against :func:`assess_family` on synthetic
-  data and on random merge sequences (Hypothesis), and
+* unit — :class:`FamilyAssessor` against the retraining reference
+  (``tests/infer_reference.py``) on synthetic data, on random merge
+  sequences and on whole ``_pair_families`` trajectories (Hypothesis);
+  the coded merge-pair choice against ``top_error_pair``; and
   ``_TgtTagClassifier`` batch teach against scalar teach;
 * engine — full pipeline runs on a handful of scenarios (tier 1), against
   a reference run whose assessor re-teaches per family
@@ -19,17 +21,18 @@ bit.  Pinned here at three levels:
 import copy
 import dataclasses
 import struct
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from infer_reference import assess_family, reference_families
 from repro.classifiers import (GaussianClassifier, NaiveBayesClassifier,
                                TargetClassifierSet)
 from repro.context import ContextMatchConfig, InferenceContext, candidates
-from repro.context.candidates import (FamilyAssessor, _TgtTagClassifier,
-                                      assess_family)
+from repro.context.candidates import FamilyAssessor, _TgtTagClassifier
 from repro.datagen import build_scenario, registered_scenarios, scenario_names
 from repro.engine import MatchEngine
 from repro.evaluation.scenarios import scenario_config
@@ -71,17 +74,28 @@ def engine_artifacts(result):
 class RetrainingAssessor:
     """:class:`FamilyAssessor` stand-in for the reference run: every family
     re-teaches a deep copy of the fresh classifier through
-    :func:`assess_family` — the per-family retrain of Figure 6, with no
-    statistics regrouping."""
+    :func:`assess_family`, and :func:`reference_families` walks the merge
+    loop over ``ViewFamily`` objects — the per-family retrain of Figure
+    6, with no statistics regrouping.  It counts the assessments in
+    *stats* as the coded assessor does."""
 
     def __init__(self, classifier, train_pairs, test_pairs, *, stats=None):
         self._fresh = copy.deepcopy(classifier)
         self._train_pairs = list(train_pairs)
         self._test_pairs = list(test_pairs)
+        self._stats = stats
 
-    def assess(self, family, *, merged=False):
+    def assess(self, family, merged):
+        if self._stats is not None:
+            self._stats.batch_calls += 1
+            self._stats.values_classified += len(self._test_pairs)
+            self._stats.merges_without_retrain += merged
         return assess_family(family, copy.deepcopy(self._fresh),
                              self._train_pairs, self._test_pairs)
+
+    def families(self, family, *, threshold, early_disjuncts):
+        return reference_families(family, self.assess, threshold=threshold,
+                                  early_disjuncts=early_disjuncts)
 
 
 def run_modes(name, monkeypatch, inference=None):
@@ -294,6 +308,116 @@ class TestTieOrder:
         assert (list(result.matrix.counts.items())
                 == list(expected.matrix.counts.items()))
         assert expected.matrix.correct == 0  # the tag order decided both
+
+
+def _bits(x: float) -> bytes:
+    return struct.pack("<d", x)
+
+
+#: Group labels for the merge-pair property: plain and merged groups, and
+#: ``_Twin`` groups whose label keys collide, so that only test order can
+#: break a tie between pairs that differ in one twin.
+TWINS = [frozenset({_Twin()}), frozenset({_Twin()})]
+OTHER_GROUPS = [frozenset({"a"}), frozenset({"b", "c"}),
+                frozenset({_Twin(), "e"}), frozenset({_Twin(), "e"})]
+
+
+def coded_and_reference(groups, rows):
+    """(coded pair as groups, ``top_error_pair``) over *rows* of (truth,
+    predicted) group codes, plus the tally and the recorded matrix."""
+    from repro.classifiers.base import label_key
+    from repro.classifiers.metrics import ConfusionMatrix, top_error_pair
+
+    n = len(groups)
+    tally = candidates._Tally(
+        np.array([t * (n + 1) + p for t, p in rows], dtype=np.intp), n)
+    matrix = ConfusionMatrix()
+    for t, p in rows:
+        matrix.record(groups[t], groups[p] if p < n else None)
+    pair = tally.top_pair(lambda g: label_key(groups[g]))
+    coded = None if pair is None else frozenset(groups[g] for g in pair)
+    return coded, top_error_pair(matrix), tally, matrix
+
+
+class TestCodedMergePair:
+    @given(data=st.data())
+    @settings(max_examples=400, deadline=None)
+    def test_top_pair_equals_top_error_pair(self, data):
+        """Random truth and predicted group codes (code ``n`` is the
+        no-prediction column): the coded choice, the correct count and
+        the lazily built matrix equal ``ConfusionMatrix`` and
+        ``top_error_pair`` recorded row by row."""
+        extra = data.draw(st.lists(st.sampled_from(OTHER_GROUPS),
+                                   unique=True, max_size=4))
+        groups = data.draw(st.permutations(TWINS + extra))
+        n = len(groups)
+        rows = data.draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                            st.integers(0, n)),
+                                  min_size=1, max_size=12))
+        coded, expected, tally, matrix = coded_and_reference(groups, rows)
+        assert coded == expected
+        assert tally.correct == matrix.correct
+        assert (list(tally.matrix(groups).counts.items())
+                == list(matrix.counts.items()))
+
+    @pytest.mark.parametrize("order", [(0, 1), (1, 0)])
+    def test_colliding_keys_follow_test_order(self, order):
+        """(twin, a) and (twin', a) tie in count and in label keys: the
+        pair whose error occurs first in the test set is merged."""
+        groups = [*TWINS, frozenset({"a"})]
+        first, second = order
+        rows = [(2, 2), (first, 2), (second, 2), (first, first),
+                (second, second)]
+        coded, expected, _, _ = coded_and_reference(groups, rows)
+        assert coded == expected == frozenset({groups[first], groups[2]})
+
+
+class TestTrajectories:
+    """Whole ``_pair_families`` runs on random taught pairs: the families
+    yielded (groups in order), their quality and confidence bits and the
+    :class:`~repro.context.InferenceStats` counts equal the retraining
+    reference's, or both raise the same arithmetic error."""
+
+    @staticmethod
+    def trajectory(kind, assessor, base, train, test, threshold, early):
+        generator = (candidates.TgtClassInfer() if kind == "tgt"
+                     else candidates.SrcClassInfer())
+        dtype = DataType.FLOAT if kind == "gaussian" else DataType.STRING
+        config = ContextMatchConfig(inference=generator.name,
+                                    significance_threshold=threshold,
+                                    early_disjuncts=early)
+        ctx = InferenceContext(config=config, rng=np.random.default_rng(0),
+                               target=tagger_target(),
+                               classifiers=lambda: TAGGER)
+        if kind == "tgt":
+            # Tag every value up front, so neither side counts tagging.
+            _TgtTagClassifier(TAGGER, dtype, tag_cache=ctx.tag_cache
+                              )._tag_many([value for value, _ in train + test])
+        with mock.patch.object(candidates, "FamilyAssessor", assessor):
+            try:
+                found = generator._pair_families(base, train, test, dtype,
+                                                 ctx)
+            except (ArithmeticError, ValueError) as exc:
+                return type(exc)
+        return ([(family.groups, _bits(family.quality), _bits(confidence))
+                 for family, confidence in found], ctx.stats.as_counts())
+
+    @pytest.mark.parametrize("kind", sorted(CLASSIFIERS))
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    def test_pair_families_equal_the_retraining_reference(self, kind, data):
+        values, _ = CLASSIFIERS[kind]
+        pairs = st.tuples(values, LABELS)
+        train = data.draw(st.lists(pairs, min_size=2, max_size=30))
+        test = data.draw(st.lists(pairs, min_size=1, max_size=25))
+        threshold = data.draw(st.sampled_from([0.0, 0.5, 0.95]))
+        early = data.draw(st.booleans())
+        labels = {label for _, label in train + test} | {"u"}
+        base = ViewFamily.simple("t", "l", sorted(labels))
+        args = (base, train, test, threshold, early)
+        coded = self.trajectory(kind, FamilyAssessor, *args)
+        assert coded == self.trajectory(kind, RetrainingAssessor, *args)
 
 
 class TestTgtTagClassifierBatch:

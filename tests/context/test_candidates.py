@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from infer_reference import assess_family
 from repro.context import (ContextMatchConfig, InferenceContext, NaiveInfer,
                            SrcClassInfer, TgtClassInfer, make_generator,
                            set_partitions)
-from repro.context.candidates import assess_family
 from repro.classifiers import NaiveBayesClassifier
 from repro.matching.standard import AttributeMatch
 from repro.relational import Database, Relation, ViewFamily
