@@ -59,12 +59,12 @@ from ..classifiers.numeric import GaussianClassifier
 from ..classifiers.significance import classifier_significance
 from ..classifiers.target import TargetClassifierSet
 from ..matching.standard import AttributeMatch
+from ..relational.columns import ObjectColumn
 from ..relational.instance import Database, Relation
-from ..relational.types import DataType
+from ..relational.types import DataType, is_hashable
 from ..relational.views import ViewFamily
 from ..sampling import systematic_thin
-from .categorical import (CategoricalPolicy, categorical_attributes,
-                          non_categorical_attributes)
+from .categorical import CategoricalPolicy, categorical_attributes
 from .model import ContextMatchConfig
 
 __all__ = ["InferenceContext", "InferenceStats", "CandidateViewGenerator",
@@ -573,13 +573,17 @@ class _PairExtractor:
         self._relation = relation
 
     def pairs(self, h_attr: str, label_attr: str) -> list[tuple[Any, Any]]:
-        """(h, l) values over the rows where both are present."""
+        """(h, l) values over the rows where both are present and l is
+        hashable (an unhashable value is in no view group)."""
         relation = self._relation
         rows = np.flatnonzero(relation.presence_array(h_attr)
                               & relation.presence_array(label_attr))
         h_values = relation.column_store(h_attr).gather(rows)
         l_values = relation.column_store(label_attr).gather(rows)
-        return list(zip(h_values, l_values))
+        pairs = list(zip(h_values, l_values))
+        if isinstance(relation.column_store(label_attr), ObjectColumn):
+            pairs = [pair for pair in pairs if is_hashable(pair[1])]
+        return pairs
 
 
 class ClusteredViewGenBase(CandidateViewGenerator):
@@ -593,9 +597,10 @@ class ClusteredViewGenBase(CandidateViewGenerator):
     def _infer(self, relation: Relation, ctx: InferenceContext,
                exclude: frozenset[str]) -> list[ViewFamily]:
         config = ctx.config
-        cats = [a for a in categorical_attributes(relation, ctx.policy)
-                if a not in exclude]
-        noncats = non_categorical_attributes(relation, ctx.policy)
+        categorical = categorical_attributes(relation, ctx.policy)
+        cats = [a for a in categorical if a not in exclude]
+        noncats = [a for a in relation.schema.attribute_names
+                   if a not in categorical]
         if not cats or not noncats or len(relation) < 4:
             return []
         train, test = relation.split(config.train_fraction, ctx.rng)

@@ -112,6 +112,19 @@ class ColumnStore:
         dict keyed by value would — or None for the generic fallback."""
         return None
 
+    def distinct_count(self) -> int:
+        """How many keys :meth:`counts_in_order` (or a dict over the
+        present values) has: equal values of different types count once,
+        and unhashable values, which no partition cell holds, not at
+        all."""
+        seen = set()
+        for value in self.present_values():
+            try:
+                seen.add(value)
+            except TypeError:
+                continue
+        return len(seen)
+
     @property
     def nbytes(self) -> int:
         """Approximate storage footprint of the typed arrays."""
@@ -202,6 +215,10 @@ class NumericColumn(ColumnStore):
             values, return_index=True, return_counts=True)
         order = np.argsort(first, kind="stable").tolist()
         return [(uniques[j].item(), int(counts[j])) for j in order]
+
+    def distinct_count(self) -> int:
+        # Present cells hold no NaN, and 0.0 == -0.0 as dict keys too.
+        return len(np.unique(self.data[self.mask]))
 
     @property
     def nbytes(self) -> int:
@@ -334,6 +351,13 @@ class CodedColumn(ColumnStore):
             value = self.uniques[code]
             merged[value] = merged.get(value, 0) + int(counts[code])
         return list(merged.items())
+
+    def distinct_count(self) -> int:
+        # By value, not by code: ``1``, ``1.0`` and ``True`` are three
+        # uniques but one dict key.
+        used = np.bincount(self.codes, minlength=len(self.uniques)) > 0
+        present = (used & ~self._uniq_missing).tolist()
+        return len(set(itertools.compress(self.uniques, present)))
 
     @property
     def nbytes(self) -> int:

@@ -2,9 +2,9 @@
 
 Experiment drivers persist generated workloads so runs are inspectable and
 re-playable; this module provides the plain-text format.  Types are inferred
-on read via :func:`~repro.relational.types.infer_column_type` and values are
-coerced into their Python representations by
-:func:`~repro.relational.types.coerce_value`.
+on read by the rule of :func:`~repro.relational.types.infer_column_type`
+and values are coerced as :func:`~repro.relational.types.coerce_value`
+coerces them.
 
 Reading interns each column as it goes.  Records come off the ``csv``
 reader in chunks of :data:`CHUNK_RECORDS`, are transposed in C
@@ -12,12 +12,16 @@ reader in chunks of :data:`CHUNK_RECORDS`, are transposed in C
 distinct texts, which numbers a new text with the next ``int32`` code on
 sight.  So the reader holds one chunk of field strings at a time, plus
 each column's distinct texts and four bytes per cell: memory grows with
-the distinct texts, not with the rows.  Once the file is read, the
-missing test, type inference and coercion run once per distinct text (a
-1500-row category column holds a handful), and the typed store is built
-from the coerced distinct values and the codes: a numeric column is one
-numpy gather, a coded column keeps the codes and the first-seen uniques.
-The result equals typing and coercing every field one by one.
+the distinct texts, not with the rows.  Once the file is read, each
+distinct text goes through one missing test, one typing pass
+(:func:`~repro.relational.types.infer_text_column_type`) and one bulk
+coercion, which falls back to ``coerce_value`` text by text only where
+it raises.  A TEXT, STRING or DATE column's coded store is built straight
+from the code table: its present texts are the uniques, and its missing
+texts collapse into one ``None``.  Any other column's store is built from
+its coerced distinct values and gathered by the codes (one numpy gather
+for a numeric column).  The result equals typing and coercing every
+field one by one.
 """
 
 from __future__ import annotations
@@ -31,10 +35,11 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from ..errors import InstanceError
-from .columns import ColumnStore, build_column, code_table
+from .columns import CodedColumn, ColumnStore, build_column, code_table
 from .instance import Database, Relation
 from .schema import Attribute, TableSchema
-from .types import DataType, coerce_value, infer_column_type
+from .types import (DataType, coerce_value, infer_text_column_type,
+                    missing_texts)
 
 __all__ = ["write_csv", "read_csv", "dump_database", "load_database",
            "relation_to_csv_text", "relation_from_csv_text"]
@@ -79,20 +84,71 @@ def _typed_column(name: str, attr: str, texts: list[str],
     """The dtype and store of column *attr* of table *name*, from its
     distinct *texts* (in first-seen order) and each row's index into them.
 
-    Inference and coercion see each distinct text once; the store built
-    over the coerced distinct values is then gathered by *codes*, which
-    is the store the per-row value list would build (missing texts all
-    coerce to ``None``, equal values of different texts share one
-    unique, in first-seen order).
+    Each distinct text is tested for missing once, typed once and coerced
+    once; the store equals the one the per-row value list would build
+    (missing texts all coerce to ``None``, equal values of different
+    texts share one unique, in first-seen order).
     """
-    dtype = infer_column_type(texts)
+    missing = np.fromiter(missing_texts(texts), dtype=bool,
+                          count=len(texts))
+    present = (list(itertools.compress(texts, (~missing).tolist()))
+               if missing.any() else texts)
+    dtype = infer_text_column_type(present)
+    if dtype in _TEXT_TYPES:
+        return dtype, _text_column(texts, missing, codes)
     try:
-        values = [coerce_value(text, dtype) for text in texts]
+        values = _coerced(present, dtype)
     except ValueError as exc:
         raise InstanceError(
             f"CSV for {name!r}: column {attr!r} does not read as "
             f"{dtype.value}: {exc}") from exc
+    if missing.any():  # back to one value per distinct text
+        coerced = iter(values)
+        values = [None if gap else next(coerced) for gap in missing.tolist()]
     return dtype, build_column(values).take(codes)
+
+
+#: The types whose values are their field texts.
+_TEXT_TYPES = (DataType.STRING, DataType.TEXT, DataType.DATE)
+
+#: The C-level conversion of each numeric type; it raises on the texts
+#: :func:`coerce_value` reads otherwise (boolean tokens as FLOAT) and on
+#: the ones it rejects.
+_BULK = {DataType.INTEGER: int, DataType.FLOAT: float}
+
+
+def _coerced(present: list[str], dtype: DataType) -> list:
+    """The values of the non-missing texts *present* as *dtype*: one bulk
+    conversion, text by text through :func:`coerce_value` only where the
+    bulk conversion raises."""
+    bulk = _BULK.get(dtype)
+    if bulk is not None:
+        try:
+            return list(map(bulk, present))
+        except ValueError:
+            pass
+    return [coerce_value(text, dtype) for text in present]
+
+
+def _text_column(texts: list[str], missing: np.ndarray,
+                 codes: np.ndarray) -> CodedColumn:
+    """The coded store of a text-valued column straight from the reader's
+    code table: the present texts are the uniques, and every missing text
+    becomes the one ``None`` unique, at the first missing text's place."""
+    if not missing.any():
+        return CodedColumn(codes, tuple(texts),
+                           uniq_missing=np.zeros(len(texts), dtype=bool))
+    first = int(missing.argmax())  # no text before it is dropped
+    kept = ~missing
+    kept[first] = True
+    remap = np.cumsum(kept, dtype=np.int32) - 1  # text -> unique
+    remap[missing] = first
+    uniques = list(itertools.compress(texts, kept.tolist()))
+    uniques[first] = None
+    uniq_missing = np.zeros(len(uniques), dtype=bool)
+    uniq_missing[first] = True
+    return CodedColumn(remap[codes], tuple(uniques),
+                       uniq_missing=uniq_missing)
 
 
 def _parse_stream(name: str, reader: Iterator[list[str]],

@@ -184,15 +184,8 @@ class Relation:
         return self.rows()
 
     def distinct(self, attribute: str) -> list[Any]:
-        """Distinct non-missing values in first-seen order."""
-        counts = self.column_store(attribute).counts_in_order()
-        if counts is not None:
-            return [value for value, _ in counts]
-        seen: dict[Any, None] = {}
-        for v in self.column(attribute):
-            if not is_missing(v) and v not in seen:
-                seen[v] = None
-        return list(seen)
+        """Distinct non-missing, hashable values in first-seen order."""
+        return list(self.value_counts(attribute))
 
     def partition_indices(self, attribute: str) -> dict[Any, list[int]]:
         """Row indices grouped by the values of one attribute, in row order.
@@ -234,6 +227,8 @@ class Relation:
         }
 
     def value_counts(self, attribute: str) -> dict[Any, int]:
+        """Rows per distinct non-missing value, in first-seen order.
+        Unhashable values are skipped, as in :meth:`partition_indices`."""
         counts = self.column_store(attribute).counts_in_order()
         if counts is not None:
             return dict(counts)
@@ -241,7 +236,10 @@ class Relation:
         for v in self.column(attribute):
             if is_missing(v):
                 continue
-            out[v] = out.get(v, 0) + 1
+            try:
+                out[v] = out.get(v, 0) + 1
+            except TypeError:
+                continue
         return out
 
     # ------------------------------------------------------------------

@@ -5,21 +5,31 @@ The paper's data model (Section 2.1) gives every attribute a type drawn from
 the per-type target classifiers of ``TgtClassInfer`` (Figure 7) both branch
 on these types.  We implement a small closed enumeration plus inference from
 sample values, mirroring what a constraint-mining tool would do on CSV data.
+
+A column's type is the widening of its present values' types
+(:func:`infer_column_type`).  The CSV reader types a column from its
+distinct present texts (:func:`infer_text_column_type`): a column of bare
+decimal digit strings in C-level passes, any other through the same
+widening loop, so the rule lives in one place.
 """
 
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 import re
-from typing import Any, Iterable
+from typing import Any, Iterable, Iterator, Sequence
 
 __all__ = [
     "DataType",
     "infer_type",
     "infer_column_type",
+    "infer_text_column_type",
     "coerce_value",
     "is_missing",
+    "is_hashable",
+    "missing_texts",
 ]
 
 #: The FLOAT (group 1) and DATE (group 2) spellings of a stripped text.
@@ -119,6 +129,23 @@ def is_missing(value: Any) -> bool:
     return False
 
 
+def is_hashable(value: Any) -> bool:
+    """Whether *value* can key a dict: a partition cell, a view group or
+    a class label.  Columns may hold unhashable values (JSON lists), which
+    no such key can stand for."""
+    try:
+        hash(value)
+    except TypeError:
+        return False
+    return True
+
+
+def missing_texts(texts: Iterable[str]) -> Iterator[bool]:
+    """:func:`is_missing` of each string of *texts*, in C-level passes."""
+    return map(MISSING_TOKENS.__contains__,
+               map(str.lower, map(str.strip, texts)))
+
+
 def infer_type(value: Any) -> DataType:
     """Infer the :class:`DataType` of a single non-missing value."""
     if isinstance(value, str):  # the common case: a CSV field
@@ -155,13 +182,36 @@ def infer_column_type(values: Iterable[Any]) -> DataType:
     Missing values are skipped.  The result is the most general type that
     covers every observed value (INTEGER and BOOLEAN widen to FLOAT,
     STRING widens to TEXT, any textual/other mix collapses to TEXT).  An
-    all-missing column defaults to STRING.  The scan stops at the first
-    value that leaves TEXT the only possible result.
+    all-missing column defaults to STRING.
     """
+    return _widened_type(itertools.filterfalse(is_missing, values))
+
+
+def infer_text_column_type(texts: Sequence[str]) -> DataType:
+    """:func:`infer_column_type` of a CSV column whose present (non-missing)
+    field texts are *texts*.
+
+    A column of bare decimal digit strings is typed in C-level passes: it
+    is INTEGER when no text has a leading zero (``"0"`` alone has none),
+    STRING when every text has one and TEXT when the two mix, which is
+    what :func:`infer_type` makes of each text.  Any other column goes
+    through the widening rule text by text.
+    """
+    if texts and all(map(str.isdecimal, texts)):
+        # Decimal texts hold no newline: each "\n0" starts a text at "0".
+        leading_zeros = (("\n" + "\n".join(texts)).count("\n0")
+                         - texts.count("0"))
+        if not leading_zeros:
+            return _INTEGER
+        return _STRING if leading_zeros == len(texts) else _TEXT
+    return _widened_type(texts)
+
+
+def _widened_type(present: Iterable[Any]) -> DataType:
+    """The widening rule over the non-missing values *present*.  The scan
+    stops at the first value that leaves TEXT the only possible result."""
     seen: list[DataType] = []  # compared by identity: no enum hashing
-    for value in values:
-        if is_missing(value):
-            continue
+    for value in present:
         dtype = infer_type(value)
         if dtype not in seen:
             seen.append(dtype)

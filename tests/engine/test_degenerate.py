@@ -5,6 +5,8 @@ without raising; the first run, a second run on the same artifact and
 the pooled runs agree exactly, counts included.
 A source column with 10⁴ distinct values runs through the engine under
 the default categorical policy and with the cardinality guard off.
+Source columns holding unhashable values (JSON lists) match under every
+inference kind: the values fall in no view, as partitions skip them.
 
 Match counts are deliberately not pinned: what an empty or constant
 relation *should* match is a semantic question of its own.
@@ -20,6 +22,7 @@ from repro.context.serialize import result_to_dict
 from repro.datagen import make_retail_workload
 from repro.engine import ExecutorConfig, MatchExecutor
 from repro.relational.instance import Database, Relation
+from repro.relational.jsonio import database_from_dict, database_to_dict
 from repro.relational.schema import Attribute, TableSchema
 from repro.relational.types import DataType
 
@@ -113,3 +116,33 @@ def test_ten_thousand_distinct_values(policy):
     result = engine.match(source, engine.prepare(base.target))
     assert result.matches
     assert result.report.stage("infer-views").counts["values_classified"]
+
+
+def _with_list_values(database: Database, attribute: str,
+                      every: int) -> Database:
+    """*database* decoded from JSON with every *every*-th value of
+    *attribute* replaced by a one-element list."""
+    payload = database_to_dict(database)
+    for table in payload["tables"]:
+        column = table["columns"].get(attribute)
+        if column is not None:
+            table["columns"][attribute] = [
+                [value] if i % every == 0 else value
+                for i, value in enumerate(column)]
+    return database_from_dict(payload)
+
+
+@pytest.mark.parametrize("inference", ["src", "tgt", "naive"])
+@pytest.mark.parametrize("attribute,every", [("Code", 1), ("ItemType", 7)],
+                         ids=["all-lists", "some-lists"])
+def test_unhashable_source_values(workload, inference, attribute, every):
+    source = _with_list_values(workload.source, attribute, every)
+    relation = source.relation(workload.source_table)
+    assert type(relation.column_store(attribute)).__name__ == "ObjectColumn"
+    assert all(not isinstance(value, list)
+               for value in relation.distinct(attribute))
+    engine = MatchEngine(ContextMatchConfig(inference=inference, seed=5))
+    prepared = engine.prepare(workload.target)
+    result = engine.match(source, prepared)
+    assert result.matches
+    assert _comparable(engine.match(source, prepared)) == _comparable(result)

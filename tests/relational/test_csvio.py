@@ -16,10 +16,10 @@ from hypothesis import strategies as st
 
 from repro.datagen import build_scenario, get_scenario, scenario_names
 from repro.errors import InstanceError
-from repro.relational import (Database, DataType, Relation, build_column,
-                              dump_database, load_database, read_csv,
-                              relation_from_csv_text, relation_to_csv_text,
-                              write_csv)
+from repro.relational import (CodedColumn, Database, DataType, NumericColumn,
+                              Relation, build_column, dump_database,
+                              load_database, read_csv, relation_from_csv_text,
+                              relation_to_csv_text, write_csv)
 from repro.relational import csvio
 from repro.relational.schema import Attribute, TableSchema
 from repro.relational.types import coerce_value, infer_column_type, is_missing
@@ -199,17 +199,45 @@ def _cell(value):
     return (type(value).__name__, value)
 
 
+def layout(store):
+    """How *store* holds its column, which ``tolist()``, presence and the
+    token cannot see (two ``None`` uniques, a reordered unique tuple):
+    a coded column's uniques in order and its codes, a numeric column's
+    data bits and mask.
+
+    NaN uniques with equal bits count as one: the per-field reader
+    coerces every ``nan`` field to a new NaN object, and a NaN is its
+    only equal, so that reader keeps one unique per NaN row where the
+    interning reader keeps one per distinct text."""
+    if isinstance(store, NumericColumn):
+        return (store.data.dtype.str, store.data.tobytes(),
+                store.mask.tolist())
+    assert isinstance(store, CodedColumn)
+    uniques, remap, nans = [], [], {}
+    for value in store.uniques:
+        cell = _cell(value)
+        is_nan = isinstance(value, float) and value != value
+        if is_nan and cell in nans:
+            remap.append(nans[cell])
+            continue
+        if is_nan:
+            nans[cell] = len(uniques)
+        remap.append(len(uniques))
+        uniques.append(cell)
+    return uniques, [remap[code] for code in store.codes.tolist()]
+
+
 def fingerprint(relation: Relation):
     """What the two readers must agree on: per column the dtype, the
-    store class, the values (floats by bits) and the presence mask, plus
-    the relation's ``database_token``."""
+    store class, the values (floats by bits), the presence mask and the
+    store's :func:`layout`, plus the relation's ``database_token``."""
     columns = []
     for attribute in relation.schema:
         store = relation.column_store(attribute.name)
         columns.append((attribute.name, attribute.dtype,
                         type(store).__name__,
                         [_cell(v) for v in store.tolist()],
-                        store.presence().tolist()))
+                        store.presence().tolist(), layout(store)))
     return columns, database_token(Database.from_relations("db",
                                                            [relation]))
 

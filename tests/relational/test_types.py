@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.relational.types import (DataType, coerce_value, infer_column_type,
-                                    infer_type, is_missing)
+                                    infer_text_column_type, infer_type,
+                                    is_missing, missing_texts)
 
 
 class TestIsMissing:
@@ -235,3 +236,26 @@ def test_infer_type_matches_per_type_patterns(text):
                           st.booleans(), st.none()), max_size=12))
 def test_column_type_equals_the_rule_over_every_value(values):
     assert infer_column_type(values) is reference_column_type(values)
+
+
+#: Bare decimal digit strings, with and without leading zeros, in ASCII
+#: and other scripts: the texts the C-level typing pass handles.
+DECIMALS = st.one_of(
+    st.integers(0, 10**6).map(str),
+    st.integers(0, 999).map(lambda n: f"0{n}"),
+    st.sampled_from(["0", "00", "٠", "٠١", "١٢", "०७", "０", "０1"]),
+)
+
+
+@settings(max_examples=300)
+@given(st.one_of(st.lists(DECIMALS, max_size=12),
+                 st.lists(st.one_of(DECIMALS, PADDED), max_size=12)))
+def test_text_column_type_equals_the_rule_over_every_text(texts):
+    present = [text for text in texts if not is_missing(text)]
+    assert infer_text_column_type(present) is reference_column_type(texts)
+
+
+@settings(max_examples=300)
+@given(st.lists(PADDED, max_size=12))
+def test_missing_texts_equals_is_missing(texts):
+    assert list(missing_texts(texts)) == [is_missing(t) for t in texts]

@@ -17,7 +17,7 @@ import pytest
 
 from repro import ArtifactStore, MatchEngine, MatchService, start_service
 from repro.context.serialize import result_to_dict
-from repro.relational.jsonio import database_to_dict
+from repro.relational.jsonio import database_from_dict, database_to_dict
 
 
 @pytest.fixture(scope="module")
@@ -109,6 +109,23 @@ class TestRoutes:
         for result in body["results"]:
             assert _match_key(result) == _match_key(reference)
         assert body["throughput"]["tasks"] == 2
+
+    def test_match_with_unhashable_source_values(self, server, workload):
+        """A source column of JSON lists matches as it does in process;
+        the lists fall in no view (the categorical test skips them)."""
+        payload = database_to_dict(workload.source)
+        for table in payload["tables"]:
+            table["columns"]["BookingCode"] = [
+                [value] for value in table["columns"]["BookingCode"]]
+        status, body = _post(server, "/match", {
+            "target": server.entry.token, "source": payload})
+        assert status == 200
+        engine = MatchEngine()
+        expected = engine.match(database_from_dict(payload),
+                                engine.prepare(workload.target))
+        assert body["result"]["matches"]
+        assert _match_key(body["result"]) == _match_key(
+            result_to_dict(expected))
 
     def test_report_reflects_traffic(self, server):
         status, body = _get(server, "/report")
