@@ -78,7 +78,7 @@ from .engine import (BatchResult, EngineObserver, ExecutorConfig,
                      MatchEngine, MatchExecutor, PreparedSource,
                      PreparedTarget, RunReport, Stage, StageReport,
                      ThroughputReport, default_stages)
-from .matching import MatchingSystem, StandardMatch, StandardMatchConfig
+from .matching import StandardMatch, StandardMatchConfig
 from .profiling import ColumnProfile, PartitionIndex, ProfileStore
 from .relational import (Attribute, Condition, Database, DataType, Eq, In,
                          Relation, Schema, TableSchema, View, ViewFamily)
@@ -111,7 +111,6 @@ __all__ = [
     "MatchResult",
     "StandardMatch",
     "StandardMatchConfig",
-    "MatchingSystem",
     "Attribute",
     "Condition",
     "Database",

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import abc
 import dataclasses
-from typing import Any, Hashable, Iterable, Sequence
+from typing import Any, Hashable, Sequence
 
 import numpy as np
 
@@ -120,10 +120,6 @@ class Classifier(abc.ABC):
     def classify(self, value: Any) -> Hashable | None:
         """Predict the label of *value*; None when untrained."""
 
-    def teach_all(self, examples: Iterable[tuple[Any, Hashable]]) -> None:
-        for value, label in examples:
-            self.teach(value, label)
-
     def teach_many(self, values: Sequence[Any],
                    labels: Sequence[Hashable]) -> None:
         """Add a batch of training examples (parallel sequences).
@@ -147,19 +143,6 @@ class Classifier(abc.ABC):
         and distinct-value memoization, never for different answers.
         """
         return [self.classify(value) for value in values]
-
-    def log_posteriors_many(self, values: Sequence[Any]
-                            ) -> list[dict[Hashable, float]]:
-        """Per-value unnormalized log posteriors for a batch of values.
-
-        Only meaningful for probabilistic classifiers exposing a scalar
-        ``log_posteriors``; the default delegates to it per value.
-        """
-        scalar = getattr(self, "log_posteriors", None)
-        if scalar is None:
-            raise NotImplementedError(
-                f"{type(self).__name__} does not expose log posteriors")
-        return [scalar(value) for value in values]
 
     def group_scorer(self, values: Sequence[Any]) -> GroupScorer:
         """A :class:`GroupScorer` over *values* for this classifier's

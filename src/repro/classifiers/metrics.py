@@ -12,13 +12,11 @@ from __future__ import annotations
 
 import dataclasses
 from collections import Counter
-from typing import Any, Hashable, Iterable, Iterator
+from typing import Hashable, Iterator
 
-from .base import Classifier, label_key
+from .base import label_key
 
-__all__ = ["ConfusionMatrix", "evaluate_classifier", "micro_fbeta",
-           "per_label_precision_recall", "normalized_error_pairs",
-           "top_error_pair"]
+__all__ = ["ConfusionMatrix", "normalized_error_pairs", "top_error_pair"]
 
 
 @dataclasses.dataclass
@@ -58,49 +56,6 @@ class ConfusionMatrix:
         """Counter of directed error pairs (truth, predicted), truth != pred."""
         return Counter({pair: n for pair, n in self.counts.items()
                         if pair[0] != pair[1]})
-
-
-def evaluate_classifier(classifier: Classifier,
-                        examples: Iterable[tuple[Any, Hashable]]) -> ConfusionMatrix:
-    """Run *classifier* over (value, true-label) pairs."""
-    matrix = ConfusionMatrix()
-    for value, truth in examples:
-        matrix.record(truth, classifier.classify(value))
-    return matrix
-
-
-def per_label_precision_recall(matrix: ConfusionMatrix) -> dict[Hashable, tuple[float, float]]:
-    """(precision, recall) per true label."""
-    truth_counts = matrix.true_label_counts()
-    predicted_counts = matrix.predicted_label_counts()
-    result: dict[Hashable, tuple[float, float]] = {}
-    for label in set(truth_counts) | set(predicted_counts):
-        tp = matrix.counts.get((label, label), 0)
-        precision = tp / predicted_counts[label] if predicted_counts[label] else 0.0
-        recall = tp / truth_counts[label] if truth_counts[label] else 0.0
-        result[label] = (precision, recall)
-    return result
-
-
-def micro_fbeta(matrix: ConfusionMatrix, beta: float = 1.0) -> float:
-    """Micro-averaged Fβ.
-
-    Micro-averaging pools true positives / false positives / false negatives
-    over all labels; in the single-label setting both pooled precision and
-    pooled recall equal accuracy, so Fβ reduces to accuracy for any β — we
-    still compute it through the definition for transparency.
-    """
-    if matrix.total == 0:
-        return 0.0
-    tp = matrix.correct
-    fp = matrix.total - tp  # every wrong prediction is an FP for its label
-    fn = matrix.total - tp  # ... and an FN for the true label
-    precision = tp / (tp + fp) if tp + fp else 0.0
-    recall = tp / (tp + fn) if tp + fn else 0.0
-    if precision + recall == 0.0:
-        return 0.0
-    beta_sq = beta * beta
-    return (1 + beta_sq) * precision * recall / (beta_sq * precision + recall)
 
 
 def _normalized_counts(matrix: ConfusionMatrix) -> Iterator[tuple[frozenset, float]]:

@@ -274,18 +274,6 @@ class NaiveBayesClassifier(Classifier):
             self._compiled = _CompiledNB(self)
         return self._compiled
 
-    def log_posteriors_many(self, values: Sequence[Any]
-                            ) -> list[dict[Hashable, float]]:
-        """Batch log posteriors, bit-identical to :meth:`log_posteriors`."""
-        if not self._label_counts:
-            return [{} for _ in values]
-        compiled = self.compiled()
-        return [
-            dict(zip(compiled.labels,
-                     compiled.posterior_row(value).tolist()))
-            for value in values
-        ]
-
     def classify_many(self, values: Sequence[Any]) -> list[Hashable | None]:
         """Batch classification, bit-identical to :meth:`classify`."""
         if not self._label_counts:

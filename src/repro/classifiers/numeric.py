@@ -5,12 +5,12 @@
 values; classification maximizes prior x likelihood.  A variance floor
 keeps degenerate (constant) classes usable.
 
-The batch path (:meth:`GaussianClassifier.classify_many` /
-:meth:`~GaussianClassifier.log_posteriors_many`) keeps the scalar kernel —
-floating-point exponentiation (``** 2``) is not reproducible across numpy
-and libm at the ulp level, and the equivalence contract is bit-identity —
-and instead amortizes: the per-label fit happens once per batch and each
-*distinct* value is evaluated once (numeric columns repeat values heavily).
+The batch path (:meth:`GaussianClassifier.classify_many`) keeps the
+scalar kernel — floating-point exponentiation (``** 2``) is not
+reproducible across numpy and libm at the ulp level, and the equivalence
+contract is bit-identity — and instead amortizes: the per-label fit
+happens once per batch and each *distinct* value is evaluated once
+(numeric columns repeat values heavily).
 :meth:`~GaussianClassifier.group_scorer` fits a label group from its
 members' values re-interleaved into teach order (positions are recorded at
 teach time), with the same fit and kernel, so a merged group's column
@@ -181,24 +181,6 @@ class GaussianClassifier(Classifier):
     # ------------------------------------------------------------------
     # Batch path
     # ------------------------------------------------------------------
-    def log_posteriors_many(self, values: Sequence[Any]
-                            ) -> list[dict[Hashable, float]]:
-        """Batch log posteriors: one fit, one evaluation per distinct
-        value, bit-identical to :meth:`log_posteriors`."""
-        self._fit()
-        memo: dict[tuple, dict[Hashable, float]] = {}
-        out: list[dict[Hashable, float]] = []
-        for value in values:
-            key = value_key(value)
-            if key is None:
-                out.append(self.log_posteriors(value))
-                continue
-            cached = memo.get(key)
-            if cached is None:
-                cached = memo[key] = self.log_posteriors(value)
-            out.append(dict(cached))
-        return out
-
     def classify_many(self, values: Sequence[Any]) -> list[Hashable | None]:
         """Batch classification, bit-identical to :meth:`classify`."""
         self._fit()

@@ -1,6 +1,7 @@
 """Per-type target-column classifiers (paper Figure 7, ``TgtClassInfer``).
 
-``createTargetClassifier(D, RT)`` builds one classifier per basic domain D
+``createTargetClassifier(D, RT)`` (:meth:`TargetClassifierSet.train`)
+builds one classifier per basic domain D
 trained on every compatible target column: each value of ``RT.a`` is taught
 with the label ``"RT.a"``.  Applied to a source value, the classifier
 guesses which target column the value "should appear in" — the tag that
@@ -26,7 +27,7 @@ from .base import Classifier
 from .naive_bayes import NaiveBayesClassifier
 from .numeric import GaussianClassifier
 
-__all__ = ["TargetClassifierSet", "create_target_classifier"]
+__all__ = ["TargetClassifierSet"]
 
 
 def _new_classifier(family: str) -> Classifier:
@@ -106,8 +107,3 @@ class TargetClassifierSet:
             tags[i] = None if tag is None else str(tag)
         return tags
 
-
-def create_target_classifier(target: Database,
-                             *, sample_limit: int | None = None) -> TargetClassifierSet:
-    """Functional alias mirroring the paper's ``createTargetClassifier``."""
-    return TargetClassifierSet.train(target, sample_limit=sample_limit)

@@ -13,12 +13,12 @@ from .candidates import (CandidateViewGenerator, FamilyAssessor,
                          SrcClassInfer, TgtClassInfer, make_generator,
                          set_partitions)
 from .categorical import (CategoricalPolicy, categorical_attributes,
-                          is_categorical, non_categorical_attributes)
+                          is_categorical)
 from .conjunctive import refine_conjunctive
 from .contextmatch import ContextMatch
 from .model import (CandidateScore, ContextMatchConfig, ContextualMatch,
                     MatchResult)
-from .score import score_family_candidates, score_view_candidates
+from .score import score_relation_candidates
 from .serialize import (attribute_match_from_dict, attribute_match_to_dict,
                         condition_from_dict, condition_to_dict,
                         config_from_dict, config_to_dict, match_from_dict,
@@ -44,7 +44,6 @@ __all__ = [
     "CategoricalPolicy",
     "is_categorical",
     "categorical_attributes",
-    "non_categorical_attributes",
     "condition_to_dict",
     "condition_from_dict",
     "config_to_dict",
@@ -57,8 +56,7 @@ __all__ = [
     "report_from_dict",
     "result_to_dict",
     "result_from_dict",
-    "score_view_candidates",
-    "score_family_candidates",
+    "score_relation_candidates",
     "multi_table",
     "qual_table",
     "select_matches",

@@ -27,8 +27,7 @@ from typing import Any, Sequence
 from ..relational.instance import Relation
 from ..relational.types import is_hashable, is_missing
 
-__all__ = ["CategoricalPolicy", "is_categorical", "categorical_attributes",
-           "non_categorical_attributes"]
+__all__ = ["CategoricalPolicy", "is_categorical", "categorical_attributes"]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -116,9 +115,3 @@ def categorical_attributes(relation: Relation,
     return [attribute.name for attribute in relation.schema
             if _is_categorical_column(relation, attribute.name, policy)]
 
-
-def non_categorical_attributes(relation: Relation,
-                               policy: CategoricalPolicy | None = None) -> list[str]:
-    """``NonCat(R)``: the complement of :func:`categorical_attributes`."""
-    categorical = set(categorical_attributes(relation, policy))
-    return [a.name for a in relation.schema if a.name not in categorical]

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Sequence
 
-from ..matching.standard import AttributeMatch, MatchingSystem, TargetIndex
+from ..matching.standard import AttributeMatch, StandardMatch, TargetIndex
 from ..relational.instance import Database
 from ..relational.schema import AttributeRef
 from ..relational.views import View, ViewFamily
@@ -29,18 +29,17 @@ __all__ = ["refine_conjunctive"]
 
 def refine_conjunctive(matches: Sequence[ContextualMatch], source: Database,
                        generator: CandidateViewGenerator,
-                       matcher: MatchingSystem, index: TargetIndex,
-                       ctx: InferenceContext,
-                       store: "ProfileStore | None" = None,
+                       matcher: StandardMatch, index: TargetIndex,
+                       ctx: InferenceContext, store: "ProfileStore",
                        ) -> tuple[list[ContextualMatch], list[ViewFamily],
                                   list[CandidateScore]]:
     """One extra ContextMatch stage over the currently selected views.
 
     Returns the refined match list plus the families and candidate scores
-    evaluated during this stage (for diagnostics).  *store* routes the
-    per-stage rescoring through the partition-once profiling path; the
-    restricted stage relations carry unique view names, so cached profiles
-    stay per-view.  Callers should pass a stage-scoped store (see
+    evaluated during this stage (for diagnostics).  *store* profiles the
+    per-stage rescoring; the restricted stage relations carry unique view
+    names, so cached profiles stay per-view.  Callers should pass a
+    stage-scoped store (see
     :class:`~repro.engine.stages.ConjunctiveRefineStage`): the restricted
     relations materialized here are per-selection artifacts, and caching
     them in a long-lived :class:`~repro.engine.prepared.PreparedSource`

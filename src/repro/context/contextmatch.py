@@ -15,7 +15,6 @@ existing code and the paper-oriented reading of the API keep working:
 from __future__ import annotations
 
 from ..engine.engine import MatchEngine
-from ..matching.standard import MatchingSystem
 from ..relational.instance import Database
 from .categorical import CategoricalPolicy
 from .model import ContextMatchConfig, MatchResult
@@ -31,10 +30,6 @@ class ContextMatch:
     config:
         All thresholds and policy switches; see
         :class:`~repro.context.model.ContextMatchConfig`.
-    matcher:
-        The standard matching system to wrap.  Anything implementing
-        :class:`~repro.matching.standard.MatchingSystem` works; defaults to
-        the library's :class:`~repro.matching.standard.StandardMatch`.
     policy:
         Thresholds of the categorical-attribute test.
 
@@ -48,18 +43,12 @@ class ContextMatch:
     """
 
     def __init__(self, config: ContextMatchConfig | None = None,
-                 matcher: MatchingSystem | None = None,
-                 policy: CategoricalPolicy | None = None):
-        self.engine = MatchEngine(config=config, matcher=matcher,
-                                  policy=policy)
+                 *, policy: CategoricalPolicy | None = None):
+        self.engine = MatchEngine(config=config, policy=policy)
 
     @property
     def config(self) -> ContextMatchConfig:
         return self.engine.config
-
-    @property
-    def matcher(self) -> MatchingSystem:
-        return self.engine.matcher
 
     @property
     def policy(self) -> CategoricalPolicy:

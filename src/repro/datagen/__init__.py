@@ -56,8 +56,8 @@ from .perturb import (PERTURBATIONS, FormatDrift, InjectNulls, Perturbation,
                       RenameAttributes, ShrinkVocabulary, ShuffleRows,
                       Workload, make_perturbation)
 from .realestate import (RealEstateConfig, RealEstateWorkload,
-                         make_realestate_relation, make_realestate_workload,
-                         property_kind_labels, realestate_column)
+                         make_realestate_workload, property_kind_labels,
+                         realestate_column)
 from .registry import (DEFAULT_PERTURBATION_VARIANTS, PerturbationSpec,
                        ScenarioSpec, build_scenario, family_names,
                        get_scenario, register_family, register_scenario,
@@ -96,7 +96,6 @@ __all__ = [
     "EventsWorkload",
     "event_kind_labels",
     # real estate
-    "make_realestate_relation",
     "realestate_column",
     "make_realestate_workload",
     "RealEstateConfig",

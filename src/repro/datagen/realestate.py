@@ -27,7 +27,7 @@ from ..relational.instance import Database, Relation
 from .ground_truth import GroundTruth
 from .text import gamma_label_pair, person_name
 
-__all__ = ["make_realestate_relation", "realestate_column",
+__all__ = ["realestate_column",
            "RealEstateConfig", "RealEstateWorkload",
            "make_realestate_workload", "property_kind_labels"]
 
@@ -76,20 +76,6 @@ def realestate_column(kind: str, n: int, rng: np.random.Generator) -> list:
 
 #: Round-robin order used when padding schemas with noise attributes.
 PAD_KINDS = ["address", "city", "agent", "sqft", "listing"]
-
-
-def make_realestate_relation(n: int, rng: np.random.Generator,
-                             *, name: str = "listings") -> Relation:
-    """The full unrelated real-estate table (also used by tests/examples)."""
-    return Relation.infer_schema(name, {
-        "listing_id": list(range(1, n + 1)),
-        "address": realestate_column("address", n, rng),
-        "city": realestate_column("city", n, rng),
-        "property_type": realestate_column("property", n, rng),
-        "sqft": realestate_column("sqft", n, rng),
-        "listing_price": realestate_column("listing", n, rng),
-        "agent": realestate_column("agent", n, rng),
-    })
 
 
 # ---------------------------------------------------------------------------

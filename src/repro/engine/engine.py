@@ -17,11 +17,13 @@ partitions across runs, so re-matching the same source (sweeps, re-tuned
 thresholds) skips source-side profiling.  Even a plain-database run gets
 a per-run store: candidate views are scored from one partition of the
 base relation instead of being materialized each (the
-:mod:`repro.profiling` path).  A matching system without the profiling
-interface is a black box and gets no store: its candidate views are
-materialized and scored one by one.  Profile and partition cache
-counters appear in each stage's
-:class:`~repro.engine.report.StageReport`.
+:mod:`repro.profiling` path).  Profile and partition cache counters
+appear in each stage's :class:`~repro.engine.report.StageReport`.
+
+Every engine matches with ``StandardMatch(config.standard)``, the paper's
+black-box standard matcher, so a prepared artifact is valid for exactly
+the engines whose configuration it was built under:
+:meth:`MatchEngine.prepared_fingerprint` is that configuration.
 
 The pipeline itself is an ordered list of
 :class:`~repro.engine.stages.Stage` objects (Figure 5's five steps by
@@ -44,7 +46,7 @@ from ..context.candidates import InferenceContext, make_generator
 from ..context.categorical import CategoricalPolicy
 from ..context.model import ContextMatchConfig, MatchResult
 from ..errors import EngineError
-from ..matching.standard import MatchingSystem, StandardMatch
+from ..matching.standard import StandardMatch
 from ..matching.tokens import token_cache_scope
 from ..profiling import ProfileStore
 from ..relational.instance import Database
@@ -67,11 +69,8 @@ class MatchEngine:
     ----------
     config:
         All thresholds and policy switches; see
-        :class:`~repro.context.model.ContextMatchConfig`.
-    matcher:
-        The standard matching system to wrap.  Anything implementing
-        :class:`~repro.matching.standard.MatchingSystem` works; defaults
-        to the library's :class:`~repro.matching.standard.StandardMatch`.
+        :class:`~repro.context.model.ContextMatchConfig`.  The engine
+        matches with ``StandardMatch(config.standard)`` (:attr:`matcher`).
     policy:
         Thresholds of the categorical-attribute test.
     stages:
@@ -93,12 +92,11 @@ class MatchEngine:
     """
 
     def __init__(self, config: ContextMatchConfig | None = None,
-                 matcher: MatchingSystem | None = None,
-                 policy: CategoricalPolicy | None = None,
-                 *, stages: Sequence[Stage] | None = None,
+                 *, policy: CategoricalPolicy | None = None,
+                 stages: Sequence[Stage] | None = None,
                  observers: Sequence[EngineObserver] = ()):
         self.config = config or ContextMatchConfig()
-        self.matcher = matcher or StandardMatch(self.config.standard)
+        self.matcher = StandardMatch(self.config.standard)
         self.policy = policy or CategoricalPolicy()
         self.stages: list[Stage] = (list(stages) if stages is not None
                                     else default_stages())
@@ -118,22 +116,13 @@ class MatchEngine:
         becomes durable: if the store already holds an artifact for this
         (target content, engine fingerprint) pair it is loaded — verified,
         bit-identical to preparing in memory — and otherwise the freshly
-        built artifact is saved before being returned.  Engines whose
-        fingerprint is identity-scoped (custom matching systems) bypass
-        the store.
+        built artifact is saved before being returned.
         """
         if store is not None:
             return store.prepared_target(self, target)
-        # Stamp the configuration the index was actually profiled under: a
-        # custom StandardMatch may carry a different config than the
-        # engine-level ContextMatchConfig.standard.
-        standard_config = (self.matcher.config
-                           if isinstance(self.matcher, StandardMatch)
-                           else self.config.standard)
         return PreparedTarget.build(
             target, self.matcher.build_target_index(target),
-            standard_config=standard_config, policy=self.policy,
-            matcher=self.matcher,
+            standard_config=self.config.standard, policy=self.policy,
             retrieval_top_k=self.config.retrieval_top_k)
 
     def _resolve(self, target: Database | PreparedTarget
@@ -150,54 +139,27 @@ class MatchEngine:
                 "PreparedTarget was built under a different categorical "
                 f"policy ({prepared.policy} != {self.policy}); re-prepare "
                 "the target with this engine")
-        if not self._matcher_interchangeable(prepared.matcher):
+        if prepared.standard_config != self.config.standard:
             raise EngineError(
-                "PreparedTarget was built by an incompatible matching "
-                f"system ({prepared.matcher!r} vs {self.matcher!r}); "
-                "re-prepare the target with this engine")
+                "PreparedTarget was built under an incompatible matcher "
+                f"configuration ({prepared.standard_config} != "
+                f"{self.config.standard}); re-prepare the target with this "
+                "engine")
 
     def prepared_fingerprint(self) -> tuple:
         """Hashable digest of every configuration input prepared artifacts
-        derive from.
+        derive from: ``(config.standard, policy)``.
 
         Two engines with equal fingerprints produce interchangeable
         (bit-identical) :class:`PreparedTarget` / :class:`PreparedSource`
-        artifacts; caches such as
-        :class:`~repro.evaluation.runner.EngineRunner`'s prepared LRUs key
-        on it so engines with differing configurations sharing one runner
-        can never serve each other stale artifacts.  A plain
-        :class:`StandardMatch` whose matcher zoo was derived from its
-        configuration fingerprints by that configuration (mirroring
-        :meth:`_matcher_interchangeable`); anything else — custom matching
-        systems, and StandardMatch instances built over an explicit
-        matcher list, whose parameterization names/types do not expose —
-        fingerprints by identity, since its artifacts are only provably
-        valid for itself.
+        artifacts (a source's profiles derive from ``config.standard``
+        alone); caches such as
+        :class:`~repro.evaluation.runner.EngineRunner`'s prepared LRUs and
+        the :class:`~repro.store.ArtifactStore` lookup keys derive from
+        it, so engines with differing configurations can never serve each
+        other stale artifacts.
         """
-        matcher = self.matcher
-        if type(matcher) is StandardMatch and matcher.default_zoo:
-            matcher_key: tuple = ("standard", matcher.config)
-        else:
-            matcher_key = ("custom", type(matcher).__qualname__, id(matcher))
-        return (matcher_key, self.policy)
-
-    def _matcher_interchangeable(self, theirs: MatchingSystem | None) -> bool:
-        """Whether artifacts built by *theirs* are valid for this engine.
-
-        Distinct matcher objects are interchangeable only when both are
-        plain StandardMatch instances whose zoos were derived from equal
-        configurations — the derived artifacts are then bit-equal.
-        Anything else (custom systems, explicit matcher lists whose
-        parameterization the names don't expose) must be the same object,
-        or its artifacts may silently disagree with this engine's scorer.
-        """
-        ours = self.matcher
-        if theirs is ours:
-            return True
-        return (type(ours) is StandardMatch and type(theirs) is StandardMatch
-                and ours.default_zoo
-                and getattr(theirs, "default_zoo", False)
-                and ours.config == theirs.config)
+        return (self.config.standard, self.policy)
 
     # ------------------------------------------------------------------
     # Source preparation
@@ -212,43 +174,33 @@ class MatchEngine:
         matching of the same source skips source-side profiling.  Scores
         are bit-identical to matching the plain database.
         """
-        store = ProfileStore.for_matcher(self.matcher)
-        if store is None:
-            raise EngineError(
-                f"matching system {self.matcher!r} does not expose the "
-                "profiling interface (supports_profile_store); pass the "
-                "plain Database instead")
-        standard_config = (self.matcher.config
-                           if isinstance(self.matcher, StandardMatch)
-                           else self.config.standard)
-        return PreparedSource(source=source, store=store,
-                              standard_config=standard_config,
-                              matcher=self.matcher)
+        return PreparedSource(source=source, store=self._profile_store(),
+                              standard_config=self.config.standard)
+
+    def _profile_store(self) -> ProfileStore:
+        return ProfileStore(self.matcher.matchers,
+                            self.config.standard.sample_limit)
 
     def _check_source_compatible(self, prepared: PreparedSource) -> None:
-        if (self._matcher_interchangeable(prepared.matcher)
-                and prepared.store.matcher_names
-                == tuple(m.name for m in getattr(self.matcher, "matchers",
-                                                 ()))):
-            return
-        raise EngineError(
-            "PreparedSource was built by an incompatible matching system "
-            f"({prepared.matcher!r} vs {self.matcher!r}); re-prepare the "
-            "source with this engine")
+        if prepared.standard_config != self.config.standard:
+            raise EngineError(
+                "PreparedSource was built under an incompatible matcher "
+                f"configuration ({prepared.standard_config} != "
+                f"{self.config.standard}); re-prepare the source with this "
+                "engine")
 
     def _resolve_source(self, source: Database | PreparedSource
-                        ) -> tuple[Database, ProfileStore | None, bool]:
+                        ) -> tuple[Database, ProfileStore, bool]:
         """(database, profile store, was_prepared) for one run's source.
 
         A plain database gets a fresh per-run store (intra-run reuse:
-        partition-once view scoring, profile sharing across stages) when
-        the matcher supports it, and None otherwise; a
+        partition-once view scoring, profile sharing across stages); a
         :class:`PreparedSource` contributes its long-lived store.
         """
         if isinstance(source, PreparedSource):
             self._check_source_compatible(source)
             return source.source, source.store, True
-        return source, ProfileStore.for_matcher(self.matcher), False
+        return source, self._profile_store(), False
 
     # ------------------------------------------------------------------
     # Matching

@@ -245,9 +245,8 @@ class EngineArtifact:
     def engine(self) -> "MatchEngine":
         if self._engine is None:
             from .engine import MatchEngine
-            self._engine = MatchEngine(
-                self.config, matcher=self.prepared.matcher,
-                policy=self.policy, stages=self.stages)
+            self._engine = MatchEngine(self.config, policy=self.policy,
+                                       stages=self.stages)
         return self._engine
 
     def __getstate__(self) -> dict:

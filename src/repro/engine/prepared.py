@@ -32,6 +32,14 @@ them by design, so re-matching the same source (evaluation sweeps,
 re-tuned thresholds) skips source-side profiling.  Every entry is a pure
 function of the source side, so sharing it never changes results.
 
+Each artifact records, as plain values, the configuration it was built
+under: ``standard_config`` (the engine's ``config.standard``, which also
+fixes the matcher zoo) and, for a target, the categorical ``policy``.
+That is everything an engine's
+:meth:`~repro.engine.engine.MatchEngine.prepared_fingerprint` covers, so
+compatibility checks and store lookups compare configurations, never
+matcher objects.
+
 Both classes are picklable, which is how the
 :class:`~repro.engine.executor.MatchExecutor` process backend ships them
 to worker pools.  A target's pickle holds the target database, the
@@ -54,8 +62,7 @@ from typing import Any, Callable, Hashable
 
 from ..classifiers.target import TargetClassifierSet
 from ..context.categorical import CategoricalPolicy, categorical_attributes
-from ..matching.standard import (MatchingSystem, StandardMatchConfig,
-                                 TargetIndex)
+from ..matching.standard import StandardMatchConfig, TargetIndex
 from ..profiling import ProfileStore
 from ..relational.instance import Database
 from ..retrieval import RetrievalIndex
@@ -70,7 +77,8 @@ class PreparedTarget:
     Built by :meth:`MatchEngine.prepare` through :meth:`build`; frozen,
     and never written to by a run.  ``standard_config`` and ``policy``
     record the configuration the artifacts were derived under — the
-    engine refuses to run against a prepared target built under a
+    preparing engine's :meth:`~MatchEngine.prepared_fingerprint` — and
+    the engine refuses to run against a prepared target built under a
     different configuration, since the index would silently disagree
     with the run's matcher.
 
@@ -91,12 +99,9 @@ class PreparedTarget:
     standard_config: StandardMatchConfig
     policy: CategoricalPolicy
     categorical: dict[str, tuple[str, ...]]
-    #: The matching system whose ``build_target_index`` produced ``index``;
-    #: the engine's compatibility check compares against it.
-    matcher: MatchingSystem | None = None
     #: Hybrid candidate-retrieval prefilter over ``index``
     #: (:mod:`repro.retrieval`).  Built only where it can prune: the
-    #: matching system supports target subsets and the target has more
+    #: index carries the q-gram channel and the target has more
     #: attributes than the preparing engine's ``retrieval_top_k``.  None
     #: otherwise; a run whose own ``retrieval_top_k`` is below the
     #: attribute count then uses :meth:`run_local_retrieval`.
@@ -105,21 +110,18 @@ class PreparedTarget:
     @classmethod
     def build(cls, target: Database, index: TargetIndex,
               standard_config: StandardMatchConfig,
-              policy: CategoricalPolicy,
-              matcher: MatchingSystem | None = None, *,
+              policy: CategoricalPolicy, *,
               retrieval_top_k: int) -> "PreparedTarget":
         categorical = {
             relation.name: tuple(categorical_attributes(relation, policy))
             for relation in target
         }
         retrieval = (RetrievalIndex.build(index)
-                     if matcher is not None
-                     and RetrievalIndex.supports(matcher, index)
+                     if RetrievalIndex.supports(index)
                      and len(index.samples) > retrieval_top_k else None)
         return cls(target=target, index=index,
                    standard_config=standard_config, policy=policy,
-                   categorical=categorical, matcher=matcher,
-                   retrieval=retrieval)
+                   categorical=categorical, retrieval=retrieval)
 
     @property
     def table_names(self) -> tuple[str, ...]:
@@ -177,8 +179,8 @@ class PreparedSource:
     is a pure function of the source instance and ``standard_config``, so
     reuse skips recomputation without changing results.  The engine
     refuses to run a prepared source built under a different standard
-    configuration or matcher zoo, since its profiles would silently
-    disagree with the run's scorer.
+    configuration, since its profiles would silently disagree with the
+    run's scorer.
 
     Attributes
     ----------
@@ -189,15 +191,11 @@ class PreparedSource:
         with reuse counters surfaced in stage reports.
     standard_config:
         The standard-matcher configuration the profiles are valid under.
-    matcher:
-        The matching system the store was built for; the engine's
-        compatibility check compares against it.
     """
 
     source: Database
     store: ProfileStore
     standard_config: StandardMatchConfig
-    matcher: MatchingSystem | None = None
 
     @property
     def table_names(self) -> tuple[str, ...]:

@@ -34,7 +34,7 @@ from ..context.model import ContextMatchConfig, MatchResult
 from ..context.score import score_relation_candidates
 from ..context.select import select_matches
 from ..matching.matchers import AttributeSample
-from ..matching.standard import AttributeMatch, MatchingSystem
+from ..matching.standard import AttributeMatch, StandardMatch
 from ..matching.tokens import token_cache_counters
 from ..profiling import ProfileStore
 from ..relational.instance import Database, Relation
@@ -66,32 +66,20 @@ class PipelineState:
     source: Database
     prepared: PreparedTarget
     config: ContextMatchConfig
-    matcher: MatchingSystem
+    matcher: StandardMatch
     generator: CandidateViewGenerator
     ctx: InferenceContext
     result: MatchResult
+    #: Source-side profile/partition cache (:mod:`repro.profiling`).
+    #: Long-lived when the run was given a
+    #: :class:`~repro.engine.prepared.PreparedSource`, per-run otherwise.
+    store: ProfileStore
     #: Accepted prototype matches keyed by source relation name.
     accepted: dict[str, list[AttributeMatch]] = dataclasses.field(
         default_factory=dict)
     #: Inferred view families keyed by source relation name.
     families: dict[str, list[ViewFamily]] = dataclasses.field(
         default_factory=dict)
-    #: Source-side profile/partition cache (:mod:`repro.profiling`); None
-    #: when profiling is disabled or the matcher does not support it.
-    #: Long-lived when the run was given a
-    #: :class:`~repro.engine.prepared.PreparedSource`, per-run otherwise.
-    store: ProfileStore | None = None
-
-    def store_counters(self) -> dict[str, int] | None:
-        """Snapshot of the store's reuse counters (None without a store)."""
-        return self.store.counters() if self.store is not None else None
-
-    def store_counters_since(self, before: dict[str, int] | None
-                             ) -> dict[str, int]:
-        """Counter deltas for one stage's work (empty without a store)."""
-        if self.store is None or before is None:
-            return {}
-        return self.store.counters_since(before)
 
 
 class Stage(abc.ABC):
@@ -116,7 +104,7 @@ class Stage(abc.ABC):
 class StandardMatchStage(Stage):
     """Accepted prototype matches from the black-box standard matcher.
 
-    With a profile store in play, source columns are scored from cached
+    Source columns are scored from the run store's cached
     :class:`~repro.profiling.ColumnProfile` objects — a run against a
     :class:`~repro.engine.prepared.PreparedSource` reports all
     ``profile_hits`` here from its second run on.
@@ -125,25 +113,18 @@ class StandardMatchStage(Stage):
     name = "standard-match"
 
     def run(self, state: PipelineState) -> dict[str, int]:
-        before = state.store_counters()
+        before = state.store.counters()
         tokens_before = token_cache_counters()
-        use_store = (state.store is not None
-                     and getattr(state.matcher, "supports_profile_store",
-                                 False))
         for relation in state.source:
-            if use_store:
-                scored = state.matcher.score_relation(
-                    relation, state.prepared.index, store=state.store)
-            else:
-                scored = state.matcher.score_relation(
-                    relation, state.prepared.index)
+            scored = state.matcher.score_relation(
+                relation, state.prepared.index, store=state.store)
             accepted = [m for m in scored
                         if state.matcher.accept(m, state.config.tau)]
             state.accepted[relation.name] = accepted
             state.result.standard_matches.extend(accepted)
         return {"relations": len(state.accepted),
                 "accepted": len(state.result.standard_matches),
-                **state.store_counters_since(before),
+                **state.store.counters_since(before),
                 **_token_counters_since(tokens_before)}
 
 
@@ -177,19 +158,18 @@ class InferViewsStage(Stage):
 class ScoreCandidatesStage(Stage):
     """Re-score every prototype match against the candidate views (RL).
 
-    The ScoreMatch hot path: with a profile store each base relation is
-    partitioned once per family attribute, and the unseen member views of
-    all its families are scored as blocks — per (partition attribute,
-    source attribute), every view's profile is built from partition cells
-    in one batch (merged groups composing additive profiles from cell
-    profiles) and scored against the attribute's frontier at once —
-    instead of materializing and re-profiling every view.  The
-    stage's counts surface the cache economics: ``partitions_built`` /
-    ``partition_hits`` and ``profile_hits`` / ``profile_misses`` /
-    ``profiles_merged``.
+    The ScoreMatch hot path: through the run's profile store each base
+    relation is partitioned once per family attribute, and the unseen
+    member views of all its families are scored as blocks — per
+    (partition attribute, source attribute), every view's profile is built
+    from partition cells in one batch (merged groups composing additive
+    profiles from cell profiles) and scored against the attribute's
+    frontier at once — instead of materializing and re-profiling every
+    view.  The stage's counts surface the cache economics:
+    ``partitions_built`` / ``partition_hits`` and ``profile_hits`` /
+    ``profile_misses`` / ``profiles_merged``.
 
-    With ``config.use_retrieval`` (default, requires a matching system
-    that opts in via ``supports_target_subset``) the target side of every
+    With ``config.use_retrieval`` (the default) the target side of every
     rescoring is pruned to the :class:`~repro.retrieval.RetrievalIndex`
     frontier: each source attribute is queried once per relation and its
     retrieved top-k positions — always widened by the attribute's accepted
@@ -219,15 +199,13 @@ class ScoreCandidatesStage(Stage):
         from the run's profile store when already built (via the
         counter-neutral peek, keeping golden counter baselines stable),
         re-profiled from the raw column otherwise."""
-        if state.store is not None:
-            profile = state.store.peek_base_profile(relation.name, attr_name)
-            if profile is not None:
-                grams = profile.profiles.get("qgram")
-                if grams is not None:
-                    return grams
+        profile = state.store.peek_base_profile(relation.name, attr_name)
+        if profile is not None:
+            grams = profile.profiles.get("qgram")
+            if grams is not None:
+                return grams
         qgram_matcher = next(
-            (m for m in getattr(state.matcher, "matchers", ())
-             if m.name == "qgram"), None)
+            (m for m in state.matcher.matchers if m.name == "qgram"), None)
         if qgram_matcher is None:
             return None
         sample = AttributeSample.from_relation(
@@ -271,12 +249,12 @@ class ScoreCandidatesStage(Stage):
                 queries, hits, missed)
 
     def run(self, state: PipelineState) -> dict[str, int]:
-        before = state.store_counters()
+        before = state.store.counters()
         tokens_before = token_cache_counters()
         index = state.prepared.index
         n_targets = len(index.samples)
         use_retrieval = (state.config.use_retrieval
-                         and RetrievalIndex.supports(state.matcher, index))
+                         and RetrievalIndex.supports(index))
         retrieval = None
         if use_retrieval and state.config.retrieval_top_k < n_targets:
             retrieval = state.prepared.retrieval
@@ -312,7 +290,7 @@ class ScoreCandidatesStage(Stage):
                 "retrieval_hits": hits,
                 "retrieval_missed": missed,
                 "retrieval_recall": recall,
-                **state.store_counters_since(before),
+                **state.store.counters_since(before),
                 **_token_counters_since(tokens_before)}
 
 
@@ -354,10 +332,7 @@ class ConjunctiveRefineStage(Stage):
     def run(self, state: PipelineState) -> dict[str, int]:
         iterations = 0
         tokens_before = token_cache_counters()
-        store = None
-        if state.store is not None:
-            store = ProfileStore(state.store.matchers,
-                                 state.store.sample_limit)
+        store = ProfileStore(state.store.matchers, state.store.sample_limit)
         for _stage in range(1, state.config.conjunctive_stages):
             matches, families, candidates = refine_conjunctive(
                 state.result.matches, state.source, state.generator,
@@ -370,8 +345,7 @@ class ConjunctiveRefineStage(Stage):
         counts = {"iterations": iterations,
                   "matches": len(state.result.matches)}
         if iterations:
-            if store is not None:
-                counts.update(store.counters())
+            counts.update(store.counters())
             counts.update(_token_counters_since(tokens_before))
         return counts
 

@@ -28,7 +28,6 @@ from ..engine.executor import BatchResult, MatchExecutor
 from ..engine.prepared import PreparedSource, PreparedTarget
 from ..relational.instance import Database
 from ..store.tokens import database_token as compute_database_token
-from ..store.tokens import fingerprint_token
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..store.artifacts import ArtifactStore
@@ -48,20 +47,21 @@ class EngineRunner:
 
     Entries are keyed by database *content token* (a sha256 of schema,
     dtypes and every column value — see
-    :func:`repro.store.tokens.database_token`) plus the engine's prepared
-    fingerprint (:meth:`MatchEngine.prepared_fingerprint` — the standard
-    configuration, matcher zoo and policy for a plain engine, the matcher's
-    own identity for custom matching systems), so two engines with
-    different configurations sharing one runner can never serve each other
-    stale prepared artifacts, while a sweep whose configurations only vary
-    contextual knobs still prepares each side exactly once.  Content
-    tokens replace the previous ``id(database)`` keys: an ``id()`` says
-    nothing once the object it named is gone — after an eviction and a
-    garbage collection the same address can host a *different* database,
-    which a content token can never alias.  Tokens are memoized per live
-    database object (a ``WeakKeyDictionary``), so the hash is paid once
-    per object, not once per run; as a bonus, equal-content databases now
-    share one prepared entry regardless of object identity.
+    :func:`repro.store.tokens.database_token`) plus the configuration
+    the artifact derives from (:meth:`MatchEngine.prepared_fingerprint`:
+    the standard-matcher configuration and the categorical policy for a
+    target, the standard-matcher configuration alone for a source), so
+    two engines with different configurations sharing one runner can never
+    serve each other stale prepared artifacts, while a sweep whose
+    configurations only vary contextual knobs still prepares each side
+    exactly once.  Content tokens replace the previous ``id(database)``
+    keys: an ``id()`` says nothing once the object it named is gone —
+    after an eviction and a garbage collection the same address can host
+    a *different* database, which a content token can never alias.
+    Tokens are memoized per live database object (a
+    ``WeakKeyDictionary``), so the hash is paid once per object, not once
+    per run; as a bonus, equal-content databases now share one prepared
+    entry regardless of object identity.
 
     ``store`` (an :class:`~repro.store.ArtifactStore`) backs the
     prepared-target LRU with disk: evicted or never-seen targets are
@@ -109,8 +109,7 @@ class EngineRunner:
         key = (self.database_token(target), engine.prepared_fingerprint())
         prepared = self._prepared.get(key)
         if prepared is None:
-            # A store-backed runner loads (or saves) through the store;
-            # prepare() bypasses it for identity-fingerprinted engines.
+            # A store-backed runner loads (or saves) through the store.
             prepared = engine.prepare(target, store=self.store)
             self._prepared[key] = prepared
             while len(self._prepared) > self.max_prepared:
@@ -122,11 +121,10 @@ class EngineRunner:
     def prepared_source_for(self, engine: MatchEngine,
                             source: Database) -> PreparedSource:
         """The shared source-side profile store for *source*.  Profiles
-        depend only on the source instance and the matching system's
-        fingerprint, so one entry serves every contextual configuration
+        depend only on the source instance and the standard-matcher
+        configuration, so one entry serves every contextual configuration
         sharing those."""
-        matcher_key, _policy = engine.prepared_fingerprint()
-        key = (self.database_token(source), matcher_key)
+        key = (self.database_token(source), engine.config.standard)
         prepared = self._prepared_sources.get(key)
         if prepared is None:
             prepared = engine.prepare_source(source)
@@ -163,12 +161,10 @@ class EngineRunner:
         prepared = self.prepared_for(engine, target)
         if executor is None:
             executor = MatchExecutor()
-        # Stable-fingerprint engines (always the case for the runner's
-        # internally built engines) ship under a content-derived token,
-        # so worker caches stay warm across prepared-LRU turnover.
-        token = (self.database_token(target)
-                 if fingerprint_token(engine) is not None else None)
-        return executor.match_many(engine, sources, prepared, token=token)
+        # The artifact ships under a content-derived token, so worker
+        # caches stay warm across prepared-LRU turnover.
+        return executor.match_many(engine, sources, prepared,
+                                   token=self.database_token(target))
 
 
 @dataclasses.dataclass(frozen=True)

@@ -1,8 +1,9 @@
 """Standard (non-contextual) schema matching — paper Section 2.3.
 
-The contextual layer (:mod:`repro.context`) treats this package as a black
-box via the :class:`MatchingSystem` protocol; any instance-based matcher
-implementing that protocol can be substituted.
+The contextual layer (:mod:`repro.context`) treats :class:`StandardMatch`
+as a black box: it asks for accepted matches and for rescorings of
+candidate views, nothing else.  Matchers compose in its zoo
+(``StandardMatch(matchers=...)``, any :class:`Matcher` objects).
 """
 
 from .combiner import CombinedScore, MatcherEvidence, combine_evidence
@@ -10,19 +11,17 @@ from .matchers import (AttributeSample, Matcher, NameMatcher, NumericMatcher,
                        QGramMatcher, TypeMatcher, ValueOverlapMatcher,
                        default_matchers)
 from .normalize import confidences_from_scores
-from .similarity import (containment, cosine_counts, dice, jaccard, jaro,
-                         jaro_winkler, levenshtein, levenshtein_similarity)
-from .standard import (AttributeMatch, MatchingSystem, StandardMatch,
-                       StandardMatchConfig, TargetIndex)
-from .tokens import (QGramCache, cached_codes, clear_token_cache,
-                     normalize_text, qgrams, token_cache_counters,
-                     value_to_text, word_tokens)
+from .similarity import (containment, cosine_counts, jaccard, jaro,
+                         jaro_winkler)
+from .standard import (AttributeMatch, StandardMatch, StandardMatchConfig,
+                       TargetIndex)
+from .tokens import (QGramCache, cached_codes, normalize_text, qgrams,
+                     token_cache_counters, value_to_text, word_tokens)
 
 __all__ = [
     "AttributeMatch",
     "AttributeSample",
     "Matcher",
-    "MatchingSystem",
     "StandardMatch",
     "StandardMatchConfig",
     "TargetIndex",
@@ -36,12 +35,9 @@ __all__ = [
     "MatcherEvidence",
     "combine_evidence",
     "confidences_from_scores",
-    "levenshtein",
-    "levenshtein_similarity",
     "jaro",
     "jaro_winkler",
     "jaccard",
-    "dice",
     "containment",
     "cosine_counts",
     "qgrams",
@@ -51,5 +47,4 @@ __all__ = [
     "QGramCache",
     "cached_codes",
     "token_cache_counters",
-    "clear_token_cache",
 ]

@@ -25,12 +25,9 @@ from typing import Collection, Hashable, Iterable, Mapping, Sequence
 import numpy as np
 
 __all__ = [
-    "levenshtein",
-    "levenshtein_similarity",
     "jaro",
     "jaro_winkler",
     "jaccard",
-    "dice",
     "cosine_counts",
     "containment",
     "TermRows",
@@ -39,44 +36,6 @@ __all__ = [
     "jaccard_rows",
     "jaccard_rows_many",
 ]
-
-
-def levenshtein(a: str, b: str) -> int:
-    """Classic edit distance (insert/delete/substitute, unit costs).
-
-    Two row buffers are allocated once and swapped per row instead of
-    building a fresh list per row of the DP table — the function sits on
-    the name-matcher hot path.
-    """
-    if a == b:
-        return 0
-    if not a:
-        return len(b)
-    if not b:
-        return len(a)
-    if len(a) < len(b):
-        a, b = b, a
-    previous = list(range(len(b) + 1))
-    current = [0] * (len(b) + 1)
-    for i, char_a in enumerate(a, start=1):
-        current[0] = i
-        for j, char_b in enumerate(b, start=1):
-            cost = 0 if char_a == char_b else 1
-            current[j] = min(
-                previous[j] + 1,        # deletion
-                current[j - 1] + 1,     # insertion
-                previous[j - 1] + cost  # substitution
-            )
-        previous, current = current, previous
-    return previous[-1]
-
-
-def levenshtein_similarity(a: str, b: str) -> float:
-    """Edit distance normalized into a similarity."""
-    if not a and not b:
-        return 1.0
-    longest = max(len(a), len(b))
-    return 1.0 - levenshtein(a, b) / longest
 
 
 def jaro(a: str, b: str) -> float:
@@ -137,15 +96,6 @@ def jaccard(a: Iterable[Hashable], b: Iterable[Hashable]) -> float:
     if union == 0:
         return 1.0
     return len(set_a & set_b) / union
-
-
-def dice(a: Iterable[Hashable], b: Iterable[Hashable]) -> float:
-    """Sørensen-Dice coefficient of two sets."""
-    set_a, set_b = set(a), set(b)
-    total = len(set_a) + len(set_b)
-    if total == 0:
-        return 1.0
-    return 2.0 * len(set_a & set_b) / total
 
 
 def containment(a: Iterable[Hashable], b: Iterable[Hashable]) -> float:

@@ -6,26 +6,29 @@ each matcher's score distribution across *all* target attributes
 (:mod:`repro.matching.normalize`), and combines matcher confidences with
 static weights (:mod:`repro.matching.combiner`).
 
-The contextual layer treats this system as a black box through two entry
-points:
+The paper treats this system as a black box; the contextual layer calls
+it at two points:
 
-* :meth:`StandardMatch.match` — accepted matches above a confidence
-  threshold τ (the ``StandardMatch(RS, RT, τ)`` call of Figure 5, line 4);
-* :meth:`StandardMatch.score_attribute` — re-score one source attribute
-  sample (possibly view-restricted) against a prepared
-  :class:`TargetIndex` (the ``ScoreMatch`` call of Figure 5, line 10).
+* :meth:`StandardMatch.score_relation` and :meth:`StandardMatch.accept` —
+  accepted matches above a confidence threshold τ (the
+  ``StandardMatch(RS, RT, τ)`` call of Figure 5, line 4;
+  :meth:`StandardMatch.match` is the same over whole databases);
+* :meth:`StandardMatch.score_column_profiles` — re-score the prepared
+  column profiles of one source attribute in many candidate views, as
+  one block, against a prepared :class:`TargetIndex` (the ``ScoreMatch``
+  call of Figure 5, line 10).
 
-Systems that opt into the profiling interface are also handed prepared
-column profiles: :meth:`StandardMatch.score_column_profiles` scores the
-profiles of one source attribute in many candidate views as one block.
-Every entry point — base columns, black-box samples and view blocks —
-scores through that one block scorer.
+:meth:`StandardMatch.score_attribute` scores one raw column sample, for
+callers without a profile store.  Every entry point — base columns, raw
+samples and view blocks — scores through that one block scorer.  Matcher
+composition lives in the zoo: ``StandardMatch(matchers=...)`` takes any
+list of :class:`~repro.matching.matchers.Matcher` objects.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import TYPE_CHECKING, Protocol, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from ..errors import MatchingError
 from ..relational.instance import Database, Relation
@@ -38,7 +41,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only (profiling sits above)
     from ..profiling import ColumnProfile, ProfileStore
 
 __all__ = ["AttributeMatch", "StandardMatchConfig", "TargetIndex",
-           "StandardMatch", "MatchingSystem"]
+           "StandardMatch"]
 
 #: Ceiling on the target-side (reverse) confidence boost: relative-best
 #: evidence alone never makes a match more confident than this.
@@ -162,77 +165,19 @@ class TargetIndex:
         return [AttributeRef(s.table, s.name) for s in self.samples]
 
 
-class MatchingSystem(Protocol):
-    """The black-box interface the contextual layer depends on.
-
-    Implementations may additionally opt into the profiling fast path by
-    setting ``supports_profile_store = True`` and providing
-    ``score_column_profiles(profiles, index, *, keep)`` (the profiles of
-    one attribute's views, scored as one block) plus ``matchers`` /
-    ``config`` attributes (see :class:`StandardMatch`); the contextual
-    layer falls back to :meth:`score_attribute` per view otherwise.  Setting
-    ``supports_target_subset = True`` additionally opts into the retrieval
-    frontier: the scoring entry points then accept a ``positions`` keyword
-    restricting the target side.  Systems without the flag are always
-    scored exhaustively.
-    """
-
-    def match(self, source: Database, target: Database,
-              tau: float) -> list[AttributeMatch]:
-        """Accepted matches with confidence >= tau."""
-        ...
-
-    def accept(self, match: AttributeMatch, tau: float) -> bool:
-        """Whether a scored pair clears the acceptance thresholds."""
-        ...
-
-    def score_relation(self, relation: Relation,
-                       index: "TargetIndex") -> list[AttributeMatch]:
-        """Scores from every attribute of one source relation."""
-        ...
-
-    def build_target_index(self, target: Database) -> TargetIndex:
-        """Prepare the reusable target-side profiles."""
-        ...
-
-    def score_attribute(self, table: str, sample_values: Sequence,
-                        attribute, index: TargetIndex) -> list[AttributeMatch]:
-        """Score one (possibly view-restricted) source attribute sample
-        against every target attribute."""
-        ...
-
-
 class StandardMatch:
     """Multi-matcher instance-based schema matcher."""
-
-    #: This scorer can consume :class:`~repro.profiling.ColumnProfile`
-    #: objects and exposes ``matchers``/``config`` for
-    #: :meth:`~repro.profiling.ProfileStore.for_matcher`.
-    supports_profile_store = True
-
-    #: This scorer accepts the ``positions`` keyword on its scoring entry
-    #: points — a retrieval frontier may restrict rescoring to a subset of
-    #: target attributes.  Custom :class:`MatchingSystem` implementations
-    #: without the flag are never passed a frontier.
-    supports_target_subset = True
 
     def __init__(self, config: StandardMatchConfig | None = None,
                  matchers: Sequence[Matcher] | None = None):
         self.config = config or StandardMatchConfig()
-        #: True when the zoo is the pure function of ``config`` that
-        #: ``build_matchers`` produces — only then are two instances with
-        #: equal configs guaranteed to profile identically.  An explicit
-        #: ``matchers`` list may carry arbitrary parameterization that the
-        #: matcher names/types do not expose, so such instances are only
-        #: interchangeable with themselves.
-        self.default_zoo = matchers is None
         self.matchers = list(matchers) if matchers is not None \
             else self.config.build_matchers()
         if not self.matchers:
             raise MatchingError("StandardMatch needs at least one matcher")
 
     # ------------------------------------------------------------------
-    # Black-box interface
+    # Scoring entry points
     # ------------------------------------------------------------------
     def build_target_index(self, target: Database) -> TargetIndex:
         return TargetIndex(target, self.matchers, self.config.sample_limit)
@@ -413,12 +358,13 @@ class StandardMatch:
                        ) -> list[AttributeMatch]:
         """Scores from every attribute of one source relation.
 
-        When *store* is given (a :class:`~repro.profiling.ProfileStore`
-        built for this scorer), per-attribute profiles are fetched from it
-        instead of being rebuilt from raw column values — the
-        :class:`~repro.engine.prepared.PreparedSource` fast path, which
-        amortizes source-side profiling across engine runs with
-        bit-identical scores.
+        With *store* (a :class:`~repro.profiling.ProfileStore` built for
+        this scorer, as every engine run passes) per-attribute profiles
+        are fetched from it instead of being rebuilt from raw column
+        values, which a :class:`~repro.engine.prepared.PreparedSource`
+        amortizes across runs; without one (standalone :meth:`match`)
+        each column is profiled here.  Scores are bit-identical either
+        way.
 
         Confidences are *bidirectional*: the source-side percentile (how a
         target attribute ranks among all targets for this source attribute)

@@ -39,7 +39,7 @@ from . import grams
 
 __all__ = ["qgrams", "word_tokens", "normalize_text", "value_to_text",
            "QGramCache", "cached_codes", "cached_codes_many",
-           "token_cache_counters", "clear_token_cache", "token_cache_scope"]
+           "token_cache_counters", "token_cache_scope"]
 
 _CAMEL_RE = re.compile(r"(?<=[a-z0-9])(?=[A-Z])")
 _NON_ALNUM_RE = re.compile(r"[^a-z0-9]+")
@@ -214,7 +214,3 @@ def token_cache_counters() -> dict[str, int]:
     """Snapshot of the active cache's cumulative hit/miss counters."""
     return _ACTIVE.get().counters()
 
-
-def clear_token_cache() -> None:
-    """Reset the active cache's entries (benchmarks isolate runs with it)."""
-    _ACTIVE.get().clear()

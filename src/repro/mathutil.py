@@ -11,27 +11,12 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-__all__ = ["phi", "phi_inverse_threshold", "mean_std"]
+__all__ = ["phi", "mean_std"]
 
 
 def phi(z: float) -> float:
     """Standard normal cumulative distribution function Φ(z)."""
     return 0.5 * (1.0 + math.erf(z / math.sqrt(2.0)))
-
-
-def phi_inverse_threshold(p: float) -> float:
-    """Inverse normal CDF via bisection (used to express thresholds like
-    "95% significance" as z cut-offs in tests and diagnostics)."""
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"p must be in (0,1), got {p}")
-    lo, hi = -10.0, 10.0
-    for _ in range(200):
-        mid = (lo + hi) / 2.0
-        if phi(mid) < p:
-            lo = mid
-        else:
-            hi = mid
-    return (lo + hi) / 2.0
 
 
 def mean_std(values: Sequence[float]) -> tuple[float, float]:

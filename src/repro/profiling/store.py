@@ -84,25 +84,6 @@ class ProfileStore:
         self.profiles_merged = 0
 
     # ------------------------------------------------------------------
-    # Construction helpers
-    # ------------------------------------------------------------------
-    @classmethod
-    def for_matcher(cls, matcher: object) -> "ProfileStore | None":
-        """A store drawing matchers/limit from a StandardMatch-like scorer,
-        or None when the matching system does not expose them."""
-        if not getattr(matcher, "supports_profile_store", False):
-            return None
-        matchers = getattr(matcher, "matchers", None)
-        config = getattr(matcher, "config", None)
-        if not matchers or config is None:
-            return None
-        return cls(matchers, getattr(config, "sample_limit", None))
-
-    @property
-    def matcher_names(self) -> tuple[str, ...]:
-        return tuple(m.name for m in self.matchers)
-
-    # ------------------------------------------------------------------
     # Partitions
     # ------------------------------------------------------------------
     def partition(self, relation: Relation, attribute: str) -> PartitionIndex:
@@ -242,7 +223,8 @@ class ProfileStore:
     def _view_table(base: str, partition_attr: str, group: frozenset) -> str:
         """The deterministic name of the member view selecting *group* —
         identical to ``ViewFamily.condition_for`` naming, so cached profiles
-        carry the same ``source.table`` the per-view path reports."""
+        carry the ``source.table`` a materialized view (``View.evaluate``)
+        reports."""
         if len(group) == 1:
             condition = Eq(partition_attr, next(iter(group)))
         else:

@@ -59,12 +59,12 @@ class RetrievalIndex:
     """Prefilter over one prepared target's column profiles.
 
     Built by :meth:`~repro.engine.engine.MatchEngine.prepare` only where
-    it can prune — the matching system supports target subsets and
-    exposes a ``qgram`` channel, and the target has more attributes than
-    the engine's ``retrieval_top_k`` — and carried on the
-    :class:`~repro.engine.prepared.PreparedTarget`, in whose pickle and
-    store blob it travels.  A run whose own k is below the attribute
-    count of a target prepared without one uses a run-local index
+    it can prune — the target index carries a ``qgram`` channel and the
+    target has more attributes than the engine's ``retrieval_top_k`` —
+    and carried on the :class:`~repro.engine.prepared.PreparedTarget`, in
+    whose pickle and store blob it travels.  A run whose own k is below
+    the attribute count of a target prepared without one uses a run-local
+    index
     (:meth:`~repro.engine.prepared.PreparedTarget.run_local_retrieval`),
     built once per process and never written onto the artifact.
     Querying never changes the index, so concurrent runs may share it,
@@ -87,12 +87,10 @@ class RetrievalIndex:
     # Construction
     # ------------------------------------------------------------------
     @classmethod
-    def supports(cls, matcher, index: "TargetIndex") -> bool:
-        """Whether a retrieval index can serve (matcher, target index):
-        the matching system must accept target-position subsets and the
-        index must carry the q-gram channel the index is built from."""
-        return (getattr(matcher, "supports_target_subset", False)
-                and "qgram" in getattr(index, "profiles", {}))
+    def supports(cls, index: "TargetIndex") -> bool:
+        """Whether a retrieval index can serve *index*: it must carry the
+        q-gram channel the retrieval index is built from."""
+        return "qgram" in index.profiles
 
     @classmethod
     def build(cls, index: "TargetIndex") -> "RetrievalIndex":

@@ -22,8 +22,8 @@ to it, so its blob — and so its token — depends only on what
   raises a typed error (:class:`~repro.errors.ArtifactIntegrityError`,
   :class:`~repro.errors.ArtifactVersionError`); a corrupt artifact is
   never silently served and never surfaces as a pickle exception.
-* **Lookup.**  Entries whose engine fingerprint is stable also carry a
-  ``lookup_key`` — a digest of (kind, database content token, engine
+* **Lookup.**  Entries saved with the engine that built them also carry
+  a ``lookup_key`` — a digest of (kind, database content token, engine
   fingerprint) — so :meth:`find` can answer "is *this* database already
   prepared for *this* engine?" without touching any blob.  A handle
   parses each manifest once: :meth:`entries` lists the directory on
@@ -78,7 +78,9 @@ __all__ = ["ArtifactStore", "StoreEntry", "STORE_FORMAT",
 #: pickles only what ``prepare()`` built — format 3 also carried the
 #: run counter, tag memo and trained classifiers that runs wrote into
 #: it — and its retrieval index no longer carries database metadata.
-STORE_FORMAT = 4
+#: Format 5: prepared artifacts no longer pickle the matching system
+#: that built them; they record only its configuration.
+STORE_FORMAT = 5
 
 KIND_TARGET = "prepared-target"
 KIND_SOURCE = "prepared-source"
@@ -95,8 +97,8 @@ class StoreEntry:
 
     ``token`` doubles as the blob digest (the store keys entries by the
     sha256 of the pickled payload); ``fingerprint`` / ``lookup_key`` are
-    None for artifacts saved without a stable engine fingerprint, which
-    are loadable by token but invisible to :meth:`ArtifactStore.find`.
+    None for artifacts saved without an engine, which are loadable by
+    token but invisible to :meth:`ArtifactStore.find`.
     """
 
     token: str
@@ -129,6 +131,22 @@ class StoreEntry:
         return (f"{self.token[:12]}  {self.kind:<15} "
                 f"{self.database:<12} {self.tables} tables  "
                 f"{self.size_bytes} bytes  v{self.version}")
+
+
+def _check_built_by(kind: str, artifact: Any, engine: Any) -> None:
+    """Refuse *artifact* unless *engine*'s configuration built it: the
+    standard-matcher configuration, and for a target the categorical
+    policy — everything the engine's fingerprint covers."""
+    fields = [("standard_config", engine.config.standard)]
+    if kind == KIND_TARGET:
+        fields.append(("policy", engine.policy))
+    for name, expected in fields:
+        recorded = getattr(artifact, name)
+        if recorded != expected:
+            raise StoreError(
+                f"cannot save a {type(artifact).__name__} under an engine "
+                f"it was not built by: its {name} is {recorded}, the "
+                f"engine's is {expected}")
 
 
 def _lookup_key(kind: str, db_token: str, fingerprint: str) -> str:
@@ -220,12 +238,17 @@ class ArtifactStore:
         processes (hash randomization perturbs set/dict ordering), so
         the content-derived lookup key is what makes ``save`` idempotent
         across runs.  Passing the *engine* that built the artifact
-        stamps the manifest with the engine's stable fingerprint digest
-        and that lookup key, also making the entry discoverable via
-        :meth:`find`; identity-fingerprinted engines (custom matching
-        systems) yield token-only entries deduped by digest alone.
+        stamps the manifest with the engine's fingerprint digest and that
+        lookup key, also making the entry discoverable via :meth:`find`;
+        saving without an engine yields a token-only entry deduped by
+        digest alone.  An artifact built under another configuration than
+        *engine*'s is refused with a :class:`StoreError` naming the
+        differing field: filed under *engine*'s lookup key, it would be
+        handed to every later lookup for that engine.
         """
         kind, database = self._kind_of(artifact)
+        if engine is not None:
+            _check_built_by(kind, artifact, engine)
         blob = pickle.dumps(artifact, protocol=pickle.HIGHEST_PROTOCOL)
         token = blob_token(blob)
         if token in self:
@@ -235,10 +258,10 @@ class ArtifactStore:
                 return existing
             # The same bytes under a manifest this library refuses: write
             # a current manifest over it.
-        fingerprint = fingerprint_token(engine) if engine is not None \
-            else None
         db_token = database_token(database)
-        if fingerprint is not None:
+        fingerprint = lookup = None
+        if engine is not None:
+            fingerprint = fingerprint_token(engine)
             lookup = _lookup_key(kind, db_token, fingerprint)
             for existing in self.entries():
                 if existing.lookup_key == lookup and existing.loadable:
@@ -249,9 +272,7 @@ class ArtifactStore:
             version=__version__, size_bytes=len(blob),
             created_at=time.time(), database=database.name,
             tables=len(tuple(database)), fingerprint=fingerprint,
-            database_token=db_token,
-            lookup_key=(_lookup_key(kind, db_token, fingerprint)
-                        if fingerprint is not None else None))
+            database_token=db_token, lookup_key=lookup)
         _atomic_write(self._blob_path(token), blob)
         _atomic_write(self._manifest_path(token),
                       (json.dumps(entry.to_dict(), indent=2, sort_keys=True)
@@ -385,15 +406,12 @@ class ArtifactStore:
     # -- lookup --------------------------------------------------------
     def find(self, kind: str, database: Any, engine: Any) -> str | None:
         """Token of the stored, loadable *kind* artifact for (database,
-        engine), or None — including when the engine's fingerprint is
-        unstable."""
+        engine), or None."""
         if kind not in _KINDS:
             raise StoreError(f"unknown artifact kind {kind!r}; "
                              f"choose one of {list(_KINDS)}")
-        fingerprint = fingerprint_token(engine)
-        if fingerprint is None:
-            return None
-        wanted = _lookup_key(kind, database_token(database), fingerprint)
+        wanted = _lookup_key(kind, database_token(database),
+                             fingerprint_token(engine))
         for entry in self.entries():
             if entry.lookup_key == wanted and entry.loadable:
                 self.counters["find_hits"] += 1
@@ -410,17 +428,12 @@ class ArtifactStore:
     def prepared_target(self, engine: Any, target: Any):
         """Get-or-build: the PreparedTarget for (engine, target), loaded
         from the store when present, otherwise prepared fresh and saved.
-
-        Engines without a stable fingerprint bypass the store entirely
-        (their artifacts are identity-scoped); the result is always
-        usable, the store just stays out of the loop.
         """
         token = self.find_target(target, engine)
         if token is not None:
             return self.load_target(token)
         prepared = engine.prepare(target)
-        if fingerprint_token(engine) is not None:
-            self.save(prepared, engine=engine)
+        self.save(prepared, engine=engine)
         return prepared
 
     # -- maintenance ---------------------------------------------------

@@ -13,11 +13,10 @@ caller:
   lets prepared-artifact caches survive garbage collection, process
   restarts and store round-trips without false hits.
 * :func:`fingerprint_token` — a stable digest of
-  :meth:`~repro.engine.engine.MatchEngine.prepared_fingerprint`, or
-  ``None`` when the engine fingerprints by object identity (custom
-  matching systems), whose artifacts are only provably valid within the
-  process that built them and therefore must not be persisted or looked
-  up by content.
+  :meth:`~repro.engine.engine.MatchEngine.prepared_fingerprint`, the
+  configuration (``config.standard``, categorical policy) prepared
+  artifacts derive from; equal configurations digest equally in any
+  process, so persisted artifacts can be looked up by it.
 """
 
 from __future__ import annotations
@@ -66,18 +65,12 @@ def database_token(database: "Database") -> str:
     return digest.hexdigest()
 
 
-def fingerprint_token(engine: "MatchEngine") -> str | None:
-    """Stable digest of the engine's prepared fingerprint, or None.
+def fingerprint_token(engine: "MatchEngine") -> str:
+    """Stable digest of the engine's prepared fingerprint.
 
-    A plain default-zoo :class:`~repro.matching.standard.StandardMatch`
-    engine fingerprints by configuration — frozen dataclasses whose reprs
-    are deterministic — so its digest is stable across processes and can
-    key persisted artifacts.  Identity-fingerprinted engines (custom
-    matching systems, explicit matcher lists) return None: their
-    artifacts are only valid for the live object that built them.
+    The fingerprint is configuration — frozen dataclasses whose reprs are
+    deterministic — so its digest is stable across processes and can key
+    persisted artifacts.
     """
-    matcher_key, policy = engine.prepared_fingerprint()
-    if matcher_key[0] != "standard":
-        return None
-    payload = repr((matcher_key, policy)).encode("utf-8")
+    payload = repr(engine.prepared_fingerprint()).encode("utf-8")
     return hashlib.sha256(payload).hexdigest()

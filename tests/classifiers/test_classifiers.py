@@ -63,7 +63,8 @@ class TestNaiveBayes:
                     min_size=1, max_size=30))
     def test_always_predicts_seen_label(self, examples):
         nb = NaiveBayesClassifier()
-        nb.teach_all(examples)
+        for value, label in examples:
+            nb.teach(value, label)
         assert nb.classify("abab") in nb.labels
 
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.classifiers import TargetClassifierSet, create_target_classifier
+from repro.classifiers import TargetClassifierSet
 from repro.relational import Database, DataType, Relation
 
 
@@ -24,10 +24,6 @@ def two_table_target() -> Database:
 class TestTraining:
     def test_family_classifiers_created(self, two_table_target):
         tags = TargetClassifierSet.train(two_table_target)
-        assert tags.families() == {"textual", "numeric"}
-
-    def test_functional_alias(self, two_table_target):
-        tags = create_target_classifier(two_table_target)
         assert tags.families() == {"textual", "numeric"}
 
 

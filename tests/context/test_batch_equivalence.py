@@ -527,7 +527,8 @@ class TestEngineEquivalence:
 
 
 def classifier_sweep(workload, config):
-    """Posterior/tag bit-patterns over real scenario columns, both paths."""
+    """Tags over real scenario columns, batch and per value, and whether
+    each per-value tag is a best log posterior."""
     from repro.classifiers import TargetClassifierSet
 
     patterns = []
@@ -546,12 +547,12 @@ def classifier_sweep(workload, config):
             family = tagger.classifier_for(attribute.dtype)
             if family is None or not hasattr(family, "log_posteriors"):
                 continue
-            batch = family.log_posteriors_many(values[:40])
-            scalar = [family.log_posteriors(v) for v in values[:40]]
-            same = all(
-                {k: struct.pack("<d", p) for k, p in b.items()}
-                == {k: struct.pack("<d", p) for k, p in s.items()}
-                for b, s in zip(batch, scalar))
+            same = True
+            for value in values[:40]:
+                posteriors = family.log_posteriors(value)
+                if posteriors:
+                    same = same and (posteriors[family.classify(value)]
+                                     == max(posteriors.values()))
             patterns.append(("posteriors", relation.name, attribute.name,
                              same))
     return patterns

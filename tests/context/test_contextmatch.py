@@ -92,12 +92,14 @@ class TestPolicies:
         assert result.matches  # standard matches still reported
 
     def test_custom_matcher_is_honoured(self, retail_workload):
-        """ContextMatch treats the matching system as a black box."""
-        from repro.matching import StandardMatch, StandardMatchConfig
-        matcher = StandardMatch(StandardMatchConfig(sample_limit=50))
-        config = ContextMatchConfig(inference="src", seed=5)
-        result = ContextMatch(config, matcher=matcher).run(
-            retail_workload.source, retail_workload.target)
+        """ContextMatch matches with the standard matcher its
+        configuration describes."""
+        from repro.matching import StandardMatchConfig
+        thin = StandardMatchConfig(sample_limit=50)
+        facade = ContextMatch(ContextMatchConfig(inference="src", seed=5,
+                                                 standard=thin))
+        assert facade.engine.matcher.config == thin
+        result = facade.run(retail_workload.source, retail_workload.target)
         assert result.matches
 
 

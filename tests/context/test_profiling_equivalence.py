@@ -1,11 +1,13 @@
 """Acceptance: the profiling path is bit-identical to per-view scoring on
 the paper's workloads.
 
-A matching system without the profiling interface is a black box to the
-engine (§2.3): every candidate view is materialized and its columns are
-scored through ``score_attribute``.  :class:`BlackBoxMatch` puts
-``StandardMatch`` behind exactly that protocol, so an engine over it is
-the per-view reference for the default engine.  Matches, scores,
+The paper's ScoreMatch calls the standard matcher on each candidate
+view's restricted sample (§2.3; Figure 5, line 10).
+:func:`score_reference.per_view_stages` runs exactly that inside the
+engine: its score-candidates stage materializes every view and scores
+its columns through ``score_attribute``, and its standard-match stage
+scores raw columns without a profile store.  An engine over those stages
+is the per-view reference for the default engine.  Matches, scores,
 confidences and the full candidate-rescoring diagnostics must agree bit
 for bit: on retail and grades in tier 1, and on every registered
 scenario in the golden tier.
@@ -16,36 +18,13 @@ import struct
 import pytest
 
 from repro import ContextMatchConfig, MatchEngine
-from repro.context.score import score_family_candidates
+from repro.context.score import score_relation_candidates
 from repro.datagen import build_scenario, get_scenario, scenario_names
 from repro.evaluation.scenarios import scenario_config
 from repro.matching import StandardMatch
 from repro.profiling import ProfileStore
 from repro.relational import View, ViewFamily
-
-
-class BlackBoxMatch:
-    """``StandardMatch`` exposing only the ``MatchingSystem`` protocol —
-    no profiling interface, no target subsets."""
-
-    def __init__(self, inner: StandardMatch):
-        self._inner = inner
-
-    def match(self, source, target, tau):
-        return self._inner.match(source, target, tau)
-
-    def accept(self, match, tau):
-        return self._inner.accept(match, tau)
-
-    def score_relation(self, relation, index):
-        return self._inner.score_relation(relation, index)
-
-    def build_target_index(self, target):
-        return self._inner.build_target_index(target)
-
-    def score_attribute(self, table, sample_values, attribute, index):
-        return self._inner.score_attribute(table, sample_values, attribute,
-                                           index)
+from score_reference import per_view_stages
 
 
 def _bits(x):
@@ -67,15 +46,14 @@ def _candidate_key(c):
             c.view_rows)
 
 
-def _run_config(workload, config, black_box):
-    matcher = (BlackBoxMatch(StandardMatch(config.standard)) if black_box
-               else None)
-    engine = MatchEngine(config, matcher=matcher)
+def _run_config(workload, config, per_view):
+    engine = MatchEngine(config,
+                         stages=per_view_stages() if per_view else None)
     return engine.match(workload.source, engine.prepare(workload.target))
 
 
-def _run(workload, black_box, **cfg):
-    return _run_config(workload, ContextMatchConfig(**cfg), black_box)
+def _run(workload, per_view, **cfg):
+    return _run_config(workload, ContextMatchConfig(**cfg), per_view)
 
 
 @pytest.mark.parametrize("inference", ["src", "tgt"])
@@ -101,6 +79,9 @@ def test_grades_equivalence(grades_workload):
 
 
 def test_conjunctive_refinement_equivalence(retail_workload):
+    """Refinement rescoring takes the block path in both pipelines; its
+    equality with per-view scoring over arbitrary relations is
+    ``test_score_blocks``'s."""
     fast = _run(retail_workload, False, inference="src", seed=5,
                 conjunctive_stages=2)
     per_view = _run(retail_workload, True, inference="src", seed=5,
@@ -126,12 +107,12 @@ def test_profiling_run_reports_cache_counters(retail_workload):
 
 @pytest.mark.golden
 @pytest.mark.parametrize("name", scenario_names())
-def test_black_box_equivalence_grid(name):
+def test_per_view_equivalence_grid(name):
     spec = get_scenario(name)
     workload = build_scenario(spec)
     fast, per_view = (
-        _run_config(workload, scenario_config(spec), black_box)
-        for black_box in (False, True))
+        _run_config(workload, scenario_config(spec), reference)
+        for reference in (False, True))
     assert [_match_key(m) for m in fast.matches] \
         == [_match_key(m) for m in per_view.matches]
     assert [_standard_key(m) for m in fast.standard_matches] \
@@ -162,17 +143,22 @@ class TestDuplicateViewsAcrossMergedFamilies:
             score=0.8, confidence=0.9)]
         return matcher, index, relation, accepted
 
-    @pytest.mark.parametrize("use_store", [False, True])
-    def test_shared_singletons_scored_once(self, figure1_target, use_store):
+    @staticmethod
+    def _score(families, relation, accepted, matcher, index, seen):
+        store = ProfileStore(matcher.matchers, matcher.config.sample_limit)
+        return score_relation_candidates(families, relation, accepted,
+                                         matcher, index, store=store,
+                                         seen_views=seen)
+
+    def test_shared_singletons_scored_once(self, figure1_target):
         matcher, index, relation, accepted = self._setup(figure1_target)
         base = ViewFamily.simple("inv2", "cat", ["a", "b", "c"])
         merged = base.merge("a", "b")
-        store = (ProfileStore.for_matcher(matcher) if use_store else None)
         seen: set[View] = set()
-        first = score_family_candidates(base, relation, accepted, matcher,
-                                        index, seen_views=seen, store=store)
-        second = score_family_candidates(merged, relation, accepted, matcher,
-                                         index, seen_views=seen, store=store)
+        first = self._score([base], relation, accepted, matcher, index,
+                            seen)
+        second = self._score([merged], relation, accepted, matcher, index,
+                             seen)
         # The merged family shares the untouched 'c' singleton with the
         # base family: only its new merged view is scored.
         first_views = {c.view.name for c in first}
@@ -187,9 +173,9 @@ class TestDuplicateViewsAcrossMergedFamilies:
         matcher, index, relation, accepted = self._setup(figure1_target)
         family = ViewFamily.simple("inv2", "cat", ["a", "b"])
         seen: set[View] = set()
-        first = score_family_candidates(family, relation, accepted, matcher,
-                                        index, seen_views=seen)
-        again = score_family_candidates(family, relation, accepted, matcher,
-                                        index, seen_views=seen)
+        first = self._score([family], relation, accepted, matcher, index,
+                            seen)
+        again = self._score([family], relation, accepted, matcher, index,
+                            seen)
         assert first
         assert again == []

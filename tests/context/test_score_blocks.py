@@ -200,7 +200,7 @@ def _frontier(n, positions):
 def test_blocks_equal_the_per_view_reference(case, data):
     relation, index, scorer, accepted, fams, positions, min_rows = case
     n = len(index.samples)
-    store = ProfileStore.for_matcher(scorer)
+    store = ProfileStore(scorer.matchers, scorer.config.sample_limit)
     reference = ReferenceStore(scorer.matchers, scorer.config.sample_limit)
     # Two rounds over one store: the second finds every profile cached.
     for _ in range(2):

@@ -3,11 +3,12 @@
 import pytest
 
 from repro.context.model import CandidateScore
-from repro.context.score import score_family_candidates, score_view_candidates
+from repro.context.score import score_relation_candidates
 from repro.context.select import (multi_table, qual_table, select_matches,
                                   view_improvement)
 from repro.matching import StandardMatch
 from repro.matching.standard import AttributeMatch
+from repro.profiling import ProfileStore
 from repro.relational import Eq, Relation, View, ViewFamily
 from repro.relational.schema import AttributeRef
 
@@ -28,6 +29,12 @@ def candidate(view, base_match, rescored_score, rescored_conf, rows=50):
                           rescored=rescored, view_rows=rows)
 
 
+def _score(families, base, accepted, matcher, index, **kwargs):
+    store = ProfileStore(matcher.matchers, matcher.config.sample_limit)
+    return score_relation_candidates(families, base, accepted, matcher,
+                                     index, store=store, **kwargs)
+
+
 class TestScoreViewCandidates:
     def test_rescoring_produces_candidates(self, figure1_source,
                                            figure1_target, inv_relation):
@@ -37,10 +44,12 @@ class TestScoreViewCandidates:
                     if m.confidence >= 0.5]
         view = View("inv", Eq("type", 1))
         family = ViewFamily.simple("inv", "type", [1, 2])
-        scored = score_view_candidates(view, family, inv_relation, accepted,
-                                       matcher, index)
+        candidates = _score([family], inv_relation, accepted, matcher,
+                            index)
+        assert {c.view.name for c in candidates} \
+            == {view.name, "inv[type=2]"}
+        scored = [c for c in candidates if c.view == view]
         assert scored
-        assert all(c.view is view for c in scored)
         assert all(c.rescored.source.table == view.name for c in scored)
         assert all(c.view_rows == 3 for c in scored)
 
@@ -48,10 +57,9 @@ class TestScoreViewCandidates:
         matcher = StandardMatch()
         index = matcher.build_target_index(figure1_target)
         accepted = [match("name", "book", "title", 0.8, 0.9)]
-        view = View("inv", Eq("id", 0))  # selects a single row
-        family = ViewFamily.simple("inv", "id", [0])
-        scored = score_view_candidates(view, family, inv_relation, accepted,
-                                       matcher, index, min_view_rows=2)
+        family = ViewFamily.simple("inv", "id", [0])  # selects a single row
+        scored = _score([family], inv_relation, accepted, matcher, index,
+                        min_view_rows=2)
         assert scored == []
 
     def test_family_dedup(self, figure1_target, inv_relation):
@@ -62,13 +70,13 @@ class TestScoreViewCandidates:
         f1 = ViewFamily.simple("inv", "type", [1, 2])
         f2 = ViewFamily("inv", "type", [[1, 2]])  # merged family
         seen: set = set()
-        first = score_family_candidates(f1, inv_relation, accepted, matcher,
-                                        index, seen_views=seen)
-        again = score_family_candidates(f1, inv_relation, accepted, matcher,
-                                        index, seen_views=seen)
+        first = _score([f1], inv_relation, accepted, matcher, index,
+                       seen_views=seen)
+        again = _score([f1], inv_relation, accepted, matcher, index,
+                       seen_views=seen)
         assert first and not again  # second scoring is fully deduped
-        merged = score_family_candidates(f2, inv_relation, accepted, matcher,
-                                         index, seen_views=seen)
+        merged = _score([f2], inv_relation, accepted, matcher, index,
+                        seen_views=seen)
         assert merged  # the merged view is new
 
 

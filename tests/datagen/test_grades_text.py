@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.datagen import (exam_mean, make_grades_workload,
-                           make_realestate_relation, realestate_column)
+                           make_realestate_workload, realestate_column)
 from repro.datagen import text
 from repro.errors import ReproError
 
@@ -112,9 +112,12 @@ class TestTextCorpus:
 
 class TestRealEstate:
     def test_relation_shape(self):
-        relation = make_realestate_relation(40, np.random.default_rng(4))
-        assert len(relation) == 40
-        assert "address" in relation.schema
+        workload = make_realestate_workload(n_source=40, n_target=30,
+                                            seed=4)
+        listings = workload.source.relation("listings")
+        assert len(listings) == 40
+        assert "Address" in listings.schema
+        assert [len(r) for r in workload.target] == [30, 30]
 
     @pytest.mark.parametrize("kind", ["address", "city", "agent", "sqft",
                                       "listing", "property"])

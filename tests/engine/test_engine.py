@@ -13,31 +13,18 @@ from repro.engine import (STAGE_NAMES, EngineObserver, PreparedTarget,
 from repro.errors import EngineError
 
 
-class CountingMatcher:
-    """MatchingSystem stub: delegates to StandardMatch, counting calls."""
+@pytest.fixture()
+def index_builds(monkeypatch):
+    """Counts ``StandardMatch.build_target_index`` calls in the test."""
+    calls = []
+    build = StandardMatch.build_target_index
 
-    def __init__(self, config=None):
-        self.inner = StandardMatch(config)
-        self.index_builds = 0
-        self.relation_scores = 0
+    def counting(self, target):
+        calls.append(target)
+        return build(self, target)
 
-    def build_target_index(self, target):
-        self.index_builds += 1
-        return self.inner.build_target_index(target)
-
-    def score_relation(self, relation, index):
-        self.relation_scores += 1
-        return self.inner.score_relation(relation, index)
-
-    def accept(self, match, tau):
-        return self.inner.accept(match, tau)
-
-    def score_attribute(self, table, sample_values, attribute, index):
-        return self.inner.score_attribute(table, sample_values, attribute,
-                                          index)
-
-    def match(self, source, target, tau):
-        return self.inner.match(source, target, tau)
+    monkeypatch.setattr(StandardMatch, "build_target_index", counting)
+    return calls
 
 
 @pytest.fixture(scope="module")
@@ -87,23 +74,29 @@ class TestPrepare:
 
     def test_custom_matcher_prepared_not_reusable_elsewhere(
             self, retail_sources):
-        """An index built by a custom matching system may use a private
-        format; only the same matcher object may consume it."""
+        """An index profiled by another matcher zoo is refused, and the
+        error names both configurations."""
         sources, target = retail_sources
-        custom = MatchEngine(CONFIG, matcher=CountingMatcher(CONFIG.standard))
+        nameless = StandardMatchConfig(use_name_evidence=False)
+        custom = MatchEngine(dataclasses.replace(CONFIG, standard=nameless))
         prepared = custom.prepare(target)
-        assert custom.match(sources[0], prepared).matches  # same object: fine
-        with pytest.raises(EngineError):
+        assert custom.match(sources[0], prepared).matches  # same config
+        with pytest.raises(EngineError) as refused:
             MatchEngine(CONFIG).match(sources[0], prepared)
+        message = str(refused.value)
+        assert str(nameless) in message
+        assert str(CONFIG.standard) in message
+        assert " object at 0x" not in message
 
     def test_prepared_stamps_actual_matcher_config(self, retail_sources):
-        """A custom StandardMatch's own config is what the index was
-        profiled under — not the engine-level config.standard."""
+        """The engine's config.standard is what the index was profiled
+        under."""
         _, target = retail_sources
         thin = StandardMatchConfig(sample_limit=50)
-        engine = MatchEngine(CONFIG, matcher=StandardMatch(thin))
+        engine = MatchEngine(dataclasses.replace(CONFIG, standard=thin))
         prepared = engine.prepare(target)
         assert prepared.standard_config == thin
+        assert max(len(s.values) for s in prepared.index.samples) == 50
         with pytest.raises(EngineError):
             MatchEngine(CONFIG).match(target, prepared)
 
@@ -113,14 +106,13 @@ class TestMatchMany:
     builds the target index exactly once and returns matches equal to N
     fresh ContextMatch runs with the same seed."""
 
-    def test_index_built_exactly_once(self, retail_sources):
+    def test_index_built_exactly_once(self, retail_sources, index_builds):
         sources, target = retail_sources
-        matcher = CountingMatcher(CONFIG.standard)
-        engine = MatchEngine(CONFIG, matcher=matcher)
+        engine = MatchEngine(CONFIG)
         results = engine.match_many(sources, target)
         assert len(results) == 3
-        assert matcher.index_builds == 1
-        assert matcher.relation_scores >= 3
+        assert index_builds == [target]
+        assert all(r.standard_matches for r in results)
 
     def test_equal_to_fresh_contextmatch_runs(self, retail_sources):
         sources, target = retail_sources
@@ -131,13 +123,13 @@ class TestMatchMany:
             assert ([match_to_dict(m) for m in batch_result.matches]
                     == [match_to_dict(m) for m in fresh.matches])
 
-    def test_fresh_facade_runs_rebuild_index_each_time(self, retail_sources):
+    def test_fresh_facade_runs_rebuild_index_each_time(self, retail_sources,
+                                                       index_builds):
         """The baseline the engine improves on: one build per run."""
         sources, target = retail_sources
-        matcher = CountingMatcher(CONFIG.standard)
         for source in sources:
-            ContextMatch(CONFIG, matcher=matcher).run(source, target)
-        assert matcher.index_builds == 3
+            ContextMatch(CONFIG).run(source, target)
+        assert len(index_builds) == 3
 
     def test_results_in_input_order(self, retail_sources):
         sources, target = retail_sources
@@ -289,15 +281,15 @@ class TestMatchReversed:
         result = engine.match_reversed(prepared, sources[0])
         assert result.report.target_prepared
 
-    def test_prepared_source_side_reused(self, retail_sources):
+    def test_prepared_source_side_reused(self, retail_sources,
+                                         index_builds):
         """Reversed matching prepares the *source* side — reusable too."""
         sources, target = retail_sources
-        matcher = CountingMatcher(CONFIG.standard)
-        engine = MatchEngine(CONFIG, matcher=matcher)
+        engine = MatchEngine(CONFIG)
         prepared = engine.prepare(target)
         engine.match_reversed(prepared, sources[0])
         engine.match_reversed(prepared, sources[1])
-        assert matcher.index_builds == 1
+        assert index_builds == [target]
 
 
 class TestGarbage:

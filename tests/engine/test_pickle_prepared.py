@@ -57,8 +57,7 @@ class TestPreparedTargetRoundTrip:
         prepared = engine.prepare(workload.target)
         restored = pickle.loads(pickle.dumps(prepared))
         expected = engine.match(workload.source, prepared)
-        worker = MatchEngine(engine.config, matcher=restored.matcher,
-                             policy=engine.policy)
+        worker = MatchEngine(engine.config, policy=engine.policy)
         _assert_results_identical(expected,
                                   worker.match(workload.source, restored))
 
@@ -78,8 +77,7 @@ class TestPreparedTargetRoundTrip:
         assert pickle.dumps(prepared) == cold
 
         restored = pickle.loads(cold)
-        worker = MatchEngine(engine.config, matcher=restored.matcher,
-                             policy=engine.policy)
+        worker = MatchEngine(engine.config, policy=engine.policy)
         _assert_results_identical(expected,
                                   worker.match(workload.source, restored))
 
@@ -101,10 +99,10 @@ def test_prepared_source_round_trip(family_workloads, name):
 
     restored = pickle.loads(pickle.dumps(prepared_source))
     assert len(restored.store) == len(prepared_source.store)
-    assert restored.store.matcher_names == prepared_source.store.matcher_names
+    assert [m.name for m in restored.store.matchers] \
+        == [m.name for m in prepared_source.store.matchers]
     hits_before = restored.store.profile_hits
-    worker = MatchEngine(engine.config, matcher=restored.matcher,
-                         policy=engine.policy)
+    worker = MatchEngine(engine.config, policy=engine.policy)
     again = worker.match(restored, engine.prepare(workload.target))
     _assert_results_identical(expected, again)
     # The shipped store still serves its cached profiles.

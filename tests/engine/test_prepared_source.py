@@ -77,16 +77,6 @@ class TestPrepareSource:
         result = twin.match(prepared_src, twin.prepare(retail_workload.target))
         assert result.report.source_prepared
 
-    def test_prepare_source_requires_profiling_interface(self,
-                                                         retail_workload):
-        class Opaque:
-            pass
-
-        engine = MatchEngine(ContextMatchConfig(inference="src"))
-        engine.matcher = Opaque()
-        with pytest.raises(EngineError, match="profiling interface"):
-            engine.prepare_source(retail_workload.source)
-
 
 class TestReportSerialization:
     def test_source_prepared_roundtrips(self, retail_workload,

@@ -1,6 +1,8 @@
 """Tests for runner/reporting helpers and smoke tests of the experiment
 drivers (tiny parameterizations — full sweeps live in benchmarks/)."""
 
+import dataclasses
+
 import pytest
 
 from repro import ContextMatch
@@ -139,19 +141,16 @@ class TestEngineRunner:
 
     def test_custom_matcher_engines_do_not_share_artifacts(
             self, retail_workload):
-        """Regression: a custom matching system fingerprints by identity,
-        so it can neither poison nor crash a plain engine sharing the
-        runner (previously both landed on one key and the compatibility
-        check raised EngineError for whichever came second)."""
-        from repro import MatchEngine, StandardMatch
-
-        class LoudStandardMatch(StandardMatch):
-            """Same scoring, but a distinct type: artifacts are only valid
-            for this very object."""
+        """Regression: engines whose matcher zoos differ (here, one
+        without name evidence) can neither poison nor crash each other
+        through a shared runner: each gets, and keeps hitting, its own
+        prepared entry, and runs against it."""
+        from repro import MatchEngine
+        from repro.matching import StandardMatchConfig
 
         config = ContextMatchConfig(inference="src", seed=3)
-        custom_engine = MatchEngine(config,
-                                    matcher=LoudStandardMatch(config.standard))
+        custom_engine = MatchEngine(dataclasses.replace(
+            config, standard=StandardMatchConfig(use_name_evidence=False)))
         plain_engine = MatchEngine(config)
         runner = EngineRunner()
         custom_prepared = runner.prepared_for(custom_engine,
@@ -168,25 +167,6 @@ class TestEngineRunner:
                                    retail_workload.target) is custom_prepared
         assert runner.prepared_for(plain_engine,
                                    retail_workload.target) is plain_prepared
-
-    def test_explicit_matcher_zoo_does_not_share_artifacts(
-            self, retail_workload):
-        """A StandardMatch built over an explicit matcher list may carry
-        parameterization its matcher names don't expose, so it
-        fingerprints by identity — no sharing with the config-derived
-        zoo, even when the names coincide."""
-        from repro import MatchEngine, StandardMatch
-
-        config = ContextMatchConfig(inference="src", seed=3)
-        explicit = MatchEngine(config, matcher=StandardMatch(
-            config.standard, matchers=config.standard.build_matchers()))
-        derived = MatchEngine(config)
-        runner = EngineRunner()
-        first = runner.prepared_for(explicit, retail_workload.target)
-        second = runner.prepared_for(derived, retail_workload.target)
-        assert first is not second
-        assert explicit.prepared_fingerprint() \
-            != derived.prepared_fingerprint()
 
     def test_run_many_matches_sequential_runs(self, retail_workload,
                                               grades_workload):

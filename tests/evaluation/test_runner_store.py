@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro import ArtifactStore, ContextMatchConfig, MatchEngine
+from repro import ArtifactStore, MatchEngine
 from repro.datagen import build_scenario, get_scenario
 from repro.evaluation import EngineRunner
 from repro.evaluation.scenarios import run_scenario, scenario_config
@@ -120,18 +120,3 @@ class TestStoreBackedRunner:
         assert runner.store is None
         result = run_scenario("events", runner=runner)
         assert result.n_matches > 0
-
-    def test_custom_engine_bypasses_store(self, tmp_path, spec):
-        """Identity-fingerprinted engines prepare in memory; the store
-        stays empty rather than holding unservable artifacts."""
-        from repro.matching import StandardMatch
-
-        class Custom(StandardMatch):
-            pass
-
-        store = ArtifactStore(tmp_path / "store")
-        runner = EngineRunner(store=store)
-        engine = MatchEngine(ContextMatchConfig(),
-                             matcher=Custom(ContextMatchConfig().standard))
-        runner.prepared_for(engine, build_scenario(spec).target)
-        assert len(store) == 0

@@ -8,8 +8,8 @@ pin the coded loop against it:
 
 * :func:`assess_family` re-teaches a fresh classifier with a family's
   group labels (``doTraining``), classifies the test values one by one
-  (``doTesting``) and tests the correct count against ``CNaive``'s
-  binomial null;
+  (``doTesting``, :func:`evaluate_classifier`) and tests the correct
+  count against ``CNaive``'s binomial null;
 * :func:`reference_families` runs the loop of Section 3.3 over
   :class:`~repro.relational.views.ViewFamily` objects: it merges the pair
   :func:`~repro.classifiers.metrics.top_error_pair` picks from the
@@ -19,14 +19,23 @@ pin the coded loop against it:
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Hashable, Iterable, Sequence
 
 from repro.classifiers.base import Classifier
 from repro.classifiers.majority import MajorityClassifier
-from repro.classifiers.metrics import (ConfusionMatrix, evaluate_classifier,
-                                       top_error_pair)
+from repro.classifiers.metrics import ConfusionMatrix, top_error_pair
 from repro.classifiers.significance import classifier_significance
 from repro.relational.views import ViewFamily
+
+
+def evaluate_classifier(classifier: Classifier,
+                        examples: Iterable[tuple[Any, Hashable]],
+                        ) -> ConfusionMatrix:
+    """Run *classifier* over (value, true-label) pairs, one by one."""
+    matrix = ConfusionMatrix()
+    for value, truth in examples:
+        matrix.record(truth, classifier.classify(value))
+    return matrix
 
 
 @dataclasses.dataclass(frozen=True)

@@ -4,9 +4,23 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.mathutil import mean_std, phi, phi_inverse_threshold
+from repro.mathutil import mean_std, phi
 from repro.matching import (MatcherEvidence, combine_evidence,
                             confidences_from_scores)
+
+
+def phi_inverse_threshold(p: float) -> float:
+    """Inverse normal CDF via bisection on :func:`phi`."""
+    if not 0.0 < p < 1.0:
+        raise ValueError(f"p must be in (0,1), got {p}")
+    lo, hi = -10.0, 10.0
+    for _ in range(200):
+        mid = (lo + hi) / 2.0
+        if phi(mid) < p:
+            lo = mid
+        else:
+            hi = mid
+    return (lo + hi) / 2.0
 
 
 class TestPhi:

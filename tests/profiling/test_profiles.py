@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.matching import StandardMatch, StandardMatchConfig
 from repro.matching.matchers import (AttributeSample, NameMatcher,
                                      QGramMatcher, TypeMatcher,
                                      ValueOverlapMatcher, default_matchers)
@@ -123,18 +122,6 @@ class TestMergeColumnProfiles:
 
 
 class TestProfileStore:
-    def test_for_matcher_requires_opt_in(self):
-        matcher = StandardMatch(StandardMatchConfig(sample_limit=50))
-        store = ProfileStore.for_matcher(matcher)
-        assert store is not None
-        assert store.sample_limit == 50
-        assert store.matcher_names == tuple(m.name for m in matcher.matchers)
-
-        class Opaque:
-            pass
-
-        assert ProfileStore.for_matcher(Opaque()) is None
-
     def test_base_profile_cached(self, relation):
         store = ProfileStore(default_matchers(), 400)
         first = store.base_profile(relation, "name")

@@ -4,14 +4,13 @@ The contract under test: with the default ``retrieval_top_k`` the pruned
 pipeline is bit-identical to the exhaustive reference; with an
 aggressively small ``k`` it actually prunes, yet never drops a candidate
 rescoring of an accepted prototype match (the frontier is a superset of
-the accepted targets by construction); custom matching systems that do
-not opt into target subsets are untouched."""
+the accepted targets by construction)."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro import ContextMatchConfig, MatchEngine, StandardMatch
+from repro import ContextMatchConfig, MatchEngine
 from repro.datagen import build_scenario, get_scenario
 
 
@@ -96,49 +95,3 @@ class TestConfigValidation:
             ContextMatchConfig(retrieval_top_k=0)
         with pytest.raises(ValueError):
             ContextMatchConfig(retrieval_top_k=-4)
-
-
-class _OpaqueMatcher:
-    """MatchingSystem stub without ``supports_target_subset``: must never
-    be handed a target-position subset."""
-
-    def __init__(self, config=None):
-        self.inner = StandardMatch(config)
-
-    def build_target_index(self, target):
-        return self.inner.build_target_index(target)
-
-    def score_relation(self, relation, index):
-        return self.inner.score_relation(relation, index)
-
-    def accept(self, match, tau):
-        return self.inner.accept(match, tau)
-
-    def score_attribute(self, table, sample_values, attribute, index):
-        # No ``positions`` kwarg on purpose: passing one would TypeError.
-        return self.inner.score_attribute(table, sample_values, attribute,
-                                          index)
-
-    def score_column_profile(self, source_profile, attr_name, index):
-        return self.inner.score_column_profile(source_profile, attr_name,
-                                               index)
-
-    def match(self, source, target, tau):
-        return self.inner.match(source, target, tau)
-
-
-class TestCustomMatcherSafety:
-    def test_opaque_matcher_runs_exhaustively(self, workload):
-        engine = MatchEngine(ContextMatchConfig(inference="src", seed=2),
-                             matcher=_OpaqueMatcher())
-        prepared = engine.prepare(workload.target)
-        # No opt-in flag -> no retrieval index, no positions kwarg.
-        assert prepared.retrieval is None
-        result = engine.match(workload.source, prepared)
-        counts = _score_counts(result)
-        assert counts["retrieval_queries"] == 0
-        assert counts["pairs_pruned"] == 0
-        reference = MatchEngine(
-            ContextMatchConfig(inference="src", seed=2)
-        ).match(workload.source, workload.target)
-        assert _match_keys(result) == _match_keys(reference)

@@ -17,8 +17,16 @@ against it:
   ``StandardMatch._score_profiled`` did: one ``applicable`` call per
   target, one ``score_profiles`` call per applicable target, a Φ fit per
   matcher and evidence for the kept targets;
-* :func:`score_families` rescores a relation's families view by view, as
-  ``score_family_candidates`` did on the store path.
+* :func:`score_families` rescores a relation's families view by view
+  from :class:`ReferenceStore` profiles.
+
+It also keeps ScoreMatch as the paper states it (§2.3; Figure 5, line
+10), with the standard matcher called on each candidate view's restricted
+sample: :func:`score_views` materializes every unseen view
+(``View.evaluate``) and scores its columns with
+:meth:`StandardMatch.score_attribute`.  :func:`per_view_stages` puts it,
+and a standard-match stage that profiles raw columns without a store, in
+an engine pipeline, so whole runs can be pinned against the default one.
 """
 
 from __future__ import annotations
@@ -26,6 +34,8 @@ from __future__ import annotations
 from typing import Any, Callable, Sequence
 
 from repro.context.model import CandidateScore
+from repro.engine.stages import (ConjunctiveRefineStage, InferViewsStage,
+                                 PipelineState, SelectStage, Stage)
 from repro.matching import AttributeMatch, MatcherEvidence, combine_evidence
 from repro.matching.matchers import AttributeSample
 from repro.matching.normalize import confidence_under, fit_normal
@@ -223,3 +233,78 @@ def score_families(families, base, accepted, matchers, index,
                             view=view, family=family, base_match=match,
                             rescored=rescored, view_rows=view_rows))
     return results
+
+
+def score_views(families, base, accepted, matcher, index, *,
+                min_view_rows: int = 2) -> list[CandidateScore]:
+    """Every unseen member view of *families*, materialized and rescored
+    through ``score_attribute`` one view at a time."""
+    by_attr: dict[str, list[AttributeMatch]] = {}
+    for match in accepted:
+        if match.source.table == base.name:
+            by_attr.setdefault(match.source.attribute, []).append(match)
+    seen = set()
+    results = []
+    for family in families:
+        for view in family.views():
+            if view in seen:
+                continue
+            seen.add(view)
+            restricted = view.evaluate(base)
+            if len(restricted) < min_view_rows:
+                continue
+            for attr_name, matches in by_attr.items():
+                scored = {(m.target.table, m.target.attribute): m
+                          for m in matcher.score_attribute(
+                              view.name, restricted.column(attr_name),
+                              restricted.schema.attribute(attr_name),
+                              index)}
+                for match in matches:
+                    rescored = scored.get((match.target.table,
+                                           match.target.attribute))
+                    if rescored is not None:
+                        results.append(CandidateScore(
+                            view=view, family=family, base_match=match,
+                            rescored=rescored, view_rows=len(restricted)))
+    return results
+
+
+class PerViewStandardMatchStage(Stage):
+    """Accepted prototype matches scored from raw columns, without the
+    run's profile store."""
+
+    name = "standard-match"
+
+    def run(self, state: PipelineState) -> dict[str, int]:
+        for relation in state.source:
+            scored = state.matcher.score_relation(relation,
+                                                  state.prepared.index)
+            accepted = [m for m in scored
+                        if state.matcher.accept(m, state.config.tau)]
+            state.accepted[relation.name] = accepted
+            state.result.standard_matches.extend(accepted)
+        return {"relations": len(state.accepted),
+                "accepted": len(state.result.standard_matches)}
+
+
+class PerViewScoreCandidatesStage(Stage):
+    """RL from :func:`score_views`, against every target attribute."""
+
+    name = "score-candidates"
+
+    def run(self, state: PipelineState) -> dict[str, int]:
+        for relation in state.source:
+            state.result.candidates.extend(score_views(
+                state.families.get(relation.name, []), relation,
+                state.accepted.get(relation.name, []), state.matcher,
+                state.prepared.index,
+                min_view_rows=state.config.min_view_rows))
+        return {"candidates": len(state.result.candidates)}
+
+
+def per_view_stages() -> list[Stage]:
+    """The five-stage pipeline with standard-match and score-candidates
+    replaced by their per-view references."""
+    return [PerViewStandardMatchStage(), InferViewsStage(),
+            PerViewScoreCandidatesStage(), SelectStage(),
+            ConjunctiveRefineStage()]

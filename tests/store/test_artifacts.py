@@ -20,9 +20,11 @@ import json
 import pytest
 
 from repro import ContextMatchConfig, MatchEngine
-from repro.datagen import build_scenario, get_scenario
+from repro.context import CategoricalPolicy
+from repro.datagen import build_scenario, get_scenario, make_retail_workload
 from repro.errors import (ArtifactIntegrityError, ArtifactNotFoundError,
                           ArtifactVersionError, StoreError)
+from repro.matching import StandardMatchConfig
 from repro.store import (KIND_SOURCE, KIND_TARGET, ArtifactStore, StoreEntry,
                          store_entry_from_dict, store_entry_to_dict)
 
@@ -50,6 +52,51 @@ def store(tmp_path):
 def _result_key(result):
     return [(str(m.source), str(m.target), str(m.condition),
              m.score, m.confidence) for m in result.matches]
+
+
+class TestSaveChecksTheEngine:
+    """Regression: ``save`` files an artifact under the lookup key of the
+    engine it is handed, so an artifact another configuration built used
+    to poison ``find`` and ``prepared_target`` for that engine, whose
+    runs then refused it.  ``save`` now refuses the mismatch, naming the
+    field."""
+
+    @pytest.fixture(scope="class")
+    def retail(self):
+        return make_retail_workload(target="ryan", gamma=2, n_source=60,
+                                    n_target=60, seed=5)
+
+    def test_mismatched_standard_config_refused(self, store, retail):
+        thin = MatchEngine(ContextMatchConfig(
+            inference="src", standard=StandardMatchConfig(sample_limit=50)))
+        engine = MatchEngine(ContextMatchConfig(inference="src"))
+        with pytest.raises(StoreError, match="its standard_config is "
+                           r"StandardMatchConfig\(sample_limit=50"):
+            store.save(thin.prepare(retail.target), engine=engine)
+        assert len(store) == 0
+        prepared = engine.prepare(retail.target, store=store)
+        assert prepared.standard_config == engine.config.standard
+        assert engine.match(retail.source, prepared).matches
+        assert store.find_target(retail.target, engine) is not None
+
+    def test_mismatched_policy_refused_for_a_target(self, store, retail):
+        strict = MatchEngine(policy=CategoricalPolicy(max_cardinality=5))
+        engine = MatchEngine()
+        with pytest.raises(StoreError, match="its policy is"):
+            store.save(strict.prepare(retail.target), engine=engine)
+        assert len(store) == 0
+
+    def test_a_source_is_checked_on_its_standard_config_only(self, store,
+                                                              retail):
+        engine = MatchEngine()
+        strict = MatchEngine(policy=CategoricalPolicy(max_cardinality=5))
+        entry = store.save(strict.prepare_source(retail.source),
+                           engine=engine)
+        assert store.find_source(retail.source, engine) == entry.token
+        thin = MatchEngine(ContextMatchConfig(
+            standard=StandardMatchConfig(sample_limit=50)))
+        with pytest.raises(StoreError, match="standard_config"):
+            store.save(thin.prepare_source(retail.source), engine=engine)
 
 
 class TestSaveLoad:

@@ -2,8 +2,9 @@
 
 An entry written under another store format (format 1 held gram-string
 profiles and postings, format 2 pickled BM25 postings, format 3 pickled
-the run state that runs wrote into a prepared target) or another
-library version is refused by
+the run state that runs wrote into a prepared target, format 4 pickled
+the matching system that built it) or another library version is
+refused by
 ``load`` with ``ArtifactVersionError`` before its blob is unpickled.
 ``save``'s dedup, ``find`` — and with it ``prepared_target`` — and
 ``MatchService.resolve`` by name skip such entries, so a store holding
@@ -44,17 +45,17 @@ def _stale(store: ArtifactStore, token: str, **fields) -> None:
     path.write_text(json.dumps(manifest))
 
 
-STALE = [{"format": 1}, {"format": 2}, {"format": 3},
+STALE = [{"format": 1}, {"format": 2}, {"format": 3}, {"format": 4},
          {"format": STORE_FORMAT + 1}, {"version": "0.0.0"}]
 
 
-def test_format_is_four():
-    assert STORE_FORMAT == 4
+def test_format_is_five():
+    assert STORE_FORMAT == 5
 
 
 @pytest.mark.parametrize("fields", STALE, ids=["format-1", "format-2",
-                                               "format-3", "format-next",
-                                               "version"])
+                                               "format-3", "format-4",
+                                               "format-next", "version"])
 class TestStaleEntries:
     @pytest.fixture
     def stale(self, tmp_path, engine, target, fields):

@@ -89,17 +89,6 @@ class TestFingerprintToken:
         assert fingerprint_token(MatchEngine(contextual)) \
             == fingerprint_token(MatchEngine())
 
-    def test_custom_matcher_has_no_token(self):
-        """Identity-fingerprinted engines cannot key durable artifacts —
-        their fingerprint dies with the process."""
-        from repro.matching import StandardMatch
-
-        class Custom(StandardMatch):
-            pass
-
-        engine = MatchEngine(matcher=Custom())
-        assert fingerprint_token(engine) is None
-
 
 class TestBlobToken:
     def test_is_sha256_of_bytes(self):
