@@ -582,7 +582,7 @@ def _store_json(payload: dict, store) -> str:
 def _cmd_store(args: argparse.Namespace) -> int:
     # Lazy import: matching-only commands don't need the store stack.
     from .errors import StoreError
-    from .store import ArtifactStore, store_entry_to_dict
+    from .store import ArtifactStore
 
     store = ArtifactStore(args.store)
     try:
@@ -591,8 +591,7 @@ def _cmd_store(args: argparse.Namespace) -> int:
             engine = MatchEngine(config_from_args(args))
             entry = store.save(engine.prepare(target), engine=engine)
             if args.json:
-                print(_store_json({"entry": store_entry_to_dict(entry)},
-                                  store))
+                print(_store_json({"entry": entry.to_dict()}, store))
             else:
                 dedup = store.counters["dedup_hits"] > 0
                 print(f"{'already stored' if dedup else 'saved'} "
@@ -600,25 +599,25 @@ def _cmd_store(args: argparse.Namespace) -> int:
                       f"({entry.size_bytes} bytes)")
             return 0
         if args.store_command == "load":
-            prepared = store.load(args.token)
+            prepared = store.load_target(args.token)
             entry = store.entry(args.token)
             if args.json:
-                print(_store_json({"entry": store_entry_to_dict(entry),
+                print(_store_json({"entry": entry.to_dict(),
                                    "verified": True}, store))
             else:
-                print(f"ok: {entry.kind} {entry.database} "
+                print(f"ok: {entry.database} "
                       f"({entry.size_bytes} bytes, verified) -> {prepared!r}")
             return 0
         if args.store_command == "list":
             entries = store.entries()
             if args.json:
                 print(_store_json(
-                    {"entries": [store_entry_to_dict(e) for e in entries],
+                    {"entries": [e.to_dict() for e in entries],
                      "total_bytes": store.total_bytes()}, store))
             else:
                 for entry in entries:
-                    print(f"{entry.token}  {entry.kind:<16} "
-                          f"{entry.database:<20} {entry.size_bytes:>9}B  "
+                    print(f"{entry.token}  {entry.database:<20} "
+                          f"{entry.size_bytes:>9}B  "
                           f"{entry.created_at}")
                 print(f"# {len(entries)} entries, "
                       f"{store.total_bytes()} bytes")

@@ -12,8 +12,7 @@ from .candidates import (CandidateViewGenerator, FamilyAssessor,
                          InferenceContext, InferenceStats, NaiveInfer,
                          SrcClassInfer, TgtClassInfer, make_generator,
                          set_partitions)
-from .categorical import (CategoricalPolicy, categorical_attributes,
-                          is_categorical)
+from .categorical import categorical_attributes, is_categorical
 from .conjunctive import refine_conjunctive
 from .contextmatch import ContextMatch
 from .model import (CandidateScore, ContextMatchConfig, ContextualMatch,
@@ -41,7 +40,6 @@ __all__ = [
     "TgtClassInfer",
     "make_generator",
     "set_partitions",
-    "CategoricalPolicy",
     "is_categorical",
     "categorical_attributes",
     "condition_to_dict",

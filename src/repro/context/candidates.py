@@ -64,7 +64,7 @@ from ..relational.instance import Database, Relation
 from ..relational.types import DataType, is_hashable
 from ..relational.views import ViewFamily
 from ..sampling import systematic_thin
-from .categorical import CategoricalPolicy, categorical_attributes
+from .categorical import categorical_attributes
 from .model import ContextMatchConfig
 
 __all__ = ["InferenceContext", "InferenceStats", "CandidateViewGenerator",
@@ -109,9 +109,9 @@ class InferenceStats:
 class InferenceContext:
     """State of one ``ContextMatch`` run.
 
-    Holds the RNG for train/test partitioning, the categorical policy,
-    the run's work counters and, for ``TgtClassInfer``, the per-type
-    target classifiers and the run's tag memo.  The classifiers come from
+    Holds the RNG for train/test partitioning, the run's work counters
+    and, for ``TgtClassInfer``, the per-type target classifiers and the
+    run's tag memo.  The classifiers come from
     ``classifiers`` on first use — the engine passes the prepared
     target's, trained once per process
     (:meth:`~repro.engine.prepared.PreparedTarget.trained_classifiers`)
@@ -124,7 +124,6 @@ class InferenceContext:
     config: ContextMatchConfig
     rng: np.random.Generator
     target: Database
-    policy: CategoricalPolicy = dataclasses.field(default_factory=CategoricalPolicy)
     #: Supplies the trained target classifiers (None: train on ``target``).
     classifiers: Callable[[], TargetClassifierSet] | None = None
     #: The run's memo of target-column tags keyed by (type family,
@@ -211,7 +210,7 @@ class NaiveInfer(CandidateViewGenerator):
     def _infer(self, relation: Relation, ctx: InferenceContext,
                exclude: frozenset[str]) -> list[ViewFamily]:
         families: list[ViewFamily] = []
-        for label_attr in categorical_attributes(relation, ctx.policy):
+        for label_attr in categorical_attributes(relation):
             if label_attr in exclude:
                 continue
             values = relation.distinct(label_attr)
@@ -597,7 +596,7 @@ class ClusteredViewGenBase(CandidateViewGenerator):
     def _infer(self, relation: Relation, ctx: InferenceContext,
                exclude: frozenset[str]) -> list[ViewFamily]:
         config = ctx.config
-        categorical = categorical_attributes(relation, ctx.policy)
+        categorical = categorical_attributes(relation)
         cats = [a for a in categorical if a not in exclude]
         noncats = [a for a in relation.schema.attribute_names
                    if a not in categorical]

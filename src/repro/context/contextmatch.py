@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from ..engine.engine import MatchEngine
 from ..relational.instance import Database
-from .categorical import CategoricalPolicy
 from .model import ContextMatchConfig, MatchResult
 
 __all__ = ["ContextMatch"]
@@ -30,8 +29,6 @@ class ContextMatch:
     config:
         All thresholds and policy switches; see
         :class:`~repro.context.model.ContextMatchConfig`.
-    policy:
-        Thresholds of the categorical-attribute test.
 
     Example
     -------
@@ -42,17 +39,12 @@ class ContextMatch:
     True
     """
 
-    def __init__(self, config: ContextMatchConfig | None = None,
-                 *, policy: CategoricalPolicy | None = None):
-        self.engine = MatchEngine(config=config, policy=policy)
+    def __init__(self, config: ContextMatchConfig | None = None):
+        self.engine = MatchEngine(config=config)
 
     @property
     def config(self) -> ContextMatchConfig:
         return self.engine.config
-
-    @property
-    def policy(self) -> CategoricalPolicy:
-        return self.engine.policy
 
     def run(self, source: Database, target: Database) -> MatchResult:
         """Execute ContextMatch over sampled instances of both schemas."""

@@ -13,7 +13,7 @@
 * :class:`RunReport` / :class:`StageReport` — per-run diagnostics,
   including profile/partition cache counters in the stage counts;
 * :class:`MatchExecutor` / :class:`ExecutorConfig` — batch fan-out for
-  ``match_many``, reversed sweeps and scenario runs, either ``serial``
+  ``match_many``, repository routes and scenario runs, either ``serial``
   (the in-process reference) or on a ``process`` pool
   (``ExecutorConfig(backend="process", max_workers=N)``, or
   ``ExecutorConfig.for_jobs(N)``), bit-identical across both; every

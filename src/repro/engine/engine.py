@@ -21,9 +21,10 @@ base relation instead of being materialized each (the
 appear in each stage's :class:`~repro.engine.report.StageReport`.
 
 Every engine matches with ``StandardMatch(config.standard)``, the paper's
-black-box standard matcher, so a prepared artifact is valid for exactly
-the engines whose configuration it was built under:
-:meth:`MatchEngine.prepared_fingerprint` is that configuration.
+black-box standard matcher, and the categorical test's thresholds are the
+paper's, so a prepared artifact is valid for exactly the engines whose
+standard-matcher configuration it was built under:
+:meth:`MatchEngine.prepared_fingerprint` is ``config.standard``.
 
 The pipeline itself is an ordered list of
 :class:`~repro.engine.stages.Stage` objects (Figure 5's five steps by
@@ -43,10 +44,9 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 import numpy as np
 
 from ..context.candidates import InferenceContext, make_generator
-from ..context.categorical import CategoricalPolicy
 from ..context.model import ContextMatchConfig, MatchResult
 from ..errors import EngineError
-from ..matching.standard import StandardMatch
+from ..matching.standard import StandardMatch, StandardMatchConfig
 from ..matching.tokens import token_cache_scope
 from ..profiling import ProfileStore
 from ..relational.instance import Database
@@ -71,8 +71,6 @@ class MatchEngine:
         All thresholds and policy switches; see
         :class:`~repro.context.model.ContextMatchConfig`.  The engine
         matches with ``StandardMatch(config.standard)`` (:attr:`matcher`).
-    policy:
-        Thresholds of the categorical-attribute test.
     stages:
         The pipeline to run, in order; defaults to the paper's five
         ContextMatch stages (:func:`~repro.engine.stages.default_stages`).
@@ -92,12 +90,10 @@ class MatchEngine:
     """
 
     def __init__(self, config: ContextMatchConfig | None = None,
-                 *, policy: CategoricalPolicy | None = None,
-                 stages: Sequence[Stage] | None = None,
+                 *, stages: Sequence[Stage] | None = None,
                  observers: Sequence[EngineObserver] = ()):
         self.config = config or ContextMatchConfig()
         self.matcher = StandardMatch(self.config.standard)
-        self.policy = policy or CategoricalPolicy()
         self.stages: list[Stage] = (list(stages) if stages is not None
                                     else default_stages())
         self.observers: list[EngineObserver] = list(observers)
@@ -122,7 +118,7 @@ class MatchEngine:
             return store.prepared_target(self, target)
         return PreparedTarget.build(
             target, self.matcher.build_target_index(target),
-            standard_config=self.config.standard, policy=self.policy,
+            standard_config=self.config.standard,
             retrieval_top_k=self.config.retrieval_top_k)
 
     def _resolve(self, target: Database | PreparedTarget
@@ -133,33 +129,30 @@ class MatchEngine:
             return target, True
         return self.prepare(target), False
 
-    def _check_compatible(self, prepared: PreparedTarget) -> None:
-        if prepared.policy != self.policy:
-            raise EngineError(
-                "PreparedTarget was built under a different categorical "
-                f"policy ({prepared.policy} != {self.policy}); re-prepare "
-                "the target with this engine")
+    def _check_compatible(self, prepared: PreparedTarget | PreparedSource
+                          ) -> None:
+        """Refuse an artifact built under another standard-matcher
+        configuration: its index or profiles would silently disagree with
+        this engine's matcher."""
         if prepared.standard_config != self.config.standard:
             raise EngineError(
-                "PreparedTarget was built under an incompatible matcher "
-                f"configuration ({prepared.standard_config} != "
-                f"{self.config.standard}); re-prepare the target with this "
-                "engine")
+                f"{type(prepared).__name__} was built under an incompatible "
+                f"matcher configuration ({prepared.standard_config} != "
+                f"{self.config.standard}); re-prepare it with this engine")
 
-    def prepared_fingerprint(self) -> tuple:
+    def prepared_fingerprint(self) -> StandardMatchConfig:
         """Hashable digest of every configuration input prepared artifacts
-        derive from: ``(config.standard, policy)``.
+        derive from: ``config.standard``.
 
         Two engines with equal fingerprints produce interchangeable
         (bit-identical) :class:`PreparedTarget` / :class:`PreparedSource`
-        artifacts (a source's profiles derive from ``config.standard``
-        alone); caches such as
+        artifacts; caches such as
         :class:`~repro.evaluation.runner.EngineRunner`'s prepared LRUs and
         the :class:`~repro.store.ArtifactStore` lookup keys derive from
         it, so engines with differing configurations can never serve each
         other stale artifacts.
         """
-        return (self.config.standard, self.policy)
+        return self.config.standard
 
     # ------------------------------------------------------------------
     # Source preparation
@@ -181,14 +174,6 @@ class MatchEngine:
         return ProfileStore(self.matcher.matchers,
                             self.config.standard.sample_limit)
 
-    def _check_source_compatible(self, prepared: PreparedSource) -> None:
-        if prepared.standard_config != self.config.standard:
-            raise EngineError(
-                "PreparedSource was built under an incompatible matcher "
-                f"configuration ({prepared.standard_config} != "
-                f"{self.config.standard}); re-prepare the source with this "
-                "engine")
-
     def _resolve_source(self, source: Database | PreparedSource
                         ) -> tuple[Database, ProfileStore, bool]:
         """(database, profile store, was_prepared) for one run's source.
@@ -198,7 +183,7 @@ class MatchEngine:
         :class:`PreparedSource` contributes its long-lived store.
         """
         if isinstance(source, PreparedSource):
-            self._check_source_compatible(source)
+            self._check_compatible(source)
             return source.source, source.store, True
         return source, self._profile_store(), False
 
@@ -229,7 +214,7 @@ class MatchEngine:
         cap = config.standard.sample_limit
         ctx = InferenceContext(
             config=config, rng=np.random.default_rng(config.seed),
-            target=prepared.target, policy=self.policy,
+            target=prepared.target,
             classifiers=lambda: prepared.trained_classifiers(cap))
         state = PipelineState(
             source=source_db, prepared=prepared, config=config,

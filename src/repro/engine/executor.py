@@ -1,9 +1,9 @@
 """Parallel match execution: serial, or a process pool over prepared artifacts.
 
 A single ContextMatch run is sub-second, but every multi-source workload —
-:meth:`~repro.engine.engine.MatchEngine.match_many`, role-reversed sweeps,
-repository ``route_many`` fan-outs, the scenario registry behind the
-golden tier — is a *batch* of independent runs, and the dominant
+:meth:`~repro.engine.engine.MatchEngine.match_many`, repository
+``route_many`` fan-outs, the scenario registry behind the golden tier —
+is a *batch* of independent runs, and the dominant
 enterprise workload is throughput across runs, not latency within one.
 :class:`MatchExecutor` runs such batches on one of two backends:
 
@@ -223,7 +223,6 @@ class EngineArtifact:
 
     prepared: "PreparedTarget"
     config: "ContextMatchConfig"
-    policy: Any
     stages: list | None = None
     #: Stable content token of the prepared side (an artifact-store
     #: token), when the caller knows one.  Lets the executor derive a
@@ -239,14 +238,13 @@ class EngineArtifact:
     def of(cls, engine: "MatchEngine", prepared: "PreparedTarget",
            token: str | None = None) -> "EngineArtifact":
         return cls(prepared=prepared, config=engine.config,
-                   policy=engine.policy, stages=list(engine.stages),
-                   content_token=token, _engine=engine)
+                   stages=list(engine.stages), content_token=token,
+                   _engine=engine)
 
     def engine(self) -> "MatchEngine":
         if self._engine is None:
             from .engine import MatchEngine
-            self._engine = MatchEngine(self.config, policy=self.policy,
-                                       stages=self.stages)
+            self._engine = MatchEngine(self.config, stages=self.stages)
         return self._engine
 
     def __getstate__(self) -> dict:
@@ -258,11 +256,6 @@ class EngineArtifact:
 def _match_task(artifact: EngineArtifact,
                 source: "Database | PreparedSource") -> "MatchResult":
     return artifact.engine().match(source, artifact.prepared)
-
-
-def _match_reversed_task(artifact: EngineArtifact,
-                         target: "Database") -> "MatchResult":
-    return artifact.engine().match_reversed(artifact.prepared, target)
 
 
 # ---------------------------------------------------------------------------
@@ -427,7 +420,6 @@ class MatchExecutor:
         if (entry is not None and entry[0] is engine
                 and entry[1] is prepared
                 and entry[2].config is engine.config
-                and entry[2].policy is engine.policy
                 and entry[2].content_token == token
                 and entry[2].stages == list(engine.stages)):
             self._artifacts.move_to_end(key)
@@ -468,7 +460,7 @@ class MatchExecutor:
     def _stable_token(artifact: Any) -> str | None:
         """Content-derived shipping token of an EngineArtifact — a digest
         of the prepared side's content token plus the engine-side
-        configuration (config, policy, stages), which the content token
+        configuration (config, stages), which the content token
         alone does not cover, so two engines with differing
         configurations sharing one content token still get distinct
         shipping tokens.  None for artifacts without a content token."""
@@ -476,7 +468,7 @@ class MatchExecutor:
         if content_token is None:
             return None
         engine_side = pickle.dumps(
-            (artifact.config, artifact.policy, artifact.stages),
+            (artifact.config, artifact.stages),
             protocol=pickle.HIGHEST_PROTOCOL)
         digest = hashlib.sha256(content_token.encode("utf-8"))
         digest.update(engine_side)
@@ -531,16 +523,3 @@ class MatchExecutor:
         prepared, _ = engine._resolve(target)
         artifact = self._artifact_for(engine, prepared, token=token)
         return self.run_tasks(_match_task, sources, artifact=artifact)
-
-    def match_reversed_many(self, engine: "MatchEngine",
-                            source: "Database | PreparedTarget",
-                            targets: Iterable["Database"],
-                            *, token: str | None = None) -> BatchResult:
-        """Fan :meth:`MatchEngine.match_reversed` over *targets* with one
-        shared conditioned side (the *source*, which is the prepared side
-        of a reversed run), prepared once up front.  ``token`` works as in
-        :meth:`match_many`."""
-        prepared, _ = engine._resolve(source)
-        artifact = self._artifact_for(engine, prepared, token=token)
-        return self.run_tasks(_match_reversed_task, targets,
-                              artifact=artifact)

@@ -11,7 +11,7 @@ number of :meth:`~repro.engine.engine.MatchEngine.match` calls:
   (per-matcher profiles of every target attribute, plus the scoring
   blocks derived from them — for the q-gram and overlap matchers, CSR
   rows over a target vocabulary);
-* the categorical-policy analysis of the target tables;
+* the categorical attributes of the target tables;
 * the retrieval prefilter, where the preparing engine's k prunes.
 
 :class:`PreparedTarget` is frozen, only :meth:`PreparedTarget.build`
@@ -32,11 +32,10 @@ them by design, so re-matching the same source (evaluation sweeps,
 re-tuned thresholds) skips source-side profiling.  Every entry is a pure
 function of the source side, so sharing it never changes results.
 
-Each artifact records, as plain values, the configuration it was built
-under: ``standard_config`` (the engine's ``config.standard``, which also
-fixes the matcher zoo) and, for a target, the categorical ``policy``.
-That is everything an engine's
-:meth:`~repro.engine.engine.MatchEngine.prepared_fingerprint` covers, so
+Each artifact records, as a plain value, the configuration it was built
+under: ``standard_config``, the engine's ``config.standard``, which also
+fixes the matcher zoo.  That is an engine's
+:meth:`~repro.engine.engine.MatchEngine.prepared_fingerprint`, so
 compatibility checks and store lookups compare configurations, never
 matcher objects.
 
@@ -61,7 +60,7 @@ import weakref
 from typing import Any, Callable, Hashable
 
 from ..classifiers.target import TargetClassifierSet
-from ..context.categorical import CategoricalPolicy, categorical_attributes
+from ..context.categorical import categorical_attributes
 from ..matching.standard import StandardMatchConfig, TargetIndex
 from ..profiling import ProfileStore
 from ..relational.instance import Database
@@ -75,12 +74,12 @@ class PreparedTarget:
     """Target-side state shared by every run against one target schema.
 
     Built by :meth:`MatchEngine.prepare` through :meth:`build`; frozen,
-    and never written to by a run.  ``standard_config`` and ``policy``
-    record the configuration the artifacts were derived under — the
-    preparing engine's :meth:`~MatchEngine.prepared_fingerprint` — and
-    the engine refuses to run against a prepared target built under a
-    different configuration, since the index would silently disagree
-    with the run's matcher.
+    and never written to by a run.  ``standard_config`` records the
+    configuration the artifacts were derived under — the preparing
+    engine's :meth:`~MatchEngine.prepared_fingerprint` — and the engine
+    refuses to run against a prepared target built under a different
+    configuration, since the index would silently disagree with the
+    run's matcher.
 
     Attributes
     ----------
@@ -89,15 +88,14 @@ class PreparedTarget:
     index:
         The standard matcher's pre-profiled target index.
     categorical:
-        Categorical attributes of every target table under ``policy`` —
-        the condition space available when this schema acts as the
-        conditioned side (role-reversed matching, diagnostics).
+        Categorical attributes of every target table — the condition
+        space available when this schema acts as the conditioned side
+        (role-reversed matching, diagnostics).
     """
 
     target: Database
     index: TargetIndex
     standard_config: StandardMatchConfig
-    policy: CategoricalPolicy
     categorical: dict[str, tuple[str, ...]]
     #: Hybrid candidate-retrieval prefilter over ``index``
     #: (:mod:`repro.retrieval`).  Built only where it can prune: the
@@ -109,18 +107,17 @@ class PreparedTarget:
 
     @classmethod
     def build(cls, target: Database, index: TargetIndex,
-              standard_config: StandardMatchConfig,
-              policy: CategoricalPolicy, *,
+              standard_config: StandardMatchConfig, *,
               retrieval_top_k: int) -> "PreparedTarget":
         categorical = {
-            relation.name: tuple(categorical_attributes(relation, policy))
+            relation.name: tuple(categorical_attributes(relation))
             for relation in target
         }
         retrieval = (RetrievalIndex.build(index)
                      if RetrievalIndex.supports(index)
                      and len(index.samples) > retrieval_top_k else None)
         return cls(target=target, index=index,
-                   standard_config=standard_config, policy=policy,
+                   standard_config=standard_config,
                    categorical=categorical, retrieval=retrieval)
 
     @property

@@ -103,7 +103,7 @@ class RunReport:
 @dataclasses.dataclass
 class ThroughputReport:
     """Diagnostics of one executor batch (a ``match_many`` fan-out, a
-    reversed sweep, or a scenario-registry run).
+    repository route, or a scenario-registry run).
 
     Attributes
     ----------

@@ -21,10 +21,8 @@ import weakref
 from collections import OrderedDict
 from typing import TYPE_CHECKING, Iterable, TypeVar
 
-from ..context.categorical import CategoricalPolicy
 from ..context.model import ContextMatchConfig, MatchResult
 from ..engine.engine import MatchEngine
-from ..engine.executor import BatchResult, MatchExecutor
 from ..engine.prepared import PreparedSource, PreparedTarget
 from ..relational.instance import Database
 from ..store.tokens import database_token as compute_database_token
@@ -48,11 +46,10 @@ class EngineRunner:
     Entries are keyed by database *content token* (a sha256 of schema,
     dtypes and every column value — see
     :func:`repro.store.tokens.database_token`) plus the configuration
-    the artifact derives from (:meth:`MatchEngine.prepared_fingerprint`:
-    the standard-matcher configuration and the categorical policy for a
-    target, the standard-matcher configuration alone for a source), so
-    two engines with different configurations sharing one runner can never
-    serve each other stale prepared artifacts, while a sweep whose
+    the artifact derives from (the standard-matcher configuration,
+    :meth:`MatchEngine.prepared_fingerprint`), so two engines with
+    different configurations sharing one runner can never serve each
+    other stale prepared artifacts, while a sweep whose
     configurations only vary contextual knobs still prepares each side
     exactly once.  Content tokens replace the previous ``id(database)``
     keys: an ``id()`` says nothing once the object it named is gone —
@@ -81,11 +78,6 @@ class EngineRunner:
         #: their objects, and a recycled id() can never inherit one.
         self._db_tokens: "weakref.WeakKeyDictionary[Database, str]" = \
             weakref.WeakKeyDictionary()
-        #: (config, policy, engine) of the most recent :meth:`run_many`
-        #: call: consecutive batch calls with an equal configuration reuse
-        #: one engine object, so a shared MatchExecutor's id-keyed
-        #: artifact/payload memos actually hit across calls.
-        self._engine_cache: tuple | None = None
 
     def database_token(self, database: Database) -> str:
         """The (memoized) stable content token of *database*."""
@@ -94,15 +86,6 @@ class EngineRunner:
             token = compute_database_token(database)
             self._db_tokens[database] = token
         return token
-
-    def _engine_for(self, config: ContextMatchConfig,
-                    policy: CategoricalPolicy | None) -> MatchEngine:
-        cached = self._engine_cache
-        if cached is not None and cached[0] == config and cached[1] == policy:
-            return cached[2]
-        engine = MatchEngine(config, policy=policy)
-        self._engine_cache = (config, policy, engine)
-        return engine
 
     def prepared_for(self, engine: MatchEngine,
                      target: Database) -> PreparedTarget:
@@ -136,35 +119,12 @@ class EngineRunner:
         return prepared
 
     def run(self, source: Database, target: Database,
-            config: ContextMatchConfig,
-            *, policy: CategoricalPolicy | None = None) -> MatchResult:
+            config: ContextMatchConfig) -> MatchResult:
         """One engine run; reuses target and source preparation when
         possible."""
-        engine = MatchEngine(config, policy=policy)
+        engine = MatchEngine(config)
         return engine.match(self.prepared_source_for(engine, source),
                             self.prepared_for(engine, target))
-
-    def run_many(self, sources: Iterable[Database], target: Database,
-                 config: ContextMatchConfig,
-                 *, policy: CategoricalPolicy | None = None,
-                 executor: "MatchExecutor | None" = None) -> BatchResult:
-        """One batch of engine runs against a shared (LRU-cached) prepared
-        target, routed through *executor* (serial in-process when None).
-
-        The process backend pickles the prepared target once, ships it
-        with every chunk and matches plain source databases worker-side
-        (each worker unpickles it at most once); results come
-        back in input order, bit-identical to sequential :meth:`run` calls
-        over plain (un-prepared) sources.
-        """
-        engine = self._engine_for(config, policy)
-        prepared = self.prepared_for(engine, target)
-        if executor is None:
-            executor = MatchExecutor()
-        # The artifact ships under a content-derived token, so worker
-        # caches stay warm across prepared-LRU turnover.
-        return executor.match_many(engine, sources, prepared,
-                                   token=self.database_token(target))
 
 
 @dataclasses.dataclass(frozen=True)

@@ -41,7 +41,7 @@ from ..engine.prepared import PreparedSource, PreparedTarget
 from ..errors import ArtifactNotFoundError, EngineError
 from ..relational.instance import Database, Relation
 from ..relational.jsonio import database_from_dict
-from ..store.artifacts import KIND_TARGET, ArtifactStore
+from ..store.artifacts import ArtifactStore
 from ..store.tokens import database_token
 
 __all__ = ["HubScore", "RepositoryResult", "TargetRepository",
@@ -193,12 +193,13 @@ class TargetRepository:
                    engine: MatchEngine | None = None, *,
                    tokens: Sequence[str] | None = None
                    ) -> "TargetRepository":
-        """A repository over every prepared target in *store* (or just
-        *tokens*), registered oldest-first for stable ranking ties."""
+        """A repository over every prepared target in *store* that this
+        library can load (or just *tokens*), registered oldest-first for
+        stable ranking ties."""
         repo = cls(engine, store=store)
         if tokens is None:
             tokens = [entry.token for entry in reversed(repo.store.entries())
-                      if entry.kind == KIND_TARGET]
+                      if entry.loadable]
         for token in tokens:
             repo.add_token(token)
         return repo

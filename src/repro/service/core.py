@@ -45,7 +45,7 @@ from ..engine.prepared import PreparedTarget
 from ..errors import ArtifactNotFoundError
 from ..relational.instance import Database
 from ..relational.jsonio import database_from_dict
-from ..store.artifacts import KIND_TARGET, ArtifactStore, StoreEntry
+from ..store.artifacts import ArtifactStore, StoreEntry
 from .report import ServiceReport, latency_summary
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (repository sits above)
@@ -79,7 +79,7 @@ class MatchService:
         An :class:`~repro.store.ArtifactStore` (or a path to create one
         over).  Hub targets are loaded from here; ``save_target`` writes
         back through it.
-    config / policy:
+    config:
         Engine configuration for every request this service answers.
         Loaded artifacts are checked against it — an artifact prepared
         under an incompatible configuration is refused, exactly as in
@@ -111,11 +111,11 @@ class MatchService:
     """
 
     def __init__(self, store: ArtifactStore | str, *,
-                 config: Any = None, policy: Any = None,
-                 jobs: int | None = None, capacity: int = 8):
+                 config: Any = None, jobs: int | None = None,
+                 capacity: int = 8):
         self.store = (store if isinstance(store, ArtifactStore)
                       else ArtifactStore(store))
-        self.engine = MatchEngine(config, policy=policy)
+        self.engine = MatchEngine(config)
         self.executor = MatchExecutor(ExecutorConfig.for_jobs(jobs))
         self.capacity = max(1, capacity)
         self._targets: "OrderedDict[str, PreparedTarget]" = OrderedDict()
@@ -140,8 +140,8 @@ class MatchService:
         """Load hub targets into the LRU up front; returns the tokens
         that are actually resident afterwards.
 
-        With no *tokens*, every prepared-target entry in the store is
-        eligible, newest first — the serve loop calls this once at
+        With no *tokens*, every entry in the store that this library can
+        load is eligible, newest first — the serve loop calls this once at
         startup so the first request of every popular target is already
         warm.  Either way the request is clamped to the LRU capacity:
         warming more targets than fit would evict the earliest ones
@@ -149,7 +149,7 @@ class MatchService:
         """
         if tokens is None:
             tokens = [entry.token for entry in self.store.entries()
-                      if entry.kind == KIND_TARGET]
+                      if entry.loadable]
         requested = list(tokens)[:self.capacity]
         for token in requested:
             self._target_for(token)
@@ -203,16 +203,10 @@ class MatchService:
         name — to a token.  Names resolve to the newest stored target of
         that name that this library can load; unknown references raise
         :class:`~repro.errors.ArtifactNotFoundError`."""
-        if ref in self._targets:
-            return ref
-        # Token of *some* stored artifact: only prepared targets are
-        # servable — a prepared-source token must 404, not explode in
-        # load_target later.
-        if ref in self.store and self.store.entry(ref).kind == KIND_TARGET:
+        if ref in self._targets or ref in self.store:
             return ref
         for entry in self.store.entries():
-            if (entry.kind == KIND_TARGET and entry.database == ref
-                    and entry.loadable):
+            if entry.database == ref and entry.loadable:
                 return entry.token
         raise ArtifactNotFoundError(ref, str(self.store.root))
 
@@ -279,43 +273,36 @@ class MatchService:
         ``(RepositoryResult, routed tokens)``.
 
         With no *target_refs* the whole store acts as the repository:
-        every prepared-target entry, oldest first (so ranking tie-breaks
-        are stable across restarts).  Explicit references resolve like
-        :meth:`match` targets — content tokens or database names — and
-        are deduplicated in order.  The source is profiled once into a
-        shared :class:`~repro.engine.prepared.PreparedSource` and reused
-        against every hub; hubs are served from the warm LRU.
+        every entry this library can load, oldest first (so ranking
+        tie-breaks are stable across restarts).  Explicit references
+        resolve like :meth:`match` targets — content tokens or database
+        names — and are deduplicated in order.  The hubs, served from the
+        warm LRU, are routed as a
+        :class:`~repro.repository.core.TargetRepository` does: the source
+        is profiled once into a shared
+        :class:`~repro.engine.prepared.PreparedSource` and reused against
+        every hub.
         """
-        from ..repository.core import (RepositoryResult, rank_hub_scores,
-                                       score_hub)
+        from ..repository.core import TargetRepository
 
         if target_refs is None:
             tokens = [entry.token for entry in reversed(self.store.entries())
-                      if entry.kind == KIND_TARGET]
+                      if entry.loadable]
         else:
             tokens = [self.resolve(ref) for ref in target_refs]
         tokens = list(dict.fromkeys(tokens))
         if not tokens:
             raise ArtifactNotFoundError("<any prepared target>",
                                         str(self.store.root))
-        started = time.perf_counter()
         database = self._as_database(source)
-        prepared_source = self.engine.prepare_source(database)
-        results = []
-        scores = []
+        repository = TargetRepository(self.engine)
         for token in tokens:
-            prepared = self._target_for(token)
-            result = self.engine.match(prepared_source, prepared)
-            results.append(result)
-            scores.append(score_hub(database, result, token=token,
-                                    database=prepared.target.name))
-        self._absorb_runs(tokens, *results)
+            repository.add(self._target_for(token), token=token)
+        routed = repository.match_one(database)
+        self._absorb_runs(tokens, *(hub.result for hub in routed.ranking))
         with self._lock:
             self.repository_counters["requests"] += 1
             self.repository_counters["pairs"] += len(tokens)
-        routed = RepositoryResult(
-            source=database.name, ranking=rank_hub_scores(scores),
-            elapsed_seconds=time.perf_counter() - started)
         return routed, tokens
 
     def save_target(self, target: Database | Mapping[str, Any]
@@ -355,16 +342,11 @@ class MatchService:
         with self._lock:
             warm = set(self._targets)
             runs = dict(self._runs)
-        entries = []
-        for entry in self.store.entries():
-            if entry.kind != KIND_TARGET:
-                continue
-            entries.append({
-                "token": entry.token, "database": entry.database,
-                "tables": entry.tables, "size_bytes": entry.size_bytes,
-                "warm": entry.token in warm,
-                "runs": runs.get(entry.token, 0)})
-        return entries
+        return [{"token": entry.token, "database": entry.database,
+                 "tables": entry.tables, "size_bytes": entry.size_bytes,
+                 "warm": entry.token in warm,
+                 "runs": runs.get(entry.token, 0)}
+                for entry in self.store.entries()]
 
     def report(self) -> ServiceReport:
         """A :class:`ServiceReport` snapshot of this service."""

@@ -4,11 +4,11 @@ process.
 The enterprise workload this library targets is hub-and-spoke: a small
 set of stable hub schemas is prepared once and matched against many
 incoming sources.  :class:`ArtifactStore` makes the expensive half of
-that durable: :class:`~repro.engine.prepared.PreparedTarget` and
-:class:`~repro.engine.prepared.PreparedSource` blobs saved to disk keyed
-by their sha256 content token, each with a versioned JSON manifest, with
-digest + version verification on every load (typed errors, never a
-corrupt artifact silently served) and ``list``/``gc`` maintenance.
+that durable: :class:`~repro.engine.prepared.PreparedTarget` blobs saved
+to disk keyed by their sha256 content token, each with a versioned JSON
+manifest naming the engine configuration that prepared it, with digest +
+version verification on every load (typed errors, never a corrupt
+artifact silently served) and ``list``/``gc`` maintenance.
 
 Layers above build on it: store-aware
 :meth:`MatchEngine.prepare(..., store=...)
@@ -19,9 +19,7 @@ keyed, optionally store-backed), the ``repro store`` CLI, and the
 a store once and answers match requests from a warm LRU.
 """
 
-from .artifacts import (KIND_SOURCE, KIND_TARGET, STORE_FORMAT,
-                        ArtifactStore, StoreEntry, store_entry_from_dict,
-                        store_entry_to_dict)
+from .artifacts import STORE_FORMAT, ArtifactStore, StoreEntry
 from .tokens import (blob_token, database_token, fingerprint_token,
                      update_digest_with_database)
 
@@ -29,10 +27,6 @@ __all__ = [
     "ArtifactStore",
     "StoreEntry",
     "STORE_FORMAT",
-    "KIND_TARGET",
-    "KIND_SOURCE",
-    "store_entry_to_dict",
-    "store_entry_from_dict",
     "blob_token",
     "database_token",
     "fingerprint_token",

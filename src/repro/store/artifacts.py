@@ -1,39 +1,38 @@
 """Disk-backed store of prepared match artifacts, keyed by content token.
 
-Every :class:`~repro.engine.prepared.PreparedTarget` and
-:class:`~repro.engine.prepared.PreparedSource` is picklable with a
-sha256 content token; :class:`ArtifactStore` persists them, the two
-kinds of entry it holds.  A prepared target is frozen and no run writes
-to it, so its blob — and so its token — depends only on what
+Every :class:`~repro.engine.prepared.PreparedTarget` is picklable with a
+sha256 content token; :class:`ArtifactStore` persists them, each saved
+with the engine that prepared it.  A prepared target is frozen and no
+run writes to it, so its blob — and so its token — depends only on what
 ``prepare()`` built, however many runs it served before it was saved.
 
 * **Layout.**  One directory; each entry is a pair of files named by the
   blob's sha256 content token — ``<token>.blob`` (the pickled artifact)
-  and ``<token>.json`` (a versioned manifest: artifact kind, library
-  version, store format, engine fingerprint digest, byte size, blob
-  digest, source-database token).  Writes are atomic (tmp + rename) and
+  and ``<token>.json`` (a versioned manifest: library version, store
+  format, engine fingerprint digest, byte size, blob digest,
+  target-database token).  Writes are atomic (tmp + rename) and
   the manifest lands *after* its blob, so a manifest's existence always
   implies a complete entry; interrupted saves leave orphan blobs that
   :meth:`gc` sweeps.
-* **Integrity.**  :meth:`load` re-reads the manifest, checks the store
-  format and library version, re-hashes the blob and compares it to the
-  manifest digest — all *before* ``pickle.loads``.  A truncated blob, a
+* **Integrity.**  :meth:`load_target` re-reads the manifest, checks the
+  store format and library version, re-hashes the blob and compares it
+  to the manifest digest — all *before* ``pickle.loads``.  A truncated blob, a
   flipped bit, or an artifact written by a different library version
   raises a typed error (:class:`~repro.errors.ArtifactIntegrityError`,
   :class:`~repro.errors.ArtifactVersionError`); a corrupt artifact is
   never silently served and never surfaces as a pickle exception.
-* **Lookup.**  Entries saved with the engine that built them also carry
-  a ``lookup_key`` — a digest of (kind, database content token, engine
-  fingerprint) — so :meth:`find` can answer "is *this* database already
-  prepared for *this* engine?" without touching any blob.  A handle
-  parses each manifest once: :meth:`entries` lists the directory on
-  every call, so saves and removals by other handles and processes are
-  seen, but parses only manifests this handle has not parsed yet — the
-  lookup-key dedup of :meth:`save`, :meth:`find` and the serving layer's
-  resolution by name read the kept manifests, and consider only
-  :attr:`StoreEntry.loadable` entries (this store format and library
-  version), so an entry this library would refuse to load never stands
-  in for a fresh one.
+* **Lookup.**  Every entry carries a ``lookup_key`` — a digest of
+  (database content token, engine fingerprint) — so :meth:`find_target`
+  can answer "is *this* database already prepared for *this* engine?"
+  without touching any blob.  A handle parses each manifest once:
+  :meth:`entries` lists the directory on every call, so saves and
+  removals by other handles and processes are seen, but parses only
+  manifests this handle has not parsed yet — the lookup-key dedup of
+  :meth:`save`, :meth:`find_target`, the serving layer's warm-up and
+  resolution by name, and a repository over the store read the kept
+  manifests, and consider only :attr:`StoreEntry.loadable` entries (this
+  store format and library version), so an entry this library would
+  refuse to load never stands in for a fresh one.
   :meth:`prepared_target` builds on it: load on hit, prepare-and-save on
   miss — the get-or-build primitive behind store-aware
   :meth:`~repro.engine.engine.MatchEngine.prepare` and the serving
@@ -57,15 +56,14 @@ import pathlib
 import pickle
 import threading
 import time
-from typing import Any, Iterable, Mapping
+from typing import Any, Mapping
 
 from .._version import __version__
 from ..errors import (ArtifactIntegrityError, ArtifactNotFoundError,
                       ArtifactVersionError, StoreError)
 from .tokens import blob_token, database_token, fingerprint_token
 
-__all__ = ["ArtifactStore", "StoreEntry", "STORE_FORMAT",
-           "KIND_TARGET", "KIND_SOURCE"]
+__all__ = ["ArtifactStore", "StoreEntry", "STORE_FORMAT"]
 
 #: On-disk format revision.  Bumped when the layout, the manifest schema
 #: or the pickled artifacts change incompatibly; loads refuse other
@@ -79,12 +77,11 @@ __all__ = ["ArtifactStore", "StoreEntry", "STORE_FORMAT",
 #: run counter, tag memo and trained classifiers that runs wrote into
 #: it — and its retrieval index no longer carries database metadata.
 #: Format 5: prepared artifacts no longer pickle the matching system
-#: that built them; they record only its configuration.
-STORE_FORMAT = 5
-
-KIND_TARGET = "prepared-target"
-KIND_SOURCE = "prepared-source"
-_KINDS = (KIND_TARGET, KIND_SOURCE)
+#: that built them; they record only its configuration.  Format 6: a
+#: prepared target no longer records a categorical policy (the test's
+#: thresholds are fixed), the store holds prepared targets only, and
+#: every manifest names the engine fingerprint that built its target.
+STORE_FORMAT = 6
 
 _MANIFEST_SUFFIX = ".json"
 _BLOB_SUFFIX = ".blob"
@@ -96,22 +93,21 @@ class StoreEntry:
     touching the blob.
 
     ``token`` doubles as the blob digest (the store keys entries by the
-    sha256 of the pickled payload); ``fingerprint`` / ``lookup_key`` are
-    None for artifacts saved without an engine, which are loadable by
-    token but invisible to :meth:`ArtifactStore.find`.
+    sha256 of the pickled payload); ``lookup_key`` digests the target
+    database's content token and the preparing engine's ``fingerprint``
+    (:meth:`ArtifactStore.find_target`).
     """
 
     token: str
-    kind: str
     format: int
     version: str
     size_bytes: int
     created_at: float
     database: str
     tables: int
-    fingerprint: str | None = None
-    database_token: str | None = None
-    lookup_key: str | None = None
+    fingerprint: str
+    database_token: str
+    lookup_key: str
 
     @property
     def loadable(self) -> bool:
@@ -128,29 +124,13 @@ class StoreEntry:
         return cls(**{k: v for k, v in data.items() if k in fields})
 
     def __str__(self) -> str:
-        return (f"{self.token[:12]}  {self.kind:<15} "
-                f"{self.database:<12} {self.tables} tables  "
+        return (f"{self.token[:12]}  {self.database:<12} "
+                f"{self.tables} tables  "
                 f"{self.size_bytes} bytes  v{self.version}")
 
 
-def _check_built_by(kind: str, artifact: Any, engine: Any) -> None:
-    """Refuse *artifact* unless *engine*'s configuration built it: the
-    standard-matcher configuration, and for a target the categorical
-    policy — everything the engine's fingerprint covers."""
-    fields = [("standard_config", engine.config.standard)]
-    if kind == KIND_TARGET:
-        fields.append(("policy", engine.policy))
-    for name, expected in fields:
-        recorded = getattr(artifact, name)
-        if recorded != expected:
-            raise StoreError(
-                f"cannot save a {type(artifact).__name__} under an engine "
-                f"it was not built by: its {name} is {recorded}, the "
-                f"engine's is {expected}")
-
-
-def _lookup_key(kind: str, db_token: str, fingerprint: str) -> str:
-    payload = f"{kind}:{db_token}:{fingerprint}".encode("utf-8")
+def _lookup_key(db_token: str, fingerprint: str) -> str:
+    payload = f"{db_token}:{fingerprint}".encode("utf-8")
     return hashlib.sha256(payload).hexdigest()
 
 
@@ -212,44 +192,38 @@ class ArtifactStore:
         return sum(1 for _ in self.root.glob(f"*{_MANIFEST_SUFFIX}"))
 
     # -- save ----------------------------------------------------------
-    @staticmethod
-    def _kind_of(artifact: Any) -> tuple[str, Any]:
-        """(kind, described database) of a storable artifact."""
-        # Imported here so the store stays importable from serialization
-        # helpers without dragging the engine package into their import
-        # graph at module load.
-        from ..engine.prepared import PreparedSource, PreparedTarget
-        if isinstance(artifact, PreparedTarget):
-            return KIND_TARGET, artifact.target
-        if isinstance(artifact, PreparedSource):
-            return KIND_SOURCE, artifact.source
-        raise StoreError(
-            f"cannot store {type(artifact).__name__}: expected a "
-            "PreparedTarget or PreparedSource")
-
-    def save(self, artifact: Any, *, engine: Any = None) -> StoreEntry:
-        """Persist a prepared artifact; returns its manifest.
+    def save(self, prepared: Any, *, engine: Any) -> StoreEntry:
+        """Persist a prepared target with the *engine* that prepared it;
+        returns its manifest.
 
         The blob is pickled once; its sha256 is the entry's token.
         Saving the same content twice lands on one loadable entry
         (``dedup_hits``): by blob digest when the bytes repeat exactly,
-        and otherwise by the (kind, database token, engine fingerprint)
-        lookup key — pickle bytes are *not* canonical across interpreter
+        and otherwise by the (database token, engine fingerprint) lookup
+        key — pickle bytes are *not* canonical across interpreter
         processes (hash randomization perturbs set/dict ordering), so
         the content-derived lookup key is what makes ``save`` idempotent
-        across runs.  Passing the *engine* that built the artifact
-        stamps the manifest with the engine's fingerprint digest and that
-        lookup key, also making the entry discoverable via :meth:`find`;
-        saving without an engine yields a token-only entry deduped by
-        digest alone.  An artifact built under another configuration than
-        *engine*'s is refused with a :class:`StoreError` naming the
-        differing field: filed under *engine*'s lookup key, it would be
-        handed to every later lookup for that engine.
+        across runs.  Anything but a
+        :class:`~repro.engine.prepared.PreparedTarget` is refused with a
+        :class:`StoreError`, and so is a target built under another
+        standard-matcher configuration than *engine*'s: filed under
+        *engine*'s lookup key, it would be handed to every later lookup
+        for that engine.
         """
-        kind, database = self._kind_of(artifact)
-        if engine is not None:
-            _check_built_by(kind, artifact, engine)
-        blob = pickle.dumps(artifact, protocol=pickle.HIGHEST_PROTOCOL)
+        # Imported here so the store stays importable from serialization
+        # helpers without dragging the engine package into their import
+        # graph at module load.
+        from ..engine.prepared import PreparedTarget
+        if not isinstance(prepared, PreparedTarget):
+            raise StoreError(f"cannot store {type(prepared).__name__}: "
+                             "expected a PreparedTarget")
+        if prepared.standard_config != engine.config.standard:
+            raise StoreError(
+                "cannot save a PreparedTarget under an engine it was not "
+                f"built by: its standard_config is "
+                f"{prepared.standard_config}, the engine's is "
+                f"{engine.config.standard}")
+        blob = pickle.dumps(prepared, protocol=pickle.HIGHEST_PROTOCOL)
         token = blob_token(blob)
         if token in self:
             existing = self.entry(token)
@@ -258,17 +232,16 @@ class ArtifactStore:
                 return existing
             # The same bytes under a manifest this library refuses: write
             # a current manifest over it.
+        database = prepared.target
         db_token = database_token(database)
-        fingerprint = lookup = None
-        if engine is not None:
-            fingerprint = fingerprint_token(engine)
-            lookup = _lookup_key(kind, db_token, fingerprint)
-            for existing in self.entries():
-                if existing.lookup_key == lookup and existing.loadable:
-                    self.counters["dedup_hits"] += 1
-                    return existing
+        fingerprint = fingerprint_token(engine)
+        lookup = _lookup_key(db_token, fingerprint)
+        for existing in self.entries():
+            if existing.lookup_key == lookup and existing.loadable:
+                self.counters["dedup_hits"] += 1
+                return existing
         entry = StoreEntry(
-            token=token, kind=kind, format=STORE_FORMAT,
+            token=token, format=STORE_FORMAT,
             version=__version__, size_bytes=len(blob),
             created_at=time.time(), database=database.name,
             tables=len(tuple(database)), fingerprint=fingerprint,
@@ -321,8 +294,9 @@ class ArtifactStore:
 
     def entries(self) -> list[StoreEntry]:
         """Every readable manifest, newest first.  Unreadable manifests
-        are skipped here (listing is a maintenance view); :meth:`load`
-        and :meth:`gc` are where damage turns into errors/cleanup.
+        are skipped here (listing is a maintenance view);
+        :meth:`load_target` and :meth:`gc` are where damage turns into
+        errors/cleanup.
 
         The directory is listed on every call; only manifests this
         handle has not parsed before are parsed, and tokens no longer
@@ -360,19 +334,15 @@ class ArtifactStore:
                 "and re-save the artifact")
 
     # -- load ----------------------------------------------------------
-    def load(self, token: str, *, expected_kind: str | None = None) -> Any:
-        """Load and verify the artifact stored under *token*.
+    def load_target(self, token: str) -> Any:
+        """Load and verify the prepared target stored under *token*.
 
         Verification order: manifest readable → store format and library
         version match → blob present and its sha256 equals the token →
-        only then ``pickle.loads`` → unpickled type matches the manifest
-        kind.  Every failure raises a typed :class:`StoreError` subclass.
+        only then ``pickle.loads``.  Every failure raises a typed
+        :class:`StoreError` subclass.
         """
         entry = self.entry(token)
-        if expected_kind is not None and entry.kind != expected_kind:
-            raise StoreError(
-                f"artifact {token!r} is a {entry.kind}, expected "
-                f"{expected_kind}")
         self._check_compatible(entry)
         blob_path = self._blob_path(token)
         if not blob_path.is_file():
@@ -386,31 +356,15 @@ class ArtifactStore:
                 f"({len(blob)} bytes on disk vs {entry.size_bytes} in the "
                 "manifest); the blob is truncated or corrupt — delete it "
                 "via gc() and re-save")
-        artifact = pickle.loads(blob)
-        kind, _ = self._kind_of(artifact)
-        if kind != entry.kind:
-            raise ArtifactIntegrityError(
-                f"artifact {token!r} unpickled as a {kind} but its "
-                f"manifest says {entry.kind}")
+        prepared = pickle.loads(blob)
         self.counters["loads"] += 1
-        return artifact
-
-    def load_target(self, token: str):
-        """:meth:`load`, asserting the artifact is a PreparedTarget."""
-        return self.load(token, expected_kind=KIND_TARGET)
-
-    def load_source(self, token: str):
-        """:meth:`load`, asserting the artifact is a PreparedSource."""
-        return self.load(token, expected_kind=KIND_SOURCE)
+        return prepared
 
     # -- lookup --------------------------------------------------------
-    def find(self, kind: str, database: Any, engine: Any) -> str | None:
-        """Token of the stored, loadable *kind* artifact for (database,
+    def find_target(self, database: Any, engine: Any) -> str | None:
+        """Token of the stored, loadable prepared target for (database,
         engine), or None."""
-        if kind not in _KINDS:
-            raise StoreError(f"unknown artifact kind {kind!r}; "
-                             f"choose one of {list(_KINDS)}")
-        wanted = _lookup_key(kind, database_token(database),
+        wanted = _lookup_key(database_token(database),
                              fingerprint_token(engine))
         for entry in self.entries():
             if entry.lookup_key == wanted and entry.loadable:
@@ -418,12 +372,6 @@ class ArtifactStore:
                 return entry.token
         self.counters["find_misses"] += 1
         return None
-
-    def find_target(self, database: Any, engine: Any) -> str | None:
-        return self.find(KIND_TARGET, database, engine)
-
-    def find_source(self, database: Any, engine: Any) -> str | None:
-        return self.find(KIND_SOURCE, database, engine)
 
     def prepared_target(self, engine: Any, target: Any):
         """Get-or-build: the PreparedTarget for (engine, target), loaded
@@ -446,7 +394,8 @@ class ArtifactStore:
         entries whose blob fails digest verification.  ``max_entries``
         then trims surviving entries to the newest N.  Version-mismatched
         entries are *kept*: they are valid data for the library that
-        wrote them, and refusing to serve them is :meth:`load`'s job.
+        wrote them, and refusing to serve them is :meth:`load_target`'s
+        job.
         """
         removed: dict[str, str] = {}
 
@@ -501,13 +450,3 @@ class ArtifactStore:
 
     def __repr__(self) -> str:
         return f"<ArtifactStore {self.root} ({len(self)} entries)>"
-
-
-def store_entry_to_dict(entry: StoreEntry) -> dict[str, Any]:
-    """Serialize a manifest (the JSON shape committed to disk)."""
-    return entry.to_dict()
-
-
-def store_entry_from_dict(data: Mapping[str, Any]) -> StoreEntry:
-    """Inverse of :func:`store_entry_to_dict`."""
-    return StoreEntry.from_dict(data)

@@ -14,9 +14,9 @@ caller:
   restarts and store round-trips without false hits.
 * :func:`fingerprint_token` — a stable digest of
   :meth:`~repro.engine.engine.MatchEngine.prepared_fingerprint`, the
-  configuration (``config.standard``, categorical policy) prepared
-  artifacts derive from; equal configurations digest equally in any
-  process, so persisted artifacts can be looked up by it.
+  configuration (``config.standard``) prepared artifacts derive from;
+  equal configurations digest equally in any process, so persisted
+  artifacts can be looked up by it.
 """
 
 from __future__ import annotations
@@ -68,7 +68,7 @@ def database_token(database: "Database") -> str:
 def fingerprint_token(engine: "MatchEngine") -> str:
     """Stable digest of the engine's prepared fingerprint.
 
-    The fingerprint is configuration — frozen dataclasses whose reprs are
+    The fingerprint is configuration — a frozen dataclass whose repr is
     deterministic — so its digest is stable across processes and can key
     persisted artifacts.
     """

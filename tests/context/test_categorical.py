@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.context import (CategoricalPolicy, categorical_attributes,
-                           is_categorical)
+from repro.context import categorical_attributes, is_categorical
 from repro.relational import Attribute, DataType, Relation, TableSchema
 
 
@@ -33,10 +32,10 @@ class TestIsCategorical:
         assert not is_categorical([])
 
     def test_max_cardinality_guard(self):
-        values = [f"v{i % 60}" for i in range(600)]
-        assert not is_categorical(values)  # 60 distinct > default cap 50
-        relaxed = CategoricalPolicy(max_cardinality=None)
-        assert is_categorical(values, relaxed)
+        # Every value covers 10 tuples, so all are heavy; only the number
+        # of distinct values decides, against the cap of 50.
+        assert is_categorical([f"v{i % 50}" for i in range(500)])
+        assert not is_categorical([f"v{i % 51}" for i in range(510)])
 
     def test_heavy_fraction_threshold(self):
         # 2 heavy values among 30 distinct: below the 10% value fraction.
@@ -47,10 +46,12 @@ class TestIsCategorical:
         assert is_categorical(values)
 
     def test_policy_tuple_fraction(self):
-        # With a 20% tuple threshold a value needs 20 of 100 tuples.
-        strict = CategoricalPolicy(tuple_fraction=0.20)
-        values = ["a"] * 15 + ["b"] * 15 + ["c"] * 70
-        assert not is_categorical(values, strict)
+        # Above 200 tuples the 1% tuple fraction, not the two-tuple
+        # floor, makes a value heavy: 10 of 1000 tuples.
+        values = ["a"] * 820 + [f"u{i}" for i in range(20) for _ in range(9)]
+        assert not is_categorical(values)  # only "a" is heavy
+        values = ["a"] * 800 + [f"u{i}" for i in range(20) for _ in range(10)]
+        assert is_categorical(values)  # 21 of 21 values are heavy
 
 
 class TestRelationHelpers:
@@ -126,22 +127,25 @@ _POOLS = {
 _POOLS["object"] = st.one_of(_POOLS["mixed"],
                              st.lists(st.integers(0, 1), max_size=2))
 
-POLICIES = st.builds(
-    CategoricalPolicy,
-    max_cardinality=st.sampled_from([None, 0, 1, 2, 3, 50]),
-    min_heavy_values=st.sampled_from([1, 2]),
-    min_heavy_tuples=st.sampled_from([1, 2]))
+
+def _column(pool: str, n_rows: int):
+    """*n_rows* values from *pool*; a ``"wide"`` column cycles through
+    k distinct integers, k on either side of the cardinality cap."""
+    if pool == "wide":
+        return st.sampled_from([2, 5, 49, 50, 51, 55]).map(
+            lambda k: [i % k for i in range(n_rows)])
+    return st.lists(_POOLS[pool], min_size=n_rows, max_size=n_rows)
 
 
 @st.composite
 def relations(draw):
-    """1-4 columns of 0-20 rows, each from one pool; sometimes a row
-    subset, so coded columns hold uniques their rows no longer use."""
-    n_rows = draw(st.integers(0, 20))
-    pools = draw(st.lists(st.sampled_from(sorted(_POOLS)), min_size=1,
-                          max_size=4))
-    columns = {f"c{i}": draw(st.lists(_POOLS[pool], min_size=n_rows,
-                                      max_size=n_rows))
+    """1-4 columns of 0-20 or 40-90 rows, each from one pool; sometimes
+    a row subset, so coded columns hold uniques their rows no longer
+    use."""
+    n_rows = draw(st.one_of(st.integers(0, 20), st.integers(40, 90)))
+    pools = draw(st.lists(st.sampled_from(sorted(_POOLS) + ["wide"]),
+                          min_size=1, max_size=4))
+    columns = {f"c{i}": draw(_column(pool, n_rows))
                for i, pool in enumerate(pools)}
     schema = TableSchema("t", [Attribute(name, DataType.STRING)
                                for name in columns])
@@ -154,11 +158,11 @@ def relations(draw):
 
 class TestCategoricalAttributesProperty:
     @settings(max_examples=400, deadline=None)
-    @given(relation=relations(), policy=POLICIES)
-    def test_equals_is_categorical_over_the_values(self, relation, policy):
-        assert categorical_attributes(relation, policy) == [
+    @given(relation=relations())
+    def test_equals_is_categorical_over_the_values(self, relation):
+        assert categorical_attributes(relation) == [
             a for a in relation.schema.attribute_names
-            if is_categorical(relation.column(a), policy)]
+            if is_categorical(relation.column(a))]
 
     @settings(max_examples=200, deadline=None)
     @given(relation=relations())

@@ -3,8 +3,8 @@ relations on either side of a match, under both inference sides, run
 through :meth:`MatchEngine.match` and a 2-worker process ``match_many``
 without raising; the first run, a second run on the same artifact and
 the pooled runs agree exactly, counts included.
-A source column with 10⁴ distinct values runs through the engine under
-the default categorical policy and with the cardinality guard off.
+A source column with 10⁴ distinct values runs through the engine at the
+categorical test's fixed thresholds.
 Source columns holding unhashable values (JSON lists) match under every
 inference kind: the values fall in no view, as partitions skip them.
 
@@ -17,7 +17,7 @@ from __future__ import annotations
 import pytest
 
 from repro import ContextMatchConfig, MatchEngine
-from repro.context.categorical import CategoricalPolicy, categorical_attributes
+from repro.context.categorical import categorical_attributes
 from repro.context.serialize import result_to_dict
 from repro.datagen import make_retail_workload
 from repro.engine import ExecutorConfig, MatchExecutor
@@ -96,10 +96,7 @@ def test_degenerate_side_matches_serially_and_in_pool(workload, pool, kind,
     assert [_comparable(r) for r in batch] == [first, first]
 
 
-@pytest.mark.parametrize("policy", [CategoricalPolicy(),
-                                    CategoricalPolicy(max_cardinality=None)],
-                         ids=["default", "unbounded"])
-def test_ten_thousand_distinct_values(policy):
+def test_ten_thousand_distinct_values():
     base = make_retail_workload(target="ryan", gamma=2, n_source=10_000,
                                 n_target=200, seed=3)
     items = base.source.relation(base.source_table)
@@ -111,8 +108,8 @@ def test_ten_thousand_distinct_values(policy):
     relation = Relation(schema, {**columns, "Serial": serials})
     source = Database.from_relations(base.source.name, [relation])
     assert len(relation.distinct("Serial")) == 10_000
-    assert "Serial" not in categorical_attributes(relation, policy)
-    engine = MatchEngine(ContextMatchConfig(inference="src"), policy=policy)
+    assert "Serial" not in categorical_attributes(relation)
+    engine = MatchEngine(ContextMatchConfig(inference="src"))
     result = engine.match(source, engine.prepare(base.target))
     assert result.matches
     assert result.report.stage("infer-views").counts["values_classified"]

@@ -360,20 +360,6 @@ class TestProcessBackend:
         assert len(executor._artifacts) <= executor._MEMO_SLOTS
         assert len(executor._shipped) <= executor._MEMO_SLOTS
 
-    def test_reversed_sweep_bit_identical(self, retail_batch):
-        sources, target = retail_batch
-        engine = MatchEngine(CONFIG)
-        targets = [target]
-        serial = MatchExecutor().match_reversed_many(engine, sources[0],
-                                                     targets)
-        with MatchExecutor(ExecutorConfig(backend="process",
-                                          max_workers=2)) as executor:
-            process = executor.match_reversed_many(engine, sources[0],
-                                                   targets)
-        assert [_comparable(r) for r in serial] \
-            == [_comparable(r) for r in process]
-        assert all(r.report.role_reversed for r in process)
-
     def test_worker_errors_propagate(self):
         with MatchExecutor(ExecutorConfig(backend="process",
                                           max_workers=1)) as executor:

@@ -167,42 +167,3 @@ class TestEngineRunner:
                                    retail_workload.target) is custom_prepared
         assert runner.prepared_for(plain_engine,
                                    retail_workload.target) is plain_prepared
-
-    def test_run_many_matches_sequential_runs(self, retail_workload,
-                                              grades_workload):
-        from repro.engine import ExecutorConfig, MatchExecutor
-        config = ContextMatchConfig(inference="src", seed=3)
-        sources = [retail_workload.source]
-        sequential = EngineRunner().run(retail_workload.source,
-                                        retail_workload.target, config)
-        runner = EngineRunner()
-        batch = runner.run_many(sources, retail_workload.target, config)
-        assert batch.throughput.backend == "serial"
-        assert batch.throughput.tasks == 1
-        assert ([match_to_dict(m) for m in batch[0].matches]
-                == [match_to_dict(m) for m in sequential.matches])
-        with MatchExecutor(ExecutorConfig(backend="process",
-                                          max_workers=2)) as executor:
-            process = runner.run_many(sources, retail_workload.target,
-                                      config, executor=executor)
-        assert process.throughput.backend == "process"
-        assert ([match_to_dict(m) for m in process[0].matches]
-                == [match_to_dict(m) for m in sequential.matches])
-        # The prepared target came from (and stayed in) the runner's LRU.
-        assert len(runner._prepared) == 1
-
-    def test_run_many_reuses_engine_and_shipped_payload(self,
-                                                        retail_workload):
-        """Consecutive equal-config run_many calls share one engine, so a
-        reused executor's artifact/payload memos hit instead of
-        re-pickling the prepared target per call."""
-        from repro.engine import ExecutorConfig, MatchExecutor
-        runner = EngineRunner()
-        executor = MatchExecutor(ExecutorConfig(backend="serial"))
-        config = ContextMatchConfig(inference="src", seed=3)
-        runner.run_many([retail_workload.source], retail_workload.target,
-                        config, executor=executor)
-        runner.run_many([retail_workload.source], retail_workload.target,
-                        ContextMatchConfig(inference="src", seed=3),
-                        executor=executor)
-        assert len(executor._artifacts) == 1  # one shared EngineArtifact

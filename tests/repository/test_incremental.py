@@ -126,7 +126,7 @@ class TestRepositoryAppend:
         deltas = {workload.target.relations[0].name:
                   [workload.target.relations[0].row(0)]}
         new_token = repo.append_rows(token, deltas)
-        assert store.entry(new_token).kind == "prepared-target"
+        assert store.entry(new_token).loadable
         # The maintained artifact round-trips and keeps serving.
         loaded = store.load_target(new_token)
         assert loaded.target.name == workload.target.name

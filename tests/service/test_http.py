@@ -358,21 +358,6 @@ class TestWireRobustness:
             del service.match
         assert service.report().errors == errors_before + 1
 
-    def test_stored_non_target_token_is_404(self, server, workload):
-        """A real stored token of the wrong kind must map to 404."""
-        engine = MatchEngine()
-        source_token = server.service.store.save(
-            engine.prepare_source(workload.source), engine=engine).token
-        try:
-            _post(server, "/match", {
-                "target": source_token,
-                "source": database_to_dict(workload.source)})
-            pytest.fail("expected an HTTP error")
-        except urllib.error.HTTPError as exc:
-            assert exc.code == 404
-            assert json.loads(exc.read())["type"] \
-                == "ArtifactNotFoundError"
-
 
 class TestMatchRepository:
     @pytest.fixture(scope="class")

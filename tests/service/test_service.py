@@ -156,19 +156,6 @@ class TestWarmLRU:
         assert store.counters["loads"] == 0
 
 
-class TestResolveKind:
-    def test_non_target_token_is_not_found(self, store, engine, workload):
-        """A stored token of the wrong *kind* must 404 like any unknown
-        reference, not explode inside ``load_target`` later."""
-        source_token = store.save(engine.prepare_source(workload.source),
-                                  engine=engine).token
-        with MatchService(store) as service:
-            with pytest.raises(ArtifactNotFoundError):
-                service.resolve(source_token)
-            with pytest.raises(ArtifactNotFoundError):
-                service.match(workload.source, source_token)
-
-
 class TestLRUAccounting:
     @pytest.fixture
     def three_targets(self, store, engine):

@@ -20,13 +20,11 @@ import json
 import pytest
 
 from repro import ContextMatchConfig, MatchEngine
-from repro.context import CategoricalPolicy
 from repro.datagen import build_scenario, get_scenario, make_retail_workload
 from repro.errors import (ArtifactIntegrityError, ArtifactNotFoundError,
                           ArtifactVersionError, StoreError)
 from repro.matching import StandardMatchConfig
-from repro.store import (KIND_SOURCE, KIND_TARGET, ArtifactStore, StoreEntry,
-                         store_entry_from_dict, store_entry_to_dict)
+from repro.store import ArtifactStore, StoreEntry
 
 
 @pytest.fixture(scope="module")
@@ -79,24 +77,6 @@ class TestSaveChecksTheEngine:
         assert engine.match(retail.source, prepared).matches
         assert store.find_target(retail.target, engine) is not None
 
-    def test_mismatched_policy_refused_for_a_target(self, store, retail):
-        strict = MatchEngine(policy=CategoricalPolicy(max_cardinality=5))
-        engine = MatchEngine()
-        with pytest.raises(StoreError, match="its policy is"):
-            store.save(strict.prepare(retail.target), engine=engine)
-        assert len(store) == 0
-
-    def test_a_source_is_checked_on_its_standard_config_only(self, store,
-                                                              retail):
-        engine = MatchEngine()
-        strict = MatchEngine(policy=CategoricalPolicy(max_cardinality=5))
-        entry = store.save(strict.prepare_source(retail.source),
-                           engine=engine)
-        assert store.find_source(retail.source, engine) == entry.token
-        thin = MatchEngine(ContextMatchConfig(
-            standard=StandardMatchConfig(sample_limit=50)))
-        with pytest.raises(StoreError, match="standard_config"):
-            store.save(thin.prepare_source(retail.source), engine=engine)
 
 
 class TestSaveLoad:
@@ -110,12 +90,10 @@ class TestSaveLoad:
 
     def test_manifest_fields(self, store, engine, workload, prepared):
         entry = store.save(prepared, engine=engine)
-        assert entry.kind == KIND_TARGET
         assert entry.database == workload.target.name
         assert entry.tables == len(tuple(workload.target))
         assert entry.size_bytes > 0
-        assert entry.fingerprint is not None
-        assert entry.lookup_key is not None
+        assert len(entry.fingerprint) == len(entry.lookup_key) == 64
         assert len(entry.token) == 64
 
     def test_same_object_dedups_by_digest(self, store, engine, prepared):
@@ -138,22 +116,15 @@ class TestSaveLoad:
         assert store.counters["dedup_hits"] == 1
         assert len(store) == 1
 
-    def test_source_artifacts_store_too(self, store, engine, workload):
-        prepared_source = engine.prepare_source(workload.source)
-        entry = store.save(prepared_source, engine=engine)
-        assert entry.kind == KIND_SOURCE
-        loaded = store.load_source(entry.token)
-        assert loaded.source.name == workload.source.name
+    def test_prepared_source_refused(self, store, engine, workload):
+        with pytest.raises(StoreError, match="cannot store PreparedSource"):
+            store.save(engine.prepare_source(workload.source), engine=engine)
+        assert len(store) == 0
 
-    def test_load_checks_expected_kind(self, store, engine, workload,
-                                       prepared):
-        entry = store.save(prepared, engine=engine)
-        with pytest.raises(StoreError, match="expected"):
-            store.load_source(entry.token)
-
-    def test_non_artifact_rejected(self, store):
-        with pytest.raises(StoreError, match="PreparedTarget"):
-            store.save({"not": "an artifact"})
+    def test_non_artifact_rejected(self, store, engine):
+        with pytest.raises(StoreError, match="expected a PreparedTarget"):
+            store.save({"not": "an artifact"}, engine=engine)
+        assert len(store) == 0
 
     def test_find_by_content_and_engine(self, store, engine, workload,
                                         prepared):
@@ -185,7 +156,7 @@ class TestIntegrity:
 
     def test_missing_artifact(self, store):
         with pytest.raises(ArtifactNotFoundError) as excinfo:
-            store.load("0" * 64)
+            store.load_target("0" * 64)
         assert excinfo.value.token == "0" * 64
 
     def test_truncated_blob(self, store, engine, prepared):
@@ -193,7 +164,7 @@ class TestIntegrity:
         blob_path = store.root / f"{entry.token}.blob"
         blob_path.write_bytes(blob_path.read_bytes()[:100])
         with pytest.raises(ArtifactIntegrityError, match="size|digest"):
-            store.load(entry.token)
+            store.load_target(entry.token)
 
     def test_bit_rot_same_length(self, store, engine, prepared):
         entry = self._saved(store, engine, prepared)
@@ -202,20 +173,20 @@ class TestIntegrity:
         blob[len(blob) // 2] ^= 0xFF
         blob_path.write_bytes(bytes(blob))
         with pytest.raises(ArtifactIntegrityError, match="digest"):
-            store.load(entry.token)
+            store.load_target(entry.token)
 
     def test_missing_blob(self, store, engine, prepared):
         entry = self._saved(store, engine, prepared)
         (store.root / f"{entry.token}.blob").unlink()
         with pytest.raises(ArtifactIntegrityError, match="blob"):
-            store.load(entry.token)
+            store.load_target(entry.token)
 
     def test_unreadable_manifest(self, store, engine, prepared):
         entry = self._saved(store, engine, prepared)
         (store.root / f"{entry.token}.json").write_text("{not json",
                                                         encoding="utf-8")
         with pytest.raises(ArtifactIntegrityError, match="manifest"):
-            store.load(entry.token)
+            store.load_target(entry.token)
 
     def test_misfiled_manifest(self, store, engine, prepared):
         entry = self._saved(store, engine, prepared)
@@ -224,7 +195,7 @@ class TestIntegrity:
         data["token"] = "f" * 64
         path.write_text(json.dumps(data), encoding="utf-8")
         with pytest.raises(ArtifactIntegrityError, match="tampered|misfiled"):
-            store.load(entry.token)
+            store.load_target(entry.token)
 
     def test_format_mismatch(self, store, engine, prepared):
         entry = self._saved(store, engine, prepared)
@@ -233,7 +204,7 @@ class TestIntegrity:
         data["format"] = 999
         path.write_text(json.dumps(data), encoding="utf-8")
         with pytest.raises(ArtifactVersionError, match="format"):
-            store.load(entry.token)
+            store.load_target(entry.token)
 
     def test_version_mismatch(self, store, engine, prepared):
         entry = self._saved(store, engine, prepared)
@@ -242,7 +213,7 @@ class TestIntegrity:
         data["version"] = "0.0.1"
         path.write_text(json.dumps(data), encoding="utf-8")
         with pytest.raises(ArtifactVersionError, match="0.0.1"):
-            store.load(entry.token)
+            store.load_target(entry.token)
 
     def test_damage_never_reaches_pickle(self, store, engine, prepared):
         """The whole point of the typed hierarchy: corrupt bytes raise
@@ -252,7 +223,7 @@ class TestIntegrity:
         for damage in (b"", b"garbage", blob_path.read_bytes()[:-1]):
             blob_path.write_bytes(damage)
             with pytest.raises(StoreError):
-                store.load(entry.token)
+                store.load_target(entry.token)
 
     def test_errors_share_the_store_base(self):
         for exc_type in (ArtifactNotFoundError, ArtifactIntegrityError,
@@ -260,12 +231,19 @@ class TestIntegrity:
             assert issubclass(exc_type, StoreError)
 
 
+@pytest.fixture(scope="module")
+def other(engine):
+    """A second, unrelated prepared target."""
+    return engine.prepare(
+        build_scenario(get_scenario("grades").resized(60)).target)
+
+
 class TestMaintenance:
-    def test_entries_listing(self, store, engine, workload, prepared):
-        store.save(prepared, engine=engine)
-        store.save(engine.prepare_source(workload.source), engine=engine)
+    def test_entries_listing(self, store, engine, prepared, other):
+        first = store.save(prepared, engine=engine)
+        second = store.save(other, engine=engine)
         entries = store.entries()
-        assert {e.kind for e in entries} == {KIND_TARGET, KIND_SOURCE}
+        assert {e.token for e in entries} == {first.token, second.token}
         assert store.total_bytes() == sum(e.size_bytes for e in entries)
 
     def test_gc_clean_store_is_noop(self, store, engine, prepared):
@@ -289,18 +267,17 @@ class TestMaintenance:
         (store.root / f"{entry.token}.blob").write_bytes(b"rotten")
         assert store.gc(verify=False) == {}
 
-    def test_gc_evicts_to_budget_oldest_first(self, store, engine, workload,
-                                              prepared):
+    def test_gc_evicts_to_budget_oldest_first(self, store, engine, prepared,
+                                              other):
         kept = store.save(prepared, engine=engine)
         # An older, unrelated entry: backdate its manifest.
-        source_entry = store.save(engine.prepare_source(workload.source),
-                                  engine=engine)
-        path = store.root / f"{source_entry.token}.json"
+        older = store.save(other, engine=engine)
+        path = store.root / f"{older.token}.json"
         data = json.loads(path.read_text(encoding="utf-8"))
         data["created_at"] = 0.0
         path.write_text(json.dumps(data), encoding="utf-8")
         removed = store.gc(max_entries=1)
-        assert removed == {source_entry.token: "evicted"}
+        assert removed == {older.token: "evicted"}
         assert kept.token in store
 
     def test_gc_keeps_version_mismatched_entries(self, store, engine,
@@ -315,7 +292,7 @@ class TestMaintenance:
         assert store.gc() == {}
         assert entry.token in store
         with pytest.raises(ArtifactVersionError):
-            store.load(entry.token)
+            store.load_target(entry.token)
 
     def test_remove(self, store, engine, prepared):
         entry = store.save(prepared, engine=engine)
@@ -328,11 +305,11 @@ class TestMaintenance:
 class TestStoreEntryCodec:
     def test_round_trip(self, store, engine, prepared):
         entry = store.save(prepared, engine=engine)
-        back = store_entry_from_dict(store_entry_to_dict(entry))
+        back = StoreEntry.from_dict(entry.to_dict())
         assert back == entry
         assert isinstance(back, StoreEntry)
 
     def test_json_compatible(self, store, engine, prepared):
         entry = store.save(prepared, engine=engine)
-        encoded = json.dumps(store_entry_to_dict(entry))
-        assert store_entry_from_dict(json.loads(encoded)) == entry
+        encoded = json.dumps(entry.to_dict())
+        assert StoreEntry.from_dict(json.loads(encoded)) == entry

@@ -15,7 +15,7 @@ import threading
 
 import pytest
 
-from repro import MatchEngine
+from repro import ContextMatchConfig, MatchEngine
 from repro.datagen import build_scenario, get_scenario
 from repro.relational import Database, Relation
 from repro.service import MatchService
@@ -81,17 +81,19 @@ class TestOtherHandles:
     def test_lookup_key_dedup_sees_the_other_handle(self, tmp_path, engine,
                                                     events):
         """Different bytes for the same (database, engine) dedup by lookup
-        key, through the listing of a handle that never parsed them."""
+        key, through the listing of a handle that never parsed them.  An
+        engine whose ``retrieval_top_k`` prunes the target prepares it
+        with a retrieval index, under the same fingerprint."""
         first = ArtifactStore(tmp_path)
         second = ArtifactStore(tmp_path)
         assert first.entries() == []
-        entry = second.save(engine.prepare_source(events.source),
-                            engine=engine)
-        used = engine.prepare_source(events.source)
-        engine.match(used, engine.prepare(events.target))
-        assert pickle.dumps(used) \
-            != pickle.dumps(engine.prepare_source(events.source))
-        assert first.save(used, engine=engine) == entry
+        entry = second.save(engine.prepare(events.target), engine=engine)
+        pruning = MatchEngine(ContextMatchConfig(retrieval_top_k=2))
+        indexed = pruning.prepare(events.target)
+        assert indexed.retrieval is not None
+        assert pickle.dumps(indexed) \
+            != pickle.dumps(engine.prepare(events.target))
+        assert first.save(indexed, engine=pruning) == entry
         assert first.counters["dedup_hits"] == 1
         assert first.counters["saves"] == 0
 
@@ -101,7 +103,7 @@ class TestParses:
                                                 parses):
         store = ArtifactStore(tmp_path)
         for i in range(30):
-            store.save(engine.prepare_source(_database(i)), engine=engine)
+            store.save(engine.prepare(_database(i)), engine=engine)
         assert len(store.entries()) == len(store) == 30
         assert parses[0] <= 30
 
@@ -110,7 +112,7 @@ class TestParses:
         store = ArtifactStore(tmp_path)
         other = ArtifactStore(tmp_path)
         for i in range(5):
-            other.save(engine.prepare_source(_database(i)), engine=engine)
+            other.save(engine.prepare(_database(i)), engine=engine)
         before = parses[0]
         for _ in range(3):
             assert len(store.entries()) == 5

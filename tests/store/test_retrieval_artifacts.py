@@ -1,15 +1,15 @@
 """Retrieval indexes in the store: they travel inside prepared targets.
 
-The store has no artifact kind of its own for a bare
+The store holds prepared targets only, so it refuses a bare
 :class:`~repro.retrieval.RetrievalIndex`: the index a target needs is
 built by ``MatchEngine.prepare`` and pickled inside the
 :class:`~repro.engine.prepared.PreparedTarget`.  Prepare builds it only
 for a target with more attributes than the engine's ``retrieval_top_k``,
 so the engine here runs at k = 4 against the 12-attribute events target.
-The contract is the target kind's: bit-stable round trips (the loaded
-index ranks as the built one), content dedup, and the typed corruption
-grid — damage surfaces as a :class:`~repro.errors.StoreError` subclass
-before pickle runs."""
+The contract is the prepared target's: bit-stable round trips (the
+loaded index ranks as the built one), content dedup, and the typed
+corruption grid — damage surfaces as a
+:class:`~repro.errors.StoreError` subclass before pickle runs."""
 
 from __future__ import annotations
 
@@ -21,7 +21,7 @@ from repro import ContextMatchConfig, MatchEngine
 from repro.datagen import build_scenario, get_scenario
 from repro.errors import (ArtifactIntegrityError, ArtifactVersionError,
                           StoreError)
-from repro.store import KIND_TARGET, ArtifactStore, database_token
+from repro.store import ArtifactStore, database_token
 
 
 @pytest.fixture(scope="module")
@@ -49,7 +49,6 @@ def store(tmp_path):
 class TestSaveLoad:
     def test_manifest_fields(self, store, engine, workload, prepared):
         entry = store.save(prepared, engine=engine)
-        assert entry.kind == KIND_TARGET
         assert entry.database == workload.target.name
         assert entry.tables == len(tuple(workload.target))
         assert entry.database_token == database_token(workload.target)
@@ -77,14 +76,12 @@ class TestSaveLoad:
                                          prepared):
         entry = store.save(prepared, engine=engine)
         assert store.find_target(workload.target, engine) == entry.token
-        assert store.find_source(workload.target, engine) is None
+        assert store.find_target(workload.source, engine) is None
 
-    def test_load_checks_expected_kind(self, store, engine, prepared):
-        entry = store.save(prepared, engine=engine)
-        with pytest.raises(StoreError, match="expected"):
-            store.load_source(entry.token)
+    def test_bare_index_is_refused(self, store, engine, prepared):
         with pytest.raises(StoreError, match="cannot store"):
             store.save(prepared.retrieval, engine=engine)
+        assert len(store) == 0
 
 
 class TestIntegrity:

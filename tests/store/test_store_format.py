@@ -3,13 +3,15 @@
 An entry written under another store format (format 1 held gram-string
 profiles and postings, format 2 pickled BM25 postings, format 3 pickled
 the run state that runs wrote into a prepared target, format 4 pickled
-the matching system that built it) or another library version is
-refused by
-``load`` with ``ArtifactVersionError`` before its blob is unpickled.
-``save``'s dedup, ``find`` — and with it ``prepared_target`` — and
-``MatchService.resolve`` by name skip such entries, so a store holding
-them re-prepares and serves fresh ones instead of handing out a token
-that cannot load; ``gc`` keeps them.
+the matching system that built it, format 5 recorded a categorical
+policy) or another library version is refused by ``load_target`` with
+``ArtifactVersionError`` before its blob is unpickled.  ``save``'s
+dedup, ``find_target`` — and with it ``prepared_target`` —,
+``MatchService.resolve`` by name, ``MatchService.warm``,
+``MatchService.match_repository`` and ``TargetRepository.from_store``
+skip such entries, so a store holding them re-prepares and serves fresh
+ones, and routes over the hubs it can load, instead of handing out a
+token that cannot load; ``gc`` keeps them.
 """
 
 from __future__ import annotations
@@ -19,9 +21,10 @@ import json
 import pytest
 
 from repro import MatchEngine
-from repro.datagen import make_retail_workload
+from repro.datagen import build_scenario, get_scenario, make_retail_workload
 from repro.engine.prepared import PreparedTarget
 from repro.errors import ArtifactNotFoundError, ArtifactVersionError
+from repro.repository import TargetRepository
 from repro.service import MatchService
 from repro.store import STORE_FORMAT, ArtifactStore
 
@@ -32,9 +35,21 @@ def engine():
 
 
 @pytest.fixture(scope="module")
-def target():
+def workload():
     return make_retail_workload(target="ryan", gamma=2, n_source=60,
-                                n_target=60, seed=5).target
+                                n_target=60, seed=5)
+
+
+@pytest.fixture(scope="module")
+def target(workload):
+    return workload.target
+
+
+@pytest.fixture(scope="module")
+def hub(engine):
+    """A second hub, prepared by this library."""
+    return engine.prepare(
+        build_scenario(get_scenario("events").resized(60)).target)
 
 
 def _stale(store: ArtifactStore, token: str, **fields) -> None:
@@ -46,16 +61,17 @@ def _stale(store: ArtifactStore, token: str, **fields) -> None:
 
 
 STALE = [{"format": 1}, {"format": 2}, {"format": 3}, {"format": 4},
-         {"format": STORE_FORMAT + 1}, {"version": "0.0.0"}]
+         {"format": 5}, {"format": STORE_FORMAT + 1}, {"version": "0.0.0"}]
 
 
-def test_format_is_five():
-    assert STORE_FORMAT == 5
+def test_format_is_six():
+    assert STORE_FORMAT == 6
 
 
 @pytest.mark.parametrize("fields", STALE, ids=["format-1", "format-2",
                                                "format-3", "format-4",
-                                               "format-next", "version"])
+                                               "format-5", "format-next",
+                                               "version"])
 class TestStaleEntries:
     @pytest.fixture
     def stale(self, tmp_path, engine, target, fields):
@@ -108,3 +124,28 @@ class TestStaleEntries:
         store = ArtifactStore(root)
         assert store.gc() == {}
         assert token in store
+
+    @pytest.fixture
+    def beside(self, stale, engine, hub):
+        """The stale store plus one loadable hub."""
+        root, token = stale
+        loadable = ArtifactStore(root).save(hub, engine=engine).token
+        return root, loadable
+
+    def test_warm_skips_it(self, beside):
+        root, loadable = beside
+        with MatchService(ArtifactStore(root)) as service:
+            assert service.warm() == [loadable]
+            assert service.lru_counters["loads"] == 1
+
+    def test_from_store_skips_it(self, beside, engine):
+        root, loadable = beside
+        repository = TargetRepository.from_store(ArtifactStore(root), engine)
+        assert repository.tokens() == [loadable]
+
+    def test_match_repository_skips_it(self, beside, workload):
+        root, loadable = beside
+        with MatchService(ArtifactStore(root)) as service:
+            routed, tokens = service.match_repository(workload.source)
+        assert tokens == [loadable]
+        assert [hub.token for hub in routed.ranking] == [loadable]

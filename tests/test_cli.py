@@ -498,7 +498,8 @@ class TestStoreAndServeCLI:
         assert doc["__version__"] == __version__
         assert doc["store"] == str(store_dir)
         assert len(doc["entry"]["token"]) == 64
-        assert doc["entry"]["kind"] == "prepared-target"
+        assert doc["entry"]["database"] == "target"
+        assert len(doc["entry"]["lookup_key"]) == 64
 
     def test_save_again_dedups(self, workload_dir, store_dir, capsys):
         rc = main(["store", "save", str(workload_dir / "tgt"),
